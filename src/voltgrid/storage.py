@@ -291,10 +291,16 @@ def storage_spec_from_config(config: dict) -> StorageSpec:
                 kwargs[key] = float(config[key])
             except (TypeError, ValueError):
                 raise DataError(f"storage config {key} must be a number, got {config[key]!r}") from None
+            # NaN would silently disable a bound check; the limits may be
+            # infinite, the starting energy and the efficiency may not
+            if math.isnan(kwargs[key]):
+                raise DataError(f"storage config {key} must not be NaN")
+            if key in ("efficiency", "e_init") and math.isinf(kwargs[key]):
+                raise DataError(f"storage config {key} must be finite, got {config[key]!r}")
     if config.get("rated_cycles") is not None:
         try:
             kwargs["rated_cycles"] = int(config["rated_cycles"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise DataError(f"storage config rated_cycles must be an integer, got {config['rated_cycles']!r}") from None
     if config.get("interpretation") is not None:
         kwargs["interpretation"] = str(config["interpretation"])

@@ -18,8 +18,15 @@ with the unknown sampled at the parent cell's right node ``x_k``. All
 fragments of the final grid cell carry the not-yet-known ``x_j`` (a band
 boundary can cut that cell, so there may be several), which keeps the system
 lower triangular with exactly one unknown per step: identity responses give a
-forward substitution, anything else a scalar root-find per node. The rule is
+closed-form step, anything else a scalar root-find per node. The rule is
 first order; ``estimate_order`` measures that against manufactured solutions.
+
+Per band, node j needs the sum over the cells before its own. For the
+separable factors ``kernel_from_config`` builds that sum is a window of a
+decaying running sum plus at most two boundary fragments (fast convolution,
+Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), so a solve
+costs O(N) time and memory. Any other callable factor gets a dense row per
+node: O(N^2) time, O(N) memory.
 """
 
 from __future__ import annotations
@@ -29,9 +36,9 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DataError, SolverError
 from .ioutil import fmt12
@@ -43,7 +50,7 @@ NEWTON_RTOL = 1e-12
 NEWTON_MAX_ITER = 100
 BRACKET_EXPANSIONS = 60
 
-_BLOCK = 1024
+_CHUNK = 4096  # nodes whose coefficients the march unpacks to Python floats at once
 
 
 @dataclass(frozen=True)
@@ -98,9 +105,11 @@ class BandPartition:
     def from_table(cls, t_knots, boundary_rows) -> "BandPartition":
         """Boundaries tabulated at t_knots, linearly interpolated between."""
         knots = np.asarray(t_knots, dtype=float)
+        rows = [np.asarray(r, dtype=float) for r in boundary_rows]
+        if not all(np.all(np.isfinite(a)) for a in [knots, *rows]):
+            raise DataError("boundary table holds a non-finite value")
         if knots.ndim != 1 or len(knots) < 2 or np.any(np.diff(knots) <= 0):
             raise DataError("boundary table needs strictly increasing t knots")
-        rows = [np.asarray(r, dtype=float) for r in boundary_rows]
         for r in rows:
             if r.shape != knots.shape:
                 raise DataError("each boundary row must match the t knots in length")
@@ -131,7 +140,7 @@ class BandPartition:
         nodes = grid.nodes()
         bm = self.boundary_values(nodes[1:])
         gaps = np.diff(bm, axis=0)
-        bad = np.argwhere(gaps <= 0.0)
+        bad = np.argwhere(~(gaps > 0.0))
         if bad.size:
             row, col = bad[0]
             raise DataError(
@@ -148,10 +157,9 @@ class KernelSpec:
     response G_i(s, x).
 
     A ``None`` response entry means the identity G(s, x) = x; when every band
-    is the identity the solve reduces to a triangular linear system. Supplied
-    callables must accept numpy arrays. ``response_prime`` may carry dG/dx
-    callables for the nonlinear path; missing entries fall back to a central
-    difference.
+    is the identity each node's step is a division. Supplied callables must
+    accept numpy arrays. ``response_prime`` may carry dG/dx callables for the
+    nonlinear path; missing entries fall back to a central difference.
     """
 
     partition: BandPartition
@@ -175,7 +183,7 @@ class KernelSpec:
         if len(prime) != n:
             raise DataError(f"expected {n} response derivatives, got {len(prime)}")
         object.__setattr__(self, "response_prime", prime)
-        if self.kernel_floor <= 0:
+        if not self.kernel_floor > 0:
             raise DataError(f"kernel_floor must be positive, got {self.kernel_floor}")
 
     @property
@@ -200,12 +208,22 @@ class SolveResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+class _ExpFactor(NamedTuple):
+    """Efficiency factor value * exp(-rate * (t - s)); rate 0 is a constant."""
+
+    value: float
+    rate: float = 0.0
+
+    def __call__(self, t, s):
+        return self.value * np.exp(-self.rate * (np.asarray(t) - np.asarray(s)))
+
+
 def _check_kernel_floor(kernel: KernelSpec, grid: Grid) -> np.ndarray:
     """|K_n(t,t)| must clear the floor on every node; returns K_n(t_j,t_j)."""
     nodes = grid.nodes()
     knn = np.asarray(kernel.K[-1](nodes, nodes), dtype=float)
     knn = np.broadcast_to(knn, nodes.shape)
-    small = np.abs(knn) < kernel.kernel_floor
+    small = ~(np.abs(knn) >= kernel.kernel_floor)
     if np.any(small):
         j = int(np.argmax(small))
         raise DataError(
@@ -213,40 +231,6 @@ def _check_kernel_floor(kernel: KernelSpec, grid: Grid) -> np.ndarray:
             f"below the floor {kernel.kernel_floor:g}; the marching solve would divide by it"
         )
     return knn
-
-
-def segment_cells(t_j: float, grid: Grid, partition: BandPartition):
-    """Cells of [0, t_j]: grid cells intersected with the bands at t_j.
-
-    Returns an ordered list of ``(band_index, (a, b))`` with 1-based band
-    indices; zero-width fragments (a boundary sitting exactly on a node) are
-    dropped. Reference implementation for the vectorized weight assembly.
-    """
-    h = grid.step
-    j = int(round(t_j / h))
-    if j < 1 or j > grid.n_cells or abs(t_j - j * h) > 1e-9 * max(1.0, grid.horizon):
-        raise DataError(f"t={t_j!r} is not a positive grid node (h={fmt12(h)})")
-    nodes = grid.nodes()
-    t_j = float(nodes[j])
-
-    bounds = partition.boundary_values(np.array([t_j]))[:, 0]
-    if np.any(np.diff(bounds) <= 0.0):
-        raise DataError(f"band boundaries out of order at node {j} (t={fmt12(t_j)})")
-
-    tol = 1e-13 * max(1.0, t_j)
-    points = np.unique(np.concatenate([nodes[:j + 1], bounds]))
-    points = points[(points > -tol) & (points < t_j + tol)]
-    cells = []
-    for a, b in zip(points, points[1:]):
-        if b - a <= tol:
-            continue
-        mid = 0.5 * (a + b)
-        band = int(np.searchsorted(bounds, mid, side="left"))
-        cells.append((band, (float(a), float(b))))
-    total = math.fsum(b - a for _, (a, b) in cells)
-    if abs(total - t_j) > 1e-12 * max(1.0, t_j):
-        raise SolverError(f"cell partition of [0, {fmt12(t_j)}] lost width {fmt12(t_j - total)}")
-    return cells
 
 
 def _node_values(x, n_cells: int) -> np.ndarray:
@@ -262,84 +246,154 @@ def _node_values(x, n_cells: int) -> np.ndarray:
     raise DataError(f"expected {n_cells} or {n_cells + 1} node values, got {len(x)}")
 
 
-def _band_coefficients(kernel, nodes, bm, rows, n_cols):
-    """Per band: fragment quadrature coefficients for a block of rows.
+class _WindowHistory:
+    """History sum of one band with a non-growing ``_ExpFactor``.
 
-    Row r stands for node r+1, column c for grid cell [nodes[c], nodes[c+1]]
-    (unknown x_{c+1}). Yields (coef, right_edge) matrices of shape
-    (len(rows), n_cols); coef is width * K_i(t_row, right_edge) and is zero
-    wherever the band misses the cell.
-    """
-    t_row = nodes[rows.start + 1:rows.stop + 1][:, None]
-    t_left = nodes[:n_cols][None, :]
-    t_right = nodes[1:n_cols + 1][None, :]
-    for i in range(kernel.n_bands):
-        lo = bm[i, rows][:, None]
-        hi = bm[i + 1, rows][:, None]
-        right = np.minimum(t_right, hi)
-        width = right - np.maximum(t_left, lo)
-        np.clip(width, 0.0, None, out=width)
-        # keep K evaluations inside the band even for empty fragments
-        safe_right = np.maximum(right, lo)
-        coef = width * np.asarray(kernel.K[i](t_row, safe_right), dtype=float)
-        yield coef, safe_right
+    ``Q_m = e^{-rate*h} * Q_{m-1} + w_m * G(t_m, x_m)`` runs over finished
+    cells; at node j the band's whole cells a+1..b add ``K(t_j, t_b) * (Q_b -
+    e^{-rate*(t_b - t_a)} * Q_a)`` and the cells a, b+1 its boundaries cut one
+    fragment each. Only decaying exponentials are formed (prefix sums of
+    e^{rate*s} overflow once rate*T passes ~700)."""
+
+    def __init__(self, factor, g, nodes, lo, hi):
+        self.factor, self.g, self.nodes, self.lo, self.hi = factor, g, nodes, lo, hi
+        self.decay = math.exp(-factor.rate * nodes[-1] / (len(nodes) - 1))
+
+    def rows(self, sl):
+        """Per node of the slice: window and fragment terms, as Python scalars."""
+        nodes, factor = self.nodes, self.factor
+        lo, hi = self.lo[sl], self.hi[sl]
+        j = np.arange(sl.start + 1, sl.stop + 1)
+        t = nodes[j]
+        p = np.searchsorted(nodes, lo, side="left")       # nodes[p-1] < lo <= nodes[p]
+        r = np.searchsorted(nodes, hi, side="right") - 1  # nodes[r] <= hi < nodes[r+1]
+        b = np.minimum(r, j - 1)                           # the unknown's cell is not history
+        whole = b > p
+        a = np.where(whole, p, 0)
+        b = np.where(whole, b, 0)
+        scale = np.where(whole, factor(t, nodes[b]), 0.0)
+        drop = np.exp(-factor.rate * (nodes[b] - nodes[a]))
+        # cell p when lo cuts it; it also holds hi when both cut the same cell
+        left = (lo < nodes[p]) & (p < j)
+        s_left = np.minimum(nodes[p], hi)
+        c_left = np.where(left, (s_left - lo) * factor(t, s_left), 0.0)
+        # cell r+1 when hi cuts it and lo does not
+        right = (nodes[r] < hi) & (r + 1 < j) & (nodes[r] >= lo)
+        c_right = np.where(right, (hi - nodes[r]) * factor(t, hi), 0.0)
+        fields = (scale, drop, a, b, c_left, np.where(left, p, 0), s_left,
+                  c_right, np.where(right, r + 1, 0), hi)
+        return zip(*(f.tolist() for f in fields))
+
+    def known(self, j, row, x, q):
+        scale, drop, a, b, c_left, k_left, s_left, c_right, k_right, s_right = row
+        total = scale * (q[b] - drop * q[a])
+        g = self.g
+        if g is None:
+            return total + c_left * x[k_left] + c_right * x[k_right]
+        if c_left:
+            total += c_left * float(g(s_left, x[k_left]))
+        if c_right:
+            total += c_right * float(g(s_right, x[k_right]))
+        return total
+
+    def push(self, q, j, xj, t_j, w_j):
+        g = self.g
+        q[j] = self.decay * q[j - 1] + w_j * (xj if g is None else float(g(t_j, xj)))
 
 
-def _apply_response(g, s, x):
-    return x if g is None else np.asarray(g(s, x), dtype=float)
+class _RowHistory:
+    """History sum of one band with any other factor: a dense row per node."""
+
+    def __init__(self, factor, g, nodes, lo, hi):
+        self.factor, self.g, self.nodes, self.lo, self.hi = factor, g, nodes, lo, hi
+
+    def rows(self, sl):
+        return zip(self.lo[sl].tolist(), self.hi[sl].tolist())
+
+    def known(self, j, row, x, q):
+        lo, hi = row
+        nodes = self.nodes
+        right = np.minimum(nodes[1:j], hi)
+        width = np.clip(right - np.maximum(nodes[:j - 1], lo), 0.0, None)
+        live = width > 0.0
+        if not np.any(live):
+            return 0.0
+        s = right[live]
+        c = width[live] * np.asarray(self.factor(nodes[j], s), dtype=float)
+        xs = np.asarray(x[1:j])[live]
+        return float(np.dot(c, xs if self.g is None else np.asarray(self.g(s, xs), dtype=float)))
+
+    def push(self, q, j, xj, t_j, w_j):
+        pass
+
+
+class _March:
+    """One kernel on one grid: the geometry of every node and the causal
+    march over it, shared by the solve and the direct problem."""
+
+    def __init__(self, kernel: KernelSpec, grid: Grid):
+        self.n = grid.n_cells
+        self.nodes = nodes = grid.nodes()
+        bm = kernel.partition.validate_on(grid)
+        t = nodes[1:]
+        # the unknown's cell [t_{j-1}, t_j], cut by the bands at t_j
+        right = np.minimum(t, bm[1:])
+        width = np.clip(right - np.maximum(nodes[:-1], bm[:-1]), 0.0, None)
+        self.points = np.maximum(right, bm[:-1])
+        self.coefs = np.array([width[i] * np.asarray(K(t, self.points[i]), dtype=float)
+                               for i, K in enumerate(kernel.K)])
+        # a growing factor (rate < 0) would cancel in the window difference
+        self.histories = [
+            (_WindowHistory if isinstance(K, _ExpFactor) and K.rate >= 0.0 else _RowHistory)(
+                K, g, nodes, bm[i], bm[i + 1])
+            for i, (K, g) in enumerate(zip(kernel.K, kernel.G))
+        ]
+
+    def run(self, step, given) -> list:
+        """x_j = step(j, known_j, last_j, given[j-1], x) for j = 1..N, where known_j
+        sums the cells before node j's own and last_j holds that cell's (coef,
+        point) per band. Returns x over nodes 0..N, x_0 = 0."""
+        n, nodes, hs = self.n, self.nodes, self.histories
+        x = [0.0] * (n + 1)
+        qs = [[0.0] * (n + 1) for _ in hs]
+        for start in range(1, n + 1, _CHUNK):
+            stop = min(start + _CHUNK, n + 1)
+            sl = slice(start - 1, stop - 1)
+            per_node = zip(
+                range(start, stop), nodes[start:stop].tolist(),
+                np.diff(nodes[start - 1:stop]).tolist(), given[sl].tolist(),
+                zip(*(h.rows(sl) for h in hs)),
+                zip(*(zip(c[sl].tolist(), s[sl].tolist())
+                      for c, s in zip(self.coefs, self.points))),
+            )
+            for j, t_j, w_j, given_j, rows, last in per_node:
+                known = 0.0
+                for h, row, q in zip(hs, rows, qs):
+                    known += h.known(j, row, x, q)
+                xj = x[j] = step(j, known, last, given_j, x)
+                for h, q in zip(hs, qs):
+                    h.push(q, j, xj, t_j, w_j)
+        return x
+
+
+def _active(last, kernel) -> list:
+    """(c_i, b_i, G_i, G_i') of the bands that meet node j's own cell."""
+    return [(c, s, g, dg) for (c, s), g, dg in zip(last, kernel.G, kernel.response_prime)
+            if c != 0.0]
 
 
 def forward_apply(kernel: KernelSpec, grid: Grid, x) -> np.ndarray:
-    """Direct problem: quadrature of the kernel against known node values.
+    """Direct problem: quadrature of the kernel against known node values,
+    by the solver's own march, so ``solve_apf(forward_apply(x)) == x`` up to
+    rounding for identity responses."""
+    f = np.zeros(grid.n_cells + 1)
 
-    Exact oracle for the solver: ``solve_apf(forward_apply(x)) == x`` for
-    identity responses, because both sides use the same cell decomposition.
-    """
-    n = grid.n_cells
-    xs = _node_values(x, n)
-    nodes = grid.nodes()
-    bm = kernel.partition.validate_on(grid)
-    f = np.zeros(n + 1)
-    for a in range(0, n, _BLOCK):
-        b = min(a + _BLOCK, n)
-        rows = slice(a, b)
-        acc = np.zeros(b - a)
-        for g, (coef, right) in zip(kernel.G, _band_coefficients(kernel, nodes, bm, rows, b)):
-            acc += (coef * _apply_response(g, right, xs[None, :b])).sum(axis=1)
-        f[a + 1:b + 1] = acc
+    def step(j, known, last, xj, x):
+        f[j] = known + _phi(_active(last, kernel), xj)
+        return xj
+
+    _March(kernel, grid).run(step, _node_values(x, grid.n_cells))
     return f
-
-
-def _last_cell_profile(kernel, grid, bm):
-    """Unknown-cell coefficients for every node.
-
-    For node j the unknown x_j multiplies every fragment of the final grid
-    cell [t_{j-1}, t_j] (a boundary may split it). Returns the per-band
-    coefficient and evaluation-point arrays, shape (n_bands, N), plus the
-    fragment widths for diagnostics.
-    """
-    nodes = grid.nodes()
-    t_left = nodes[:-1]
-    t_right = nodes[1:]
-    n = grid.n_cells
-    coefs = np.zeros((kernel.n_bands, n))
-    rights = np.zeros((kernel.n_bands, n))
-    widths = np.zeros((kernel.n_bands, n))
-    for i in range(kernel.n_bands):
-        lo = bm[i]
-        hi = bm[i + 1]
-        right = np.minimum(t_right, hi)
-        width = np.clip(right - np.maximum(t_left, lo), 0.0, None)
-        safe_right = np.maximum(right, lo)
-        coefs[i] = width * np.asarray(kernel.K[i](t_right, safe_right), dtype=float)
-        rights[i] = safe_right
-        widths[i] = width
-    return coefs, rights, widths
-
-
-def _degenerate_threshold(kernel, knn):
-    # reduces to "fragment width < cell_floor*h" when one band owns the cell
-    return np.maximum(kernel.kernel_floor, np.abs(knn[1:]))
 
 
 def _check_monotone_response(kernel, grid, cap: float) -> None:
@@ -365,74 +419,41 @@ def _check_monotone_response(kernel, grid, cap: float) -> None:
         )
 
 
-def _solve_linear(kernel, grid, f, knn, cell_floor):
-    n = grid.n_cells
-    h = grid.step
-    nodes = grid.nodes()
-    bm = kernel.partition.validate_on(grid)
-    thresh = cell_floor * h * _degenerate_threshold(kernel, knn)
-    x = np.zeros(n)
-    for a in range(0, n, _BLOCK):
-        b = min(a + _BLOCK, n)
-        rows = slice(a, b)
-        blk = np.zeros((b - a, b))
-        for coef, _ in _band_coefficients(kernel, nodes, bm, rows, b):
-            blk += coef
-        diag = np.diagonal(blk[:, a:b])
-        tiny = np.abs(diag) < thresh[a:b]
-        if np.any(tiny):
-            j = a + int(np.argmax(tiny)) + 1
-            raise SolverError(
-                f"degenerate last cell at node {j}: unknown coefficient "
-                f"{fmt12(diag[int(np.argmax(tiny))])} is below {fmt12(thresh[j - 1])}"
-            )
-        rhs = f[a + 1:b + 1] - blk[:, :a] @ x[:a]
-        x[a:b] = solve_triangular(blk[:, a:b], rhs, lower=True, check_finite=False)
-    return x
+def _phi(active, xi: float) -> float:
+    """One node's own-cell sum, sum_i c_i*G_i(b_i, xi)."""
+    total = 0.0
+    for c, bpt, g, _ in active:
+        total += c * (xi if g is None else float(g(bpt, xi)))
+    return total
 
 
-def _phi_factory(active):
-    """Scalar residual pieces for one node's unknown: sum_i c_i*G_i(b_i, xi)."""
-    def phi(xi: float) -> float:
-        total = 0.0
-        for c, bpt, g, _ in active:
-            total += c * (xi if g is None else float(g(bpt, xi)))
-        return total
-
-    def dphi(xi: float) -> float:
-        total = 0.0
-        for c, bpt, g, dg in active:
-            if g is None:
-                total += c
-            elif dg is not None:
-                total += c * float(dg(bpt, xi))
-            else:
-                delta = 1e-6 * max(1.0, abs(xi))
-                total += c * (float(g(bpt, xi + delta)) - float(g(bpt, xi - delta))) / (2 * delta)
-        return total
-
-    return phi, dphi
+def _dphi(active, xi: float) -> float:
+    total = 0.0
+    for c, bpt, g, dg in active:
+        if g is None:
+            total += c
+        elif dg is not None:
+            total += c * float(dg(bpt, xi))
+        else:
+            delta = 1e-6 * max(1.0, abs(xi))
+            total += c * (float(g(bpt, xi + delta)) - float(g(bpt, xi - delta))) / (2 * delta)
+    return total
 
 
 def _newton_step(active, rhs, x0, cap, node):
     """Safeguarded Newton on sum_i c_i*G_i(b_i, xi) = rhs with bisection
     fallback inside a sign-change bracket."""
-    phi, dphi = _phi_factory(active)
-    lo, hi = -cap, cap
-    rlo = phi(lo) - rhs
-    rhi = phi(hi) - rhs
-    expansions = 0
-    while rlo * rhi > 0.0:
-        expansions += 1
-        if expansions > BRACKET_EXPANSIONS:
-            raise SolverError(f"cannot bracket the unknown at node {node}")
-        cap *= 2.0
+    for _ in range(BRACKET_EXPANSIONS + 1):
         lo, hi = -cap, cap
-        rlo = phi(lo) - rhs
-        rhi = phi(hi) - rhs
+        rlo, rhi = _phi(active, lo) - rhs, _phi(active, hi) - rhs
+        if rlo * rhi <= 0.0:
+            break
+        cap *= 2.0
+    else:
+        raise SolverError(f"cannot bracket the unknown at node {node}")
 
     xi = min(max(x0, lo), hi)
-    r = phi(xi) - rhs
+    r = _phi(active, xi) - rhs
     for it in range(1, NEWTON_MAX_ITER + 1):
         if r == 0.0:
             return xi, it
@@ -440,75 +461,21 @@ def _newton_step(active, rhs, x0, cap, node):
             lo, rlo = xi, r
         else:
             hi, rhi = xi, r
-        d = dphi(xi)
+        d = _dphi(active, xi)
         if d != 0.0 and math.isfinite(d):
             nxt = xi - r / d
         else:
             nxt = 0.5 * (lo + hi)
-        if not (min(lo, hi) < nxt < max(lo, hi)):
+        # a converged step may land on the bracket end xi itself; only an
+        # unconverged one that leaves the bracket falls back to bisection
+        converged = abs(nxt - xi) <= NEWTON_RTOL * max(1.0, abs(nxt))
+        if not converged and not (min(lo, hi) < nxt < max(lo, hi)):
             nxt = 0.5 * (lo + hi)
-        if abs(nxt - xi) <= NEWTON_RTOL * max(1.0, abs(nxt)):
+        if converged or abs(nxt - xi) <= NEWTON_RTOL * max(1.0, abs(nxt)):
             return nxt, it
         xi = nxt
-        r = phi(xi) - rhs
+        r = _phi(active, xi) - rhs
     raise SolverError(f"root-find failed to converge at node {node} after {NEWTON_MAX_ITER} iterations")
-
-
-def _solve_marching(kernel, grid, f, knn, cell_floor, iterations):
-    n = grid.n_cells
-    h = grid.step
-    nodes = grid.nodes()
-    bm = kernel.partition.validate_on(grid)
-    coefs, rights, _ = _last_cell_profile(kernel, grid, bm)
-    scale = np.abs(coefs).sum(axis=0)
-    thresh = cell_floor * h * _degenerate_threshold(kernel, knn)
-    tiny = scale < thresh
-    if np.any(tiny):
-        j = int(np.argmax(tiny)) + 1
-        raise SolverError(
-            f"degenerate last cell at node {j}: unknown coefficient scale "
-            f"{fmt12(scale[j - 1])} is below {fmt12(thresh[j - 1])}"
-        )
-    max_f = float(np.max(np.abs(f))) if len(f) else 0.0
-    caps = np.maximum(10.0, 10.0 * max_f / scale)
-    _check_monotone_response(kernel, grid, float(np.max(caps)))
-
-    x = np.zeros(n)
-    t_left = nodes[:-1]
-    t_right = nodes[1:]
-    for j in range(1, n + 1):
-        known = 0.0
-        active = []
-        for i in range(kernel.n_bands):
-            lo = bm[i, j - 1]
-            hi = bm[i + 1, j - 1]
-            if j > 1:
-                right = np.minimum(t_right[:j - 1], hi)
-                width = np.clip(right - np.maximum(t_left[:j - 1], lo), 0.0, None)
-                live = width > 0.0
-                if np.any(live):
-                    c = width[live] * np.asarray(
-                        kernel.K[i](nodes[j], right[live]), dtype=float)
-                    known += float(np.dot(
-                        c, _apply_response(kernel.G[i], right[live], x[:j - 1][live])))
-            c_last = coefs[i, j - 1]
-            if c_last != 0.0:
-                active.append((float(c_last), float(rights[i, j - 1]),
-                               kernel.G[i], kernel.response_prime[i]))
-        rhs = f[j] - known
-        if all(entry[2] is None for entry in active):
-            denom = sum(entry[0] for entry in active)
-            if abs(denom) < thresh[j - 1]:
-                raise SolverError(
-                    f"degenerate last cell at node {j}: unknown coefficient "
-                    f"{fmt12(denom)} is below {fmt12(thresh[j - 1])}"
-                )
-            x[j - 1] = rhs / denom
-        else:
-            x0 = x[j - 2] if j > 1 else 0.0
-            x[j - 1], iterations[j - 1] = _newton_step(
-                active, rhs, x0, float(caps[j - 1]), j)
-    return x
 
 
 def solve_apf(kernel: KernelSpec, grid: Grid, f, *,
@@ -535,30 +502,51 @@ def solve_apf(kernel: KernelSpec, grid: Grid, f, *,
         )
 
     knn = _check_kernel_floor(kernel, grid)
-    iterations = np.zeros(n, dtype=int)
-    if kernel.is_linear:
-        x = _solve_linear(kernel, grid, f, knn, cell_floor)
-    else:
-        x = _solve_marching(kernel, grid, f, knn, cell_floor, iterations)
-
-    residual = float(np.max(np.abs(forward_apply(kernel, grid, x) - f)))
-    if kernel.is_linear and residual > residual_tol * f_scale:
+    march = _March(kernel, grid)
+    coefs = march.coefs
+    # a node whose own cell meets only identity bands takes a division
+    linear = ~np.any((coefs != 0.0) & ~np.array(kernel.g_linear)[:, None], axis=0)
+    magnitude = np.abs(coefs).sum(axis=0)
+    scale = np.where(linear, np.abs(coefs.sum(axis=0)), magnitude)
+    # reduces to "fragment width < cell_floor*h" when one band owns the cell
+    thresh = cell_floor * grid.step * np.maximum(kernel.kernel_floor, np.abs(knn[1:]))
+    tiny = scale < thresh
+    if np.any(tiny):
+        j = int(np.argmax(tiny)) + 1
         raise SolverError(
-            f"triangular solve left residual {fmt12(residual)} above "
-            f"{fmt12(residual_tol * f_scale)}"
+            f"degenerate last cell at node {j}: unknown coefficient "
+            f"{fmt12(scale[j - 1])} is below {fmt12(thresh[j - 1])}"
         )
+    caps = np.maximum(10.0, 10.0 * float(np.max(np.abs(f))) / magnitude)
+    if not kernel.is_linear:
+        _check_monotone_response(kernel, grid, float(np.max(caps)))
 
-    bm = kernel.partition.validate_on(grid)
-    _, _, last_widths = _last_cell_profile(kernel, grid, bm)
-    x_full = np.concatenate([x[:1], x])
+    iterations = np.zeros(n, dtype=int)
+    # forward_apply(x) - f from the same running sums; a non-finite x makes
+    # it non-finite, which the residual gate rejects
+    residuals = np.zeros(n)
+    denoms = np.where(linear, coefs.sum(axis=0), 0.0).tolist()
+
+    def step(j, known, last, f_j, x):
+        rhs = f_j - known
+        active = _active(last, kernel)
+        if denoms[j - 1]:
+            xj = rhs / denoms[j - 1]
+        else:
+            xj, iterations[j - 1] = _newton_step(active, rhs, x[j - 1], float(caps[j - 1]), j)
+        residuals[j - 1] = known + _phi(active, xj) - f_j
+        return xj
+
+    x = np.array(march.run(step, f[1:])[1:])
+    residual = float(np.max(np.abs(residuals)))
+    if not residual <= residual_tol * f_scale:
+        raise SolverError(f"the march left residual {fmt12(residual)} above "
+                          f"{fmt12(residual_tol * f_scale)}")
     return SolveResult(
         grid=grid,
-        x=x_full,
+        x=np.concatenate([x[:1], x]),
         residual=residual,
-        diagnostics={
-            "last_cell_widths": last_widths,
-            "newton_iterations": iterations,
-        },
+        diagnostics={"newton_iterations": iterations},
     )
 
 
@@ -585,36 +573,40 @@ def estimate_order(kernel: KernelSpec, f_analytic, x_analytic,
 
 # --- kernel configuration ---------------------------------------------------
 
+def _finite(value, where: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise DataError(f"{where} must be a finite number, got {value!r}")
+    return number
+
+
 def _build_efficiency(entry, idx):
-    kind = entry.get("type")
-    if kind == "const":
-        try:
-            value = float(entry["value"])
-        except KeyError:
-            raise DataError(f"K[{idx}]: const factor needs a 'value'") from None
-        return lambda t, s: np.full(np.broadcast_shapes(np.shape(t), np.shape(s)), value)
-    if kind == "exp_decay":
-        try:
-            value = float(entry["value"])
-            rate = float(entry["rate"])
-        except KeyError as exc:
-            raise DataError(f"K[{idx}]: exp_decay factor needs {exc}") from None
-        return lambda t, s: value * np.exp(-rate * (np.asarray(t) - np.asarray(s)))
-    raise DataError(f"K[{idx}]: unknown efficiency type {kind!r} (try 'const' or 'exp_decay')")
+    kind = entry.get("type") if isinstance(entry, dict) else None
+    keys = {"const": ("value",), "exp_decay": ("value", "rate")}.get(kind)
+    if keys is None:
+        raise DataError(f"K[{idx}]: unknown efficiency type {kind!r} (try 'const' or 'exp_decay')")
+    for key in keys:
+        if key not in entry:
+            raise DataError(f"K[{idx}]: {kind} factor needs a {key!r}")
+    return _ExpFactor(*(_finite(entry[key], f"K[{idx}].{key}") for key in keys))
 
 
 def _build_response(entry, idx):
     """Returns (g, dg) with g=None meaning the identity."""
-    kind = entry.get("type")
+    kind = entry.get("type") if isinstance(entry, dict) else None
     if kind == "linear":
         return None, None
     if kind == "cubic":
-        a = float(entry.get("a", 1.0))
-        b = float(entry.get("b", 0.0))
+        a = _finite(entry.get("a", 1.0), f"G[{idx}].a")
+        b = _finite(entry.get("b", 0.0), f"G[{idx}].b")
         if b == 0.0 and a == 1.0:
             return None, None
-        g = lambda s, x: a * np.asarray(x) + b * np.asarray(x) ** 3
-        dg = lambda s, x: a + 3.0 * b * np.asarray(x) ** 2
+        # plain arithmetic: floats in the per-node root-find, arrays elsewhere
+        g = lambda s, x: a * x + b * x ** 3
+        dg = lambda s, x: a + 3.0 * b * x ** 2
         return g, dg
     raise DataError(f"G[{idx}]: unknown response type {kind!r} (try 'linear' or 'cubic')")
 
@@ -631,13 +623,13 @@ def kernel_from_config(config: dict) -> KernelSpec:
          "G": [{"type": "linear"} | {"type": "cubic", "a": 1.0, "b": 0.1}, ...],
          "kernel_floor": 1e-6}
 
-    "alphas" may be omitted for a single band (n=1).
+    "alphas" may be omitted for a single band (n=1). Numbers must be finite.
     """
     if not isinstance(config, dict):
         raise DataError("kernel config must be a JSON object")
     try:
         n = int(config["n"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise DataError("kernel config needs an integer band count 'n'") from None
     if n < 1:
         raise DataError(f"band count must be >= 1, got {n}")
@@ -655,12 +647,15 @@ def kernel_from_config(config: dict) -> KernelSpec:
             cs = spec.get("c")
             if not isinstance(cs, list) or len(cs) != n - 1:
                 raise DataError(f"'alphas.c' must list {n - 1} fractions")
-            partition = BandPartition.proportional(cs)
+            partition = BandPartition.proportional([_finite(c, "alphas.c") for c in cs])
         elif kind == "table":
             rows = spec.get("alpha")
             if not isinstance(rows, list) or len(rows) != n - 1:
                 raise DataError(f"'alphas.alpha' must list {n - 1} boundary rows")
-            partition = BandPartition.from_table(spec.get("t", []), rows)
+            try:
+                partition = BandPartition.from_table(spec.get("t", []), rows)
+            except (TypeError, ValueError):
+                raise DataError("'alphas' table entries must be numbers") from None
         else:
             raise DataError(f"unknown boundary type {kind!r} (try 'proportional' or 'table')")
 
@@ -677,7 +672,7 @@ def kernel_from_config(config: dict) -> KernelSpec:
         K=K,
         G=tuple(p[0] for p in pairs),
         response_prime=tuple(p[1] for p in pairs),
-        kernel_floor=float(config.get("kernel_floor", DEFAULT_KERNEL_FLOOR)),
+        kernel_floor=_finite(config.get("kernel_floor", DEFAULT_KERNEL_FLOOR), "kernel_floor"),
     )
 
 

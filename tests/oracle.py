@@ -1,0 +1,124 @@
+"""Dense reference quadrature for the solver tests.
+
+These are the product right-rectangle rule of ``voltgrid.volterra`` written
+out the slow way: every fragment of every grid cell at every node, as a dense
+N x N coefficient matrix per band. The solver's march keeps running sums
+instead; the tests compare the two.
+"""
+
+import math
+
+import numpy as np
+
+from voltgrid import DataError, SolverError
+from voltgrid.ioutil import fmt12
+
+
+def segment_cells(t_j, grid, partition):
+    """Cells of [0, t_j]: grid cells intersected with the bands at t_j.
+
+    Returns an ordered list of ``(band_index, (a, b))`` with 1-based band
+    indices; zero-width fragments (a boundary sitting exactly on a node) are
+    dropped.
+    """
+    h = grid.step
+    j = int(round(t_j / h))
+    if j < 1 or j > grid.n_cells or abs(t_j - j * h) > 1e-9 * max(1.0, grid.horizon):
+        raise DataError(f"t={t_j!r} is not a positive grid node (h={fmt12(h)})")
+    nodes = grid.nodes()
+    t_j = float(nodes[j])
+
+    bounds = partition.boundary_values(np.array([t_j]))[:, 0]
+    if np.any(np.diff(bounds) <= 0.0):
+        raise DataError(f"band boundaries out of order at node {j} (t={fmt12(t_j)})")
+
+    tol = 1e-13 * max(1.0, t_j)
+    points = np.unique(np.concatenate([nodes[:j + 1], bounds]))
+    points = points[(points > -tol) & (points < t_j + tol)]
+    cells = []
+    for a, b in zip(points, points[1:]):
+        if b - a <= tol:
+            continue
+        mid = 0.5 * (a + b)
+        band = int(np.searchsorted(bounds, mid, side="left"))
+        cells.append((band, (float(a), float(b))))
+    total = math.fsum(b - a for _, (a, b) in cells)
+    if abs(total - t_j) > 1e-12 * max(1.0, t_j):
+        raise SolverError(f"cell partition of [0, {fmt12(t_j)}] lost width {fmt12(t_j - total)}")
+    return cells
+
+
+def band_matrices(kernel, grid):
+    """Per band: (coef, point) matrices of shape (N, N).
+
+    Row j-1 stands for node j, column k-1 for grid cell [t_{k-1}, t_k]
+    (unknown x_k). coef is fragment width * K_i(t_j, point), zero wherever the
+    band misses the cell; point is the fragment's right endpoint.
+    """
+    nodes = grid.nodes()
+    bm = kernel.partition.validate_on(grid)
+    t_row = nodes[1:, None]
+    t_left = nodes[None, :-1]
+    t_right = nodes[None, 1:]
+    out = []
+    for i in range(kernel.n_bands):
+        lo = bm[i][:, None]
+        hi = bm[i + 1][:, None]
+        right = np.minimum(t_right, hi)
+        width = np.clip(right - np.maximum(t_left, lo), 0.0, None)
+        point = np.maximum(right, lo)
+        coef = width * np.asarray(kernel.K[i](t_row, point), dtype=float)
+        out.append((np.tril(coef), point))
+    return out
+
+
+def _response(g, s, x):
+    return x if g is None else np.asarray(g(s, x), dtype=float)
+
+
+def dense_forward(kernel, grid, x):
+    """f at nodes 0..N from x at nodes 1..N, summing every dense row."""
+    x = np.asarray(x, dtype=float)
+    f = np.zeros(grid.n_cells + 1)
+    for g, (coef, point) in zip(kernel.G, band_matrices(kernel, grid)):
+        f[1:] += (coef * _response(g, point, x[None, :])).sum(axis=1)
+    return f
+
+
+def dense_solve(kernel, grid, f):
+    """x at nodes 1..N by forward substitution over the dense rows.
+
+    A node's own-cell equation sum_i c_i G_i(b_i, xi) = rhs is solved by
+    bisection on the sign change down to a few ulps; every response used in
+    the tests is monotone.
+    """
+    n = grid.n_cells
+    mats = band_matrices(kernel, grid)
+    x = np.zeros(n)
+    for j in range(n):
+        known = sum(float(np.dot(coef[j, :j], _response(g, point[j, :j], x[:j])))
+                    for g, (coef, point) in zip(kernel.G, mats))
+        rhs = f[j + 1] - known
+        own = [(coef[j, j], point[j, j], g) for g, (coef, point) in zip(kernel.G, mats)
+               if coef[j, j] != 0.0]
+
+        def phi(xi):
+            return sum(c * float(_response(g, s, xi)) for c, s, g in own) - rhs
+
+        if all(g is None for _, _, g in own):
+            x[j] = rhs / sum(c for c, _, _ in own)
+            continue
+        span = 1.0
+        while phi(-span) * phi(span) > 0.0:
+            span *= 2.0
+        lo, hi = -span, span
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if (phi(mid) > 0.0) == (phi(lo) > 0.0):
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 4e-16 * max(1.0, abs(mid)):
+                break
+        x[j] = 0.5 * (lo + hi)
+    return x

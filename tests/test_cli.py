@@ -341,6 +341,29 @@ class TestDispatch:
         ])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("kernel_text, storage_text", [
+        ('{"n": 1, "K": [{"type": "const", "value": NaN}], "G": [{"type": "linear"}],'
+         ' "kernel_floor": NaN}', None),
+        ('{"n": 1, "K": [{"type": "exp_decay", "value": 1.0, "rate": Infinity}],'
+         ' "G": [{"type": "linear"}]}', None),
+        (None, '{"e_max": NaN}'),
+        (None, '{"e_init": Infinity}'),
+    ])
+    def test_non_finite_config_exit_2(self, runner, tmp_path, kernel_text, storage_text):
+        # JSON's NaN and Infinity tokens parse as floats; they must not reach the solver
+        write_series_csv(tmp_path / "load.csv", np.arange(5.0))
+        write_kernel(tmp_path / "kernel.json")
+        if kernel_text:
+            (tmp_path / "kernel.json").write_text(kernel_text)
+        args = ["dispatch", "--load", str(tmp_path / "load.csv"),
+                "--kernel", str(tmp_path / "kernel.json"), "--out", str(tmp_path / "disp")]
+        if storage_text:
+            (tmp_path / "storage.json").write_text(storage_text)
+            args += ["--storage", str(tmp_path / "storage.json")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, all_output(result)
+        assert not (tmp_path / "disp" / "dispatch.csv").exists()
+
     def test_value_column_missing_exit_2(self, runner, tmp_path):
         (tmp_path / "load.csv").write_text("timestamp,megawatts\n2019-01-01,1\n")
         write_kernel(tmp_path / "kernel.json")

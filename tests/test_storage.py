@@ -115,6 +115,28 @@ class TestStorageSpecValidation:
         with pytest.raises(DataError, match="integer"):
             storage_spec_from_config({"rated_cycles": "many"})
 
+    @pytest.mark.parametrize("key", ["v_max", "e_min", "e_max", "efficiency", "e_init"])
+    def test_config_rejects_nan(self, key):
+        # a NaN bound compares False against everything and would turn its
+        # constraint check off
+        with pytest.raises(DataError, match=f"{key} must not be NaN"):
+            storage_spec_from_config({key: float("nan")})
+
+    @pytest.mark.parametrize("key", ["efficiency", "e_init"])
+    def test_config_rejects_infinite_state(self, key):
+        for value in (float("inf"), float("-inf")):
+            with pytest.raises(DataError, match=f"{key} must be finite"):
+                storage_spec_from_config({key: value})
+
+    def test_config_keeps_infinite_limits(self):
+        spec = storage_spec_from_config({"e_min": float("-inf"), "e_max": float("inf"),
+                                         "v_max": float("inf")})
+        assert (spec.e_min, spec.e_max, spec.v_max) == (-np.inf, np.inf, np.inf)
+
+    def test_config_rejects_infinite_cycle_count(self):
+        with pytest.raises(DataError, match="integer"):
+            storage_spec_from_config({"rated_cycles": float("inf")})
+
 
 class TestConstraints:
     def test_clean_trajectory_has_no_violations(self):

@@ -6,10 +6,13 @@ random data. The quadrature is first order, so convergence tests check the
 observed order from grid refinement rather than absolute error.
 """
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from voltgrid import (
     BandPartition,
@@ -20,12 +23,21 @@ from voltgrid import (
     estimate_order,
     forward_apply,
     kernel_from_config,
-    segment_cells,
     solve_apf,
 )
 from voltgrid.volterra import read_node_series, write_node_series
 
 from conftest import identity_kernel, two_band_kernel
+from oracle import dense_forward, dense_solve, segment_cells
+
+README_KERNEL = {
+    "n": 2,
+    "alphas": {"type": "proportional", "c": [0.5]},
+    "K": [{"type": "const", "value": 0.92},
+          {"type": "exp_decay", "value": 1.0, "rate": 0.05}],
+    "G": [{"type": "linear"}, {"type": "cubic", "a": 1.0, "b": 0.1}],
+    "kernel_floor": 1e-6,
+}
 
 
 class TestGrid:
@@ -281,6 +293,39 @@ class TestSolveErrors:
             solve_apf(kernel, grid, np.zeros(11))
 
 
+class TestSolveGates:
+    def test_nan_config_never_reaches_the_solver(self):
+        # at one time this config solved to an all-NaN x with residual nan
+        config = json.loads('{"n": 1, "K": [{"type": "const", "value": NaN}], '
+                            '"G": [{"type": "linear"}], "kernel_floor": NaN}')
+        grid = Grid(1.0, 10)
+        with pytest.raises((DataError, SolverError)):
+            solve_apf(kernel_from_config(config), grid, grid.nodes())
+
+    @pytest.mark.parametrize("G", [(None,), (lambda s, x: x + 0.1 * x ** 3,)])
+    def test_non_finite_history_is_solver_error(self, G):
+        # K is finite on the diagonal, so the floor check passes, but NaN
+        # everywhere below it: linear and nonlinear steps must both refuse
+        kernel = KernelSpec(
+            partition=BandPartition(),
+            K=(lambda t, s: np.where(np.asarray(t) - np.asarray(s) > 0.5, np.nan, 1.0),),
+            G=G,
+        )
+        grid = Grid(4.0, 8)
+        with pytest.raises(SolverError):
+            solve_apf(kernel, grid, grid.nodes())
+
+    def test_cubic_residual_is_gated(self):
+        # the root-find path is gated too: a negative tolerance, which no
+        # residual can meet, must fail the solve
+        kernel = kernel_from_config(README_KERNEL)
+        grid = Grid(48.0, 48)
+        f = 1000.0 * np.sin(2 * np.pi * grid.nodes() / 24.0)
+        assert solve_apf(kernel, grid, f).residual <= 1e-8 * 1000.0
+        with pytest.raises(SolverError, match="residual"):
+            solve_apf(kernel, grid, f, residual_tol=-1.0)
+
+
 class TestKernelConfig:
     def test_minimal_single_band(self):
         kernel = kernel_from_config({
@@ -330,6 +375,33 @@ class TestKernelConfig:
         back = solve_apf(kernel, grid, f)
         np.testing.assert_allclose(back.x[1:], x, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("patch", [
+        lambda c, v: c["K"][0].__setitem__("value", v),
+        lambda c, v: c["K"][1].__setitem__("rate", v),
+        lambda c, v: c["G"][1].__setitem__("a", v),
+        lambda c, v: c["G"][1].__setitem__("b", v),
+        lambda c, v: c.__setitem__("kernel_floor", v),
+        lambda c, v: c.__setitem__("alphas", {"type": "table", "t": [0.0, v],
+                                              "alpha": [[0.0, 0.5]]}),
+        lambda c, v: c.__setitem__("alphas", {"type": "table", "t": [0.0, 1.0],
+                                              "alpha": [[0.0, v]]}),
+    ], ids=["value", "rate", "a", "b", "kernel_floor", "table_t", "table_alpha"])
+    def test_non_finite_numbers_rejected(self, patch, bad):
+        config = json.loads(json.dumps(README_KERNEL))
+        patch(config, bad)
+        with pytest.raises(DataError, match="finite"):
+            kernel_from_config(config)
+
+    @pytest.mark.parametrize("alphas", [
+        {"type": "proportional", "c": ["half"]},
+        {"type": "table", "t": [0.0, "end"], "alpha": [[0.0, 0.5]]},
+        {"type": "table", "t": [0.0, 1.0], "alpha": [[0.0, None, 1.0]]},
+    ])
+    def test_non_numeric_boundaries_rejected(self, alphas):
+        with pytest.raises(DataError):
+            kernel_from_config({**README_KERNEL, "alphas": alphas})
+
 
 class TestNodeSeriesIO:
     def test_roundtrip(self, tmp_path):
@@ -342,3 +414,131 @@ class TestNodeSeriesIO:
         np.testing.assert_allclose(v2, values, rtol=0, atol=1e-12)
         header = path.read_text().splitlines()[0]
         assert header == "t,value"
+
+
+# --- the march against the dense oracle ------------------------------------
+
+_fractions = st.floats(0.05, 0.95)
+_factors = st.one_of(
+    st.builds(lambda v: {"type": "const", "value": v}, st.floats(0.5, 2.0)),
+    st.builds(lambda v, r: {"type": "exp_decay", "value": v, "rate": r},
+              st.floats(0.5, 2.0), st.floats(0.0, 0.5)),
+)
+_responses = st.one_of(
+    st.just({"type": "linear"}),
+    st.builds(lambda a, b: {"type": "cubic", "a": a, "b": b},
+              st.floats(0.5, 2.0), st.floats(0.01, 0.5)),
+)
+
+
+@st.composite
+def config_problems(draw):
+    """A random 1-3 band config kernel (as its JSON form) on a grid of at
+    most 96 cells, a solution x and the tolerance relative to max|x|.
+
+    K values stay in [0.5, 2], well clear of the floor.
+    """
+    n = draw(st.integers(1, 3))
+    horizon = draw(st.floats(1.0, 50.0))
+    config = {"n": n, "K": [draw(_factors) for _ in range(n)],
+              "G": [draw(_responses) for _ in range(n)]}
+    if n > 1:
+        def fractions():
+            cs = sorted(draw(st.lists(_fractions, min_size=n - 1, max_size=n - 1)))
+            return [c + 0.01 * i for i, c in enumerate(cs)]  # strictly increasing
+        if draw(st.booleans()):
+            config["alphas"] = {"type": "proportional", "c": fractions()}
+        else:
+            knots = [0.0, draw(st.floats(0.2, 0.8)) * horizon, horizon]
+            at_knots = [fractions(), fractions()]
+            config["alphas"] = {"type": "table", "t": knots, "alpha": [
+                [0.0, at_knots[0][i] * knots[1], at_knots[1][i] * knots[2]]
+                for i in range(n - 1)]}
+    grid = Grid(horizon, draw(st.integers(2, 96)))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, grid.n_cells)
+    tol = 1e-12 if all(g["type"] == "linear" for g in config["G"]) else 1e-10
+    return config, grid, x, tol
+
+
+def well_conditioned(kernel, grid, x, tol):
+    """The dense f of x and its dense solve, when that solve recovers x to a
+    tenth of the tolerance.
+
+    A narrow top band whose K*G' is small next to the band below it makes the
+    first-kind inverse amplify rounding by a power of N (about 1 draw in 300
+    here), and then no summation order can meet a 1e-12 tolerance. Those
+    draws test the problem's conditioning rather than the march, so they
+    are discarded.
+    """
+    f = dense_forward(kernel, grid, x)
+    ref = dense_solve(kernel, grid, f)
+    assume(np.max(np.abs(ref - x)) <= 0.1 * tol * np.max(np.abs(x)))
+    return f, ref
+
+
+class TestMarch:
+    @settings(max_examples=150, deadline=None)
+    @given(config_problems())
+    def test_matches_dense_oracle(self, problem):
+        config, grid, x, tol = problem
+        kernel = kernel_from_config(config)
+        f, ref = well_conditioned(kernel, grid, x, tol)
+        scale = max(1.0, float(np.max(np.abs(f))))
+        np.testing.assert_allclose(forward_apply(kernel, grid, x), f, rtol=0, atol=1e-13 * scale)
+        got = solve_apf(kernel, grid, f).x[1:]
+        np.testing.assert_allclose(got, ref, rtol=0, atol=tol * np.max(np.abs(ref)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(config_problems())
+    def test_solve_inverts_forward(self, problem):
+        config, grid, x, tol = problem
+        kernel = kernel_from_config(config)
+        well_conditioned(kernel, grid, x, tol)
+        back = solve_apf(kernel, grid, forward_apply(kernel, grid, x)).x[1:]
+        np.testing.assert_allclose(back, x, rtol=0, atol=tol * np.max(np.abs(x)))
+
+    @pytest.mark.parametrize("K", [
+        lambda t, s: 1.0 + 0.5 * np.cos(np.asarray(t) - np.asarray(s)),
+        # an exp_decay with a negative rate grows, so it also takes the dense row
+        kernel_from_config({"n": 1, "K": [{"type": "exp_decay", "value": 1.0, "rate": -0.3}],
+                            "G": [{"type": "linear"}]}).K[0],
+    ])
+    def test_dense_row_factors_match_oracle(self, K):
+        kernel = KernelSpec(partition=BandPartition.proportional([0.4]), K=(K, K),
+                            G=(None, lambda s, x: x + 0.2 * x ** 3))
+        grid = Grid(6.0, 60)
+        x = np.sin(np.linspace(0.0, 5.0, 60))
+        f = dense_forward(kernel, grid, x)
+        np.testing.assert_allclose(forward_apply(kernel, grid, x), f, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(solve_apf(kernel, grid, f).x[1:], dense_solve(kernel, grid, f),
+                                   rtol=0, atol=1e-10)
+
+    def test_long_exp_decay_stays_finite(self):
+        # rate * horizon = 876: prefix sums of e^{rate*s} would overflow
+        kernel = kernel_from_config({
+            "n": 2, "alphas": {"type": "proportional", "c": [0.5]},
+            "K": [{"type": "exp_decay", "value": 1.0, "rate": 0.1},
+                  {"type": "exp_decay", "value": 1.0, "rate": 0.1}],
+            "G": [{"type": "linear"}, {"type": "linear"}]})
+        grid = Grid(8760.0, 8760)
+        f = 1000.0 * np.sin(2 * np.pi * grid.nodes() / 24.0)
+        x = solve_apf(kernel, grid, f).x
+        assert np.all(np.isfinite(x))
+        # the march is causal: its first nodes solve the truncated problem
+        head = Grid(200.0, 200)
+        np.testing.assert_allclose(x[1:201], dense_solve(kernel, head, f[:201]),
+                                   rtol=0, atol=1e-12 * np.max(np.abs(x[1:201])))
+
+    def test_ten_year_solve_memory_is_linear(self):
+        # N = 87600: one dense 1024 x N block alone would take ~700 MB
+        kernel = kernel_from_config(README_KERNEL)
+        grid = Grid(87600.0, 87600)
+        f = 1000.0 * np.sin(2 * np.pi * grid.nodes() / 24.0)
+        tracemalloc.start()
+        try:
+            result = solve_apf(kernel, grid, f)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(result.x))
+        assert peak_mb < 64.0
