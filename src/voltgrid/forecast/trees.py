@@ -1,11 +1,13 @@
 """Regression trees and the two ensembles built on them.
 
 Trees live in flat parallel arrays (feature, threshold, children, value) so
-prediction is a vectorized descent and serialization is plain lists. Split
-search is an exact scan: every feature candidate is sorted once per node and
-all admissible thresholds are scored with prefix sums. Ties are broken toward
-the lowest feature index, then the lowest threshold, which pins tree shape
-for a given seed.
+prediction is a vectorized descent and serialization is plain lists. Trees
+grow one depth level at a time over presorted orders: each feature's rows are
+sorted once at the root, a level scores every (node, candidate feature)
+boundary in one pass of segmented prefix sums, and a stable partition keeps
+each child's rows sorted. Splits are exact midpoints; ties go to the lowest
+feature index, then the lowest threshold, which pins tree shape for a given
+seed. Nodes are numbered in level order; depth-first trees load the same.
 """
 
 from __future__ import annotations
@@ -63,91 +65,129 @@ class RegressionTree:
                    data["right"], data["value"])
 
 
-def _best_split(X, y_node, idx, candidates, min_child):
-    """Exact scan over sorted values; returns (feature, threshold, left_mask)
-    or None when no admissible split exists."""
-    n = len(idx)
-    best_gain = -np.inf
-    best = None
-    counts = np.arange(1, n)
-    for fi in candidates:
-        vals = X[idx, fi]
-        order = np.argsort(vals)
-        v = vals[order]
-        cum = np.cumsum(y_node[order])
-        total = cum[-1]
-        ok = (v[1:] > v[:-1]) & (counts >= min_child) & (n - counts >= min_child)
-        if not ok.any():
-            continue
-        pos = np.flatnonzero(ok)
-        n_left = counts[pos]
-        s_left = cum[:-1][pos]
-        # within-node SSE drop, up to the constant total**2/n
-        gain = s_left * s_left / n_left + (total - s_left) ** 2 / (n - n_left)
-        local = int(np.argmax(gain))
-        if gain[local] > best_gain:
-            best_gain = float(gain[local])
-            cut = pos[local]
-            best = (fi, 0.5 * (v[cut] + v[cut + 1]), order[:cut + 1])
-    if best is None:
-        return None
-    fi, threshold, left_order = best
-    left_idx = idx[left_order]
-    mask = np.zeros(n, dtype=bool)
-    mask[left_order] = True
-    right_idx = idx[~mask]
-    return fi, threshold, left_idx, right_idx
+def _score_level(values, targets, orders, starts, counts, cand, min_child):
+    """Best exact split of every node over its candidate features ``cand``.
+
+    Returns (split mask, feature, threshold, left count); the last three
+    list only the split nodes, in node order.
+    """
+    # gather each (candidate feature, node) block of sorted rows into one
+    # flat array, feature-major; only these cells are scored
+    bf, bn = np.nonzero(cand)
+    lengths = counts[bn]
+    first = np.cumsum(lengths) - lengths
+    k = int(lengths.sum())
+    blk = np.repeat(np.arange(len(bn)), lengths)
+    cells = orders.ravel()[np.arange(k)
+                           + np.repeat(bf * orders.shape[1] + starts[bn] - first, lengths)]
+    v = values[cells]
+    cum = np.cumsum(targets[cells])
+    before = np.where(first > 0, cum[first - 1], 0.0)
+    total = cum[first + lengths - 1] - before
+    n_left = np.arange(k) - first[blk] + 1
+    n_node = lengths[blk]
+    # a boundary between distinct values, leaving min_child rows on each side
+    ok = (np.append(v[1:] > v[:-1], False)
+          & (n_left >= min_child) & (n_node - n_left >= min_child))
+    at = np.flatnonzero(ok)
+    b, n_l = blk[at], n_left[at]
+    s_left = cum[at] - before[b]
+    gain = np.full(k, -np.inf)
+    # within-node SSE drop, up to the constant total**2/n
+    gain[at] = s_left * s_left / n_l + (total[b] - s_left) ** 2 / (n_node[at] - n_l)
+
+    # per node the best gain, then the lowest feature, then the lowest threshold
+    block_best = np.maximum.reduceat(gain, first)
+    by_feature = np.full(cand.shape, -np.inf)
+    by_feature[bf, bn] = block_best
+    best = by_feature.max(axis=0)
+    split = best > -np.inf
+    best_f = np.argmax(by_feature == best, axis=0)
+    chosen = (bf == best_f[bn]) & split[bn]
+    hits = np.flatnonzero((gain == block_best[blk]) & chosen[blk])
+    # a node's hits all lie in its chosen block: its first hit is the cut
+    cut = hits[np.unique(bn[blk[hits]], return_index=True)[1]]
+    return split, bf[blk[cut]], 0.5 * (v[cut] + v[cut + 1]), n_left[cut]
+
+
+def _partition(orders, seg, counts, split, feature, n_left, n):
+    """Stable partition of every feature order into the split nodes' children,
+    which keep their rows in parent order; ``feature`` and ``n_left`` list the
+    split nodes only."""
+    orders = orders[:, split[seg]]
+    p, m = orders.shape
+    sizes = counts[split]
+    n_right = sizes - n_left
+    parent = np.repeat(np.arange(len(sizes)), sizes)
+    rank = np.arange(m) - (np.cumsum(sizes) - sizes)[parent]
+    f = feature[parent]
+    row_left = np.zeros(n, dtype=bool)
+    row_left[orders[f, np.arange(m)] - n * f] = rank < n_left[parent]
+    left = np.tile(row_left, p)[orders].ravel()
+    # every feature sends the same number of rows left in each node, so one
+    # column permutation interleaves the nodes' left and right blocks
+    flat = orders.ravel()
+    both = np.concatenate([np.compress(left, flat).reshape(p, -1),
+                           np.compress(~left, flat).reshape(p, -1)], axis=1)
+    counts = np.column_stack([n_left, n_right]).ravel()
+    starts = np.cumsum(counts) - counts
+    src = np.column_stack([np.cumsum(n_left) - n_left,
+                           n_left.sum() + np.cumsum(n_right) - n_right]).ravel()
+    return both[:, np.repeat(src - starts, counts) + np.arange(m)], starts, counts
 
 
 def grow_tree(X, y, *, rng=None, max_depth=None, min_child: int = 1,
               mtry=None) -> RegressionTree:
-    """Greedy variance-reduction tree.
+    """Greedy variance-reduction tree, grown one depth level at a time.
 
     ``min_child`` is the smallest sample count allowed in a child node;
     ``mtry`` draws that many feature candidates per node without replacement
-    (all features when None).
+    (all features when None). Nodes are numbered in level order.
     """
     n, p = X.shape
+    if n < 1:
+        raise DataError("cannot grow a tree on zero rows")
     if mtry is not None and not 1 <= mtry <= p:
         raise DataError(f"mtry must be in [1, {p}], got {mtry}")
     depth_cap = _NO_DEPTH_CAP if max_depth is None else max_depth
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
-
-    root = new_node()
-    stack = [(root, np.arange(n), 0)]
-    while stack:
-        nid, idx, depth = stack.pop()
-        y_node = y[idx]
-        value[nid] = float(y_node.mean())
-        if depth >= depth_cap or len(idx) < 2 * min_child:
-            continue
-        if y_node.min() == y_node.max():
-            continue
-        if mtry is None or mtry == p:
-            candidates = range(p)
-        else:
-            candidates = np.sort(rng.choice(p, size=mtry, replace=False))
-        split = _best_split(X, y_node, idx, candidates, min_child)
-        if split is None:
-            continue
-        fi, thr, left_idx, right_idx = split
-        lid = new_node()
-        rid = new_node()
-        feature[nid] = int(fi)
-        threshold[nid] = float(thr)
-        left[nid] = lid
-        right[nid] = rid
-        stack.append((rid, right_idx, depth + 1))
-        stack.append((lid, left_idx, depth + 1))
-    return RegressionTree(feature, threshold, left, right, value)
+    values = np.ascontiguousarray(X.T)
+    # orders[f] lists the live rows node by node, each node's rows sorted by
+    # feature f (ties keep row order), as flat indices f*n + row into the
+    # feature-major ``values`` and ``targets``
+    orders = np.argsort(values, axis=1, kind="stable") + n * np.arange(p)[:, None]
+    values = values.ravel()
+    targets = np.tile(y, p)
+    starts, counts = np.zeros(1, dtype=np.int64), np.array([n])
+    levels = []
+    n_nodes = 0
+    for depth in range(depth_cap + 1):
+        n_live = len(counts)
+        n_nodes += n_live
+        seg = np.repeat(np.arange(n_live), counts)
+        y0 = targets[orders[0]]
+        feature, left = np.full((2, n_live), -1, dtype=np.int64)
+        threshold = np.zeros(n_live)
+        levels.append((feature, threshold, left, np.add.reduceat(y0, starts) / counts))
+        splittable = ((counts >= 2 * min_child) & (depth < depth_cap)
+                      & (np.minimum.reduceat(y0, starts) < np.maximum.reduceat(y0, starts)))
+        if not splittable.any():
+            break
+        cand = np.broadcast_to(splittable, (p, n_live))
+        if mtry is not None and mtry < p:
+            nodes = np.flatnonzero(splittable)
+            picks = np.argsort(rng.random((len(nodes), p)), axis=1)[:, :mtry]
+            cand = np.zeros((p, n_live), dtype=bool)
+            cand[picks, nodes[:, None]] = True
+        split, f, thr, n_left = _score_level(values, targets, orders, starts, counts,
+                                             cand, min_child)
+        if not split.any():
+            break
+        feature[split] = f
+        threshold[split] = thr
+        left[split] = n_nodes + 2 * np.arange(len(f))
+        orders, starts, counts = _partition(orders, seg, counts, split, f, n_left, n)
+    feature, threshold, left, value = (np.concatenate(c) for c in zip(*levels))
+    return RegressionTree(feature, threshold, left, np.where(left < 0, -1, left + 1), value)
 
 
 def _check_training_arrays(X, y):
@@ -164,9 +204,9 @@ class RandomForest:
     """Bagged variance-reduction trees with per-node feature sampling.
 
     Each tree sees a bootstrap resample (with replacement, original size) and
-    draws ``mtry`` feature candidates per split. Prediction is the plain mean
-    over trees. Out-of-bag predictions are collected during fit; samples that
-    every tree saw stay NaN there.
+    draws ``mtry`` feature candidates per split, a depth level at a time.
+    Prediction is the plain mean over trees. Out-of-bag predictions are
+    collected during fit; samples that every tree saw stay NaN there.
     """
 
     def __init__(self, n_trees: int = 500, mtry: int = 4, min_leaf: int = 5,

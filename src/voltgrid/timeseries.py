@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DataError
 
@@ -278,10 +277,14 @@ def ema(series: TimeSeries, period_hours: int) -> TimeSeries:
     if np.isnan(v).any():
         raise DataError(f"series {series.name!r} has missing values; impute before EMA")
     beta = 2.0 / (period_hours + 1.0)
-    # y[k] = beta*v[k] + (1-beta)*y[k-1], y[0] = v[0]
-    zi = np.array([(1.0 - beta) * v[0]])
-    y, _ = lfilter([beta], [1.0, beta - 1.0], v, zi=zi)
-    return TimeSeries(series.start, y, series.step, f"{series.name}_ema{period_hours}")
+    keep = 1.0 - beta
+    # y[k] = (1-beta)*y[k-1] + beta*v[k], started from y[-1] = v[0]
+    out = []
+    prev = float(v[0])
+    for vk in v.tolist():
+        prev = keep * prev + beta * vk
+        out.append(prev)
+    return TimeSeries(series.start, np.array(out), series.step, f"{series.name}_ema{period_hours}")
 
 
 def lag(series: TimeSeries, k_hours: int) -> TimeSeries:

@@ -627,10 +627,12 @@ def kernel_from_config(config: dict) -> KernelSpec:
     """
     if not isinstance(config, dict):
         raise DataError("kernel config must be a JSON object")
-    try:
-        n = int(config["n"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise DataError("kernel config needs an integer band count 'n'") from None
+    n = config.get("n")
+    # int() would truncate 1.7 to one band; bool is an int subclass
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DataError(f"kernel config needs an integer band count 'n', got {n!r}")
     if n < 1:
         raise DataError(f"band count must be >= 1, got {n}")
 

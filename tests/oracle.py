@@ -1,9 +1,16 @@
-"""Dense reference quadrature for the solver tests.
+"""Slow reference implementations for the solver and tree tests.
 
-These are the product right-rectangle rule of ``voltgrid.volterra`` written
-out the slow way: every fragment of every grid cell at every node, as a dense
-N x N coefficient matrix per band. The solver's march keeps running sums
-instead; the tests compare the two.
+The Volterra part is the product right-rectangle rule of ``voltgrid.volterra``
+written out the slow way: every fragment of every grid cell at every node, as
+a dense N x N coefficient matrix per band. The solver's march keeps running
+sums instead; the tests compare the two.
+
+``grow_tree_dfs`` grows a regression tree depth first, sorting each node's
+rows again for every feature. ``grow_tree_bfs`` visits the nodes of
+each level in order with the same per-node search and draws each level's
+feature candidates the way ``voltgrid.forecast.trees`` does, so it also
+checks the sampled-feature path. ``voltgrid.forecast.trees`` grows the same
+trees level by level over presorted orders.
 """
 
 import math
@@ -11,6 +18,7 @@ import math
 import numpy as np
 
 from voltgrid import DataError, SolverError
+from voltgrid.forecast.trees import RegressionTree
 from voltgrid.ioutil import fmt12
 
 
@@ -122,3 +130,113 @@ def dense_solve(kernel, grid, f):
                 break
         x[j] = 0.5 * (lo + hi)
     return x
+
+
+def _best_split(X, y_node, idx, candidates, min_child):
+    """Exact scan over sorted values; returns (feature, threshold, left rows,
+    right rows) or None when no admissible split exists."""
+    n = len(idx)
+    best_gain = -np.inf
+    best = None
+    counts = np.arange(1, n)
+    for fi in candidates:
+        vals = X[idx, fi]
+        order = np.argsort(vals)
+        v = vals[order]
+        cum = np.cumsum(y_node[order])
+        total = cum[-1]
+        ok = (v[1:] > v[:-1]) & (counts >= min_child) & (n - counts >= min_child)
+        if not ok.any():
+            continue
+        pos = np.flatnonzero(ok)
+        n_left = counts[pos]
+        s_left = cum[:-1][pos]
+        # within-node SSE drop, up to the constant total**2/n
+        gain = s_left * s_left / n_left + (total - s_left) ** 2 / (n - n_left)
+        local = int(np.argmax(gain))
+        if gain[local] > best_gain:
+            best_gain = float(gain[local])
+            cut = pos[local]
+            best = (fi, 0.5 * (v[cut] + v[cut + 1]), order[:cut + 1])
+    if best is None:
+        return None
+    fi, threshold, left_order = best
+    left_idx = idx[left_order]
+    mask = np.zeros(n, dtype=bool)
+    mask[left_order] = True
+    right_idx = idx[~mask]
+    return fi, threshold, left_idx, right_idx
+
+
+def grow_tree_dfs(X, y, *, max_depth=None, min_child: int = 1) -> RegressionTree:
+    """Greedy variance-reduction tree over all features, grown depth first.
+
+    ``min_child`` is the smallest sample count allowed in a child node.
+    """
+    n, p = X.shape
+    depth_cap = 1 << 30 if max_depth is None else max_depth
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node() -> int:
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        return len(feature) - 1
+
+    root = new_node()
+    stack = [(root, np.arange(n), 0)]
+    while stack:
+        nid, idx, depth = stack.pop()
+        y_node = y[idx]
+        value[nid] = float(y_node.mean())
+        if depth >= depth_cap or len(idx) < 2 * min_child:
+            continue
+        if y_node.min() == y_node.max():
+            continue
+        split = _best_split(X, y_node, idx, range(p), min_child)
+        if split is None:
+            continue
+        fi, thr, left_idx, right_idx = split
+        lid = new_node()
+        rid = new_node()
+        feature[nid] = int(fi)
+        threshold[nid] = float(thr)
+        left[nid] = lid
+        right[nid] = rid
+        stack.append((rid, right_idx, depth + 1))
+        stack.append((lid, left_idx, depth + 1))
+    return RegressionTree(feature, threshold, left, right, value)
+
+
+def grow_tree_bfs(X, y, *, rng=None, max_depth=None, min_child: int = 1,
+                  mtry=None) -> RegressionTree:
+    """Level-order tree from ``_best_split`` per node, nodes numbered in level
+    order; a level's ``mtry`` candidates come from one ``rng.random`` call."""
+    n, p = X.shape
+    depth_cap = 1 << 30 if max_depth is None else max_depth
+    feature, threshold, left, value = [], [], [], []
+    level, depth = [np.arange(n)], 0
+    while level:
+        base = len(feature) + len(level)
+        splittable = [depth < depth_cap and len(idx) >= 2 * min_child
+                      and y[idx].min() < y[idx].max() for idx in level]
+        draws = iter([range(p)] * len(level))
+        if mtry is not None and mtry < p and any(splittable):
+            picks = np.argsort(rng.random((sum(splittable), p)), axis=1)[:, :mtry]
+            draws = iter(np.sort(picks, axis=1))
+        children = []
+        for idx, ok in zip(level, splittable):
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            value.append(float(y[idx].mean()))
+            split = _best_split(X, y[idx], idx, next(draws), min_child) if ok else None
+            if split is not None:
+                feature[-1], threshold[-1] = int(split[0]), float(split[1])
+                left[-1] = base + len(children)
+                children += split[2:]
+        level, depth = children, depth + 1
+    right = [c + 1 if c >= 0 else -1 for c in left]
+    return RegressionTree(feature, threshold, left, right, value)

@@ -3,12 +3,17 @@
 import csv
 import datetime as dt
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import voltgrid
 from voltgrid import SolverError
 from voltgrid.cli import _guarded, main
 
@@ -364,6 +369,18 @@ class TestDispatch:
         assert result.exit_code == 2, all_output(result)
         assert not (tmp_path / "disp" / "dispatch.csv").exists()
 
+    def test_fractional_band_count_exit_2(self, runner, tmp_path):
+        write_series_csv(tmp_path / "load.csv", np.arange(5.0))
+        (tmp_path / "kernel.json").write_text(
+            '{"n": 1.7, "K": [{"type": "const", "value": 1.0}], "G": [{"type": "linear"}]}')
+        result = runner.invoke(main, [
+            "dispatch", "--load", str(tmp_path / "load.csv"),
+            "--kernel", str(tmp_path / "kernel.json"), "--out", str(tmp_path / "disp"),
+        ])
+        assert result.exit_code == 2, all_output(result)
+        assert "band count" in all_output(result)
+        assert not (tmp_path / "disp" / "dispatch.csv").exists()
+
     def test_value_column_missing_exit_2(self, runner, tmp_path):
         (tmp_path / "load.csv").write_text("timestamp,megawatts\n2019-01-01,1\n")
         write_kernel(tmp_path / "kernel.json")
@@ -452,3 +469,15 @@ class TestExitCodes:
 
         result = runner.invoke(bad, [])
         assert result.exit_code == 2
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_out(self):
+        # a fresh interpreter: this one may have imported scipy for other tests
+        src = str(Path(voltgrid.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, voltgrid.cli; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert proc.stdout.strip() == "False"

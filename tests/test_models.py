@@ -1,7 +1,10 @@
 """The three forecasters: exactness oracles, determinism, persistence."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voltgrid import DataError
 from voltgrid.forecast import (
@@ -14,6 +17,8 @@ from voltgrid.forecast import (
     save_model,
 )
 from voltgrid.forecast.trees import RegressionTree, grow_tree
+
+from oracle import grow_tree_bfs, grow_tree_dfs
 
 
 def linear_data(n=200, p=5, noise=0.0, seed=1):
@@ -104,6 +109,10 @@ class TestSingleTree:
         tree = grow_tree(X, y, max_depth=1, min_child=1)
         assert tree.n_leaves <= 2
 
+    def test_zero_rows_rejected(self):
+        with pytest.raises(DataError, match="zero rows"):
+            grow_tree(np.zeros((0, 3)), np.zeros(0))
+
     def test_split_prefers_lowest_feature_on_ties(self):
         # two identical columns: the split must use column 0
         base = np.array([0.0, 0.0, 1.0, 1.0])
@@ -118,6 +127,49 @@ class TestSingleTree:
         tree = grow_tree(X, y, min_child=4)
         clone = RegressionTree.from_dict(tree.to_dict())
         np.testing.assert_array_equal(clone.predict(X), tree.predict(X))
+
+
+def splits(tree):
+    inner = tree.feature >= 0
+    return sorted(zip(tree.feature[inner].tolist(), tree.threshold[inner].tolist()))
+
+
+@st.composite
+def integer_problems(draw):
+    """Small integer X with many repeated values; integer y keeps every
+    prefix sum exact, so both growers must agree bit for bit."""
+    n = draw(st.integers(1, 150))
+    p = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    distinct = draw(st.integers(1, 8))
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, distinct, size=(n, p)).astype(float)
+    y = rng.integers(-30, 31, size=n).astype(float)
+    mtry = draw(st.none() | st.integers(1, p))
+    return X, y, draw(st.none() | st.integers(0, 8)), draw(st.integers(1, 6)), mtry
+
+
+class TestLevelWiseGrowth:
+    @settings(max_examples=200, deadline=None)
+    @given(integer_problems())
+    def test_matches_depth_first_oracle(self, problem):
+        X, y, max_depth, min_child, _ = problem
+        new = grow_tree(X, y, max_depth=max_depth, min_child=min_child)
+        old = grow_tree_dfs(X, y, max_depth=max_depth, min_child=min_child)
+        assert new.n_nodes == old.n_nodes
+        assert splits(new) == splits(old)
+        probe = np.vstack([X, X - 0.5, X + 0.5])
+        np.testing.assert_array_equal(new.predict(probe), old.predict(probe))
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_problems(), st.integers(0, 2**32 - 1))
+    def test_matches_level_order_oracle_with_sampled_features(self, problem, seed):
+        X, y, max_depth, min_child, mtry = problem
+        new = grow_tree(X, y, rng=np.random.default_rng(seed), max_depth=max_depth,
+                        min_child=min_child, mtry=mtry)
+        ref = grow_tree_bfs(X, y, rng=np.random.default_rng(seed), max_depth=max_depth,
+                            min_child=min_child, mtry=mtry)
+        assert new.to_dict() == ref.to_dict()
 
 
 class TestRandomForest:
@@ -241,6 +293,20 @@ class TestPersistence:
         for m in models:
             clone = model_from_dict(model_to_dict(m))
             assert type(clone) is type(m)
+
+    def test_depth_first_numbered_trees_still_load(self):
+        # model files written before trees were numbered in level order
+        rng = np.random.default_rng(9)
+        X = rng.integers(0, 6, size=(200, 4)).astype(float)
+        y = rng.integers(-50, 51, size=200).astype(float)
+        old = grow_tree_dfs(X, y, min_child=3)
+        new = grow_tree(X, y, min_child=3)
+        assert old.to_dict() != new.to_dict()
+        doc = {"format": "voltgrid-model/1", "kind": "rf",
+               "params": RandomForest(n_trees=1, mtry=4).get_params(),
+               "trees": [old.to_dict()], "n_features": 4}
+        model = model_from_dict(json.loads(json.dumps(doc)))
+        np.testing.assert_array_equal(model.predict(X), new.predict(X))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(DataError, match="kind"):

@@ -165,11 +165,11 @@ class TestTransforms:
         period = 24
         beta = 2.0 / (period + 1)
         expected = np.empty_like(values)
-        expected[0] = values[0]
-        for i in range(1, len(values)):
-            expected[i] = beta * values[i] + (1 - beta) * expected[i - 1]
+        prev = values[0]  # y[-1] = v[0], so y[0] = v[0] up to rounding
+        for i in range(len(values)):
+            expected[i] = prev = beta * values[i] + (1 - beta) * prev
         out = ema(hourly(values), period)
-        np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(out.values, expected)
 
     def test_ema_rejects_nan(self):
         with pytest.raises(DataError, match="missing"):

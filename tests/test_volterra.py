@@ -341,6 +341,15 @@ class TestKernelConfig:
                                 "K": [{"type": "const", "value": 1.0}],
                                 "G": [{"type": "linear"}] * 2})
 
+    @pytest.mark.parametrize("n", [1.7, True, "2", None, math.nan, math.inf])
+    def test_band_count_must_be_an_integer(self, n):
+        # int() used to truncate 1.7 to a single band
+        with pytest.raises(DataError, match="band count"):
+            kernel_from_config({**README_KERNEL, "n": n})
+
+    def test_integral_float_band_count_accepted(self):
+        assert kernel_from_config({**README_KERNEL, "n": 2.0}).n_bands == 2
+
     def test_multiband_requires_alphas(self):
         with pytest.raises(DataError, match="alphas"):
             kernel_from_config({"n": 2,
