@@ -10,9 +10,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
@@ -23,12 +21,15 @@ from .forecast import FeatureConfig, block_cross_validate, save_model
 from .ioutil import dump_json, fmt12
 from .storage import (
     StorageSpec,
+    count_cycles,
     dispatch,
+    min_capacity,
     read_dispatch_csv,
     storage_spec_from_config,
     write_dispatch_csv,
 )
 from .timeseries import (
+    SECONDS_PER_HOUR,
     CsvSpec,
     TimeSeries,
     align_hourly,
@@ -39,23 +40,8 @@ from .timeseries import (
 )
 from .volterra import Grid, load_kernel
 
-SECONDS_PER_HOUR = 3600.0
-
-
-@dataclass
-class RunConfig:
-    """Resolved inputs of one command invocation."""
-
-    inputs: dict = field(default_factory=dict)
-    out_dir: Path = Path(".")
-    seed: int = 0
-
-    def validate(self) -> "RunConfig":
-        for label, path in self.inputs.items():
-            if path is not None and not os.path.exists(path):
-                raise DataError(f"{label} file {path} does not exist")
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        return self
+# every input option names an existing file; click exits 2 otherwise
+INPUT_FILE = click.Path(exists=True, dir_okay=False)
 
 
 def _guarded(fn):
@@ -82,32 +68,27 @@ def main():
 
 
 @main.command("ingest")
-@click.option("--load", "load_path", required=True, type=click.Path(),
+@click.option("--load", "load_path", required=True, type=INPUT_FILE,
               help="CSV with a timestamp column and the load values.")
-@click.option("--gen", "gen_path", type=click.Path(),
+@click.option("--gen", "gen_path", type=INPUT_FILE,
               help="Conventional generation series CSV.")
-@click.option("--res", "res_path", type=click.Path(),
+@click.option("--res", "res_path", type=INPUT_FILE,
               help="Renewable generation series CSV.")
-@click.option("--temp", "temp_paths", type=click.Path(), multiple=True,
+@click.option("--temp", "temp_paths", type=INPUT_FILE, multiple=True,
               help="Temperature CSV; repeat per station. Column named by file stem.")
-@click.option("--holidays", "holidays_path", type=click.Path(),
+@click.option("--holidays", "holidays_path", type=INPUT_FILE,
               help="Holiday calendar, one YYYY-MM-DD per line.")
 @click.option("--timestamp-column", default="timestamp", show_default=True)
 @click.option("--value-column", default="value", show_default=True)
 @click.option("--timestamp-format", default=None,
               help="strptime pattern; ISO 8601 when omitted.")
-@click.option("--out", "out_dir", required=True, type=click.Path(),
+@click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path),
               help="Output directory for dataset.csv and summary.json.")
 @_guarded
 def cmd_ingest(load_path, gen_path, res_path, temp_paths, holidays_path,
                timestamp_column, value_column, timestamp_format, out_dir):
     """Align the input series on their common hourly range."""
-    config = RunConfig(
-        inputs={"load": load_path, "gen": gen_path, "res": res_path,
-                "holidays": holidays_path,
-                **{f"temp[{i}]": p for i, p in enumerate(temp_paths)}},
-        out_dir=Path(out_dir),
-    ).validate()
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def parse(path, name):
         spec = CsvSpec(timestamp_column=timestamp_column, value_column=value_column,
@@ -124,7 +105,7 @@ def cmd_ingest(load_path, gen_path, res_path, temp_paths, holidays_path,
     holidays = load_holidays(holidays_path) if holidays_path else frozenset()
 
     frame = align_hourly(series, policy="intersect", holidays=holidays)
-    write_frame_csv(frame, config.out_dir / "dataset.csv")
+    write_frame_csv(frame, out_dir / "dataset.csv")
     stamps = frame.timestamps()
     summary = {
         "rows": frame.n_rows,
@@ -135,13 +116,13 @@ def cmd_ingest(load_path, gen_path, res_path, temp_paths, holidays_path,
                       for name, col in frame.columns.items()},
         "holidays": sorted(d.isoformat() for d in holidays),
     }
-    with open(config.out_dir / "summary.json", "w", encoding="utf-8") as fh:
+    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         dump_json(summary, fh)
-    click.echo(f"wrote {config.out_dir / 'dataset.csv'} ({frame.n_rows} rows)")
+    click.echo(f"wrote {out_dir / 'dataset.csv'} ({frame.n_rows} rows)")
 
 
 @main.command("forecast")
-@click.option("--data", "data_path", required=True, type=click.Path(),
+@click.option("--data", "data_path", required=True, type=INPUT_FILE,
               help="dataset.csv from the ingest step.")
 @click.option("--model", "model_name", required=True,
               type=click.Choice(["lm", "rf", "gbdt"]))
@@ -154,18 +135,17 @@ def cmd_ingest(load_path, gen_path, res_path, temp_paths, holidays_path,
 @click.option("--seed", default=0, show_default=True, type=int,
               envvar="VOLTGRID_SEED",
               help="Master seed; VOLTGRID_SEED is used unless --seed is given.")
-@click.option("--holidays", "holidays_path", type=click.Path(),
+@click.option("--holidays", "holidays_path", type=INPUT_FILE,
               help="Holiday calendar for the working-day feature.")
 @click.option("--save-model", "model_path", type=click.Path(),
               help="Also persist the final fitted model as JSON.")
-@click.option("--out", "out_dir", required=True, type=click.Path(),
+@click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path),
               help="Output directory for forecast.csv and metrics.json.")
 @_guarded
 def cmd_forecast(data_path, model_name, horizon, blocks, tail, trees, seed,
                  holidays_path, model_path, out_dir):
     """Cross-validate one model and forecast the held-out tail."""
-    config = RunConfig(inputs={"data": data_path, "holidays": holidays_path},
-                       out_dir=Path(out_dir), seed=seed).validate()
+    out_dir.mkdir(parents=True, exist_ok=True)
     holidays = load_holidays(holidays_path) if holidays_path else frozenset()
     frame = read_frame_csv(data_path, holidays=holidays)
 
@@ -179,7 +159,7 @@ def cmd_forecast(data_path, model_name, horizon, blocks, tail, trees, seed,
         params=params, config=FeatureConfig(horizon=horizon), seed=seed,
     )
 
-    with open(config.out_dir / "forecast.csv", "w", encoding="utf-8", newline="") as fh:
+    with open(out_dir / "forecast.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "predicted", "actual"])
         for stamp, pred, act in zip(report.timestamps, report.predicted, report.actual):
@@ -187,7 +167,7 @@ def cmd_forecast(data_path, model_name, horizon, blocks, tail, trees, seed,
                              fmt12(pred), fmt12(act)])
     metrics = report.as_dict()
     metrics["seed"] = seed
-    with open(config.out_dir / "metrics.json", "w", encoding="utf-8") as fh:
+    with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
         dump_json(metrics, fh)
     if model_path:
         save_model(report.final_model, model_path)
@@ -216,15 +196,15 @@ def _sniff_value_column(path, candidates):
 
 
 @main.command("dispatch")
-@click.option("--load", "load_path", required=True, type=click.Path(),
+@click.option("--load", "load_path", required=True, type=INPUT_FILE,
               help="Load series: ingest-style CSV or a forecast.csv.")
-@click.option("--gen", "gen_path", type=click.Path(),
+@click.option("--gen", "gen_path", type=INPUT_FILE,
               help="Conventional generation series; zero when omitted.")
-@click.option("--res", "res_path", type=click.Path(),
+@click.option("--res", "res_path", type=INPUT_FILE,
               help="Renewable generation series; zero when omitted.")
-@click.option("--kernel", "kernel_path", required=True, type=click.Path(),
+@click.option("--kernel", "kernel_path", required=True, type=INPUT_FILE,
               help="Kernel configuration JSON.")
-@click.option("--storage", "storage_path", type=click.Path(),
+@click.option("--storage", "storage_path", type=INPUT_FILE,
               help="StorageSpec JSON; defaults apply when omitted.")
 @click.option("--grid-n", default=None, type=int,
               help="Use only the first N+1 samples (default: all).")
@@ -233,17 +213,13 @@ def _sniff_value_column(path, candidates):
                    "stored-energy trajectory as well as the kernel.")
 @click.option("--timestamp-column", default="timestamp", show_default=True)
 @click.option("--value-column", default="value", show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path(),
+@click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path),
               help="Output directory for dispatch.csv and report.json.")
 @_guarded
 def cmd_dispatch(load_path, gen_path, res_path, kernel_path, storage_path,
                  grid_n, soc_efficiency, timestamp_column, value_column, out_dir):
     """Solve the storage schedule for the given imbalance inputs."""
-    config = RunConfig(
-        inputs={"load": load_path, "gen": gen_path, "res": res_path,
-                "kernel": kernel_path, "storage": storage_path},
-        out_dir=Path(out_dir),
-    ).validate()
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def parse(path, name):
         # an explicit --value-column must not stop the other series from
@@ -302,8 +278,8 @@ def cmd_dispatch(load_path, gen_path, res_path, kernel_path, storage_path,
 
     report = dispatch(truncate(f_res), truncate(f_gen), truncate(f_load),
                       kernel, spec, grid, soc_efficiency=soc_efficiency)
-    write_dispatch_csv(config.out_dir / "dispatch.csv", report)
-    with open(config.out_dir / "report.json", "w", encoding="utf-8") as fh:
+    write_dispatch_csv(out_dir / "dispatch.csv", report)
+    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
         dump_json(report.as_dict(), fh)
     click.echo(
         f"dispatch over {n_cells} cells: min capacity {fmt12(report.min_capacity)}, "
@@ -327,16 +303,13 @@ def _series_label(path: str, taken) -> str:
 
 @main.command("report")
 @click.option("--dispatch", "dispatch_paths", required=True, multiple=True,
-              type=click.Path(), help="dispatch.csv files to compare; repeatable.")
-@click.option("--out", "out_dir", required=True, type=click.Path(),
+              type=INPUT_FILE, help="dispatch.csv files to compare; repeatable.")
+@click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path),
               help="Output directory for comparison.json and comparison.csv.")
 @_guarded
 def cmd_report(dispatch_paths, out_dir):
     """Compare dispatch runs (e.g. actual-load vs forecast-load schedules)."""
-    config = RunConfig(
-        inputs={f"dispatch[{i}]": p for i, p in enumerate(dispatch_paths)},
-        out_dir=Path(out_dir),
-    ).validate()
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     names: list[str] = []
     for path in dispatch_paths:
@@ -349,13 +322,12 @@ def cmd_report(dispatch_paths, out_dir):
 
     table = []
     for name, (t, x, v, E) in zip(names, loaded):
-        capacity = float(E.max() - E.min())
-        throughput = float(np.abs(np.diff(E)).sum())
+        capacity = min_capacity(E)
         table.append({
             "series": name,
             "min_capacity": capacity,
             "max_abs_power": float(np.max(np.abs(x))),
-            "equivalent_cycles": throughput / (2 * capacity) if capacity > 0 else 0.0,
+            "equivalent_cycles": count_cycles(E, capacity) if capacity > 0 else 0.0,
         })
     pairwise = []
     for i in range(len(names)):
@@ -363,9 +335,9 @@ def cmd_report(dispatch_paths, out_dir):
             diff = float(np.max(np.abs(loaded[i][1] - loaded[j][1])))
             pairwise.append({"a": names[i], "b": names[j], "max_abs_x_diff": diff})
 
-    with open(config.out_dir / "comparison.json", "w", encoding="utf-8") as fh:
+    with open(out_dir / "comparison.json", "w", encoding="utf-8") as fh:
         dump_json({"runs": table, "pairwise": pairwise}, fh)
-    with open(config.out_dir / "comparison.csv", "w", encoding="utf-8", newline="") as fh:
+    with open(out_dir / "comparison.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "series", "x", "E"])
         for name, (t, x, _, E) in zip(names, loaded):

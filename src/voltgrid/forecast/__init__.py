@@ -6,9 +6,6 @@ from .trees import GradientBoostedTrees, RandomForest, RegressionTree, grow_tree
 from .validation import (
     CrossValidationReport,
     block_cross_validate,
-    fit_gbdt,
-    fit_linear,
-    fit_random_forest,
     make_model,
     predict,
 )
@@ -30,9 +27,6 @@ __all__ = [
     "grow_tree",
     "CrossValidationReport",
     "block_cross_validate",
-    "fit_gbdt",
-    "fit_linear",
-    "fit_random_forest",
     "make_model",
     "predict",
 ]

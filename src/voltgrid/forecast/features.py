@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError
-from ..timeseries import AlignedFrame, calendar_arrays, ema, lag, previous_day_stats
+from ..timeseries import (SECONDS_PER_HOUR, AlignedFrame, calendar_arrays, ema, lag,
+                          previous_day_stats)
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,6 @@ class FeatureMatrix:
     def n_rows(self) -> int:
         return len(self.y)
 
-    def select(self, mask) -> "FeatureMatrix":
-        return FeatureMatrix(self.X[mask], self.y[mask], self.timestamps[mask],
-                             self.target_rows[mask], self.feature_names, self.horizon)
-
 
 def build_feature_matrix(frame: AlignedFrame, config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
     """Assemble features at origin t for the load target at t+H.
@@ -78,7 +75,7 @@ def build_feature_matrix(frame: AlignedFrame, config: FeatureConfig = FeatureCon
     columns: list[tuple[str, np.ndarray]] = [(config.load_column, load.values)]
 
     if config.include_calendar:
-        target_stamps = frame.timestamps() + np.timedelta64(horizon * 3600, "s")
+        target_stamps = frame.timestamps() + np.timedelta64(int(horizon * SECONDS_PER_HOUR), "s")
         cal = calendar_arrays(target_stamps, frame.holiday_calendar)
         for name in ("day_of_week", "hour_of_day", "is_working_day"):
             columns.append((name, cal[name].astype(float)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
+from .trees import _check_training_arrays
 
 
 class RidgeRegression:
@@ -24,18 +25,8 @@ class RidgeRegression:
     def get_params(self) -> dict:
         return {"ridge": self.ridge}
 
-    def set_params(self, **params) -> "RidgeRegression":
-        for key, value in params.items():
-            if not hasattr(self, key):
-                raise DataError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
     def fit(self, X, y) -> "RidgeRegression":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
-            raise DataError(f"bad training shapes {X.shape} / {y.shape}")
+        X, y = _check_training_arrays(X, y)
         n, p = X.shape
         if n < p + 1:
             raise DataError(f"need at least {p + 1} rows to fit {p} features, got {n}")

@@ -5,9 +5,11 @@ prediction is a vectorized descent and serialization is plain lists. Trees
 grow one depth level at a time over presorted orders: each feature's rows are
 sorted once at the root, a level scores every (node, candidate feature)
 boundary in one pass of segmented prefix sums, and a stable partition keeps
-each child's rows sorted. Splits are exact midpoints; ties go to the lowest
-feature index, then the lowest threshold, which pins tree shape for a given
-seed. Nodes are numbered in level order; depth-first trees load the same.
+each child's rows sorted. Splits are exact midpoints. Only bitwise-equal
+gains tie, and ties go to the lowest feature index, then the lowest
+threshold; two features that cut a node into the same row sets can differ in
+the last bit of their gains, so either may win. Nodes are numbered in level
+order; depth-first trees load the same.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ def _score_level(values, targets, orders, starts, counts, cand, min_child):
     # within-node SSE drop, up to the constant total**2/n
     gain[at] = s_left * s_left / n_l + (total[b] - s_left) ** 2 / (n_node[at] - n_l)
 
-    # per node the best gain, then the lowest feature, then the lowest threshold
+    # per node the best gain, then (bitwise-equal gains only; see the module
+    # docstring) the lowest feature, then the lowest threshold
     block_best = np.maximum.reduceat(gain, first)
     by_feature = np.full(cand.shape, -np.inf)
     by_feature[bf, bn] = block_best
@@ -200,6 +203,19 @@ def _check_training_arrays(X, y):
     return X, y
 
 
+def _sum_trees(model, X) -> np.ndarray:
+    """Summed outputs of a fitted ensemble's trees over the rows of X."""
+    X = np.asarray(X, dtype=float)
+    if not hasattr(model, "trees_"):
+        raise DataError("model is not fitted")
+    if X.shape[1] != model.n_features_:
+        raise DataError(f"expected {model.n_features_} features, got {X.shape[1]}")
+    total = np.zeros(len(X))
+    for tree in model.trees_:
+        total += tree.predict(X)
+    return total
+
+
 class RandomForest:
     """Bagged variance-reduction trees with per-node feature sampling.
 
@@ -219,13 +235,6 @@ class RandomForest:
     def get_params(self) -> dict:
         return {"n_trees": self.n_trees, "mtry": self.mtry,
                 "min_leaf": self.min_leaf, "seed": self.seed}
-
-    def set_params(self, **params) -> "RandomForest":
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise DataError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
 
     def fit(self, X, y) -> "RandomForest":
         X, y = _check_training_arrays(X, y)
@@ -267,15 +276,7 @@ class RandomForest:
         return self
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if not hasattr(self, "trees_"):
-            raise DataError("model is not fitted")
-        if X.shape[1] != self.n_features_:
-            raise DataError(f"expected {self.n_features_} features, got {X.shape[1]}")
-        total = np.zeros(len(X))
-        for tree in self.trees_:
-            total += tree.predict(X)
-        return total / len(self.trees_)
+        return _sum_trees(self, X) / len(self.trees_)
 
 
 class GradientBoostedTrees:
@@ -300,13 +301,6 @@ class GradientBoostedTrees:
         return {"n_trees": self.n_trees, "max_depth": self.max_depth,
                 "shrinkage": self.shrinkage, "min_node": self.min_node,
                 "subsample": self.subsample, "seed": self.seed}
-
-    def set_params(self, **params) -> "GradientBoostedTrees":
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise DataError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
 
     def fit(self, X, y) -> "GradientBoostedTrees":
         X, y = _check_training_arrays(X, y)
@@ -344,12 +338,4 @@ class GradientBoostedTrees:
         return self
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if not hasattr(self, "trees_"):
-            raise DataError("model is not fitted")
-        if X.shape[1] != self.n_features_:
-            raise DataError(f"expected {self.n_features_} features, got {X.shape[1]}")
-        total = np.zeros(len(X))
-        for tree in self.trees_:
-            total += tree.predict(X)
-        return self.base_score_ + self.shrinkage * total
+        return self.base_score_ + self.shrinkage * _sum_trees(self, X)

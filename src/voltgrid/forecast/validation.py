@@ -39,30 +39,6 @@ def _check_feature_names(model, matrix: FeatureMatrix) -> None:
         )
 
 
-def fit_linear(matrix: FeatureMatrix, ridge: float = 1e-8) -> RidgeRegression:
-    model = RidgeRegression(ridge=ridge).fit(matrix.X, matrix.y)
-    model.feature_names_ = matrix.feature_names
-    return model
-
-
-def fit_random_forest(matrix: FeatureMatrix, n_trees: int = 500, mtry: int = 4,
-                      min_leaf: int = 5, seed: int = 0) -> RandomForest:
-    model = RandomForest(n_trees=n_trees, mtry=mtry, min_leaf=min_leaf,
-                         seed=seed).fit(matrix.X, matrix.y)
-    model.feature_names_ = matrix.feature_names
-    return model
-
-
-def fit_gbdt(matrix: FeatureMatrix, n_trees: int = 100, max_depth: int = 9,
-             shrinkage: float = 0.1, min_node: int = 10,
-             subsample: float = 0.5, seed: int = 0) -> GradientBoostedTrees:
-    model = GradientBoostedTrees(n_trees=n_trees, max_depth=max_depth,
-                                 shrinkage=shrinkage, min_node=min_node,
-                                 subsample=subsample, seed=seed).fit(matrix.X, matrix.y)
-    model.feature_names_ = matrix.feature_names
-    return model
-
-
 def predict(model, matrix: FeatureMatrix) -> np.ndarray:
     """Predict a feature matrix, guarding against reordered features."""
     _check_feature_names(model, matrix)

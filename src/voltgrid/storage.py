@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataError
 from .ioutil import fmt12
-from .timeseries import TimeSeries
+from .timeseries import SECONDS_PER_HOUR, TimeSeries
 from .volterra import Grid, KernelSpec, SolveResult, solve_apf
 
 INTERPRETATIONS = ("literal", "power")
@@ -238,7 +238,7 @@ def dispatch(f_res: TimeSeries, f_gen: TimeSeries, f_load: TimeSeries,
     asymmetric charge/discharge factor there.
     """
     for s in (f_res, f_gen, f_load):
-        step_hours = s.step / 3600.0
+        step_hours = s.step / SECONDS_PER_HOUR
         if abs(step_hours - grid.step) > 1e-9 * max(1.0, grid.step):
             raise DataError(
                 f"series {s.name!r} step {step_hours:g}h does not match grid step {grid.step:g}h"
@@ -336,4 +336,8 @@ def read_dispatch_csv(path):
                     cols[name].append(float(cell))
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: bad number in {row!r}") from None
+            if not all(math.isfinite(cols[name][-1]) for name in cols):
+                raise DataError(f"{path}: line {lineno}: non-finite number in {row!r}")
+    if not cols["t"]:
+        raise DataError(f"{path}: no data rows")
     return tuple(np.asarray(cols[name]) for name in ("t", "x", "v", "E"))

@@ -8,9 +8,8 @@ series of length L always spans exactly (L-1) steps.
 from __future__ import annotations
 
 import csv
-import io
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -57,9 +56,6 @@ class TimeSeries:
         base = np.datetime64(self.start, "s")
         offsets = (np.arange(len(self.values)) * self.step).astype("timedelta64[s]")
         return base + offsets
-
-    def rename(self, name: str) -> "TimeSeries":
-        return replace(self, name=name)
 
 
 @dataclass(frozen=True)
@@ -120,14 +116,10 @@ def _parse_stamp(text: str, fmt: str | None) -> datetime:
 
 
 def _open_text(source):
-    """Accept a path, bytes, or a (byte/text) stream; yield a text stream."""
+    """Accept a path or a text stream; yield a text stream."""
     if isinstance(source, (str, os.PathLike)):
         return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.TextIOBase):
-        return source
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")
+    return source
 
 
 def parse_timeseries_csv(source, spec: CsvSpec = CsvSpec()) -> TimeSeries:
@@ -321,7 +313,9 @@ def previous_day_stats(series: TimeSeries, stat: str) -> TimeSeries:
 
 
 def calendar_arrays(stamps: np.ndarray, holidays=frozenset()) -> dict[str, np.ndarray]:
-    """Calendar features for arbitrary datetime64 stamps (UTC)."""
+    """day_of_week (Mon=0), hour_of_day and a working-day indicator for
+    datetime64 stamps (UTC); weekends and dates in ``holidays`` count as
+    non-working."""
     stamps = stamps.astype("datetime64[s]")
     days = stamps.astype("datetime64[D]")
     # 1970-01-01 is a Thursday (weekday 3)
@@ -336,15 +330,6 @@ def calendar_arrays(stamps: np.ndarray, holidays=frozenset()) -> dict[str, np.nd
         "hour_of_day": hour_of_day,
         "is_working_day": working.astype(np.int64),
     }
-
-
-def calendar_features(frame: AlignedFrame) -> dict[str, np.ndarray]:
-    """day_of_week (Mon=0), hour_of_day, and a working-day indicator.
-
-    Weekends and any date in the frame's holiday calendar count as
-    non-working.
-    """
-    return calendar_arrays(frame.timestamps(), frame.holiday_calendar)
 
 
 def write_frame_csv(frame: AlignedFrame, path) -> None:
@@ -403,7 +388,10 @@ def read_frame_csv(path, holidays=frozenset()) -> AlignedFrame:
 
 
 def split_indices(n_rows: int, validation_tail: int, n_blocks: int):
-    """Row-index version of :func:`block_split`."""
+    """Chronological block split of ``n_rows`` rows: the last
+    ``validation_tail`` rows are held out, the rest cut into contiguous
+    blocks whose lengths differ by at most one (earliest blocks take the
+    remainder). Returns (block slices, tail slice)."""
     if validation_tail < 0:
         raise DataError(f"validation_tail must be >= 0, got {validation_tail}")
     if validation_tail >= n_rows:
@@ -423,10 +411,3 @@ def split_indices(n_rows: int, validation_tail: int, n_blocks: int):
         blocks.append(slice(lo, lo + size))
         lo += size
     return blocks, slice(n_train, n_rows)
-
-
-def block_split(frame: AlignedFrame, validation_tail: int, n_blocks: int):
-    """Chronological block split: tail rows held out, the rest cut into
-    contiguous blocks whose lengths differ by at most one (earliest blocks
-    take the remainder)."""
-    return split_indices(frame.n_rows, validation_tail, n_blocks)

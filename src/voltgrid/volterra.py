@@ -31,10 +31,8 @@ node: O(N^2) time, O(N) memory.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -685,37 +683,3 @@ def load_kernel(path) -> KernelSpec:
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid kernel JSON: {exc}") from None
     return kernel_from_config(config)
-
-
-# --- node-series exchange ---------------------------------------------------
-
-def write_node_series(path, t, values) -> None:
-    """CSV with columns t,value; the exchange format for x/f node vectors."""
-    t = np.asarray(t, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if t.shape != values.shape:
-        raise DataError(f"t and value lengths differ: {t.shape} vs {values.shape}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "value"])
-        for ti, vi in zip(t, values):
-            writer.writerow([fmt12(ti), fmt12(vi)])
-
-
-def read_node_series(path):
-    """Inverse of write_node_series; returns (t, values) arrays."""
-    ts, vals = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise DataError(f"{os.fspath(path)}: expected a t,value header")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                ts.append(float(row[0]))
-                vals.append(float(row[1]))
-            except (IndexError, ValueError):
-                raise DataError(f"{os.fspath(path)}: line {lineno}: bad row {row!r}") from None
-    return np.asarray(ts), np.asarray(vals)

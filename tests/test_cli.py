@@ -417,6 +417,10 @@ class TestReport:
         assert len(doc["runs"]) == 1
         assert doc["runs"][0]["series"] == "a"
         assert doc["pairwise"] == []
+        # the 12-digit CSV round trip keeps report's sizing equal to dispatch's
+        dispatched = json.loads((tmp_path / "a" / "report.json").read_text())
+        for key in ("min_capacity", "equivalent_cycles", "max_abs_power"):
+            assert doc["runs"][0][key] == pytest.approx(dispatched[key], rel=1e-9)
 
     def test_pairwise_difference(self, runner, tmp_path):
         surplus = np.sin(np.arange(12.0))
@@ -446,6 +450,19 @@ class TestReport:
         ])
         assert result.exit_code == 2
         assert "grids differ" in all_output(result)
+
+    @pytest.mark.parametrize("body, message", [
+        ("", "no data rows"),
+        ("0,0,0,0\n1,nan,0,0\n", "non-finite"),
+    ])
+    def test_bad_dispatch_csv_exit_2(self, runner, tmp_path, body, message):
+        path = tmp_path / "dispatch.csv"
+        path.write_text("t,x,v,E\n" + body)
+        result = runner.invoke(main, [
+            "report", "--dispatch", str(path), "--out", str(tmp_path / "cmp"),
+        ])
+        assert result.exit_code == 2
+        assert message in all_output(result)
 
 
 class TestExitCodes:

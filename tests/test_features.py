@@ -138,14 +138,6 @@ class TestColumnContent:
 
 
 class TestSelectAndConfig:
-    def test_select_mask(self, load_frame):
-        matrix = build_feature_matrix(load_frame)
-        mask = matrix.target_rows % 2 == 0
-        sub = matrix.select(mask)
-        assert sub.X.shape[0] == mask.sum()
-        np.testing.assert_array_equal(sub.y, matrix.y[mask])
-        assert sub.feature_names == matrix.feature_names
-
     def test_config_toggles(self, load_frame):
         matrix = build_feature_matrix(load_frame, FeatureConfig(
             include_calendar=False, include_prev_day=False,

@@ -11,8 +11,6 @@ from voltgrid import (
     DataError,
     TimeSeries,
     align_hourly,
-    block_split,
-    calendar_features,
     ema,
     lag,
     load_holidays,
@@ -22,6 +20,7 @@ from voltgrid import (
     split_indices,
     write_frame_csv,
 )
+from voltgrid.timeseries import calendar_arrays
 
 from conftest import START, hourly
 
@@ -202,7 +201,7 @@ class TestTransforms:
     def test_calendar_features(self):
         # 2019-01-01 is a Tuesday
         frame = align_hourly([hourly(np.ones(30))])
-        cal = calendar_features(frame)
+        cal = calendar_arrays(frame.timestamps(), frame.holiday_calendar)
         assert cal["day_of_week"][0] == 1
         assert cal["day_of_week"][23] == 1
         assert cal["day_of_week"][24] == 2
@@ -212,13 +211,13 @@ class TestTransforms:
     def test_calendar_weekend_and_holiday(self):
         # 2019-01-05 is a Saturday
         frame = align_hourly([hourly(np.ones(7 * 24))])
-        cal = calendar_features(frame)
+        cal = calendar_arrays(frame.timestamps(), frame.holiday_calendar)
         sat = slice(4 * 24, 5 * 24)
         assert (cal["day_of_week"][sat] == 5).all()
         assert not cal["is_working_day"][sat].any()
 
         with_holiday = frame.with_holidays({dt.date(2019, 1, 2)})
-        cal2 = calendar_features(with_holiday)
+        cal2 = calendar_arrays(with_holiday.timestamps(), with_holiday.holiday_calendar)
         assert not cal2["is_working_day"][24:48].any()
         assert cal2["is_working_day"][:24].all()
 
@@ -286,7 +285,3 @@ class TestSplits:
     def test_blocks_must_fit(self):
         with pytest.raises(DataError, match="exceeds"):
             split_indices(10, 6, 5)
-
-    def test_block_split_delegates(self):
-        frame = align_hourly([hourly(np.arange(10.0))])
-        assert block_split(frame, 2, 2) == split_indices(10, 2, 2)

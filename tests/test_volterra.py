@@ -25,7 +25,6 @@ from voltgrid import (
     kernel_from_config,
     solve_apf,
 )
-from voltgrid.volterra import read_node_series, write_node_series
 
 from conftest import identity_kernel, two_band_kernel
 from oracle import dense_forward, dense_solve, segment_cells
@@ -410,19 +409,6 @@ class TestKernelConfig:
     def test_non_numeric_boundaries_rejected(self, alphas):
         with pytest.raises(DataError):
             kernel_from_config({**README_KERNEL, "alphas": alphas})
-
-
-class TestNodeSeriesIO:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "x.csv"
-        t = np.linspace(0.0, 1.0, 11)
-        values = np.sin(t)
-        write_node_series(path, t, values)
-        t2, v2 = read_node_series(path)
-        np.testing.assert_allclose(t2, t, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(v2, values, rtol=0, atol=1e-12)
-        header = path.read_text().splitlines()[0]
-        assert header == "t,value"
 
 
 # --- the march against the dense oracle ------------------------------------
