@@ -7,9 +7,7 @@ with the same flags and seed is byte-identical.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -18,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, SolverError
 from .forecast import FeatureConfig, block_cross_validate, save_model
-from .ioutil import dump_json, fmt12
+from .ioutil import fmt12, iso_seconds, read_csv, read_json, write_csv, write_json
 from .storage import (
     StorageSpec,
     count_cycles,
@@ -50,15 +48,12 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except DataError as exc:
+        except (DataError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except SolverError as exc:
             click.echo(f"solver error: {exc}", err=True)
             sys.exit(3)
-        except OSError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
     return wrapper
 
 
@@ -106,18 +101,17 @@ def cmd_ingest(load_path, gen_path, res_path, temp_paths, holidays_path,
 
     frame = align_hourly(series, policy="intersect", holidays=holidays)
     write_frame_csv(frame, out_dir / "dataset.csv")
-    stamps = frame.timestamps()
+    start, end = iso_seconds(frame.timestamps()[[0, -1]])
     summary = {
         "rows": frame.n_rows,
-        "start": np.datetime_as_string(stamps[0], unit="s"),
-        "end": np.datetime_as_string(stamps[-1], unit="s"),
+        "start": start,
+        "end": end,
         "columns": list(frame.columns),
         "na_counts": {name: int(np.isnan(col).sum())
                       for name, col in frame.columns.items()},
         "holidays": sorted(d.isoformat() for d in holidays),
     }
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        dump_json(summary, fh)
+    write_json(out_dir / "summary.json", summary)
     click.echo(f"wrote {out_dir / 'dataset.csv'} ({frame.n_rows} rows)")
 
 
@@ -159,16 +153,9 @@ def cmd_forecast(data_path, model_name, horizon, blocks, tail, trees, seed,
         params=params, config=FeatureConfig(horizon=horizon), seed=seed,
     )
 
-    with open(out_dir / "forecast.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "predicted", "actual"])
-        for stamp, pred, act in zip(report.timestamps, report.predicted, report.actual):
-            writer.writerow([np.datetime_as_string(stamp, unit="s"),
-                             fmt12(pred), fmt12(act)])
-    metrics = report.as_dict()
-    metrics["seed"] = seed
-    with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
-        dump_json(metrics, fh)
+    write_csv(out_dir / "forecast.csv", ["timestamp", "predicted", "actual"],
+              [report.timestamps, report.predicted, report.actual])
+    write_json(out_dir / "metrics.json", {**report.as_dict(), "seed": seed})
     if model_path:
         save_model(report.final_model, model_path)
 
@@ -176,22 +163,6 @@ def cmd_forecast(data_path, model_name, horizon, blocks, tail, trees, seed,
     mape = "n/a" if val.mape_percent is None else f"{val.mape_percent:.3f}%"
     click.echo(
         f"{model_name}: validation rmse {val.rmse:.3f} mae {val.mae:.3f} mape {mape}"
-    )
-
-
-def _sniff_value_column(path, candidates):
-    """Dispatch inputs may be plain series files, a dataset.csv column, or
-    forecast.csv outputs; take the first header name that matches."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in header]
-    for name in candidates:
-        if name in header:
-            return name
-    raise DataError(
-        f"{path}: none of {list(candidates)} in header {header}"
     )
 
 
@@ -222,15 +193,15 @@ def cmd_dispatch(load_path, gen_path, res_path, kernel_path, storage_path,
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def parse(path, name):
-        # an explicit --value-column must not stop the other series from
-        # using their conventional headers
-        candidates = []
-        for c in (value_column, name, "value", "predicted"):
-            if c not in candidates:
-                candidates.append(c)
-        value_col = _sniff_value_column(path, tuple(candidates))
-        spec = CsvSpec(timestamp_column=timestamp_column, value_column=value_col,
-                       name=name)
+        # a plain series file, a dataset.csv column or a forecast.csv: take
+        # the first candidate in the header, so an explicit --value-column
+        # does not stop the other series from using their conventional names
+        candidates = list(dict.fromkeys((value_column, name, "value", "predicted")))
+        _, header = next(read_csv(path))
+        column = next((c for c in candidates if c in header), None)
+        if column is None:
+            raise DataError(f"{path}: none of {candidates} in header {header}")
+        spec = CsvSpec(timestamp_column=timestamp_column, value_column=column, name=name)
         return parse_timeseries_csv(path, spec)
 
     f_load = parse(load_path, "load")
@@ -266,21 +237,13 @@ def cmd_dispatch(load_path, gen_path, res_path, kernel_path, storage_path,
     step_hours = f_load.step / SECONDS_PER_HOUR
     grid = Grid(horizon=n_cells * step_hours, n_cells=n_cells)
     kernel = load_kernel(kernel_path)
-    if storage_path:
-        with open(storage_path, "r", encoding="utf-8") as fh:
-            try:
-                storage_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{storage_path}: invalid storage JSON: {exc}") from None
-        spec = storage_spec_from_config(storage_cfg)
-    else:
-        spec = StorageSpec()
+    spec = (storage_spec_from_config(read_json(storage_path, "storage"))
+            if storage_path else StorageSpec())
 
     report = dispatch(truncate(f_res), truncate(f_gen), truncate(f_load),
                       kernel, spec, grid, soc_efficiency=soc_efficiency)
     write_dispatch_csv(out_dir / "dispatch.csv", report)
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        dump_json(report.as_dict(), fh)
+    write_json(out_dir / "report.json", report.as_dict())
     click.echo(
         f"dispatch over {n_cells} cells: min capacity {fmt12(report.min_capacity)}, "
         f"max |x| {fmt12(report.max_abs_power)}, "
@@ -335,14 +298,11 @@ def cmd_report(dispatch_paths, out_dir):
             diff = float(np.max(np.abs(loaded[i][1] - loaded[j][1])))
             pairwise.append({"a": names[i], "b": names[j], "max_abs_x_diff": diff})
 
-    with open(out_dir / "comparison.json", "w", encoding="utf-8") as fh:
-        dump_json({"runs": table, "pairwise": pairwise}, fh)
-    with open(out_dir / "comparison.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "series", "x", "E"])
-        for name, (t, x, _, E) in zip(names, loaded):
-            for k in range(len(t)):
-                writer.writerow([fmt12(t[k]), name, fmt12(x[k]), fmt12(E[k])])
+    write_json(out_dir / "comparison.json", {"runs": table, "pairwise": pairwise})
+    # long format: every run's rows in turn, labelled by series
+    t, x, _, E = (np.concatenate(cols) for cols in zip(*loaded))
+    write_csv(out_dir / "comparison.csv", ["t", "series", "x", "E"],
+              [t, np.repeat(names, [len(run[0]) for run in loaded]), x, E])
     click.echo(f"compared {len(names)} dispatch run(s)")
 
 

@@ -7,6 +7,7 @@ import json
 import numpy as np
 
 from ..errors import DataError
+from ..ioutil import read_json
 from .linear import RidgeRegression
 from .trees import GradientBoostedTrees, RandomForest, RegressionTree
 
@@ -61,17 +62,13 @@ def model_from_dict(doc: dict):
 
 
 def save_model(model, path) -> None:
-    # plain json keeps float repr round-trips exact; compact separators keep
-    # forest documents from ballooning
+    # not ioutil.write_json: its json_ready rounds floats to 12 digits, and a
+    # model must round-trip exactly; compact separators keep forest
+    # documents from ballooning
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(model_to_dict(model), fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid model JSON: {exc}") from None
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path, "model"))

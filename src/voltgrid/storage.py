@@ -8,7 +8,6 @@ of getting a clipped schedule.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -16,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .ioutil import fmt12
+from .ioutil import config_number, parse_cell, read_csv, write_csv
 from .timeseries import SECONDS_PER_HOUR, TimeSeries
 from .volterra import Grid, KernelSpec, SolveResult, solve_apf
 
@@ -285,23 +284,13 @@ def storage_spec_from_config(config: dict) -> StorageSpec:
     if unknown:
         raise DataError(f"unknown storage config keys: {sorted(unknown)} (known: {sorted(known)})")
     kwargs = {}
-    for key in ("v_max", "e_min", "e_max", "efficiency", "e_init"):
+    for key in ("v_max", "e_min", "e_max", "efficiency", "e_init", "rated_cycles"):
         if config.get(key) is not None:  # explicit null keeps the default
-            try:
-                kwargs[key] = float(config[key])
-            except (TypeError, ValueError):
-                raise DataError(f"storage config {key} must be a number, got {config[key]!r}") from None
             # NaN would silently disable a bound check; the limits may be
             # infinite, the starting energy and the efficiency may not
-            if math.isnan(kwargs[key]):
-                raise DataError(f"storage config {key} must not be NaN")
-            if key in ("efficiency", "e_init") and math.isinf(kwargs[key]):
-                raise DataError(f"storage config {key} must be finite, got {config[key]!r}")
-    if config.get("rated_cycles") is not None:
-        try:
-            kwargs["rated_cycles"] = int(config["rated_cycles"])
-        except (TypeError, ValueError, OverflowError):
-            raise DataError(f"storage config rated_cycles must be an integer, got {config['rated_cycles']!r}") from None
+            kwargs[key] = config_number(config[key], f"storage config {key}",
+                                        allow_inf=key in ("v_max", "e_min", "e_max"),
+                                        integer=key == "rated_cycles")
     if config.get("interpretation") is not None:
         kwargs["interpretation"] = str(config["interpretation"])
     return StorageSpec(**kwargs)
@@ -309,35 +298,23 @@ def storage_spec_from_config(config: dict) -> StorageSpec:
 
 def write_dispatch_csv(path, report: DispatchReport) -> None:
     """Node series as t,x,v,E; the plotting and comparison exchange format."""
-    times = report.grid.nodes()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "v", "E"])
-        for j in range(len(times)):
-            writer.writerow([fmt12(times[j]), fmt12(report.x[j]),
-                             fmt12(report.v[j]), fmt12(report.E[j])])
+    write_csv(path, ["t", "x", "v", "E"], [report.grid.nodes(), report.x, report.v, report.E])
 
 
 def read_dispatch_csv(path):
     """Inverse of write_dispatch_csv: returns (t, x, v, E) arrays."""
-    cols = {"t": [], "x": [], "v": [], "E": []}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t", "x", "v", "E"]:
-            raise DataError(f"{path}: expected header t,x,v,E, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}: line {lineno}: expected 4 columns, got {len(row)}")
-            try:
-                for name, cell in zip(("t", "x", "v", "E"), row):
-                    cols[name].append(float(cell))
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: bad number in {row!r}") from None
-            if not all(math.isfinite(cols[name][-1]) for name in cols):
-                raise DataError(f"{path}: line {lineno}: non-finite number in {row!r}")
-    if not cols["t"]:
+    lines = read_csv(path)
+    _, header = next(lines)
+    if header != ["t", "x", "v", "E"]:
+        raise DataError(f"{path}: expected header t,x,v,E, got {header}")
+    data = []
+    for lineno, row in lines:
+        if len(row) != 4:
+            raise DataError(f"{path}: line {lineno}: expected 4 columns, got {len(row)}")
+        values = [parse_cell(cell, path, lineno) for cell in row]
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"{path}: line {lineno}: non-finite number in {row!r}")
+        data.append(values)
+    if not data:
         raise DataError(f"{path}: no data rows")
-    return tuple(np.asarray(cols[name]) for name in ("t", "x", "v", "E"))
+    return tuple(np.array(data).T.copy())

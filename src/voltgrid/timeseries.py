@@ -7,16 +7,13 @@ series of length L always spans exactly (L-1) steps.
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 
 from .errors import DataError
-
-NA_STRINGS = frozenset({"", "na", "n/a", "nan", "null", "-"})
+from .ioutil import parse_cell, read_csv, write_csv
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -102,105 +99,74 @@ class CsvSpec:
     timestamp_column: str = "timestamp"
     value_column: str = "value"
     timestamp_format: str | None = None
-    step: float = SECONDS_PER_HOUR
     name: str | None = None
 
 
-def _parse_stamp(text: str, fmt: str | None) -> datetime:
-    if fmt is not None:
-        return datetime.strptime(text, fmt)
+def _parse_stamp(text: str, fmt: str | None, path, lineno: int) -> datetime:
+    """One timestamp cell as naive UTC: ``fmt`` is a strptime pattern, None
+    takes ISO 8601 with an optional trailing Z."""
     cleaned = text.strip()
-    if cleaned.endswith("Z"):
-        cleaned = cleaned[:-1] + "+00:00"
-    return datetime.fromisoformat(cleaned)
+    try:
+        if fmt is not None:
+            return _to_naive_utc(datetime.strptime(text, fmt))
+        if cleaned.endswith("Z"):
+            cleaned = cleaned[:-1] + "+00:00"
+        return _to_naive_utc(datetime.fromisoformat(cleaned))
+    except ValueError as exc:
+        raise DataError(f"{path}: line {lineno}: bad timestamp {text!r}: {exc}") from None
 
 
-def _open_text(source):
-    """Accept a path or a text stream; yield a text stream."""
-    if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", encoding="utf-8", newline="")
-    return source
-
-
-def parse_timeseries_csv(source, spec: CsvSpec = CsvSpec()) -> TimeSeries:
-    """Read one value column out of a headered CSV into a TimeSeries.
+def parse_timeseries_csv(path, spec: CsvSpec = CsvSpec()) -> TimeSeries:
+    """Read one value column out of a headered CSV file into an hourly
+    TimeSeries.
 
     Rows are sorted by timestamp, duplicates are rejected, and any gaps that
-    are whole multiples of ``spec.step`` are filled with NaN. Spacing that is
-    not a multiple of the declared step is an alignment error.
+    are whole hours are filled with NaN. Spacing off the hourly grid is an
+    alignment error.
     """
-    stream = _open_text(source)
-    try:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty CSV: missing header row") from None
-        header = [h.strip() for h in header]
-        try:
-            ts_idx = header.index(spec.timestamp_column)
-        except ValueError:
-            raise DataError(
-                f"timestamp column {spec.timestamp_column!r} not in header {header}"
-            ) from None
-        try:
-            val_idx = header.index(spec.value_column)
-        except ValueError:
-            raise DataError(
-                f"value column {spec.value_column!r} not in header {header}"
-            ) from None
-
-        rows: list[tuple[datetime, float, int]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) <= max(ts_idx, val_idx):
-                raise DataError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
-            try:
-                stamp = _to_naive_utc(_parse_stamp(row[ts_idx], spec.timestamp_format))
-            except ValueError as exc:
-                raise DataError(f"line {lineno}: bad timestamp {row[ts_idx]!r}: {exc}") from None
-            cell = row[val_idx].strip()
-            if cell.lower() in NA_STRINGS:
-                value = float("nan")
-            else:
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(f"line {lineno}: bad value {cell!r}") from None
-            rows.append((stamp, value, lineno))
-    finally:
-        if isinstance(source, (str, os.PathLike)):
-            stream.close()
+    lines = read_csv(path)
+    _, header = next(lines)
+    for role, column in (("timestamp", spec.timestamp_column), ("value", spec.value_column)):
+        if column not in header:
+            raise DataError(f"{path}: {role} column {column!r} not in header {header}")
+    ts_idx, val_idx = header.index(spec.timestamp_column), header.index(spec.value_column)
+    rows: list[tuple[datetime, float, int]] = []
+    for lineno, row in lines:
+        if len(row) <= max(ts_idx, val_idx):
+            raise DataError(f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}")
+        stamp = _parse_stamp(row[ts_idx], spec.timestamp_format, path, lineno)
+        rows.append((stamp, parse_cell(row[val_idx], path, lineno), lineno))
 
     if not rows:
-        raise DataError("CSV contains no data rows")
+        raise DataError(f"{path}: CSV contains no data rows")
     rows.sort(key=lambda r: r[0])
     for (t0, _, _), (t1, _, line1) in zip(rows, rows[1:]):
         if t0 == t1:
-            raise DataError(f"duplicate timestamp at line {line1}")
+            raise DataError(f"{path}: duplicate timestamp at line {line1}")
 
     start = rows[0][0]
     offsets = np.array([(stamp - start).total_seconds() for stamp, _, _ in rows])
-    steps = offsets / spec.step
+    steps = offsets / SECONDS_PER_HOUR
     rounded = np.rint(steps)
     if np.any(np.abs(steps - rounded) > 1e-6):
         bad = int(np.argmax(np.abs(steps - rounded) > 1e-6))
         raise DataError(
-            f"line {rows[bad][2]}: timestamp not on the {spec.step:g}s grid anchored at {start}"
+            f"{path}: line {rows[bad][2]}: timestamp not on the "
+            f"{SECONDS_PER_HOUR:g}s grid anchored at {start}"
         )
 
     length = int(rounded[-1]) + 1
     values = np.full(length, np.nan)
     values[rounded.astype(int)] = [v for _, v, _ in rows]
     name = spec.name if spec.name is not None else spec.value_column
-    return TimeSeries(start=start, values=values, step=spec.step, name=name)
+    return TimeSeries(start=start, values=values, step=SECONDS_PER_HOUR, name=name)
 
 
 def load_holidays(path) -> frozenset[date]:
     """Text file, one YYYY-MM-DD per line; blank lines and # comments skipped."""
     days = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 becomes U+FFFD and fails as a bad date
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -335,52 +301,32 @@ def calendar_arrays(stamps: np.ndarray, holidays=frozenset()) -> dict[str, np.nd
 def write_frame_csv(frame: AlignedFrame, path) -> None:
     """Canonical dataset file: ISO timestamps plus one column per series,
     NaN as the empty cell."""
-    from .ioutil import fmt12
-
-    stamps = frame.timestamps()
-    names = list(frame.columns)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp"] + names)
-        for i in range(frame.n_rows):
-            row = [np.datetime_as_string(stamps[i], unit="s")]
-            row.extend(fmt12(frame.columns[name][i]) for name in names)
-            writer.writerow(row)
+    write_csv(path, ["timestamp", *frame.columns], [frame.timestamps(), *frame.columns.values()])
 
 
 def read_frame_csv(path, holidays=frozenset()) -> AlignedFrame:
     """Read a canonical dataset file back; rows must be hourly and sorted."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "timestamp":
-            raise DataError(f"{os.fspath(path)}: expected a leading 'timestamp' column")
-        names = header[1:]
-        if not names:
-            raise DataError(f"{os.fspath(path)}: no value columns")
-        stamps = []
-        data: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{os.fspath(path)}: line {lineno}: expected {len(header)} columns, "
-                    f"got {len(row)}"
-                )
-            try:
-                stamps.append(_to_naive_utc(_parse_stamp(row[0], None)))
-            except ValueError as exc:
-                raise DataError(f"{os.fspath(path)}: line {lineno}: bad timestamp: {exc}") from None
-            data.append([float("nan") if cell.strip().lower() in NA_STRINGS else float(cell)
-                         for cell in row[1:]])
+    lines = read_csv(path)
+    _, header = next(lines)
+    if not header or header[0] != "timestamp":
+        raise DataError(f"{path}: expected a leading 'timestamp' column")
+    names = header[1:]
+    if not names:
+        raise DataError(f"{path}: no value columns")
+    stamps = []
+    data: list[list[float]] = []
+    for lineno, row in lines:
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}"
+            )
+        stamps.append(_parse_stamp(row[0], None, path, lineno))
+        data.append([parse_cell(cell, path, lineno) for cell in row[1:]])
     if not stamps:
-        raise DataError(f"{os.fspath(path)}: no data rows")
+        raise DataError(f"{path}: no data rows")
     for i, (a, b) in enumerate(zip(stamps, stamps[1:])):
         if (b - a).total_seconds() != SECONDS_PER_HOUR:
-            raise DataError(
-                f"{os.fspath(path)}: rows {i + 2}-{i + 3} are not consecutive hours"
-            )
+            raise DataError(f"{path}: rows {i + 2}-{i + 3} are not consecutive hours")
     values = np.asarray(data, dtype=float)
     columns = {name: values[:, k].copy() for k, name in enumerate(names)}
     return AlignedFrame(start=stamps[0], step=SECONDS_PER_HOUR, columns=columns,

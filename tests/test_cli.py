@@ -153,6 +153,17 @@ class TestForecast:
         assert rows[0] == ["timestamp", "predicted", "actual"]
         assert len(rows) == 121
 
+    def test_bad_dataset_cell_exit_2(self, runner, tmp_path):
+        data = tmp_path / "dataset.csv"
+        data.write_text("timestamp,load\n2019-01-01T00:00:00,1\n2019-01-01T01:00:00,abc\n")
+        result = runner.invoke(main, [
+            "forecast", "--data", str(data), "--model", "lm", "--tail", "1",
+            "--out", str(tmp_path / "fc"),
+        ])
+        assert result.exit_code == 2, all_output(result)
+        assert f"{data}: line 3: bad value 'abc'" in all_output(result)
+        assert "Traceback" not in all_output(result)
+
     def test_rerun_is_byte_identical(self, runner, tmp_path):
         rng = np.random.default_rng(1)
         data = make_dataset(runner, tmp_path, 100 + rng.normal(0, 5, 1200))
@@ -367,6 +378,23 @@ class TestDispatch:
             args += ["--storage", str(tmp_path / "storage.json")]
         result = runner.invoke(main, args)
         assert result.exit_code == 2, all_output(result)
+        assert not (tmp_path / "disp" / "dispatch.csv").exists()
+
+    @pytest.mark.parametrize("storage_text, message", [
+        ('{"rated_cycles": 2.5}', "rated_cycles must be an integer"),
+        ('{"efficiency": true}', "efficiency must be a number"),
+    ])
+    def test_bad_storage_number_exit_2(self, runner, tmp_path, storage_text, message):
+        write_series_csv(tmp_path / "load.csv", np.arange(5.0))
+        write_kernel(tmp_path / "kernel.json")
+        (tmp_path / "storage.json").write_text(storage_text)
+        result = runner.invoke(main, [
+            "dispatch", "--load", str(tmp_path / "load.csv"),
+            "--kernel", str(tmp_path / "kernel.json"),
+            "--storage", str(tmp_path / "storage.json"), "--out", str(tmp_path / "disp"),
+        ])
+        assert result.exit_code == 2, all_output(result)
+        assert message in all_output(result)
         assert not (tmp_path / "disp" / "dispatch.csv").exists()
 
     def test_fractional_band_count_exit_2(self, runner, tmp_path):

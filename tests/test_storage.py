@@ -137,6 +137,22 @@ class TestStorageSpecValidation:
         with pytest.raises(DataError, match="integer"):
             storage_spec_from_config({"rated_cycles": float("inf")})
 
+    @pytest.mark.parametrize("config, message", [
+        ({"rated_cycles": 2.5}, "rated_cycles must be an integer"),
+        ({"rated_cycles": True}, "rated_cycles must be an integer"),
+        ({"efficiency": True}, "efficiency must be a number"),
+        ({"e_max": False}, "e_max must be a number"),
+        ({"v_max": True}, "v_max must be a number"),
+        ({"e_init": True}, "e_init must be a number"),
+    ])
+    def test_config_rejects_booleans_and_fractional_cycles(self, config, message):
+        # int() used to run 2.5 rated cycles as 2, and JSON true read as 1
+        with pytest.raises(DataError, match=message):
+            storage_spec_from_config(config)
+
+    def test_config_accepts_integral_float_cycle_count(self):
+        assert storage_spec_from_config({"rated_cycles": 2000.0}).rated_cycles == 2000
+
 
 class TestConstraints:
     def test_clean_trajectory_has_no_violations(self):

@@ -1,7 +1,9 @@
 """Parsing, alignment, and the rolling/calendar transforms."""
 
+import atexit
 import datetime as dt
-import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -25,8 +27,16 @@ from voltgrid.timeseries import calendar_arrays
 from conftest import START, hourly
 
 
+_CSV_DIR = tempfile.TemporaryDirectory()
+atexit.register(_CSV_DIR.cleanup)
+
+
 def csv_stream(text):
-    return io.StringIO(text)
+    """Write ``text`` to a new CSV file and return its path."""
+    fd, path = tempfile.mkstemp(suffix=".csv", dir=_CSV_DIR.name)
+    with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
 
 
 class TestParseCsv:
@@ -262,6 +272,13 @@ class TestHolidays:
         path = tmp_path / "holidays.txt"
         path.write_text("2019-13-01\n")
         with pytest.raises(DataError, match="bad date"):
+            load_holidays(path)
+
+    def test_non_utf8_byte_is_a_bad_date(self, tmp_path):
+        # it used to escape as a UnicodeDecodeError, exit 1 on the CLI
+        path = tmp_path / "holidays.txt"
+        path.write_bytes(b"2019-01-01\n2019-12-2\xff\n")
+        with pytest.raises(DataError, match="line 2: bad date"):
             load_holidays(path)
 
 

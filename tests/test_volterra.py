@@ -324,6 +324,18 @@ class TestSolveGates:
         with pytest.raises(SolverError, match="residual"):
             solve_apf(kernel, grid, f, residual_tol=-1.0)
 
+    def test_residual_gate_scales_with_the_summed_terms(self):
+        # ten years of a daily swing: x grows to ~5e13, and the rounding
+        # left in a difference of such sums (~4e-3) is ~1e-16 of them; a
+        # gate scaled by max|f| alone failed this solve
+        config = json.loads(json.dumps(README_KERNEL))
+        config["G"][1] = {"type": "linear"}
+        grid = Grid(87600.0, 87600)
+        f = 1000.0 * np.sin(2 * np.pi * grid.nodes() / 24.0)
+        result = solve_apf(kernel_from_config(config), grid, f)
+        assert np.max(np.abs(result.x)) > 1e13
+        assert 1e-4 < result.residual < 1e-5 * np.max(np.abs(result.x))
+
 
 class TestKernelConfig:
     def test_minimal_single_band(self):
@@ -399,6 +411,25 @@ class TestKernelConfig:
         config = json.loads(json.dumps(README_KERNEL))
         patch(config, bad)
         with pytest.raises(DataError, match="finite"):
+            kernel_from_config(config)
+
+    @pytest.mark.parametrize("patch", [
+        lambda c: c["K"][0].__setitem__("value", True),
+        lambda c: c["K"][1].__setitem__("rate", True),
+        lambda c: c["G"][1].__setitem__("a", True),
+        lambda c: c["G"][1].__setitem__("b", False),
+        lambda c: c.__setitem__("kernel_floor", True),
+        lambda c: c.__setitem__("alphas", {"type": "proportional", "c": [True]}),
+        lambda c: c.__setitem__("alphas", {"type": "table", "t": [False, True],
+                                           "alpha": [[0.0, 0.5]]}),
+        lambda c: c.__setitem__("alphas", {"type": "table", "t": [0.0, 1.0],
+                                           "alpha": [[False, 0.5]]}),
+    ], ids=["value", "rate", "a", "b", "kernel_floor", "c", "table_t", "table_alpha"])
+    def test_booleans_rejected(self, patch):
+        # JSON true used to read as 1.0
+        config = json.loads(json.dumps(README_KERNEL))
+        patch(config)
+        with pytest.raises(DataError, match="must be a number, got (True|False)"):
             kernel_from_config(config)
 
     @pytest.mark.parametrize("alphas", [
