@@ -5,14 +5,19 @@ prediction is a vectorized descent and serialization is plain lists. Trees
 grow one depth level at a time over presorted orders: each feature's rows are
 sorted once at the root, a level scores every (node, candidate feature)
 boundary in one pass of segmented prefix sums, and a stable partition keeps
-each child's rows sorted. Splits are exact midpoints. Only bitwise-equal
-gains tie, and ties go to the lowest feature index, then the lowest
-threshold; two features that cut a node into the same row sets can differ in
-the last bit of their gains, so either may win. Nodes are numbered in level
-order; depth-first trees load the same.
+each child's rows sorted. Splits are exact midpoints.
+
+A tree's targets are quantized once to int64 fixed point (``_quantize``), so
+every prefix sum is exact and independent of summation order. A gain is a
+fixed function of exact sums, so two features that cut a node into the same
+row sets tie bitwise, and ties go to the lowest feature index, then the
+lowest threshold. Node values come from the same exact sums. Nodes are
+numbered in level order; depth-first trees load the same.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -67,6 +72,17 @@ class RegressionTree:
                    data["right"], data["value"])
 
 
+def _quantize(y, total_weight: int):
+    """Targets as int64 fixed point: ``(q, k)`` with q = round(y * 2**k) and
+    total_weight * max|q| < 2**62, so every weighted sum of q is exact."""
+    top = float(np.max(np.abs(y), initial=0.0))
+    if top == 0.0:
+        return np.zeros(len(y), dtype=np.int64), 0
+    # top < 2**e and total_weight < 2**b, so |q| <= 2**(e+k) = 2**(61-b)
+    k = 61 - int(total_weight).bit_length() - math.frexp(top)[1]
+    return np.rint(np.ldexp(y, k)).astype(np.int64), k
+
+
 def _score_level(values, targets, orders, starts, counts, cand, min_child):
     """Best exact split of every node over its candidate features ``cand``.
 
@@ -84,7 +100,7 @@ def _score_level(values, targets, orders, starts, counts, cand, min_child):
                            + np.repeat(bf * orders.shape[1] + starts[bn] - first, lengths)]
     v = values[cells]
     cum = np.cumsum(targets[cells])
-    before = np.where(first > 0, cum[first - 1], 0.0)
+    before = np.where(first > 0, cum[first - 1], 0)
     total = cum[first + lengths - 1] - before
     n_left = np.arange(k) - first[blk] + 1
     n_node = lengths[blk]
@@ -94,12 +110,14 @@ def _score_level(values, targets, orders, starts, counts, cand, min_child):
     at = np.flatnonzero(ok)
     b, n_l = blk[at], n_left[at]
     s_left = cum[at] - before[b]
+    s_right = (total[b] - s_left).astype(float)
+    s_left = s_left.astype(float)
     gain = np.full(k, -np.inf)
     # within-node SSE drop, up to the constant total**2/n
-    gain[at] = s_left * s_left / n_l + (total[b] - s_left) ** 2 / (n_node[at] - n_l)
+    gain[at] = s_left * s_left / n_l + s_right * s_right / (n_node[at] - n_l)
 
-    # per node the best gain, then (bitwise-equal gains only; see the module
-    # docstring) the lowest feature, then the lowest threshold
+    # per node the best gain, then the lowest feature, then the lowest
+    # threshold
     block_best = np.maximum.reduceat(gain, first)
     by_feature = np.full(cand.shape, -np.inf)
     by_feature[bf, bn] = block_best
@@ -159,7 +177,8 @@ def grow_tree(X, y, *, rng=None, max_depth=None, min_child: int = 1,
     # feature-major ``values`` and ``targets``
     orders = np.argsort(values, axis=1, kind="stable") + n * np.arange(p)[:, None]
     values = values.ravel()
-    targets = np.tile(y, p)
+    q, shift = _quantize(y, n)
+    targets = np.tile(q, p)
     starts, counts = np.zeros(1, dtype=np.int64), np.array([n])
     levels = []
     n_nodes = 0
@@ -170,7 +189,8 @@ def grow_tree(X, y, *, rng=None, max_depth=None, min_child: int = 1,
         y0 = targets[orders[0]]
         feature, left = np.full((2, n_live), -1, dtype=np.int64)
         threshold = np.zeros(n_live)
-        levels.append((feature, threshold, left, np.add.reduceat(y0, starts) / counts))
+        value = np.ldexp(np.add.reduceat(y0, starts).astype(float), -shift) / counts
+        levels.append((feature, threshold, left, value))
         splittable = ((counts >= 2 * min_child) & (depth < depth_cap)
                       & (np.minimum.reduceat(y0, starts) < np.maximum.reduceat(y0, starts)))
         if not splittable.any():

@@ -6,7 +6,8 @@ a dense N x N coefficient matrix per band. The solver's march keeps running
 sums instead; the tests compare the two.
 
 ``grow_tree_dfs`` grows a regression tree depth first, sorting each node's
-rows again for every feature. ``grow_tree_bfs`` visits the nodes of
+rows again for every feature. Both tree oracles score splits from exact
+integer sums of the targets in the fixed point of ``trees._quantize``. ``grow_tree_bfs`` visits the nodes of
 each level in order with the same per-node search and draws each level's
 feature candidates the way ``voltgrid.forecast.trees`` does, so it also
 checks the sampled-feature path. ``voltgrid.forecast.trees`` grows the same
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from voltgrid import DataError, SolverError
-from voltgrid.forecast.trees import RegressionTree
+from voltgrid.forecast.trees import RegressionTree, _quantize
 from voltgrid.ioutil import fmt12
 
 
@@ -132,9 +133,10 @@ def dense_solve(kernel, grid, f):
     return x
 
 
-def _best_split(X, y_node, idx, candidates, min_child):
-    """Exact scan over sorted values; returns (feature, threshold, left rows,
-    right rows) or None when no admissible split exists."""
+def _best_split(X, q_node, idx, candidates, min_child):
+    """Exact scan over sorted values of the node's fixed-point targets
+    ``q_node``; returns (feature, threshold, left rows, right rows) or None
+    when no admissible split exists."""
     n = len(idx)
     best_gain = -np.inf
     best = None
@@ -143,7 +145,7 @@ def _best_split(X, y_node, idx, candidates, min_child):
         vals = X[idx, fi]
         order = np.argsort(vals)
         v = vals[order]
-        cum = np.cumsum(y_node[order])
+        cum = np.cumsum(q_node[order])
         total = cum[-1]
         ok = (v[1:] > v[:-1]) & (counts >= min_child) & (n - counts >= min_child)
         if not ok.any():
@@ -151,8 +153,9 @@ def _best_split(X, y_node, idx, candidates, min_child):
         pos = np.flatnonzero(ok)
         n_left = counts[pos]
         s_left = cum[:-1][pos]
-        # within-node SSE drop, up to the constant total**2/n
-        gain = s_left * s_left / n_left + (total - s_left) ** 2 / (n - n_left)
+        # within-node SSE drop, up to the constant total**2/n, from exact sums
+        gain = (s_left.astype(float) ** 2 / n_left
+                + (total - s_left).astype(float) ** 2 / (n - n_left))
         local = int(np.argmax(gain))
         if gain[local] > best_gain:
             best_gain = float(gain[local])
@@ -166,6 +169,10 @@ def _best_split(X, y_node, idx, candidates, min_child):
     mask[left_order] = True
     right_idx = idx[~mask]
     return fi, threshold, left_idx, right_idx
+
+
+def _node_value(q, shift, idx):
+    return float(np.ldexp(float(q[idx].sum()), -shift) / len(idx))
 
 
 def grow_tree_dfs(X, y, *, max_depth=None, min_child: int = 1) -> RegressionTree:
@@ -185,17 +192,18 @@ def grow_tree_dfs(X, y, *, max_depth=None, min_child: int = 1) -> RegressionTree
         value.append(0.0)
         return len(feature) - 1
 
+    q, shift = _quantize(y, n)
     root = new_node()
     stack = [(root, np.arange(n), 0)]
     while stack:
         nid, idx, depth = stack.pop()
-        y_node = y[idx]
-        value[nid] = float(y_node.mean())
+        q_node = q[idx]
+        value[nid] = _node_value(q, shift, idx)
         if depth >= depth_cap or len(idx) < 2 * min_child:
             continue
-        if y_node.min() == y_node.max():
+        if q_node.min() == q_node.max():
             continue
-        split = _best_split(X, y_node, idx, range(p), min_child)
+        split = _best_split(X, q_node, idx, range(p), min_child)
         if split is None:
             continue
         fi, thr, left_idx, right_idx = split
@@ -217,11 +225,12 @@ def grow_tree_bfs(X, y, *, rng=None, max_depth=None, min_child: int = 1,
     n, p = X.shape
     depth_cap = 1 << 30 if max_depth is None else max_depth
     feature, threshold, left, value = [], [], [], []
+    q, shift = _quantize(y, n)
     level, depth = [np.arange(n)], 0
     while level:
         base = len(feature) + len(level)
         splittable = [depth < depth_cap and len(idx) >= 2 * min_child
-                      and y[idx].min() < y[idx].max() for idx in level]
+                      and q[idx].min() < q[idx].max() for idx in level]
         draws = iter([range(p)] * len(level))
         if mtry is not None and mtry < p and any(splittable):
             picks = np.argsort(rng.random((sum(splittable), p)), axis=1)[:, :mtry]
@@ -231,8 +240,8 @@ def grow_tree_bfs(X, y, *, rng=None, max_depth=None, min_child: int = 1,
             feature.append(-1)
             threshold.append(0.0)
             left.append(-1)
-            value.append(float(y[idx].mean()))
-            split = _best_split(X, y[idx], idx, next(draws), min_child) if ok else None
+            value.append(_node_value(q, shift, idx))
+            split = _best_split(X, q[idx], idx, next(draws), min_child) if ok else None
             if split is not None:
                 feature[-1], threshold[-1] = int(split[0]), float(split[1])
                 left[-1] = base + len(children)

@@ -57,9 +57,9 @@ DIGESTS = {
     "fc_gbdt/forecast.csv":
         "4f13cf9685f36bb74f52081541ddfb8b938f274bad47462c0ca6fbae3f6b60de",
     "fc_gbdt/metrics.json":
-        "979f04d48c59239c62e929736827e1d9b57ecb62a94ae3a300e6a57b05d33315",
+        "fee15051745762dce6f96d54fa97630ae123605d3dde520f12d4db933d732326",
     "fc_gbdt/model.json":
-        "3ab11f4f14697a6124545e7e0307d058f8f768595ccc5ce192ddd9eec5ec43c8",
+        "2b2822a2c3190f067ac3e3c5b048b5e350fbd81c9e1c52168d044cf008a6cdf0",
     "fc_lm/forecast.csv":
         "318142d7bed8e9ce54120a383874da567a414c1c30a2e1d808475a4cb144d2a9",
     "fc_lm/metrics.json":
@@ -67,11 +67,11 @@ DIGESTS = {
     "fc_lm/model.json":
         "023fe54d40089f4ecda4e62a061636e301352b9d4f7211de0726884d0a9581ba",
     "fc_rf/forecast.csv":
-        "554e3ccc0c03a5cbcdbbb8c46583993ac331bb6e728c029d57c8fd2b156fab17",
+        "dc36fca07f48e73daf5ef132376898a73548a569bba81ba033c260a3d55fd4ba",
     "fc_rf/metrics.json":
-        "e77f77c28acdc39a5315eb9beefcd63ce92f898d46bf978174cb01e76d248e67",
+        "866a7047104f70fde0254cb804c6b42b3174fbed6425c4ef18f34767a742d939",
     "fc_rf/model.json":
-        "b422e7a8151728340fe774b6352c0e1b74c77edceead3e6bada9979056b2b364",
+        "5159092ac9f10ec61f4539cfd9d5c078738766953e84ee2812b6c993a52034ca",
     "ingest/dataset.csv":
         "302d92dbe9af2a14a2657af8240d40022996ae27f98cc61472d54ce7f9b2a036",
     "ingest/summary.json":

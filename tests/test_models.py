@@ -118,6 +118,16 @@ class TestSingleTree:
         tree = grow_tree(X, y, min_child=1)
         assert tree.feature[0] == 0
 
+    def test_mirrored_column_ties_exactly(self):
+        # x and -x give every cut's row sets in opposite orders; float
+        # prefix sums made either gain win by a last bit, exact sums tie
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            x = rng.permutation(64).astype(float)
+            y = rng.normal(0.0, 1000.0, 64)
+            tree = grow_tree(np.column_stack([x, -x]), y, max_depth=1)
+            assert tree.feature[0] == 0, seed
+
     def test_dict_roundtrip(self):
         X = np.linspace(0.0, 1.0, 32).reshape(-1, 1)
         y = np.sin(6 * X[:, 0])
@@ -132,23 +142,29 @@ def splits(tree):
 
 
 @st.composite
-def integer_problems(draw):
-    """Small integer X with many repeated values; integer y keeps every
-    prefix sum exact, so both growers must agree bit for bit."""
+def tree_problems(draw):
+    """Small integer X with many repeated values, sometimes with a copied
+    column (forced ties), and integer or float y: the growers sum fixed-point
+    targets exactly, so they must agree bit for bit either way."""
     n = draw(st.integers(1, 150))
     p = draw(st.integers(1, 5))
     seed = draw(st.integers(0, 2**32 - 1))
     distinct = draw(st.integers(1, 8))
     rng = np.random.default_rng(seed)
     X = rng.integers(0, distinct, size=(n, p)).astype(float)
-    y = rng.integers(-30, 31, size=n).astype(float)
+    if p > 1 and draw(st.booleans()):
+        X[:, draw(st.integers(1, p - 1))] = X[:, 0]
+    if draw(st.booleans()):
+        y = rng.integers(-30, 31, size=n).astype(float)
+    else:
+        y = rng.normal(0.0, 10.0 ** draw(st.integers(-3, 6)), size=n)
     mtry = draw(st.none() | st.integers(1, p))
     return X, y, draw(st.none() | st.integers(0, 8)), draw(st.integers(1, 6)), mtry
 
 
 class TestLevelWiseGrowth:
     @settings(max_examples=200, deadline=None)
-    @given(integer_problems())
+    @given(tree_problems())
     def test_matches_depth_first_oracle(self, problem):
         X, y, max_depth, min_child, _ = problem
         new = grow_tree(X, y, max_depth=max_depth, min_child=min_child)
@@ -159,7 +175,7 @@ class TestLevelWiseGrowth:
         np.testing.assert_array_equal(new.predict(probe), old.predict(probe))
 
     @settings(max_examples=200, deadline=None)
-    @given(integer_problems(), st.integers(0, 2**32 - 1))
+    @given(tree_problems(), st.integers(0, 2**32 - 1))
     def test_matches_level_order_oracle_with_sampled_features(self, problem, seed):
         X, y, max_depth, min_child, mtry = problem
         new = grow_tree(X, y, rng=np.random.default_rng(seed), max_depth=max_depth,
