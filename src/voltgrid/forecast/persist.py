@@ -37,26 +37,68 @@ def model_to_dict(model) -> dict:
     return doc
 
 
+def _field(doc: dict, key: str, kind, what: str):
+    value = doc.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DataError(f"model document: {key!r} must be {what}, got {value!r:.60}")
+    return value
+
+
+def _array(doc: dict, key: str, dtype) -> np.ndarray:
+    """A flat list of numbers; integer fields take integers only."""
+    values = _field(doc, key, list, "a list of numbers")
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged nesting
+        array = None
+    kinds = "iu" if dtype is np.int64 else "iuf"
+    if array is None or array.ndim != 1 or (values and array.dtype.kind not in kinds):
+        raise DataError(f"model document: {key!r} must be a flat list of "
+                        f"{'integers' if kinds == 'iu' else 'numbers'}")
+    return array.astype(dtype)
+
+
+def _tree(doc) -> RegressionTree:
+    if not isinstance(doc, dict):
+        raise DataError(f"model document: a tree must be an object, got {doc!r:.60}")
+    fields = {key: _array(doc, key, dtype) for key, dtype in (
+        ("feature", np.int64), ("threshold", float), ("left", np.int64),
+        ("right", np.int64), ("value", float))}
+    n = len(fields["value"])
+    if n == 0 or any(len(a) != n for a in fields.values()):
+        raise DataError("model document: a tree's arrays must be non-empty and of one length")
+    if not all(((a >= -1) & (a < n)).all() for a in (fields["left"], fields["right"])):
+        raise DataError("model document: a tree's child index is out of range")
+    return RegressionTree(**fields)
+
+
 def model_from_dict(doc: dict):
+    """Rebuild a fitted model; a document of the wrong shape is a DataError."""
+    if not isinstance(doc, dict):
+        raise DataError(f"model document must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != FORMAT:
         raise DataError(f"unsupported model document format {doc.get('format')!r}")
     kind = doc.get("kind")
-    if kind == "lm":
-        model = RidgeRegression(**doc["params"])
-        model.weights_ = np.asarray(doc["weights"], dtype=float)
-        model.intercept_ = float(doc["intercept"])
-    elif kind == "rf":
-        model = RandomForest(**doc["params"])
-        model.trees_ = [RegressionTree.from_dict(t) for t in doc["trees"]]
-    elif kind == "gbdt":
-        model = GradientBoostedTrees(**doc["params"])
-        model.base_score_ = float(doc["base_score"])
-        model.trees_ = [RegressionTree.from_dict(t) for t in doc["trees"]]
-    else:
+    classes = {"lm": RidgeRegression, "rf": RandomForest, "gbdt": GradientBoostedTrees}
+    if kind not in classes:
         raise DataError(f"unknown model kind {kind!r}")
-    model.n_features_ = int(doc["n_features"])
+    params = _field(doc, "params", dict, "an object")
+    try:
+        model = classes[kind](**params)
+    except TypeError as exc:
+        raise DataError(f"model document: bad params {params!r:.60}: {exc}") from None
+    if kind == "lm":
+        model.weights_ = _array(doc, "weights", float)
+        model.intercept_ = float(_field(doc, "intercept", (int, float), "a number"))
+    else:
+        model.trees_ = [_tree(t) for t in _field(doc, "trees", list, "a list of trees")]
+    if kind == "gbdt":
+        model.base_score_ = float(_field(doc, "base_score", (int, float), "a number"))
+    model.n_features_ = _field(doc, "n_features", int, "an integer")
     names = doc.get("feature_names")
     if names is not None:
+        if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+            raise DataError("model document: 'feature_names' must be a list of strings")
         model.feature_names_ = tuple(names)
     return model
 

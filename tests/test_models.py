@@ -333,3 +333,21 @@ class TestPersistence:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DataError, match="kind"):
             model_from_dict({"kind": "svm", "format": "voltgrid-model/1"})
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "JSON object"),
+        ({"format": "voltgrid-model/1", "kind": "lm"}, "'params'"),
+        ({"format": "voltgrid-model/1", "kind": "lm", "params": {},
+          "weights": ["a"], "intercept": 1.0, "n_features": 1}, "'weights'"),
+        ({"format": "voltgrid-model/1", "kind": "lm", "params": {"depth": 3}}, "params"),
+        ({"format": "voltgrid-model/1", "kind": "gbdt", "params": {}, "trees": [[1]],
+          "base_score": 0.0, "n_features": 1}, "tree"),
+        ({"format": "voltgrid-model/1", "kind": "rf", "params": {}, "n_features": 1,
+          "trees": [{"feature": [0], "threshold": [0.5], "left": [1], "right": [2],
+                     "value": [1.0]}]}, "child index"),
+        ({"format": "voltgrid-model/1", "kind": "rf", "params": {}, "trees": [],
+          "n_features": "4"}, "'n_features'"),
+    ])
+    def test_malformed_document_is_a_data_error(self, doc, message):
+        with pytest.raises(DataError, match=message):
+            model_from_dict(doc)
