@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +57,41 @@ def mae_by_group(predicted, actual, groups, n_groups: int) -> list:
     return out
 
 
+def _available_cores() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _fit_and_predict(model_name, params, seed, X_train, y_train, X_test):
+    """One cross-validation job: fit on the training rows, predict the test rows."""
+    model = make_model(model_name, params, seed=seed)
+    model.fit(X_train, y_train)
+    return model, model.predict(X_test)
+
+
+def _run_jobs(jobs: list, workers: int) -> list:
+    """``_fit_and_predict(*job)`` for every job, in job order.
+
+    With more than one worker the jobs run on forked processes, largest
+    training set first; the first job error is raised here.
+    """
+    if workers <= 1:
+        return [_fit_and_predict(*job) for job in jobs]
+    # imported on use: commands that fit no trees skip the import cost
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: workers start with numpy and voltgrid already
+    # imported, where spawn would import them again in every worker
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        by_size = sorted(range(len(jobs)), key=lambda i: -len(jobs[i][4]))
+        futures = {i: pool.submit(_fit_and_predict, *jobs[i]) for i in by_size}
+        return [futures[i].result() for i in range(len(jobs))]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 @dataclass(frozen=True)
 class CrossValidationReport:
     model: str
@@ -101,7 +137,9 @@ def block_cross_validate(model_name: str, frame: AlignedFrame, n_blocks: int,
     last ``validation_tail`` forecast hours. Per fold the model trains on
     every other training block; the final model trains on the whole training
     slice and produces the validation metrics and the per-weekday/per-hour
-    MAE breakdown.
+    MAE breakdown. The n_blocks + 1 fits run on up to one worker process per
+    available core; each is a pure function of its rows, params and seed, so
+    the report does not depend on the worker count.
     """
     if n_blocks < 2:
         raise DataError(f"need >= 2 blocks for cross-validation, got {n_blocks}")
@@ -111,26 +149,27 @@ def block_cross_validate(model_name: str, frame: AlignedFrame, n_blocks: int,
         raise DataError("no usable training rows: frame too short for the configured lags")
 
     rows = matrix.target_rows
-    fold_metrics = []
+    X, y = matrix.X, matrix.y
+    jobs, tests = [], []
     for b, block in enumerate(blocks):
         test_mask = (rows >= block.start) & (rows < block.stop)
         train_mask = (rows < tail.start) & ~test_mask
         if not test_mask.any() or not train_mask.any():
             raise DataError(f"block {b} has no usable rows after feature assembly")
-        model = make_model(model_name, params, seed=seed)
-        model.fit(matrix.X[train_mask], matrix.y[train_mask])
-        fold_metrics.append(compute_metrics(model.predict(matrix.X[test_mask]),
-                                            matrix.y[test_mask]))
+        jobs.append((model_name, params, seed, X[train_mask], y[train_mask], X[test_mask]))
+        tests.append(test_mask)
 
     train_mask = rows < tail.start
     val_mask = rows >= tail.start
     if not val_mask.any():
         raise DataError("validation tail has no usable rows after feature assembly")
-    model = make_model(model_name, params, seed=seed)
-    model.fit(matrix.X[train_mask], matrix.y[train_mask])
+    jobs.append((model_name, params, seed, X[train_mask], y[train_mask], X[val_mask]))
+    # a linear fit takes about a millisecond, less than starting a worker
+    workers = 1 if model_name == "lm" else min(len(jobs), _available_cores())
+    *folds, (model, predicted) = _run_jobs(jobs, workers)
+    fold_metrics = [compute_metrics(pred, y[mask]) for (_, pred), mask in zip(folds, tests)]
     model.feature_names_ = matrix.feature_names
-    predicted = model.predict(matrix.X[val_mask])
-    actual = matrix.y[val_mask]
+    actual = y[val_mask]
     stamps = matrix.timestamps[val_mask]
     cal = calendar_arrays(stamps)
     return CrossValidationReport(

@@ -16,6 +16,7 @@ from click.testing import CliRunner
 import voltgrid
 from voltgrid import SolverError
 from voltgrid.cli import _guarded, main
+from voltgrid.forecast import validation
 
 from conftest import START
 
@@ -205,6 +206,18 @@ class TestForecast:
         ])
         assert result.exit_code == 2
         assert "--trees" in all_output(result)
+
+    def test_data_error_in_a_worker_exit_2(self, runner, tmp_path, monkeypatch):
+        # two workers whatever this machine has: the fits raise in the pool
+        monkeypatch.setattr(validation, "_available_cores", lambda: 2)
+        data = make_dataset(runner, tmp_path, np.full(1200, 100.0))
+        result = runner.invoke(main, [
+            "forecast", "--data", str(data), "--model", "rf", "--trees", "0",
+            "--blocks", "2", "--tail", "60", "--out", str(tmp_path / "fc"),
+        ])
+        assert result.exit_code == 2, all_output(result)
+        assert "n_trees must be >= 1, got 0" in all_output(result)
+        assert "Traceback" not in all_output(result)
 
     def test_unknown_model_exit_2(self, runner, tmp_path):
         data = make_dataset(runner, tmp_path, np.full(400, 100.0))
@@ -516,13 +529,23 @@ class TestExitCodes:
         assert result.exit_code == 2
 
 
+def modules_after_cli_import(names):
+    """Which of ``names`` a fresh interpreter holds after ``import voltgrid.cli``
+    (this one may have imported them for other tests)."""
+    src = str(Path(voltgrid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import sys, voltgrid.cli; print(*[m for m in {list(names)!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return proc.stdout.split()
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_out(self):
-        # a fresh interpreter: this one may have imported scipy for other tests
-        src = str(Path(voltgrid.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, voltgrid.cli; print('scipy' in sys.modules)"],
-            env=env, capture_output=True, text=True, timeout=120, check=True)
-        assert proc.stdout.strip() == "False"
+        assert modules_after_cli_import(["scipy"]) == []
+
+    def test_cli_import_leaves_process_pools_out(self):
+        # the worker pool is imported only when a forecast fits trees
+        assert modules_after_cli_import(
+            ["multiprocessing", "concurrent.futures.process"]) == []

@@ -1,5 +1,7 @@
 """Cross-validation harness: fold construction, determinism, breakdowns."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from voltgrid.forecast import (
     block_cross_validate,
     build_feature_matrix,
     make_model,
+    model_to_dict,
     predict,
+    validation,
 )
 
 from conftest import synthetic_load
@@ -108,3 +112,32 @@ class TestBlockCrossValidate:
                                       validation_tail=300, params={}, seed=0)
         assert report.validation.mape_percent is not None
         assert report.validation.mape_percent < 5.0
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("name", ["rf", "gbdt"])
+    def test_report_does_not_depend_on_core_count(self, frame, monkeypatch, name):
+        reports = []
+        for cores in (1, 2):
+            monkeypatch.setattr(validation, "_available_cores", lambda c=cores: c)
+            reports.append(block_cross_validate(name, frame, n_blocks=2, validation_tail=100,
+                                                params={"n_trees": 4}, seed=3))
+        serial, pooled = reports
+        assert serial.as_dict() == pooled.as_dict()
+        np.testing.assert_array_equal(serial.predicted, pooled.predicted)
+        assert model_to_dict(serial.final_model) == model_to_dict(pooled.final_model)
+
+    def test_workers_never_exceed_the_cores(self, frame, monkeypatch):
+        seen = []
+        run_jobs = validation._run_jobs
+
+        def spy(jobs, workers):
+            seen.append((len(jobs), workers))
+            return run_jobs(jobs, workers)
+
+        monkeypatch.setattr(validation, "_run_jobs", spy)
+        for name in ("lm", "rf"):
+            block_cross_validate(name, frame, n_blocks=4, validation_tail=100,
+                                 params={} if name == "lm" else {"n_trees": 2})
+        cores = len(os.sched_getaffinity(0))
+        assert seen == [(5, 1), (5, min(5, cores))]
