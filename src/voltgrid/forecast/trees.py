@@ -157,6 +157,19 @@ def _partition(orders, seg, counts, split, feature, n_left, n):
     return both[:, np.repeat(src - starts, counts) + np.arange(m)], starts, counts
 
 
+def _presort(X) -> np.ndarray:
+    """Stable per-feature row orders of X, shape (features, rows)."""
+    return np.argsort(X.T, axis=1, kind="stable")
+
+
+def _restrict(order, keep) -> np.ndarray:
+    """The stable presort of ``X[keep]``, taken from X's presort ``order``
+    without sorting again: filtering keeps each feature's order, ties
+    included, and ranks renumber the kept rows."""
+    rank = np.cumsum(keep) - 1
+    return rank[order[keep[order]].reshape(len(order), -1)]
+
+
 def grow_tree(X, y, *, rng=None, max_depth=None, min_child: int = 1,
               mtry=None) -> RegressionTree:
     """Greedy variance-reduction tree, grown one depth level at a time.
@@ -170,13 +183,18 @@ def grow_tree(X, y, *, rng=None, max_depth=None, min_child: int = 1,
         raise DataError("cannot grow a tree on zero rows")
     if mtry is not None and not 1 <= mtry <= p:
         raise DataError(f"mtry must be in [1, {p}], got {mtry}")
+    return _grow(X, _presort(X), y, rng, max_depth, min_child, mtry)
+
+
+def _grow(X, order, y, rng, max_depth, min_child, mtry) -> RegressionTree:
+    """``grow_tree`` on checked arguments, with X's presort ``order``."""
+    n, p = X.shape
     depth_cap = _NO_DEPTH_CAP if max_depth is None else max_depth
-    values = np.ascontiguousarray(X.T)
     # orders[f] lists the live rows node by node, each node's rows sorted by
     # feature f (ties keep row order), as flat indices f*n + row into the
     # feature-major ``values`` and ``targets``
-    orders = np.argsort(values, axis=1, kind="stable") + n * np.arange(p)[:, None]
-    values = values.ravel()
+    orders = order + n * np.arange(p)[:, None]
+    values = np.ascontiguousarray(X.T).ravel()
     q, shift = _quantize(y, n)
     targets = np.tile(q, p)
     starts, counts = np.zeros(1, dtype=np.int64), np.array([n])
@@ -342,16 +360,17 @@ class GradientBoostedTrees:
         self.trees_ = []
         current = np.full(n, self.base_score_)
         m = max(1, int(self.subsample * n))
+        order = _presort(X)
         for stage in range(self.n_trees):
             rng = np.random.default_rng([self.seed, stage])
             if m < n:
-                sample = np.sort(rng.choice(n, size=m, replace=False))
+                keep = np.zeros(n, dtype=bool)
+                keep[rng.choice(n, size=m, replace=False)] = True
             else:
-                sample = np.arange(n)
+                keep = np.ones(n, dtype=bool)
             residual = y - current
-            tree = grow_tree(X[sample], residual[sample], rng=rng,
-                             max_depth=self.max_depth, min_child=self.min_node,
-                             mtry=None)
+            tree = _grow(X[keep], _restrict(order, keep), residual[keep], rng,
+                         self.max_depth, self.min_node, None)
             self.trees_.append(tree)
             current += self.shrinkage * tree.predict(X)
         self.n_features_ = p

@@ -17,7 +17,7 @@ from voltgrid.forecast import (
     model_to_dict,
     save_model,
 )
-from voltgrid.forecast.trees import RegressionTree, grow_tree
+from voltgrid.forecast.trees import RegressionTree, _presort, _restrict, grow_tree
 
 from oracle import grow_tree_bfs, grow_tree_dfs
 
@@ -183,6 +183,16 @@ class TestLevelWiseGrowth:
         ref = grow_tree_bfs(X, y, rng=np.random.default_rng(seed), max_depth=max_depth,
                             min_child=min_child, mtry=mtry)
         assert new.to_dict() == ref.to_dict()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 120), st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_filtered_presort_is_the_stable_argsort_of_the_sample(n, p, distinct, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, distinct, size=(n, p)).astype(float)
+    keep = rng.random(n) < rng.random()
+    np.testing.assert_array_equal(_restrict(_presort(X), keep),
+                                  np.argsort(X[keep].T, axis=1, kind="stable"))
 
 
 class TestRandomForest:
