@@ -3,9 +3,11 @@
 Trees live in flat parallel arrays (feature, threshold, children, value) so
 prediction is a vectorized descent and serialization is plain lists. Trees
 grow one depth level at a time over presorted orders: each feature's rows are
-sorted once at the root, a level scores every (node, candidate feature)
-boundary in one pass of segmented prefix sums, and a stable partition keeps
-each child's rows sorted. Splits are exact midpoints.
+sorted once per ensemble fit and every tree filters that presort, a level
+scores every (node, candidate feature) boundary in one pass of segmented
+prefix sums, and a stable partition keeps each child's rows sorted. Splits
+are exact midpoints. Rows may carry integer weights; a row of weight w grows
+the same tree as w copies of it, which is how a bootstrap sample is grown.
 
 A tree's targets are quantized once to int64 fixed point (``_quantize``), so
 every prefix sum is exact and independent of summation order. A gain is a
@@ -83,10 +85,10 @@ def _quantize(y, total_weight: int):
     return np.rint(np.ldexp(y, k)).astype(np.int64), k
 
 
-def _score_level(values, targets, orders, starts, counts, cand, min_child):
+def _score_level(values, targets, weights, orders, starts, counts, cand, min_child):
     """Best exact split of every node over its candidate features ``cand``.
 
-    Returns (split mask, feature, threshold, left count); the last three
+    Returns (split mask, feature, threshold, left row count); the last three
     list only the split nodes, in node order.
     """
     # gather each (candidate feature, node) block of sorted rows into one
@@ -103,18 +105,26 @@ def _score_level(values, targets, orders, starts, counts, cand, min_child):
     before = np.where(first > 0, cum[first - 1], 0)
     total = cum[first + lengths - 1] - before
     n_left = np.arange(k) - first[blk] + 1
-    n_node = lengths[blk]
-    # a boundary between distinct values, leaving min_child rows on each side
+    # weight left of each boundary and in its node; unit weights (None)
+    # count rows
+    if weights is None:
+        w_left, w_node = n_left, lengths[blk]
+    else:
+        w_cum = np.cumsum(weights[cells])
+        w_before = np.where(first > 0, w_cum[first - 1], 0)
+        w_left = w_cum - w_before[blk]
+        w_node = (w_cum[first + lengths - 1] - w_before)[blk]
+    # a boundary between distinct values, leaving min_child weight on each side
     ok = (np.append(v[1:] > v[:-1], False)
-          & (n_left >= min_child) & (n_node - n_left >= min_child))
+          & (w_left >= min_child) & (w_node - w_left >= min_child))
     at = np.flatnonzero(ok)
-    b, n_l = blk[at], n_left[at]
+    b, w_l = blk[at], w_left[at]
     s_left = cum[at] - before[b]
     s_right = (total[b] - s_left).astype(float)
     s_left = s_left.astype(float)
     gain = np.full(k, -np.inf)
-    # within-node SSE drop, up to the constant total**2/n
-    gain[at] = s_left * s_left / n_l + s_right * s_right / (n_node[at] - n_l)
+    # within-node SSE drop, up to the constant total**2/w
+    gain[at] = s_left * s_left / w_l + s_right * s_right / (w_node[at] - w_l)
 
     # per node the best gain, then the lowest feature, then the lowest
     # threshold
@@ -171,32 +181,44 @@ def _restrict(order, keep) -> np.ndarray:
 
 
 def grow_tree(X, y, *, rng=None, max_depth=None, min_child: int = 1,
-              mtry=None) -> RegressionTree:
+              mtry=None, weight=None) -> RegressionTree:
     """Greedy variance-reduction tree, grown one depth level at a time.
 
-    ``min_child`` is the smallest sample count allowed in a child node;
-    ``mtry`` draws that many feature candidates per node without replacement
-    (all features when None). Nodes are numbered in level order.
+    ``weight`` gives each row a positive integer count (1 when None): a row
+    of weight w grows the same tree as w copies of it. ``min_child`` is the
+    smallest weight allowed in a child node; ``mtry`` draws that many
+    feature candidates per node without replacement (all features when
+    None). Nodes are numbered in level order.
     """
     n, p = X.shape
     if n < 1:
         raise DataError("cannot grow a tree on zero rows")
     if mtry is not None and not 1 <= mtry <= p:
         raise DataError(f"mtry must be in [1, {p}], got {mtry}")
-    return _grow(X, _presort(X), y, rng, max_depth, min_child, mtry)
+    if weight is not None:
+        weight = np.asarray(weight)
+        if weight.shape != (n,) or weight.dtype.kind not in "iu" or weight.min() < 1:
+            raise DataError("weight must hold one positive integer per row")
+        weight = weight.astype(np.int64)
+    return _grow(X, _presort(X), y, weight, rng, max_depth, min_child, mtry)
 
 
-def _grow(X, order, y, rng, max_depth, min_child, mtry) -> RegressionTree:
-    """``grow_tree`` on checked arguments, with X's presort ``order``."""
+def _grow(X, order, y, weight, rng, max_depth, min_child, mtry) -> RegressionTree:
+    """``grow_tree`` on checked arguments, with X's presort ``order``;
+    ``weight`` None stands for unit weights."""
     n, p = X.shape
     depth_cap = _NO_DEPTH_CAP if max_depth is None else max_depth
     # orders[f] lists the live rows node by node, each node's rows sorted by
     # feature f (ties keep row order), as flat indices f*n + row into the
-    # feature-major ``values`` and ``targets``
+    # feature-major ``values``, ``targets`` and ``weights``
     orders = order + n * np.arange(p)[:, None]
     values = np.ascontiguousarray(X.T).ravel()
-    q, shift = _quantize(y, n)
-    targets = np.tile(q, p)
+    if weight is None:
+        q, shift = _quantize(y, n)
+        targets, weights = np.tile(q, p), None
+    else:
+        q, shift = _quantize(y, int(weight.sum()))
+        targets, weights = np.tile(q * weight, p), np.tile(weight, p)
     starts, counts = np.zeros(1, dtype=np.int64), np.array([n])
     levels = []
     n_nodes = 0
@@ -204,12 +226,14 @@ def _grow(X, order, y, rng, max_depth, min_child, mtry) -> RegressionTree:
         n_live = len(counts)
         n_nodes += n_live
         seg = np.repeat(np.arange(n_live), counts)
-        y0 = targets[orders[0]]
+        rows = orders[0]  # feature 0's flat indices are the row numbers
+        y0 = q[rows]
+        mass = counts if weight is None else np.add.reduceat(weight[rows], starts)
         feature, left = np.full((2, n_live), -1, dtype=np.int64)
         threshold = np.zeros(n_live)
-        value = np.ldexp(np.add.reduceat(y0, starts).astype(float), -shift) / counts
+        value = np.ldexp(np.add.reduceat(targets[rows], starts).astype(float), -shift) / mass
         levels.append((feature, threshold, left, value))
-        splittable = ((counts >= 2 * min_child) & (depth < depth_cap)
+        splittable = ((mass >= 2 * min_child) & (depth < depth_cap)
                       & (np.minimum.reduceat(y0, starts) < np.maximum.reduceat(y0, starts)))
         if not splittable.any():
             break
@@ -219,8 +243,8 @@ def _grow(X, order, y, rng, max_depth, min_child, mtry) -> RegressionTree:
             picks = np.argsort(rng.random((len(nodes), p)), axis=1)[:, :mtry]
             cand = np.zeros((p, n_live), dtype=bool)
             cand[picks, nodes[:, None]] = True
-        split, f, thr, n_left = _score_level(values, targets, orders, starts, counts,
-                                             cand, min_child)
+        split, f, thr, n_left = _score_level(values, targets, weights, orders, starts,
+                                             counts, cand, min_child)
         if not split.any():
             break
         feature[split] = f
@@ -257,8 +281,10 @@ def _sum_trees(model, X) -> np.ndarray:
 class RandomForest:
     """Bagged variance-reduction trees with per-node feature sampling.
 
-    Each tree sees a bootstrap resample (with replacement, original size) and
-    draws ``mtry`` feature candidates per split, a depth level at a time.
+    Each tree sees a bootstrap resample (with replacement, original size),
+    grown as its distinct rows weighted by their counts (Breiman, "Random
+    Forests", Machine Learning 45, 2001), and draws ``mtry`` feature
+    candidates per split, a depth level at a time.
     Prediction is the plain mean over trees. Out-of-bag predictions are
     collected during fit; samples that every tree saw stay NaN there.
     """
@@ -289,15 +315,17 @@ class RandomForest:
         self.trees_ = []
         oob_sum = np.zeros(n)
         oob_count = np.zeros(n, dtype=np.int64)
+        order = _presort(X)
         for t in range(self.n_trees):
             # one stream per tree: growth never depends on fit order
             rng = np.random.default_rng([self.seed, t])
-            sample = rng.integers(0, n, size=n)
-            tree = grow_tree(X[sample], y[sample], rng=rng, max_depth=None,
-                             min_child=self.min_leaf, mtry=self.mtry)
+            # the bootstrap sample as its distinct rows, weighted by count
+            count = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            seen = count > 0
+            tree = _grow(X[seen], _restrict(order, seen), y[seen], count[seen], rng,
+                         None, self.min_leaf, self.mtry)
             self.trees_.append(tree)
-            outside = np.ones(n, dtype=bool)
-            outside[sample] = False
+            outside = ~seen
             if outside.any():
                 oob_sum[outside] += tree.predict(X[outside])
                 oob_count[outside] += 1
@@ -369,7 +397,7 @@ class GradientBoostedTrees:
             else:
                 keep = np.ones(n, dtype=bool)
             residual = y - current
-            tree = _grow(X[keep], _restrict(order, keep), residual[keep], rng,
+            tree = _grow(X[keep], _restrict(order, keep), residual[keep], None, rng,
                          self.max_depth, self.min_node, None)
             self.trees_.append(tree)
             current += self.shrinkage * tree.predict(X)

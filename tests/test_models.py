@@ -184,6 +184,28 @@ class TestLevelWiseGrowth:
                             min_child=min_child, mtry=mtry)
         assert new.to_dict() == ref.to_dict()
 
+    @settings(max_examples=200, deadline=None)
+    @given(tree_problems(), st.integers(0, 2**32 - 1))
+    def test_weighted_distinct_rows_grow_the_bootstrap_tree(self, problem, seed):
+        # duplicated rows never split apart, so a row counted w times is a
+        # row of weight w: gains, min_child and leaf values all agree
+        X, y, max_depth, min_child, mtry = problem
+        n = len(y)
+        sample = np.random.default_rng(seed).integers(0, n, size=n)
+        count = np.bincount(sample, minlength=n)
+        seen = count > 0
+        kwargs = dict(max_depth=max_depth, min_child=min_child, mtry=mtry)
+        copies = grow_tree(X[sample], y[sample], rng=np.random.default_rng(seed), **kwargs)
+        weighted = grow_tree(X[seen], y[seen], weight=count[seen],
+                             rng=np.random.default_rng(seed), **kwargs)
+        assert weighted.to_dict() == copies.to_dict()
+
+    def test_weight_must_be_positive_integers(self):
+        X, y = np.zeros((3, 1)), np.arange(3.0)
+        for weight in ([1, 0, 2], [1.0, 1.0, 1.0], [1, 1]):
+            with pytest.raises(DataError, match="weight"):
+                grow_tree(X, y, weight=weight)
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 120), st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**32 - 1))
