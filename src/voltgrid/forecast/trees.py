@@ -195,6 +195,8 @@ def grow_tree(X, y, *, rng=None, max_depth=None, min_child: int = 1,
         raise DataError("cannot grow a tree on zero rows")
     if mtry is not None and not 1 <= mtry <= p:
         raise DataError(f"mtry must be in [1, {p}], got {mtry}")
+    if min_child < 1:
+        raise DataError(f"min_child must be >= 1, got {min_child}")
     if weight is not None:
         weight = np.asarray(weight)
         if weight.shape != (n,) or weight.dtype.kind not in "iu" or weight.min() < 1:

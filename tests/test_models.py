@@ -200,6 +200,11 @@ class TestLevelWiseGrowth:
                              rng=np.random.default_rng(seed), **kwargs)
         assert weighted.to_dict() == copies.to_dict()
 
+    def test_min_child_must_be_positive(self):
+        # a zero min_child admitted the empty right side at a node's end
+        with pytest.raises(DataError, match="min_child"):
+            grow_tree(np.arange(4.0).reshape(-1, 1), np.arange(4.0), min_child=0)
+
     def test_weight_must_be_positive_integers(self):
         X, y = np.zeros((3, 1)), np.arange(3.0)
         for weight in ([1, 0, 2], [1.0, 1.0, 1.0], [1, 1]):
