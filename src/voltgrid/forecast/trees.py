@@ -181,14 +181,12 @@ def _restrict(order, keep) -> np.ndarray:
 
 
 def grow_tree(X, y, *, rng=None, max_depth=None, min_child: int = 1,
-              mtry=None, weight=None) -> RegressionTree:
+              mtry=None) -> RegressionTree:
     """Greedy variance-reduction tree, grown one depth level at a time.
 
-    ``weight`` gives each row a positive integer count (1 when None): a row
-    of weight w grows the same tree as w copies of it. ``min_child`` is the
-    smallest weight allowed in a child node; ``mtry`` draws that many
-    feature candidates per node without replacement (all features when
-    None). Nodes are numbered in level order.
+    ``min_child`` is the smallest sample count allowed in a child node;
+    ``mtry`` draws that many feature candidates per node without replacement
+    (all features when None). Nodes are numbered in level order.
     """
     n, p = X.shape
     if n < 1:
@@ -197,17 +195,16 @@ def grow_tree(X, y, *, rng=None, max_depth=None, min_child: int = 1,
         raise DataError(f"mtry must be in [1, {p}], got {mtry}")
     if min_child < 1:
         raise DataError(f"min_child must be >= 1, got {min_child}")
-    if weight is not None:
-        weight = np.asarray(weight)
-        if weight.shape != (n,) or weight.dtype.kind not in "iu" or weight.min() < 1:
-            raise DataError("weight must hold one positive integer per row")
-        weight = weight.astype(np.int64)
-    return _grow(X, _presort(X), y, weight, rng, max_depth, min_child, mtry)
+    return _grow(X, _presort(X), y, None, rng, max_depth, min_child, mtry)
 
 
 def _grow(X, order, y, weight, rng, max_depth, min_child, mtry) -> RegressionTree:
-    """``grow_tree`` on checked arguments, with X's presort ``order``;
-    ``weight`` None stands for unit weights."""
+    """``grow_tree`` on checked arguments, with X's presort ``order``.
+
+    ``weight`` gives each row a positive integer count, or is None for unit
+    weights: a row of weight w grows the same tree as w copies of it, and
+    ``min_child`` counts weight.
+    """
     n, p = X.shape
     depth_cap = _NO_DEPTH_CAP if max_depth is None else max_depth
     # orders[f] lists the live rows node by node, each node's rows sorted by
@@ -286,9 +283,9 @@ class RandomForest:
     Each tree sees a bootstrap resample (with replacement, original size),
     grown as its distinct rows weighted by their counts (Breiman, "Random
     Forests", Machine Learning 45, 2001), and draws ``mtry`` feature
-    candidates per split, a depth level at a time.
-    Prediction is the plain mean over trees. Out-of-bag predictions are
-    collected during fit; samples that every tree saw stay NaN there.
+    candidates per split, a depth level at a time. Prediction is the plain
+    mean over trees. Out-of-bag predictions are collected during fit;
+    samples that every tree saw stay NaN there.
     """
 
     def __init__(self, n_trees: int = 500, mtry: int = 4, min_leaf: int = 5,

@@ -17,7 +17,7 @@ from voltgrid.forecast import (
     model_to_dict,
     save_model,
 )
-from voltgrid.forecast.trees import RegressionTree, _presort, _restrict, grow_tree
+from voltgrid.forecast.trees import RegressionTree, _grow, _presort, _restrict, grow_tree
 
 from oracle import grow_tree_bfs, grow_tree_dfs
 
@@ -110,6 +110,11 @@ class TestSingleTree:
         with pytest.raises(DataError, match="zero rows"):
             grow_tree(np.zeros((0, 3)), np.zeros(0))
 
+    def test_min_child_must_be_positive(self):
+        # a zero min_child admitted the empty right side at a node's end
+        with pytest.raises(DataError, match="min_child"):
+            grow_tree(np.arange(4.0).reshape(-1, 1), np.arange(4.0), min_child=0)
+
     def test_split_prefers_lowest_feature_on_ties(self):
         # two identical columns: the split must use column 0
         base = np.array([0.0, 0.0, 1.0, 1.0])
@@ -194,22 +199,11 @@ class TestLevelWiseGrowth:
         sample = np.random.default_rng(seed).integers(0, n, size=n)
         count = np.bincount(sample, minlength=n)
         seen = count > 0
-        kwargs = dict(max_depth=max_depth, min_child=min_child, mtry=mtry)
-        copies = grow_tree(X[sample], y[sample], rng=np.random.default_rng(seed), **kwargs)
-        weighted = grow_tree(X[seen], y[seen], weight=count[seen],
-                             rng=np.random.default_rng(seed), **kwargs)
+        copies = grow_tree(X[sample], y[sample], rng=np.random.default_rng(seed),
+                           max_depth=max_depth, min_child=min_child, mtry=mtry)
+        weighted = _grow(X[seen], _presort(X[seen]), y[seen], count[seen],
+                         np.random.default_rng(seed), max_depth, min_child, mtry)
         assert weighted.to_dict() == copies.to_dict()
-
-    def test_min_child_must_be_positive(self):
-        # a zero min_child admitted the empty right side at a node's end
-        with pytest.raises(DataError, match="min_child"):
-            grow_tree(np.arange(4.0).reshape(-1, 1), np.arange(4.0), min_child=0)
-
-    def test_weight_must_be_positive_integers(self):
-        X, y = np.zeros((3, 1)), np.arange(3.0)
-        for weight in ([1, 0, 2], [1.0, 1.0, 1.0], [1, 1]):
-            with pytest.raises(DataError, match="weight"):
-                grow_tree(X, y, weight=weight)
 
 
 @settings(max_examples=200, deadline=None)
