@@ -69,7 +69,7 @@ def _tree(doc) -> RegressionTree:
         raise DataError("model document: a tree's arrays must be non-empty and of one length")
     if not all(((a >= -1) & (a < n)).all() for a in (fields["left"], fields["right"])):
         raise DataError("model document: a tree's child index is out of range")
-    return RegressionTree(**fields)
+    return RegressionTree.from_dict(fields)
 
 
 def model_from_dict(doc: dict):

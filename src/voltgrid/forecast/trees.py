@@ -106,7 +106,7 @@ def _score_level(values, targets, weights, orders, starts, counts, cand, min_chi
     total = cum[first + lengths - 1] - before
     n_left = np.arange(k) - first[blk] + 1
     # weight left of each boundary and in its node; unit weights (None)
-    # count rows
+    # count rows, which keeps boosting clear of the weighted sums' cost
     if weights is None:
         w_left, w_node = n_left, lengths[blk]
     else:

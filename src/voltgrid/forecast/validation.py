@@ -85,7 +85,7 @@ def _run_jobs(jobs: list, workers: int) -> list:
     # imported, where spawn would import them again in every worker
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        by_size = sorted(range(len(jobs)), key=lambda i: -len(jobs[i][4]))
+        by_size = sorted(range(len(jobs)), key=lambda i: -len(jobs[i][3]))  # X_train rows
         futures = {i: pool.submit(_fit_and_predict, *jobs[i]) for i in by_size}
         return [futures[i].result() for i in range(len(jobs))]
     finally:

@@ -6,12 +6,13 @@ a dense N x N coefficient matrix per band. The solver's march keeps running
 sums instead; the tests compare the two.
 
 ``grow_tree_dfs`` grows a regression tree depth first, sorting each node's
-rows again for every feature. Both tree oracles score splits from exact
-integer sums of the targets in the fixed point of ``trees._quantize``. ``grow_tree_bfs`` visits the nodes of
-each level in order with the same per-node search and draws each level's
-feature candidates the way ``voltgrid.forecast.trees`` does, so it also
-checks the sampled-feature path. ``voltgrid.forecast.trees`` grows the same
-trees level by level over presorted orders.
+rows again for every feature. ``grow_tree_bfs`` visits the nodes of each
+level in order with the same per-node search and draws each level's feature
+candidates the way ``voltgrid.forecast.trees`` does, so it also checks the
+sampled-feature path. ``voltgrid.forecast.trees`` grows the same trees level
+by level over presorted orders. Both tree oracles score splits and take node
+values from exact integer sums of the targets in the fixed point of
+``trees._quantize``.
 """
 
 import math
