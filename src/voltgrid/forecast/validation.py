@@ -82,7 +82,8 @@ def _run_jobs(jobs: list, workers: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     # fork, not spawn: workers start with numpy and voltgrid already
-    # imported, where spawn would import them again in every worker
+    # imported, where spawn would import them again in every worker. Fork
+    # is safe only while the caller runs no other threads; the CLI runs none.
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         by_size = sorted(range(len(jobs)), key=lambda i: -len(jobs[i][3]))  # X_train rows
