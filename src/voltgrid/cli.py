@@ -99,7 +99,7 @@ def cmd_ingest(load_path, gen_path, res_path, temp_paths, holidays_path,
         series.append(parse(path, Path(path).stem))
     holidays = load_holidays(holidays_path) if holidays_path else frozenset()
 
-    frame = align_hourly(series, policy="intersect", holidays=holidays)
+    frame = align_hourly(series, holidays=holidays)
     write_frame_csv(frame, out_dir / "dataset.csv")
     start, end = iso_seconds(frame.timestamps()[[0, -1]])
     summary = {
@@ -209,7 +209,7 @@ def cmd_dispatch(load_path, gen_path, res_path, kernel_path, storage_path,
     f_gen = parse(gen_path, "gen") if gen_path else None
     present = [s for s in (f_load, f_res, f_gen) if s is not None]
     if len(present) > 1:
-        frame = align_hourly(present, policy="intersect")
+        frame = align_hourly(present)
         f_load = frame.column("load")
         f_res = frame.column("res") if f_res is not None else None
         f_gen = frame.column("gen") if f_gen is not None else None

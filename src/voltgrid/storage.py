@@ -26,7 +26,6 @@ INTERPRETATIONS = ("literal", "power")
 class StorageSpec:
     """Fleet limits and accounting choices.
 
-    ``e_min``/``e_max`` may be constants or callables of time (hours).
     ``interpretation`` picks what the stored-energy trajectory integrates:
     ``power`` treats x itself as storage power (single integral), ``literal``
     integrates the cumulative trajectory v once more (double integral). Both
@@ -35,8 +34,8 @@ class StorageSpec:
     """
 
     v_max: float = math.inf
-    e_min: object = -math.inf
-    e_max: object = math.inf
+    e_min: float = -math.inf
+    e_max: float = math.inf
     efficiency: float = 0.92
     rated_cycles: int = 10000
     e_init: float = 0.0
@@ -53,9 +52,8 @@ class StorageSpec:
             raise DataError(
                 f"interpretation must be one of {INTERPRETATIONS}, got {self.interpretation!r}"
             )
-        lo, hi = self.e_min, self.e_max
-        if not callable(lo) and not callable(hi) and float(lo) > float(hi):
-            raise DataError(f"e_min {lo} exceeds e_max {hi}")
+        if self.e_min > self.e_max:
+            raise DataError(f"e_min {self.e_min} exceeds e_max {self.e_max}")
 
 
 class Violation(NamedTuple):
@@ -156,43 +154,24 @@ def soc_trajectory(x, h: float, spec: StorageSpec) -> np.ndarray:
     return out
 
 
-def _bound_values(bound, times: np.ndarray) -> np.ndarray:
-    if callable(bound):
-        vals = np.asarray(bound(times), dtype=float)
-        return np.broadcast_to(vals, times.shape)
-    return np.full(times.shape, float(bound))
-
-
-def check_constraints(x, v, E, spec: StorageSpec, times=None) -> list:
+def check_constraints(x, v, E, spec: StorageSpec) -> list:
     """Post-hoc scan for v_max and stored-energy band violations.
 
-    ``times`` (node hours) is only needed when a bound is time-dependent.
     Violations are data, not errors; magnitudes measure how far past the
     bound the trajectory went.
     """
     v = np.asarray(v, dtype=float)
     E = np.asarray(E, dtype=float)
-    if times is None:
-        if callable(spec.e_min) or callable(spec.e_max):
-            raise DataError("time-dependent energy bounds need node times")
-        times = np.zeros(len(E))
-    else:
-        times = np.asarray(times, dtype=float)
-        if times.shape != E.shape:
-            raise DataError(f"times and E lengths differ: {times.shape} vs {E.shape}")
-
-    lo = _bound_values(spec.e_min, times)
-    hi = _bound_values(spec.e_max, times)
-    finite_hi = np.abs(hi[np.isfinite(hi)])
-    tol = 1e-9 * max(1.0, float(finite_hi.max()) if finite_hi.size else 0.0)
+    lo, hi = spec.e_min, spec.e_max
+    tol = 1e-9 * max(1.0, abs(hi) if math.isfinite(hi) else 0.0)
 
     violations = []
     for node in np.flatnonzero(v > spec.v_max):
         violations.append(Violation("v_max", int(node), float(v[node] - spec.v_max)))
     for node in np.flatnonzero(E < lo - tol):
-        violations.append(Violation("E_min", int(node), float(lo[node] - E[node])))
+        violations.append(Violation("E_min", int(node), float(lo - E[node])))
     for node in np.flatnonzero(E > hi + tol):
-        violations.append(Violation("E_max", int(node), float(E[node] - hi[node])))
+        violations.append(Violation("E_max", int(node), float(E[node] - hi)))
     violations.sort(key=lambda violation: (violation.node, violation.constraint))
     return violations
 
@@ -254,8 +233,7 @@ def dispatch(f_res: TimeSeries, f_gen: TimeSeries, f_load: TimeSeries,
     v = integrate_cumulative(x, h)
     soc_spec = spec if soc_efficiency else replace(spec, efficiency=1.0)
     E = soc_trajectory(x, h, soc_spec)
-    times = grid.nodes()
-    violations = check_constraints(x, v, E, spec, times=times)
+    violations = check_constraints(x, v, E, spec)
     capacity = min_capacity(E)
     cycles = count_cycles(E, capacity) if capacity > 0 else 0.0
     life = lifetime(cycles, grid.horizon, spec.rated_cycles)

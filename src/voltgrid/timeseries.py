@@ -7,7 +7,7 @@ series of length L always spans exactly (L-1) steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -83,9 +83,6 @@ class AlignedFrame:
         if name not in self.columns:
             raise DataError(f"no column named {name!r} (have {sorted(self.columns)})")
         return TimeSeries(self.start, self.columns[name], self.step, name)
-
-    def with_holidays(self, holidays) -> "AlignedFrame":
-        return replace(self, holiday_calendar=frozenset(holidays))
 
 
 @dataclass(frozen=True)
@@ -180,13 +177,12 @@ def load_holidays(path) -> frozenset[date]:
 
 def align_hourly(series: list[TimeSeries], policy: str = "intersect",
                  holidays=frozenset()) -> AlignedFrame:
-    """Join hourly series on a common time base.
+    """Join hourly series on the range every input covers.
 
-    ``intersect`` keeps the range covered by every input, ``union`` spans the
-    hull and pads with NaN.
+    ``intersect`` is the one ``policy``.
     """
-    if policy not in ("intersect", "union"):
-        raise DataError(f"unknown alignment policy {policy!r}")
+    if policy != "intersect":
+        raise DataError(f"unknown alignment policy {policy!r} (only 'intersect')")
     if not series:
         raise DataError("nothing to align")
     for s in series:
@@ -203,24 +199,16 @@ def align_hourly(series: list[TimeSeries], policy: str = "intersect",
     if len(set(names)) != len(names):
         raise DataError(f"duplicate series names: {names}")
 
-    if policy == "intersect":
-        start = max(s.start for s in series)
-        end = min(s.end for s in series)
-        if end < start:
-            raise DataError("empty intersection: the series do not overlap in time")
-    else:
-        start = min(s.start for s in series)
-        end = max(s.end for s in series)
+    start = max(s.start for s in series)
+    end = min(s.end for s in series)
+    if end < start:
+        raise DataError("empty intersection: the series do not overlap in time")
     n_rows = int(round((end - start).total_seconds() / SECONDS_PER_HOUR)) + 1
 
     columns: dict[str, np.ndarray] = {}
     for s in series:
-        out = np.full(n_rows, np.nan)
-        shift = int(round((s.start - start).total_seconds() / SECONDS_PER_HOUR))
-        src_lo = max(0, -shift)
-        src_hi = min(len(s), n_rows - shift)
-        out[src_lo + shift:src_hi + shift] = s.values[src_lo:src_hi]
-        columns[s.name] = out
+        first = int(round((start - s.start).total_seconds() / SECONDS_PER_HOUR))
+        columns[s.name] = s.values[first:first + n_rows].copy()
     return AlignedFrame(start=start, step=SECONDS_PER_HOUR, columns=columns,
                         holiday_calendar=frozenset(holidays))
 

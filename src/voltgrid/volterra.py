@@ -17,16 +17,16 @@ cell ``[t_{k-1}, t_k]`` is intersected with the bands at the current node
 with the unknown sampled at the parent cell's right node ``x_k``. All
 fragments of the final grid cell carry the not-yet-known ``x_j`` (a band
 boundary can cut that cell, so there may be several), which keeps the system
-lower triangular with exactly one unknown per step: identity responses give a
-closed-form step, anything else a scalar root-find per node. The rule is
-first order; ``estimate_order`` measures that against manufactured solutions.
+lower triangular with exactly one unknown per step. With linear and cubic
+responses the own cell reads ``p*x^3 + q*x = r``, solved in closed form. The
+rule is first order; ``estimate_order`` measures that against manufactured
+solutions.
 
 Per band, node j needs the sum over the cells before its own. For the
-separable factors ``kernel_from_config`` builds that sum is a window of a
+separable decaying factors the kernel takes, that sum is a window of a
 decaying running sum plus at most two boundary fragments (fast convolution,
 Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), so a solve
-costs O(N) time and memory. Any other callable factor gets a dense row per
-node: O(N^2) time, O(N) memory.
+costs O(N) time and memory.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ from .ioutil import config_number, fmt12, read_json
 DEFAULT_KERNEL_FLOOR = 1e-6
 DEFAULT_CELL_FLOOR = 1e-8
 DEFAULT_RESIDUAL_TOL = 1e-8
-NEWTON_RTOL = 1e-12
-NEWTON_MAX_ITER = 100
-BRACKET_EXPANSIONS = 60
 
 _CHUNK = 4096  # nodes whose coefficients the march unpacks to Python floats at once
 
@@ -148,21 +145,41 @@ class BandPartition:
         return bm
 
 
+class _ExpFactor(NamedTuple):
+    """Efficiency factor value * exp(-rate * (t - s)); rate 0 is a constant."""
+
+    value: float
+    rate: float = 0.0
+
+    def __call__(self, t, s):
+        return self.value * np.exp(-self.rate * (np.asarray(t) - np.asarray(s)))
+
+
+class Cubic(NamedTuple):
+    """Response G(s, x) = a*x + b*x^3; monotone in x when a*b >= 0."""
+
+    a: float
+    b: float
+
+    def __call__(self, s, x):
+        # x*x*x overflows to inf where Python's x**3 would raise
+        return self.a * x + self.b * (x * x * x)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Piecewise kernel: per band an efficiency factor K_i(t, s) and a
     response G_i(s, x).
 
-    A ``None`` response entry means the identity G(s, x) = x; when every band
-    is the identity each node's step is a division. Supplied callables must
-    accept numpy arrays. ``response_prime`` may carry dG/dx callables for the
-    nonlinear path; missing entries fall back to a central difference.
+    Factors are ``_ExpFactor`` with rate >= 0 (an efficiency does not grow
+    with storage age). A ``None`` response means the identity G(s, x) = x,
+    any other is a ``Cubic`` with a*b >= 0. ``kernel_from_config`` builds
+    both; this is the one place that rejects anything else.
     """
 
     partition: BandPartition
     K: tuple
     G: tuple
-    response_prime: tuple | None = None
     kernel_floor: float = DEFAULT_KERNEL_FLOOR
 
     def __post_init__(self):
@@ -173,24 +190,29 @@ class KernelSpec:
             raise DataError(f"expected {n} efficiency factors, got {len(self.K)}")
         if len(self.G) != n:
             raise DataError(f"expected {n} response functions, got {len(self.G)}")
-        prime = self.response_prime
-        if prime is None:
-            prime = (None,) * n
-        prime = tuple(prime)
-        if len(prime) != n:
-            raise DataError(f"expected {n} response derivatives, got {len(prime)}")
-        object.__setattr__(self, "response_prime", prime)
         if not self.kernel_floor > 0:
             raise DataError(f"kernel_floor must be positive, got {self.kernel_floor}")
+        for i, (k, g) in enumerate(zip(self.K, self.G)):
+            if not isinstance(k, _ExpFactor):
+                raise DataError(f"K[{i}] must be a const or exp_decay factor, got {k!r}")
+            if not k.rate >= 0.0:
+                raise DataError(f"K[{i}]: exp_decay rate must be >= 0, got {k.rate}; "
+                                "an efficiency that grows with storage age has no meaning")
+            if g is not None and not isinstance(g, Cubic):
+                raise DataError(f"G[{i}] must be linear or cubic, got {g!r}")
+            if g is not None and not g.a * g.b >= 0.0:
+                raise DataError(f"G[{i}]: cubic a={g.a} and b={g.b} differ in sign, so the "
+                                "response is not monotone and the per-node root is not unique")
+        # K_n(t, t) is the final factor's value at every node
+        if not abs(self.K[-1].value) >= self.kernel_floor:
+            raise DataError(
+                f"final-band efficiency factor is {fmt12(self.K[-1].value)}, below the floor "
+                f"{self.kernel_floor:g}; the marching solve would divide by it"
+            )
 
     @property
     def n_bands(self) -> int:
         return self.partition.n_bands
-
-    @property
-    def g_linear(self) -> tuple:
-        """Per-band flag: True where the response is the identity."""
-        return tuple(g is None for g in self.G)
 
     @property
     def is_linear(self) -> bool:
@@ -203,31 +225,6 @@ class SolveResult:
     x: np.ndarray
     residual: float
     diagnostics: dict = field(default_factory=dict)
-
-
-class _ExpFactor(NamedTuple):
-    """Efficiency factor value * exp(-rate * (t - s)); rate 0 is a constant."""
-
-    value: float
-    rate: float = 0.0
-
-    def __call__(self, t, s):
-        return self.value * np.exp(-self.rate * (np.asarray(t) - np.asarray(s)))
-
-
-def _check_kernel_floor(kernel: KernelSpec, grid: Grid) -> np.ndarray:
-    """|K_n(t,t)| must clear the floor on every node; returns K_n(t_j,t_j)."""
-    nodes = grid.nodes()
-    knn = np.asarray(kernel.K[-1](nodes, nodes), dtype=float)
-    knn = np.broadcast_to(knn, nodes.shape)
-    small = ~(np.abs(knn) >= kernel.kernel_floor)
-    if np.any(small):
-        j = int(np.argmax(small))
-        raise DataError(
-            f"final-band efficiency factor is {fmt12(knn[j])} at t={fmt12(nodes[j])}, "
-            f"below the floor {kernel.kernel_floor:g}; the marching solve would divide by it"
-        )
-    return knn
 
 
 def _node_values(x, n_cells: int) -> np.ndarray:
@@ -244,7 +241,7 @@ def _node_values(x, n_cells: int) -> np.ndarray:
 
 
 class _WindowHistory:
-    """History sum of one band with a non-growing ``_ExpFactor``.
+    """History sum of one band.
 
     ``Q_m = e^{-rate*h} * Q_{m-1} + w_m * G(t_m, x_m)`` runs over finished
     cells; at node j the band's whole cells a+1..b add ``K(t_j, t_b) * (Q_b -
@@ -281,47 +278,21 @@ class _WindowHistory:
                   c_right, np.where(right, r + 1, 0), hi)
         return zip(*(f.tolist() for f in fields))
 
-    def known(self, j, row, x, q):
+    def known(self, row, x, q):
         scale, drop, a, b, c_left, k_left, s_left, c_right, k_right, s_right = row
         total = scale * (q[b] - drop * q[a])
         g = self.g
         if g is None:
             return total + c_left * x[k_left] + c_right * x[k_right]
         if c_left:
-            total += c_left * float(g(s_left, x[k_left]))
+            total += c_left * g(s_left, x[k_left])
         if c_right:
-            total += c_right * float(g(s_right, x[k_right]))
+            total += c_right * g(s_right, x[k_right])
         return total
 
     def push(self, q, j, xj, t_j, w_j):
         g = self.g
-        q[j] = self.decay * q[j - 1] + w_j * (xj if g is None else float(g(t_j, xj)))
-
-
-class _RowHistory:
-    """History sum of one band with any other factor: a dense row per node."""
-
-    def __init__(self, factor, g, nodes, lo, hi):
-        self.factor, self.g, self.nodes, self.lo, self.hi = factor, g, nodes, lo, hi
-
-    def rows(self, sl):
-        return zip(self.lo[sl].tolist(), self.hi[sl].tolist())
-
-    def known(self, j, row, x, q):
-        lo, hi = row
-        nodes = self.nodes
-        right = np.minimum(nodes[1:j], hi)
-        width = np.clip(right - np.maximum(nodes[:j - 1], lo), 0.0, None)
-        live = width > 0.0
-        if not np.any(live):
-            return 0.0
-        s = right[live]
-        c = width[live] * np.asarray(self.factor(nodes[j], s), dtype=float)
-        xs = np.asarray(x[1:j])[live]
-        return float(np.dot(c, xs if self.g is None else np.asarray(self.g(s, xs), dtype=float)))
-
-    def push(self, q, j, xj, t_j, w_j):
-        pass
+        q[j] = self.decay * q[j - 1] + w_j * (xj if g is None else g(t_j, xj))
 
 
 class _March:
@@ -331,6 +302,7 @@ class _March:
     def __init__(self, kernel: KernelSpec, grid: Grid):
         self.n = grid.n_cells
         self.nodes = nodes = grid.nodes()
+        self.G = kernel.G
         bm = kernel.partition.validate_on(grid)
         t = nodes[1:]
         # the unknown's cell [t_{j-1}, t_j], cut by the bands at t_j
@@ -339,140 +311,51 @@ class _March:
         self.points = np.maximum(right, bm[:-1])
         self.coefs = np.array([width[i] * np.asarray(K(t, self.points[i]), dtype=float)
                                for i, K in enumerate(kernel.K)])
-        # a growing factor (rate < 0) would cancel in the window difference
-        self.histories = [
-            (_WindowHistory if isinstance(K, _ExpFactor) and K.rate >= 0.0 else _RowHistory)(
-                K, g, nodes, bm[i], bm[i + 1])
-            for i, (K, g) in enumerate(zip(kernel.K, kernel.G))
-        ]
+        self.histories = [_WindowHistory(K, g, nodes, bm[i], bm[i + 1])
+                          for i, (K, g) in enumerate(zip(kernel.K, kernel.G))]
 
-    def run(self, step, given) -> list:
-        """x_j = step(j, known_j, last_j, given[j-1], x) for j = 1..N, where known_j
-        sums the cells before node j's own and last_j holds that cell's (coef,
-        point) per band. Returns x over nodes 0..N, x_0 = 0."""
+    def run(self, step, *given) -> tuple:
+        """x_j = step(known_j, *given_j) for j = 1..N, where known_j sums the
+        cells before node j's own and given_j holds entry j-1 of each array in
+        ``given``. Returns x over nodes 0..N (x_0 = 0) and known over 1..N."""
         n, nodes, hs = self.n, self.nodes, self.histories
         x = [0.0] * (n + 1)
+        knowns = []
         qs = [[0.0] * (n + 1) for _ in hs]
         for start in range(1, n + 1, _CHUNK):
             stop = min(start + _CHUNK, n + 1)
             sl = slice(start - 1, stop - 1)
             per_node = zip(
                 range(start, stop), nodes[start:stop].tolist(),
-                np.diff(nodes[start - 1:stop]).tolist(), given[sl].tolist(),
-                zip(*(h.rows(sl) for h in hs)),
-                zip(*(zip(c[sl].tolist(), s[sl].tolist())
-                      for c, s in zip(self.coefs, self.points))),
+                np.diff(nodes[start - 1:stop]).tolist(),
+                zip(*(h.rows(sl) for h in hs)), zip(*(g[sl].tolist() for g in given)),
             )
-            for j, t_j, w_j, given_j, rows, last in per_node:
+            for j, t_j, w_j, rows, given_j in per_node:
                 known = 0.0
                 for h, row, q in zip(hs, rows, qs):
-                    known += h.known(j, row, x, q)
-                xj = x[j] = step(j, known, last, given_j, x)
+                    known += h.known(row, x, q)
+                knowns.append(known)
+                xj = x[j] = step(known, *given_j)
                 for h, q in zip(hs, qs):
                     h.push(q, j, xj, t_j, w_j)
-        return x
+        return x, np.array(knowns)
 
-
-def _active(last, kernel) -> list:
-    """(c_i, b_i, G_i, G_i') of the bands that meet node j's own cell."""
-    return [(c, s, g, dg) for (c, s), g, dg in zip(last, kernel.G, kernel.response_prime)
-            if c != 0.0]
+    def own(self, x) -> np.ndarray:
+        """Each node's own-cell sum, sum_i c_i*G_i(b_i, x_j), for x at nodes 1..N."""
+        total = np.zeros(self.n)
+        for c, s, g in zip(self.coefs, self.points, self.G):
+            total += c * (x if g is None else g(s, x))
+        return total
 
 
 def forward_apply(kernel: KernelSpec, grid: Grid, x) -> np.ndarray:
     """Direct problem: quadrature of the kernel against known node values,
     by the solver's own march, so ``solve_apf(forward_apply(x)) == x`` up to
-    rounding for identity responses."""
-    f = np.zeros(grid.n_cells + 1)
-
-    def step(j, known, last, xj, x):
-        f[j] = known + _phi(_active(last, kernel), xj)
-        return xj
-
-    _March(kernel, grid).run(step, _node_values(x, grid.n_cells))
-    return f
-
-
-def _check_monotone_response(kernel, grid, cap: float) -> None:
-    """Sampled finite-difference sign check of G_n over the solve bracket.
-
-    The x samples are geometric so sign flips near zero are resolved even
-    when the bracket is wide."""
-    g = kernel.G[-1]
-    if g is None:
-        return
-    nodes = grid.nodes()
-    s_samples = nodes[:: max(1, len(nodes) // 33)]
-    span = min(max(cap, 10.0), 1e9)
-    half = np.geomspace(span * 1e-9, span, 33)
-    xs = np.concatenate([-half[::-1], [0.0], half])
-    vals = np.asarray(g(s_samples[:, None], xs[None, :]), dtype=float)
-    vals = np.broadcast_to(vals, (len(s_samples), len(xs)))
-    diffs = np.diff(vals, axis=1)
-    if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
-        raise DataError(
-            "final-band response is not strictly monotone in x over "
-            f"[-{fmt12(span)}, {fmt12(span)}]; the per-node root is not unique"
-        )
-
-
-def _phi(active, xi: float) -> float:
-    """One node's own-cell sum, sum_i c_i*G_i(b_i, xi)."""
-    total = 0.0
-    for c, bpt, g, _ in active:
-        total += c * (xi if g is None else float(g(bpt, xi)))
-    return total
-
-
-def _dphi(active, xi: float) -> float:
-    total = 0.0
-    for c, bpt, g, dg in active:
-        if g is None:
-            total += c
-        elif dg is not None:
-            total += c * float(dg(bpt, xi))
-        else:
-            delta = 1e-6 * max(1.0, abs(xi))
-            total += c * (float(g(bpt, xi + delta)) - float(g(bpt, xi - delta))) / (2 * delta)
-    return total
-
-
-def _newton_step(active, rhs, x0, cap, node):
-    """Safeguarded Newton on sum_i c_i*G_i(b_i, xi) = rhs with bisection
-    fallback inside a sign-change bracket."""
-    for _ in range(BRACKET_EXPANSIONS + 1):
-        lo, hi = -cap, cap
-        rlo, rhi = _phi(active, lo) - rhs, _phi(active, hi) - rhs
-        if rlo * rhi <= 0.0:
-            break
-        cap *= 2.0
-    else:
-        raise SolverError(f"cannot bracket the unknown at node {node}")
-
-    xi = min(max(x0, lo), hi)
-    r = _phi(active, xi) - rhs
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        if r == 0.0:
-            return xi, it
-        if (r > 0.0) == (rlo > 0.0):
-            lo, rlo = xi, r
-        else:
-            hi, rhi = xi, r
-        d = _dphi(active, xi)
-        if d != 0.0 and math.isfinite(d):
-            nxt = xi - r / d
-        else:
-            nxt = 0.5 * (lo + hi)
-        # a converged step may land on the bracket end xi itself; only an
-        # unconverged one that leaves the bracket falls back to bisection
-        converged = abs(nxt - xi) <= NEWTON_RTOL * max(1.0, abs(nxt))
-        if not converged and not (min(lo, hi) < nxt < max(lo, hi)):
-            nxt = 0.5 * (lo + hi)
-        if converged or abs(nxt - xi) <= NEWTON_RTOL * max(1.0, abs(nxt)):
-            return nxt, it
-        xi = nxt
-        r = _phi(active, xi) - rhs
-    raise SolverError(f"root-find failed to converge at node {node} after {NEWTON_MAX_ITER} iterations")
+    rounding."""
+    x = _node_values(x, grid.n_cells)
+    march = _March(kernel, grid)
+    _, known = march.run(lambda known, xj: xj, x)
+    return np.concatenate([[0.0], known + march.own(x)])
 
 
 def solve_apf(kernel: KernelSpec, grid: Grid, f, *,
@@ -498,46 +381,54 @@ def solve_apf(kernel: KernelSpec, grid: Grid, f, *,
             "subtract the initial imbalance first"
         )
 
-    knn = _check_kernel_floor(kernel, grid)
     march = _March(kernel, grid)
-    coefs = march.coefs
-    # a node whose own cell meets only identity bands takes a division
-    linear = ~np.any((coefs != 0.0) & ~np.array(kernel.g_linear)[:, None], axis=0)
-    magnitude = np.abs(coefs).sum(axis=0)
-    scale = np.where(linear, np.abs(coefs.sum(axis=0)), magnitude)
+    # node j's own cell gives p_j*x^3 + q_j*x = f_j - known_j
+    a = np.array([[1.0 if g is None else g.a] for g in kernel.G])
+    b = np.array([[0.0 if g is None else g.b] for g in kernel.G])
+    q = (march.coefs * a).sum(axis=0)
+    p = (march.coefs * b).sum(axis=0)
+    mixed = np.sign(p) * np.sign(q) < 0.0
+    if np.any(mixed):
+        j = int(np.argmax(mixed)) + 1
+        raise DataError(
+            f"own-cell response at node {j} is not monotone: its cubic and linear "
+            f"coefficients {fmt12(p[j - 1])} and {fmt12(q[j - 1])} differ in sign"
+        )
+    scale = np.abs(p) + np.abs(q)
     # reduces to "fragment width < cell_floor*h" when one band owns the cell
-    thresh = cell_floor * grid.step * np.maximum(kernel.kernel_floor, np.abs(knn[1:]))
-    tiny = scale < thresh
+    thresh = cell_floor * grid.step * max(kernel.kernel_floor, abs(kernel.K[-1].value))
+    tiny = (scale == 0.0) | (scale < thresh)
     if np.any(tiny):
         j = int(np.argmax(tiny)) + 1
         raise SolverError(
             f"degenerate last cell at node {j}: unknown coefficient "
-            f"{fmt12(scale[j - 1])} is below {fmt12(thresh[j - 1])}"
+            f"{fmt12(scale[j - 1])} is below {fmt12(thresh)}"
         )
-    caps = np.maximum(10.0, 10.0 * float(np.max(np.abs(f))) / magnitude)
-    if not kernel.is_linear:
-        _check_monotone_response(kernel, grid, float(np.max(caps)))
 
-    iterations = np.zeros(n, dtype=int)
-    # forward_apply(x) - f from the same running sums; a non-finite x makes
-    # it non-finite, which the residual gate rejects
-    residuals = np.zeros(n)
-    terms = np.zeros(n)
-    denoms = np.where(linear, coefs.sum(axis=0), 0.0).tolist()
+    # p*q > 0: x = 2*sqrt(q/3p)*sinh(asinh((3r/2q)*sqrt(3p/q))/3), the real
+    # root without cancellation, then one Newton step
+    polish = (p != 0.0) & (q != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        span = np.where(polish, 2.0 * np.sqrt(q / (3.0 * p)), 0.0)
+        gain = np.where(polish, 3.0 / (q * span), 0.0)
 
-    def step(j, known, last, f_j, x):
-        rhs = f_j - known
-        active = _active(last, kernel)
-        if denoms[j - 1]:
-            xj = rhs / denoms[j - 1]
-        else:
-            xj, iterations[j - 1] = _newton_step(active, rhs, x[j - 1], float(caps[j - 1]), j)
-        term = terms[j - 1] = _phi(active, xj)
-        residuals[j - 1] = known + term - f_j
-        return xj
+    def step(known, f_j, p_j, q_j, span_j, gain_j):
+        r = f_j - known
+        if not p_j:
+            return r / q_j
+        if not q_j:
+            return float(np.cbrt(r / p_j))
+        x = span_j * math.sinh(math.asinh(r * gain_j) / 3.0)
+        return x - (x * (p_j * x * x + q_j) - r) / (3.0 * p_j * x * x + q_j)
 
-    x = np.array(march.run(step, f[1:])[1:])
-    residual = float(np.max(np.abs(residuals)))
+    x, known = march.run(step, f[1:], p, q, span, gain)
+    x = np.array(x[1:])
+    # a lone infinite x_N would make the residual and its tolerance both inf
+    if not np.all(np.isfinite(x)):
+        raise SolverError("the march overflowed: x is not finite")
+    # forward_apply(x) - f from the same running sums
+    terms = march.own(x)
+    residual = float(np.max(np.abs(known + terms - f[1:])))
     # the residual is a difference of sums that grow with x, so rounding
     # scales with the largest own-cell term as well as with f
     tol = residual_tol * max(f_scale, float(np.max(np.abs(terms))))
@@ -547,7 +438,7 @@ def solve_apf(kernel: KernelSpec, grid: Grid, f, *,
         grid=grid,
         x=np.concatenate([x[:1], x]),
         residual=residual,
-        diagnostics={"newton_iterations": iterations},
+        diagnostics={"newton_iterations": polish.astype(int)},
     )
 
 
@@ -582,9 +473,9 @@ def _numbers(values, where: str) -> list:
 
 def _build_efficiency(entry, idx):
     kind = entry.get("type") if isinstance(entry, dict) else None
-    keys = {"const": ("value",), "exp_decay": ("value", "rate")}.get(kind)
-    if keys is None:
+    if kind not in ("const", "exp_decay"):  # a JSON list or object is no key
         raise DataError(f"K[{idx}]: unknown efficiency type {kind!r} (try 'const' or 'exp_decay')")
+    keys = ("value",) if kind == "const" else ("value", "rate")
     for key in keys:
         if key not in entry:
             raise DataError(f"K[{idx}]: {kind} factor needs a {key!r}")
@@ -592,19 +483,14 @@ def _build_efficiency(entry, idx):
 
 
 def _build_response(entry, idx):
-    """Returns (g, dg) with g=None meaning the identity."""
+    """None for the identity, otherwise a Cubic."""
     kind = entry.get("type") if isinstance(entry, dict) else None
     if kind == "linear":
-        return None, None
+        return None
     if kind == "cubic":
         a = config_number(entry.get("a", 1.0), f"G[{idx}].a")
         b = config_number(entry.get("b", 0.0), f"G[{idx}].b")
-        if b == 0.0 and a == 1.0:
-            return None, None
-        # plain arithmetic: floats in the per-node root-find, arrays elsewhere
-        g = lambda s, x: a * x + b * x ** 3
-        dg = lambda s, x: a + 3.0 * b * x ** 2
-        return g, dg
+        return None if (a, b) == (1.0, 0.0) else Cubic(a, b)
     raise DataError(f"G[{idx}]: unknown response type {kind!r} (try 'linear' or 'cubic')")
 
 
@@ -658,13 +544,10 @@ def kernel_from_config(config: dict) -> KernelSpec:
         raise DataError(f"'K' must list {n} efficiency factors")
     if not isinstance(g_entries, list) or len(g_entries) != n:
         raise DataError(f"'G' must list {n} response functions")
-    K = tuple(_build_efficiency(e, i) for i, e in enumerate(k_entries))
-    pairs = [_build_response(e, i) for i, e in enumerate(g_entries)]
     return KernelSpec(
         partition=partition,
-        K=K,
-        G=tuple(p[0] for p in pairs),
-        response_prime=tuple(p[1] for p in pairs),
+        K=tuple(_build_efficiency(e, i) for i, e in enumerate(k_entries)),
+        G=tuple(_build_response(e, i) for i, e in enumerate(g_entries)),
         kernel_floor=config_number(config.get("kernel_floor", DEFAULT_KERNEL_FLOOR), "kernel_floor"),
     )
 

@@ -123,7 +123,7 @@ class TestColumnContent:
     def test_holiday_affects_working_day_feature(self):
         load = synthetic_load(3 * 168)
         plain = align_hourly([load])
-        with_holiday = plain.with_holidays({dt.date(2019, 1, 9)})
+        with_holiday = align_hourly([load], holidays={dt.date(2019, 1, 9)})
         k = DEFAULT_NAMES.index("is_working_day")
         m_plain = build_feature_matrix(plain)
         m_hol = build_feature_matrix(with_holiday)

@@ -45,7 +45,7 @@ DIGESTS = {
     "disp_k2cub_fc/dispatch.csv":
         "5050ec2d7b0b370d89519bf10b545e99eac0fce6d0e658c8f88b65ea3d583acd",
     "disp_k2cub_fc/report.json":
-        "cc385eac58ed07f27c36ba9e3d8cce40281d29f580fd1968cc32b67711b665d3",
+        "67cf16492c56dcc766a3a6b50b3409e84a1cdeea66031687c88390791306c8b2",
     "disp_k2lin_data/dispatch.csv":
         "0443570a955f06ad45e170e94dcc097c89f06dd3cbc821fb47d7055f159645ca",
     "disp_k2lin_data/report.json":

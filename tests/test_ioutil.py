@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voltgrid import DataError, ioutil
+from voltgrid import (DataError, Grid, SolverError, ioutil, kernel_from_config, solve_apf,
+                      storage_spec_from_config)
 from voltgrid.ioutil import parse_cell, read_csv, read_json, write_csv, write_json
 from voltgrid.storage import read_dispatch_csv
 from voltgrid.timeseries import load_holidays, parse_timeseries_csv, read_frame_csv
@@ -85,3 +86,90 @@ def test_file_readers_raise_only_data_error(tmp_path_factory, body):
             read(path)
         except DataError:
             pass
+
+
+# --- kernel and storage JSON documents ---------------------------------------
+
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 5), st.floats(), st.text(max_size=4),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-9, 1e300, -1e300]),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _mostly(draw, plausible):
+    """Draw from ``plausible`` 19 times in 20 and any JSON value otherwise."""
+    return draw(_json_values if draw(st.integers(0, 19)) == 0 else plausible)
+
+
+@st.composite
+def _kernel_docs(draw):
+    """A kernel document that is mostly well formed."""
+
+    def field(plausible):
+        return _mostly(draw, plausible)
+
+    n = draw(st.integers(1, 3))
+    doc = {"n": field(st.just(n))}
+    if n > 1:
+        cs = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=n - 1, max_size=n - 1,
+                                  unique=True)))
+        doc["alphas"] = field(st.one_of(
+            st.just({"type": "proportional", "c": [field(st.just(c)) for c in cs]}),
+            st.just({"type": "table", "t": [0.0, field(st.just(2.0))],
+                     "alpha": [[0.0, field(st.just(2.0 * c))] for c in cs]}),
+        ))
+    doc["K"] = field(st.just([
+        {"type": field(st.sampled_from(["const", "exp_decay"])),
+         "value": field(st.floats(-2.0, 2.0)), "rate": field(st.floats(-0.2, 2.0))}
+        for _ in range(n)]))
+    doc["G"] = field(st.just([
+        {"type": field(st.sampled_from(["linear", "cubic"])),
+         "a": field(st.floats(-0.5, 2.0)), "b": field(st.floats(-0.2, 1.0))}
+        for _ in range(n)]))
+    if draw(st.booleans()):
+        doc["kernel_floor"] = field(st.floats(0.0, 1.0))
+    return doc
+
+
+_STORAGE_FIELDS = {
+    "v_max": st.floats(-10.0, 500.0), "e_min": st.floats(-500.0, 10.0),
+    "e_max": st.floats(-10.0, 500.0), "efficiency": st.floats(0.0, 1.2),
+    "rated_cycles": st.integers(0, 20000), "e_init": st.floats(-10.0, 10.0),
+    "interpretation": st.sampled_from(["literal", "power"]), "extra": st.none(),
+}
+
+
+@st.composite
+def _storage_docs(draw):
+    """A storage document with some of its fields, each mostly well formed."""
+    keys = draw(st.sets(st.sampled_from(sorted(_STORAGE_FIELDS))))
+    return {key: _mostly(draw, _STORAGE_FIELDS[key]) for key in sorted(keys)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(_json_values, _kernel_docs()))
+def test_kernel_documents_raise_only_data_error(doc):
+    # a kernel that builds also solves or fails with a package error
+    try:
+        kernel = kernel_from_config(doc)
+    except DataError:
+        return
+    grid = Grid(2.0, 8)
+    try:
+        solve_apf(kernel, grid, grid.nodes())
+    except (DataError, SolverError):
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(_json_values, _storage_docs()))
+def test_storage_documents_raise_only_data_error(doc):
+    try:
+        storage_spec_from_config(doc)
+    except DataError:
+        pass

@@ -179,15 +179,6 @@ class TestConstraints:
         E = np.array([0.0, 1e6 + 1e-4])  # inside 1e-9 * 1e6 = 1e-3
         assert check_constraints(np.zeros(1), np.zeros(2), E, spec) == []
 
-    def test_time_dependent_bounds(self):
-        spec = StorageSpec(e_max=lambda t: 1.0 + t)
-        E = np.array([0.5, 1.8, 2.5])
-        times = np.array([0.0, 1.0, 2.0])
-        out = check_constraints(np.zeros(2), np.zeros(3), E, spec, times=times)
-        assert [(o.constraint, o.node) for o in out] == []
-        with pytest.raises(DataError, match="node times"):
-            check_constraints(np.zeros(2), np.zeros(3), E, spec)
-
 
 class TestCapacityAndCycles:
     def test_min_capacity_is_range(self):

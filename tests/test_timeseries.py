@@ -139,13 +139,11 @@ class TestAlign:
         assert frame.columns["a"].tolist() == [3.0, 4.0]
         assert frame.columns["b"].tolist() == [10.0, 20.0]
 
-    def test_union_pads_nan(self):
+    def test_intersect_is_the_only_policy(self):
         a = hourly([1, 2], name="a")
-        b = hourly([5, 6], name="b", start=START + dt.timedelta(hours=3))
-        frame = align_hourly([a, b], policy="union")
-        assert frame.n_rows == 5
-        assert np.isnan(frame.columns["a"][2:]).all()
-        assert np.isnan(frame.columns["b"][:3]).all()
+        assert align_hourly([a], policy="intersect").n_rows == 2
+        with pytest.raises(DataError, match="unknown alignment policy 'union'"):
+            align_hourly([a], policy="union")
 
     def test_disjoint_ranges_rejected(self):
         a = hourly([1, 2], name="a")
@@ -226,7 +224,7 @@ class TestTransforms:
         assert (cal["day_of_week"][sat] == 5).all()
         assert not cal["is_working_day"][sat].any()
 
-        with_holiday = frame.with_holidays({dt.date(2019, 1, 2)})
+        with_holiday = align_hourly([hourly(np.ones(7 * 24))], holidays={dt.date(2019, 1, 2)})
         cal2 = calendar_arrays(with_holiday.timestamps(), with_holiday.holiday_calendar)
         assert not cal2["is_working_day"][24:48].any()
         assert cal2["is_working_day"][:24].all()

@@ -234,8 +234,35 @@ class TestSolveNonlinear:
         nodes = grid.nodes()
         result = solve_apf(kernel, grid, nodes ** 2 / 2.0 + 0.025 * nodes ** 4)
         iters = result.diagnostics["newton_iterations"]
-        assert len(iters) == 50
-        assert max(iters) <= 100
+        assert iters.dtype.kind == "i"
+        assert iters.tolist() == [1] * 50
+
+    @pytest.mark.parametrize("G, polished", [
+        ([{"type": "linear"}] * 2, []),
+        ([{"type": "linear"}, {"type": "cubic", "a": 1.0, "b": 0.1}], list(range(1, 41))),
+        # the boundary t/2 cuts only node 1's own cell, so only there does
+        # the cubic first band meet the unknown
+        ([{"type": "cubic", "a": 1.0, "b": 0.1}, {"type": "linear"}], [1]),
+    ], ids=["linear", "cubic_final", "cubic_first"])
+    def test_one_polish_on_cubic_own_cells(self, G, polished):
+        kernel = kernel_from_config({**README_KERNEL, "G": G})
+        grid = Grid(40.0, 40)
+        f = 100.0 * np.sin(2 * np.pi * grid.nodes() / 24.0)
+        iters = solve_apf(kernel, grid, f).diagnostics["newton_iterations"]
+        assert (np.flatnonzero(iters) + 1).tolist() == polished
+        assert set(iters.tolist()) <= {0, 1}
+
+    def test_pure_cubic_matches_dense_oracle(self):
+        # a = 0: the own cell is p*x^3 = r, a cube root with no polish
+        kernel = kernel_from_config({**README_KERNEL, "G": [
+            {"type": "cubic", "a": 0.0, "b": 0.5}, {"type": "cubic", "a": 0.0, "b": 0.2}]})
+        grid = Grid(6.0, 60)
+        x = np.sin(np.linspace(0.1, 5.0, 60))
+        f = dense_forward(kernel, grid, x)
+        np.testing.assert_allclose(forward_apply(kernel, grid, x), f, rtol=0, atol=1e-13)
+        result = solve_apf(kernel, grid, f)
+        np.testing.assert_allclose(result.x[1:], dense_solve(kernel, grid, f), rtol=0, atol=1e-10)
+        assert not result.diagnostics["newton_iterations"].any()
 
     def test_mixed_linear_and_cubic_bands(self):
         # band 1 linear, band 2 cubic; verify against a forward roundtrip
@@ -252,13 +279,36 @@ class TestSolveNonlinear:
         np.testing.assert_allclose(back.x[1:], x, rtol=0, atol=1e-9)
 
     def test_non_monotone_response_rejected(self):
+        # a*b < 0 is decided by the config, when the kernel is built
+        for a, b in ((1.0, -2.0), (-1.0, 0.5)):
+            with pytest.raises(DataError, match="monotone"):
+                kernel_from_config({
+                    "n": 1,
+                    "K": [{"type": "const", "value": 1.0}],
+                    "G": [{"type": "cubic", "a": a, "b": b}],
+                })
+
+    def test_mixed_sign_own_cell_rejected(self):
+        # K1 = 1 on a linear band, K2 = -0.5 on a cubic one: both meet node
+        # 1's own cell, where q = 0.25h > 0 but p = -0.25h < 0
+        kernel = kernel_from_config({
+            "n": 2, "alphas": {"type": "proportional", "c": [0.5]},
+            "K": [{"type": "const", "value": 1.0}, {"type": "const", "value": -0.5}],
+            "G": [{"type": "linear"}, {"type": "cubic", "a": 1.0, "b": 1.0}],
+        })
+        grid = Grid(1.0, 10)
+        with pytest.raises(DataError, match="node 1 is not monotone"):
+            solve_apf(kernel, grid, grid.nodes())
+
+    def test_vanishing_final_response_is_solver_error(self):
+        # G = 0*x + 0*x^3 leaves the unknown out of its own cell
         kernel = kernel_from_config({
             "n": 1,
             "K": [{"type": "const", "value": 1.0}],
-            "G": [{"type": "cubic", "a": 1.0, "b": -2.0}],
+            "G": [{"type": "cubic", "a": 0.0, "b": 0.0}],
         })
         grid = Grid(1.0, 10)
-        with pytest.raises(DataError, match="monotone"):
+        with pytest.raises(SolverError, match="degenerate last cell at node 1"):
             solve_apf(kernel, grid, grid.nodes())
 
 
@@ -270,10 +320,9 @@ class TestSolveErrors:
             solve_apf(identity_kernel(), grid, f)
 
     def test_kernel_floor_rejected(self):
-        tiny = identity_kernel(1e-9)
-        grid = Grid(1.0, 10)
-        with pytest.raises(DataError, match="floor"):
-            solve_apf(tiny, grid, np.zeros(11))
+        # K_n(t, t) is the final factor's value, so building the kernel checks it
+        with pytest.raises(DataError, match="below the floor 1e-06"):
+            identity_kernel(1e-9)
 
     def test_wrong_f_length(self):
         grid = Grid(1.0, 10)
@@ -281,12 +330,12 @@ class TestSolveErrors:
             solve_apf(identity_kernel(), grid, np.zeros(10))
 
     def test_partition_violation_is_data_error(self):
-        kernel = KernelSpec(
-            partition=BandPartition.from_table(
-                [0.0, 1.0], [[0.0, 0.6], [0.0, 0.5]]),
-            K=(lambda t, s: np.ones_like(s),) * 3,
-            G=(None, None, None),
-        )
+        kernel = kernel_from_config({
+            "n": 3,
+            "alphas": {"type": "table", "t": [0.0, 1.0], "alpha": [[0.0, 0.6], [0.0, 0.5]]},
+            "K": [{"type": "const", "value": 1.0}] * 3,
+            "G": [{"type": "linear"}] * 3,
+        })
         grid = Grid(1.0, 10)
         with pytest.raises(DataError, match="out of order"):
             solve_apf(kernel, grid, np.zeros(11))
@@ -301,21 +350,28 @@ class TestSolveGates:
         with pytest.raises((DataError, SolverError)):
             solve_apf(kernel_from_config(config), grid, grid.nodes())
 
-    @pytest.mark.parametrize("G", [(None,), (lambda s, x: x + 0.1 * x ** 3,)])
+    @pytest.mark.parametrize("G", [{"type": "linear"}, {"type": "cubic", "a": 1.0, "b": 1.0}])
     def test_non_finite_history_is_solver_error(self, G):
-        # K is finite on the diagonal, so the floor check passes, but NaN
-        # everywhere below it: linear and nonlinear steps must both refuse
-        kernel = KernelSpec(
-            partition=BandPartition(),
-            K=(lambda t, s: np.where(np.asarray(t) - np.asarray(s) > 0.5, np.nan, 1.0),),
-            G=G,
-        )
+        # a huge finite f over a K at the floor: x overflows at node 1 and
+        # the history sums turn to inf - inf; both steps must refuse
+        kernel = kernel_from_config({"n": 1, "K": [{"type": "const", "value": 1e-6}], "G": [G]})
         grid = Grid(4.0, 8)
         with pytest.raises(SolverError):
-            solve_apf(kernel, grid, grid.nodes())
+            solve_apf(kernel, grid, 1e303 * grid.nodes())
+
+    @pytest.mark.parametrize("G", [{"type": "linear"}, {"type": "cubic", "a": 1.0, "b": 1.0}])
+    def test_overflow_on_the_last_node_is_solver_error(self, G):
+        # x_N alone is infinite, so the residual and its tolerance both are;
+        # at one time inf <= inf let such a solve through
+        kernel = kernel_from_config({"n": 1, "K": [{"type": "const", "value": 1e-6}], "G": [G]})
+        grid = Grid(4.0, 8)
+        f = np.zeros(9)
+        f[-1] = 1e308
+        with pytest.raises(SolverError, match="not finite"):
+            solve_apf(kernel, grid, f)
 
     def test_cubic_residual_is_gated(self):
-        # the root-find path is gated too: a negative tolerance, which no
+        # the cubic step is gated too: a negative tolerance, which no
         # residual can meet, must fail the solve
         kernel = kernel_from_config(README_KERNEL)
         grid = Grid(48.0, 48)
@@ -374,6 +430,18 @@ class TestKernelConfig:
         with pytest.raises(DataError, match="K"):
             kernel_from_config({"n": 1, "K": [{"type": "banana"}],
                                 "G": [{"type": "linear"}]})
+
+    def test_growing_factor_rejected(self):
+        with pytest.raises(DataError, match="rate must be >= 0"):
+            kernel_from_config({"n": 1, "K": [{"type": "exp_decay", "value": 1.0, "rate": -0.3}],
+                                "G": [{"type": "linear"}]})
+
+    def test_only_config_factors_and_responses(self):
+        with pytest.raises(DataError, match="K\\[0\\] must be a const or exp_decay"):
+            KernelSpec(partition=BandPartition(), K=(lambda t, s: 1.0,), G=(None,))
+        with pytest.raises(DataError, match="G\\[0\\] must be linear or cubic"):
+            KernelSpec(partition=BandPartition(), K=identity_kernel().K,
+                       G=(lambda s, x: x,))
 
     def test_cubic_reduces_to_identity(self):
         kernel = kernel_from_config({
@@ -522,22 +590,6 @@ class TestMarch:
         well_conditioned(kernel, grid, x, tol)
         back = solve_apf(kernel, grid, forward_apply(kernel, grid, x)).x[1:]
         np.testing.assert_allclose(back, x, rtol=0, atol=tol * np.max(np.abs(x)))
-
-    @pytest.mark.parametrize("K", [
-        lambda t, s: 1.0 + 0.5 * np.cos(np.asarray(t) - np.asarray(s)),
-        # an exp_decay with a negative rate grows, so it also takes the dense row
-        kernel_from_config({"n": 1, "K": [{"type": "exp_decay", "value": 1.0, "rate": -0.3}],
-                            "G": [{"type": "linear"}]}).K[0],
-    ])
-    def test_dense_row_factors_match_oracle(self, K):
-        kernel = KernelSpec(partition=BandPartition.proportional([0.4]), K=(K, K),
-                            G=(None, lambda s, x: x + 0.2 * x ** 3))
-        grid = Grid(6.0, 60)
-        x = np.sin(np.linspace(0.0, 5.0, 60))
-        f = dense_forward(kernel, grid, x)
-        np.testing.assert_allclose(forward_apply(kernel, grid, x), f, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(solve_apf(kernel, grid, f).x[1:], dense_solve(kernel, grid, f),
-                                   rtol=0, atol=1e-10)
 
     def test_long_exp_decay_stays_finite(self):
         # rate * horizon = 876: prefix sums of e^{rate*s} would overflow
