@@ -15,8 +15,7 @@ import click
 import numpy as np
 
 from .errors import DataError, SolverError
-from .forecast import FeatureConfig, block_cross_validate, save_model
-from .ioutil import fmt12, iso_seconds, read_csv, read_json, write_csv, write_json
+from .ioutil import fmt12, iso_seconds, read_json, write_csv, write_json
 from .storage import (
     StorageSpec,
     count_cycles,
@@ -25,6 +24,7 @@ from .storage import (
     read_dispatch_csv,
     storage_spec_from_config,
     write_dispatch_csv,
+    write_report_json,
 )
 from .timeseries import (
     SECONDS_PER_HOUR,
@@ -34,6 +34,7 @@ from .timeseries import (
     load_holidays,
     parse_timeseries_csv,
     read_frame_csv,
+    read_timeseries_csv,
     write_frame_csv,
 )
 from .volterra import Grid, load_kernel
@@ -139,6 +140,9 @@ def cmd_ingest(load_path, gen_path, res_path, temp_paths, holidays_path,
 def cmd_forecast(data_path, model_name, horizon, blocks, tail, trees, seed,
                  holidays_path, model_path, out_dir):
     """Cross-validate one model and forecast the held-out tail."""
+    # imported here, so the other commands do not load the forecasting code
+    from .forecast import FeatureConfig, block_cross_validate, save_model
+
     out_dir.mkdir(parents=True, exist_ok=True)
     holidays = load_holidays(holidays_path) if holidays_path else frozenset()
     frame = read_frame_csv(data_path, holidays=holidays)
@@ -192,21 +196,29 @@ def cmd_dispatch(load_path, gen_path, res_path, kernel_path, storage_path,
     """Solve the storage schedule for the given imbalance inputs."""
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def parse(path, name):
+    def pick(path, names):
         # a plain series file, a dataset.csv column or a forecast.csv: take
         # the first candidate in the header, so an explicit --value-column
         # does not stop the other series from using their conventional names
-        candidates = list(dict.fromkeys((value_column, name, "value", "predicted")))
-        _, header = next(read_csv(path))
-        column = next((c for c in candidates if c in header), None)
-        if column is None:
-            raise DataError(f"{path}: none of {candidates} in header {header}")
-        spec = CsvSpec(timestamp_column=timestamp_column, value_column=column, name=name)
-        return parse_timeseries_csv(path, spec)
+        def columns(header):
+            chosen = []
+            for name in names:
+                candidates = list(dict.fromkeys((value_column, name, "value", "predicted")))
+                column = next((c for c in candidates if c in header), None)
+                if column is None:
+                    raise DataError(f"{path}: none of {candidates} in header {header}")
+                chosen.append((column, name))
+            return chosen
+        return columns
 
-    f_load = parse(load_path, "load")
-    f_res = parse(res_path, "res") if res_path else None
-    f_gen = parse(gen_path, "gen") if gen_path else None
+    # a file given for several series is read once
+    files: dict[str, list[str]] = {}
+    for name, path in (("load", load_path), ("res", res_path), ("gen", gen_path)):
+        if path:
+            files.setdefault(path, []).append(name)
+    found = {s.name: s for path, names in files.items()
+             for s in read_timeseries_csv(path, pick(path, names), timestamp_column)}
+    f_load, f_res, f_gen = (found.get(name) for name in ("load", "res", "gen"))
     present = [s for s in (f_load, f_res, f_gen) if s is not None]
     if len(present) > 1:
         frame = align_hourly(present)
@@ -243,7 +255,7 @@ def cmd_dispatch(load_path, gen_path, res_path, kernel_path, storage_path,
     report = dispatch(truncate(f_res), truncate(f_gen), truncate(f_load),
                       kernel, spec, grid, soc_efficiency=soc_efficiency)
     write_dispatch_csv(out_dir / "dispatch.csv", report)
-    write_json(out_dir / "report.json", report.as_dict())
+    write_report_json(out_dir / "report.json", report)
     click.echo(
         f"dispatch over {n_cells} cells: min capacity {fmt12(report.min_capacity)}, "
         f"max |x| {fmt12(report.max_abs_power)}, "

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError
-from .ioutil import config_number, parse_cell, read_csv, write_csv
+from .ioutil import config_number, read_columns, write_csv, write_json
 from .timeseries import SECONDS_PER_HOUR, TimeSeries
 from .volterra import Grid, KernelSpec, SolveResult, solve_apf
 
@@ -56,10 +55,19 @@ class StorageSpec:
             raise DataError(f"e_min {self.e_min} exceeds e_max {self.e_max}")
 
 
-class Violation(NamedTuple):
-    constraint: str
-    node: int
-    magnitude: float
+CONSTRAINTS = ("E_max", "E_min", "v_max")  # in name order
+
+
+@dataclass(frozen=True)
+class Violations:
+    """Constraint violations as columns, sorted by node, then constraint name."""
+
+    node: np.ndarray        # int64
+    constraint: np.ndarray  # names from CONSTRAINTS
+    magnitude: np.ndarray   # how far past the bound
+
+    def __len__(self) -> int:
+        return len(self.node)
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,7 @@ class DispatchReport:
     x: np.ndarray
     v: np.ndarray
     E: np.ndarray
-    violations: list
+    violations: Violations
     min_capacity: float
     equivalent_cycles: float
     lifetime_horizons: float
@@ -77,7 +85,15 @@ class DispatchReport:
     max_abs_power: float
 
     def as_dict(self) -> dict:
-        """Scalar summary for the JSON report; node series travel as CSV."""
+        """The JSON report: scalars and one record per violation; node
+        series travel as CSV."""
+        rows = zip(self.violations.constraint.tolist(), self.violations.node.tolist(),
+                   self.violations.magnitude.tolist())
+        return {**self.scalars(), "violations": [
+            {"constraint": c, "node": n, "magnitude": m} for c, n, m in rows]}
+
+    def scalars(self) -> dict:
+        """as_dict without the violations."""
         lifetime = self.lifetime_horizons
         return {
             "min_capacity": self.min_capacity,
@@ -89,7 +105,6 @@ class DispatchReport:
             "imbalance_shift": self.imbalance_shift,
             "n_cells": self.grid.n_cells,
             "horizon_hours": self.grid.horizon,
-            "violations": [v._asdict() for v in self.violations],
         }
 
 
@@ -154,7 +169,7 @@ def soc_trajectory(x, h: float, spec: StorageSpec) -> np.ndarray:
     return out
 
 
-def check_constraints(x, v, E, spec: StorageSpec) -> list:
+def check_constraints(x, v, E, spec: StorageSpec) -> Violations:
     """Post-hoc scan for v_max and stored-energy band violations.
 
     Violations are data, not errors; magnitudes measure how far past the
@@ -165,15 +180,14 @@ def check_constraints(x, v, E, spec: StorageSpec) -> list:
     lo, hi = spec.e_min, spec.e_max
     tol = 1e-9 * max(1.0, abs(hi) if math.isfinite(hi) else 0.0)
 
-    violations = []
-    for node in np.flatnonzero(v > spec.v_max):
-        violations.append(Violation("v_max", int(node), float(v[node] - spec.v_max)))
-    for node in np.flatnonzero(E < lo - tol):
-        violations.append(Violation("E_min", int(node), float(lo - E[node])))
-    for node in np.flatnonzero(E > hi + tol):
-        violations.append(Violation("E_max", int(node), float(E[node] - hi)))
-    violations.sort(key=lambda violation: (violation.node, violation.constraint))
-    return violations
+    # one (nodes, magnitudes) pair per name in CONSTRAINTS
+    found = [(E > hi + tol, E - hi), (E < lo - tol, lo - E), (v > spec.v_max, v - spec.v_max)]
+    nodes = [np.flatnonzero(past) for past, _ in found]
+    node = np.concatenate(nodes)
+    code = np.repeat(np.arange(len(CONSTRAINTS)), [len(n) for n in nodes])
+    magnitude = np.concatenate([amount[n] for (_, amount), n in zip(found, nodes)])
+    order = np.lexsort((code, node))
+    return Violations(node[order], np.array(CONSTRAINTS)[code[order]], magnitude[order])
 
 
 def min_capacity(E) -> float:
@@ -279,20 +293,20 @@ def write_dispatch_csv(path, report: DispatchReport) -> None:
     write_csv(path, ["t", "x", "v", "E"], [report.grid.nodes(), report.x, report.v, report.E])
 
 
+def write_report_json(path, report: DispatchReport) -> None:
+    """report.json: ``report.as_dict()`` as write_json writes it, with the
+    violation records formatted from their columns."""
+    write_json(path, report.scalars(), records={"violations": vars(report.violations)})
+
+
 def read_dispatch_csv(path):
     """Inverse of write_dispatch_csv: returns (t, x, v, E) arrays."""
-    lines = read_csv(path)
-    _, header = next(lines)
-    if header != ["t", "x", "v", "E"]:
-        raise DataError(f"{path}: expected header t,x,v,E, got {header}")
-    data = []
-    for lineno, row in lines:
-        if len(row) != 4:
-            raise DataError(f"{path}: line {lineno}: expected 4 columns, got {len(row)}")
-        values = [parse_cell(cell, path, lineno) for cell in row]
-        if not all(map(math.isfinite, values)):
-            raise DataError(f"{path}: line {lineno}: non-finite number in {row!r}")
-        data.append(values)
-    if not data:
+    def columns(header):
+        if header != ["t", "x", "v", "E"]:
+            raise DataError(f"{path}: expected header t,x,v,E, got {header}")
+        return None, header
+
+    _, values = read_columns(path, columns, exact=True, finite=True)
+    if not len(values["t"]):
         raise DataError(f"{path}: no data rows")
-    return tuple(np.array(data).T.copy())
+    return tuple(values.values())

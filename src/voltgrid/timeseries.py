@@ -8,20 +8,14 @@ series of length L always spans exactly (L-1) steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timedelta
 
 import numpy as np
 
 from .errors import DataError
-from .ioutil import parse_cell, read_csv, write_csv
+from .ioutil import line_of_row, naive_utc, read_columns, write_csv
 
 SECONDS_PER_HOUR = 3600.0
-
-
-def _to_naive_utc(ts: datetime) -> datetime:
-    if ts.tzinfo is not None:
-        ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
-    return ts
 
 
 @dataclass(frozen=True)
@@ -36,7 +30,7 @@ class TimeSeries:
     def __post_init__(self):
         if self.step <= 0:
             raise DataError(f"series {self.name!r}: step must be positive, got {self.step}")
-        object.__setattr__(self, "start", _to_naive_utc(self.start))
+        object.__setattr__(self, "start", naive_utc(self.start))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.ndim != 1:
             raise DataError(f"series {self.name!r}: values must be one-dimensional")
@@ -65,7 +59,7 @@ class AlignedFrame:
     holiday_calendar: frozenset[date] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "start", _to_naive_utc(self.start))
+        object.__setattr__(self, "start", naive_utc(self.start))
         lengths = {name: len(col) for name, col in self.columns.items()}
         if len(set(lengths.values())) > 1:
             raise DataError(f"column lengths differ: {lengths}")
@@ -99,64 +93,58 @@ class CsvSpec:
     name: str | None = None
 
 
-def _parse_stamp(text: str, fmt: str | None, path, lineno: int) -> datetime:
-    """One timestamp cell as naive UTC: ``fmt`` is a strptime pattern, None
-    takes ISO 8601 with an optional trailing Z."""
-    cleaned = text.strip()
-    try:
-        if fmt is not None:
-            return _to_naive_utc(datetime.strptime(text, fmt))
-        if cleaned.endswith("Z"):
-            cleaned = cleaned[:-1] + "+00:00"
-        return _to_naive_utc(datetime.fromisoformat(cleaned))
-    except ValueError as exc:
-        raise DataError(f"{path}: line {lineno}: bad timestamp {text!r}: {exc}") from None
+def read_timeseries_csv(path, pick, timestamp_column: str = "timestamp",
+                        timestamp_format: str | None = None) -> list[TimeSeries]:
+    """Read value columns of one headered CSV file into hourly TimeSeries
+    on one time base; ``pick(header)`` returns (column, series name) pairs.
+
+    Rows are sorted by timestamp, duplicates are rejected, and any gaps that
+    are whole hours are filled with NaN. Spacing off the hourly grid is an
+    alignment error. ``timestamp_format`` is as in CsvSpec.
+    """
+    chosen = []
+
+    def columns(header):
+        chosen.extend(pick(header))
+        for role, column in [("timestamp", timestamp_column), *(("value", c) for c, _ in chosen)]:
+            if column not in header:
+                raise DataError(f"{path}: {role} column {column!r} not in header {header}")
+        return timestamp_column, list(dict.fromkeys(c for c, _ in chosen))
+
+    stamps, values = read_columns(path, columns, fmt=timestamp_format)
+    if not len(stamps):
+        raise DataError(f"{path}: CSV contains no data rows")
+    order = np.argsort(stamps, kind="stable")
+    stamps = stamps[order]
+    same = np.flatnonzero(stamps[1:] == stamps[:-1])
+    if len(same):
+        raise DataError(f"{path}: duplicate timestamp at line {line_of_row(path, order[same[0] + 1])}")
+
+    start = stamps[0].item()
+    steps = (stamps - stamps[0]) / np.timedelta64(1, "s") / SECONDS_PER_HOUR
+    rounded = np.rint(steps)
+    off_grid = np.flatnonzero(np.abs(steps - rounded) > 1e-6)
+    if len(off_grid):
+        raise DataError(
+            f"{path}: line {line_of_row(path, order[off_grid[0]])}: timestamp not on the "
+            f"{SECONDS_PER_HOUR:g}s grid anchored at {start}"
+        )
+
+    slots = rounded.astype(int)
+    series = []
+    for column, name in chosen:
+        filled = np.full(slots[-1] + 1, np.nan)
+        filled[slots] = values[column][order]
+        series.append(TimeSeries(start=start, values=filled, step=SECONDS_PER_HOUR, name=name))
+    return series
 
 
 def parse_timeseries_csv(path, spec: CsvSpec = CsvSpec()) -> TimeSeries:
     """Read one value column out of a headered CSV file into an hourly
-    TimeSeries.
-
-    Rows are sorted by timestamp, duplicates are rejected, and any gaps that
-    are whole hours are filled with NaN. Spacing off the hourly grid is an
-    alignment error.
-    """
-    lines = read_csv(path)
-    _, header = next(lines)
-    for role, column in (("timestamp", spec.timestamp_column), ("value", spec.value_column)):
-        if column not in header:
-            raise DataError(f"{path}: {role} column {column!r} not in header {header}")
-    ts_idx, val_idx = header.index(spec.timestamp_column), header.index(spec.value_column)
-    rows: list[tuple[datetime, float, int]] = []
-    for lineno, row in lines:
-        if len(row) <= max(ts_idx, val_idx):
-            raise DataError(f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}")
-        stamp = _parse_stamp(row[ts_idx], spec.timestamp_format, path, lineno)
-        rows.append((stamp, parse_cell(row[val_idx], path, lineno), lineno))
-
-    if not rows:
-        raise DataError(f"{path}: CSV contains no data rows")
-    rows.sort(key=lambda r: r[0])
-    for (t0, _, _), (t1, _, line1) in zip(rows, rows[1:]):
-        if t0 == t1:
-            raise DataError(f"{path}: duplicate timestamp at line {line1}")
-
-    start = rows[0][0]
-    offsets = np.array([(stamp - start).total_seconds() for stamp, _, _ in rows])
-    steps = offsets / SECONDS_PER_HOUR
-    rounded = np.rint(steps)
-    if np.any(np.abs(steps - rounded) > 1e-6):
-        bad = int(np.argmax(np.abs(steps - rounded) > 1e-6))
-        raise DataError(
-            f"{path}: line {rows[bad][2]}: timestamp not on the "
-            f"{SECONDS_PER_HOUR:g}s grid anchored at {start}"
-        )
-
-    length = int(rounded[-1]) + 1
-    values = np.full(length, np.nan)
-    values[rounded.astype(int)] = [v for _, v, _ in rows]
+    TimeSeries, as read_timeseries_csv does."""
     name = spec.name if spec.name is not None else spec.value_column
-    return TimeSeries(start=start, values=values, step=SECONDS_PER_HOUR, name=name)
+    return read_timeseries_csv(path, lambda header: [(spec.value_column, name)],
+                               spec.timestamp_column, spec.timestamp_format)[0]
 
 
 def load_holidays(path) -> frozenset[date]:
@@ -294,30 +282,20 @@ def write_frame_csv(frame: AlignedFrame, path) -> None:
 
 def read_frame_csv(path, holidays=frozenset()) -> AlignedFrame:
     """Read a canonical dataset file back; rows must be hourly and sorted."""
-    lines = read_csv(path)
-    _, header = next(lines)
-    if not header or header[0] != "timestamp":
-        raise DataError(f"{path}: expected a leading 'timestamp' column")
-    names = header[1:]
-    if not names:
-        raise DataError(f"{path}: no value columns")
-    stamps = []
-    data: list[list[float]] = []
-    for lineno, row in lines:
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}"
-            )
-        stamps.append(_parse_stamp(row[0], None, path, lineno))
-        data.append([parse_cell(cell, path, lineno) for cell in row[1:]])
-    if not stamps:
+    def columns(header):
+        if not header or header[0] != "timestamp":
+            raise DataError(f"{path}: expected a leading 'timestamp' column")
+        if len(header) == 1:
+            raise DataError(f"{path}: no value columns")
+        return "timestamp", header[1:]
+
+    stamps, values = read_columns(path, columns, exact=True)
+    if not len(stamps):
         raise DataError(f"{path}: no data rows")
-    for i, (a, b) in enumerate(zip(stamps, stamps[1:])):
-        if (b - a).total_seconds() != SECONDS_PER_HOUR:
-            raise DataError(f"{path}: rows {i + 2}-{i + 3} are not consecutive hours")
-    values = np.asarray(data, dtype=float)
-    columns = {name: values[:, k].copy() for k, name in enumerate(names)}
-    return AlignedFrame(start=stamps[0], step=SECONDS_PER_HOUR, columns=columns,
+    gaps = np.flatnonzero(np.diff(stamps) != np.timedelta64(1, "h"))
+    if len(gaps):
+        raise DataError(f"{path}: rows {gaps[0] + 2}-{gaps[0] + 3} are not consecutive hours")
+    return AlignedFrame(start=stamps[0].item(), step=SECONDS_PER_HOUR, columns=values,
                         holiday_calendar=frozenset(holidays))
 
 

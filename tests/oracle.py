@@ -13,15 +13,23 @@ sampled-feature path. ``voltgrid.forecast.trees`` grows the same trees level
 by level over presorted orders. Both tree oracles score splits and take node
 values from exact integer sums of the targets in the fixed point of
 ``trees._quantize``.
+
+``parse_timeseries_csv_rows`` and ``read_frame_csv_rows`` read a CSV file one
+row at a time: each timestamp through ``datetime`` alone, each value through
+``voltgrid.ioutil.parse_cell``, then order, duplicates and the hourly grid
+checked on Python datetimes. ``voltgrid.timeseries`` converts whole columns
+to arrays and checks them there.
 """
 
 import math
+from datetime import datetime
 
 import numpy as np
 
 from voltgrid import DataError, SolverError
 from voltgrid.forecast.trees import RegressionTree, _quantize
-from voltgrid.ioutil import fmt12
+from voltgrid.ioutil import fmt12, naive_utc, parse_cell, read_csv
+from voltgrid.timeseries import SECONDS_PER_HOUR, AlignedFrame, CsvSpec, TimeSeries
 
 
 def segment_cells(t_j, grid, partition):
@@ -250,3 +258,86 @@ def grow_tree_bfs(X, y, *, rng=None, max_depth=None, min_child: int = 1,
         level, depth = children, depth + 1
     right = [c + 1 if c >= 0 else -1 for c in left]
     return RegressionTree(feature, threshold, left, right, value)
+
+
+# --- CSV readers, one row at a time ------------------------------------------
+
+def parse_stamp(text, fmt, path, lineno):
+    """One timestamp cell, stripped, as a naive UTC datetime."""
+    cleaned = text.strip()
+    try:
+        if fmt is not None:
+            return naive_utc(datetime.strptime(cleaned, fmt))
+        if cleaned.endswith("Z"):
+            cleaned = cleaned[:-1] + "+00:00"
+        return naive_utc(datetime.fromisoformat(cleaned))
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: line {lineno}: bad timestamp {text!r}: {exc}") from None
+
+
+def parse_timeseries_csv_rows(path, spec=CsvSpec()):
+    """``voltgrid.timeseries.parse_timeseries_csv`` row by row."""
+    lines = read_csv(path)
+    _, header = next(lines)
+    for role, column in (("timestamp", spec.timestamp_column), ("value", spec.value_column)):
+        if column not in header:
+            raise DataError(f"{path}: {role} column {column!r} not in header {header}")
+    ts_idx, val_idx = header.index(spec.timestamp_column), header.index(spec.value_column)
+    rows = []
+    for lineno, row in lines:
+        if len(row) <= max(ts_idx, val_idx):
+            raise DataError(f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}")
+        stamp = parse_stamp(row[ts_idx], spec.timestamp_format, path, lineno)
+        rows.append((stamp, parse_cell(row[val_idx], path, lineno), lineno))
+
+    if not rows:
+        raise DataError(f"{path}: CSV contains no data rows")
+    rows.sort(key=lambda r: r[0])
+    for (t0, _, _), (t1, _, line1) in zip(rows, rows[1:]):
+        if t0 == t1:
+            raise DataError(f"{path}: duplicate timestamp at line {line1}")
+
+    start = rows[0][0]
+    offsets = np.array([(stamp - start).total_seconds() for stamp, _, _ in rows])
+    steps = offsets / SECONDS_PER_HOUR
+    rounded = np.rint(steps)
+    if np.any(np.abs(steps - rounded) > 1e-6):
+        bad = int(np.argmax(np.abs(steps - rounded) > 1e-6))
+        raise DataError(
+            f"{path}: line {rows[bad][2]}: timestamp not on the "
+            f"{SECONDS_PER_HOUR:g}s grid anchored at {start}"
+        )
+
+    length = int(rounded[-1]) + 1
+    values = np.full(length, np.nan)
+    values[rounded.astype(int)] = [v for _, v, _ in rows]
+    name = spec.name if spec.name is not None else spec.value_column
+    return TimeSeries(start=start, values=values, step=SECONDS_PER_HOUR, name=name)
+
+
+def read_frame_csv_rows(path):
+    """``voltgrid.timeseries.read_frame_csv`` row by row."""
+    lines = read_csv(path)
+    _, header = next(lines)
+    if not header or header[0] != "timestamp":
+        raise DataError(f"{path}: expected a leading 'timestamp' column")
+    names = header[1:]
+    if not names:
+        raise DataError(f"{path}: no value columns")
+    stamps = []
+    data = []
+    for lineno, row in lines:
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}"
+            )
+        stamps.append(parse_stamp(row[0], None, path, lineno))
+        data.append([parse_cell(cell, path, lineno) for cell in row[1:]])
+    if not stamps:
+        raise DataError(f"{path}: no data rows")
+    for i, (a, b) in enumerate(zip(stamps, stamps[1:])):
+        if (b - a).total_seconds() != SECONDS_PER_HOUR:
+            raise DataError(f"{path}: rows {i + 2}-{i + 3} are not consecutive hours")
+    values = np.asarray(data, dtype=float)
+    columns = {name: values[:, k].copy() for k, name in enumerate(names)}
+    return AlignedFrame(start=stamps[0], step=SECONDS_PER_HOUR, columns=columns)

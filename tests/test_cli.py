@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import voltgrid
-from voltgrid import SolverError
+from voltgrid import SolverError, ioutil
 from voltgrid.cli import _guarded, main
 from voltgrid.forecast import validation
 
@@ -422,6 +422,35 @@ class TestDispatch:
         assert "band count" in all_output(result)
         assert not (tmp_path / "disp" / "dispatch.csv").exists()
 
+    def test_file_for_several_series_is_read_once(self, runner, tmp_path, monkeypatch):
+        t = np.arange(48.0)
+        frame = voltgrid.align_hourly([voltgrid.TimeSeries(START, 50 + np.sin(t), name="load"),
+                                       voltgrid.TimeSeries(START, 20 + t / 4, name="gen"),
+                                       voltgrid.TimeSeries(START, np.cos(t), name="res")])
+        for name in ("data", "copy_a", "copy_b"):
+            voltgrid.write_frame_csv(frame, tmp_path / f"{name}.csv")
+        write_kernel(tmp_path / "kernel.json")
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(Path(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(ioutil, "open", counting_open, raising=False)
+        outputs = {}
+        for out, files in (("once", ["data"] * 3), ("apart", ["data", "copy_a", "copy_b"])):
+            opened.clear()
+            paths = [str(tmp_path / f"{name}.csv") for name in files]
+            result = runner.invoke(main, [
+                "dispatch", "--load", paths[0], "--gen", paths[1], "--res", paths[2],
+                "--kernel", str(tmp_path / "kernel.json"), "--out", str(tmp_path / out),
+            ])
+            assert result.exit_code == 0, all_output(result)
+            assert opened.count(tmp_path / "data.csv") == 1
+            outputs[out] = [(tmp_path / out / name).read_bytes()
+                            for name in ("dispatch.csv", "report.json")]
+        assert outputs["once"] == outputs["apart"]
+
     def test_value_column_missing_exit_2(self, runner, tmp_path):
         (tmp_path / "load.csv").write_text("timestamp,megawatts\n2019-01-01,1\n")
         write_kernel(tmp_path / "kernel.json")
@@ -530,12 +559,13 @@ class TestExitCodes:
 
 
 def modules_after_cli_import(names):
-    """Which of ``names`` a fresh interpreter holds after ``import voltgrid.cli``
-    (this one may have imported them for other tests)."""
+    """Which of ``names`` and their submodules a fresh interpreter holds after
+    ``import voltgrid.cli`` (this one may have imported them for other tests)."""
     src = str(Path(voltgrid.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys, voltgrid.cli; print(*[m for m in {list(names)!r} if m in sys.modules])"
+    code = ("import sys, voltgrid.cli; print(*[m for m in sys.modules if any("
+            f"m == n or m.startswith(n + '.') for n in {list(names)!r})])")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     return proc.stdout.split()
@@ -544,6 +574,10 @@ def modules_after_cli_import(names):
 class TestImport:
     def test_cli_import_leaves_scipy_out(self):
         assert modules_after_cli_import(["scipy"]) == []
+
+    def test_cli_import_leaves_forecasting_out(self):
+        # only the forecast command imports it
+        assert modules_after_cli_import(["voltgrid.forecast"]) == []
 
     def test_cli_import_leaves_process_pools_out(self):
         # the worker pool is imported only when a forecast fits trees

@@ -1,10 +1,13 @@
 """Storage-side operations: imbalance, trajectories, constraints, dispatch."""
 
 import datetime as dt
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voltgrid import (
     DataError,
@@ -22,7 +25,10 @@ from voltgrid import (
     soc_trajectory,
     storage_spec_from_config,
 )
-from voltgrid.storage import read_dispatch_csv, write_dispatch_csv
+from voltgrid import ioutil
+from voltgrid.ioutil import json_ready
+from voltgrid.storage import (CONSTRAINTS, DispatchReport, Violations, read_dispatch_csv,
+                              write_dispatch_csv, write_report_json)
 
 from conftest import START, hourly, identity_kernel, two_band_kernel
 
@@ -160,7 +166,7 @@ class TestConstraints:
         x = np.array([1.0, -1.0])
         v = integrate_cumulative(x, 1.0)
         E = soc_trajectory(x, 1.0, StorageSpec(efficiency=1.0, interpretation="power"))
-        assert check_constraints(x, v, E, spec) == []
+        assert len(check_constraints(x, v, E, spec)) == 0
 
     def test_violations_located_and_measured(self):
         spec = StorageSpec(v_max=1.5, e_min=-0.5, e_max=0.75,
@@ -168,16 +174,14 @@ class TestConstraints:
         v = np.array([0.0, 1.0, 2.0])
         E = np.array([0.0, 1.0, -1.0])
         out = check_constraints(np.zeros(2), v, E, spec)
-        assert [(o.constraint, o.node) for o in out] == [
+        assert list(zip(out.constraint.tolist(), out.node.tolist())) == [
             ("E_max", 1), ("E_min", 2), ("v_max", 2)]
-        assert out[0].magnitude == pytest.approx(0.25)
-        assert out[1].magnitude == pytest.approx(0.5)
-        assert out[2].magnitude == pytest.approx(0.5)
+        np.testing.assert_allclose(out.magnitude, [0.25, 0.5, 0.5])
 
     def test_tolerance_scales_with_e_max(self):
         spec = StorageSpec(e_max=1e6)
         E = np.array([0.0, 1e6 + 1e-4])  # inside 1e-9 * 1e6 = 1e-3
-        assert check_constraints(np.zeros(1), np.zeros(2), E, spec) == []
+        assert len(check_constraints(np.zeros(1), np.zeros(2), E, spec)) == 0
 
 
 class TestCapacityAndCycles:
@@ -295,6 +299,27 @@ class TestDispatch:
         assert doc["residual"] == report.residual
 
 
+_SCALARS = st.one_of(st.floats(), st.sampled_from([0.0, math.inf, 1 / 3]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_report_json_is_what_json_dump_writes(tmp_path_factory, data):
+    # violations: none, several constraints at one node, magnitudes over
+    # many decades (and the non-finite ones JSON writes as null)
+    cells = sorted(data.draw(st.sets(st.tuples(st.integers(0, 40), st.integers(0, 2)), max_size=25)))
+    magnitude = data.draw(st.lists(st.one_of(st.floats(), st.floats(1e-300, 1e300)),
+                                   min_size=len(cells), max_size=len(cells)))
+    violations = Violations(np.array([node for node, _ in cells], dtype=np.int64),
+                            np.array(CONSTRAINTS)[[code for _, code in cells]].astype(str),
+                            np.array(magnitude, dtype=float))
+    report = DispatchReport(Grid(3.0, 3), np.zeros(4), np.zeros(4), np.zeros(4), violations,
+                            *(data.draw(_SCALARS) for _ in range(6)))
+    path = tmp_path_factory.getbasetemp() / "report.json"
+    write_report_json(path, report)
+    assert path.read_text() == json.dumps(json_ready(report.as_dict()), indent=2, sort_keys=True) + "\n"
+
+
 class TestDispatchCsv:
     def test_roundtrip(self, tmp_path):
         res, gen, load = (hourly(np.zeros(4), name="res"),
@@ -309,3 +334,17 @@ class TestDispatchCsv:
         np.testing.assert_allclose(v, report.v, atol=1e-12)
         np.testing.assert_allclose(E, report.E, atol=1e-12)
         assert path.read_text().splitlines()[0] == "t,x,v,E"
+
+    @pytest.mark.parametrize("block", [1, 2, 4096])
+    @pytest.mark.parametrize("body, message", [
+        ("0,0,0,0\n1,nan,0,0\n2,x,0,0\n", "line 3: non-finite number in ['1', 'nan', '0', '0']"),
+        ("0,0,0,0\n\n1,x,0,0\n2,inf,0,0\n", "line 4: bad value 'x'"),
+        ("0,0,0,0\n1,0,0,0\n2,0,0\n3,x,0,0\n", "line 4: expected 4 columns, got 3"),
+        ("0,0,0,0\n1,0,0,0,0\n", "line 3: expected 4 columns, got 5"),
+    ])
+    def test_first_bad_line_is_named(self, tmp_path, block, body, message):
+        path = tmp_path / "dispatch.csv"
+        path.write_text("t,x,v,E\n" + body)
+        with mock.patch.object(ioutil, "READ_BLOCK", block), pytest.raises(DataError) as err:
+            read_dispatch_csv(path)
+        assert str(err.value) == f"{path}: {message}"

@@ -4,9 +4,11 @@ import atexit
 import datetime as dt
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voltgrid import (
     CsvSpec,
@@ -22,8 +24,10 @@ from voltgrid import (
     split_indices,
     write_frame_csv,
 )
+from voltgrid import ioutil
 from voltgrid.timeseries import calendar_arrays
 
+import oracle
 from conftest import START, hourly
 
 
@@ -85,6 +89,17 @@ class TestParseCsv:
                 "2019-01-01 00:00:00,2\n"
             ))
 
+    def test_duplicate_named_at_the_later_line_of_the_pair(self):
+        # every hour twice, shuffled: a stable sort keeps equal stamps in file
+        # order, so the message names the later line of the earliest pair
+        hours = np.random.default_rng(1).permutation(np.repeat(np.arange(20), 2))
+        path = csv_stream("timestamp,value\n" + "".join(
+            f"{START + dt.timedelta(hours=int(h))},{k}\n" for k, h in enumerate(hours)))
+        with pytest.raises(DataError) as err:
+            parse_timeseries_csv(path)
+        first = 2 + max(np.flatnonzero(hours == 0))
+        assert str(err.value) == f"{path}: duplicate timestamp at line {first}"
+
     def test_off_grid_timestamp_rejected(self):
         with pytest.raises(DataError, match="grid"):
             parse_timeseries_csv(csv_stream(
@@ -119,6 +134,25 @@ class TestParseCsv:
         ), spec)
         assert ts.name == "load"
         assert ts.values.tolist() == [41.0, 42.0]
+
+    @pytest.mark.parametrize("fmt", [None, "%Y-%m-%d %H:%M"])
+    def test_padded_stamp_parses_with_or_without_format(self, fmt):
+        ts = parse_timeseries_csv(csv_stream(
+            "timestamp,value\n 2019-01-01 00:00 ,1\n2019-01-01 01:00\t,2\n"
+        ), CsvSpec(timestamp_format=fmt))
+        assert ts.start == dt.datetime(2019, 1, 1)
+        assert ts.values.tolist() == [1.0, 2.0]
+
+    def test_stamp_out_of_range_in_utc_is_data_error(self):
+        # 00:00 at +01:00 on 0001-01-01 falls before year 1 in UTC
+        with pytest.raises(DataError, match="line 2: bad timestamp .*out of range"):
+            parse_timeseries_csv(csv_stream("timestamp,value\n0001-01-01T00:00:00+01:00,1\n"))
+
+    def test_duplicate_column_rejected(self):
+        with pytest.raises(DataError, match="'load' appears more than once"):
+            parse_timeseries_csv(csv_stream(
+                "timestamp,load,load\n2019-01-01 00:00:00,1,2\n"
+            ), CsvSpec(value_column="load"))
 
     def test_timezone_normalized_to_utc(self):
         ts = parse_timeseries_csv(csv_stream(
@@ -252,11 +286,139 @@ class TestFrameCsv:
         with pytest.raises(DataError, match="consecutive"):
             read_frame_csv(path)
 
+    def test_rejects_duplicate_column(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("timestamp,load,load\n2019-01-01T00:00:00,1,2\n")
+        with pytest.raises(DataError, match="'load' appears more than once"):
+            read_frame_csv(path)
+
     def test_rejects_missing_timestamp_header(self, tmp_path):
         path = tmp_path / "broken.csv"
         path.write_text("time,load\n2019-01-01T00:00:00,1\n")
         with pytest.raises(DataError, match="timestamp"):
             read_frame_csv(path)
+
+
+# --- the columnar readers against the row-wise oracle --------------------------
+
+_BASE = dt.datetime(2019, 3, 31)
+
+
+def _rarely(odd, usual, one_in):
+    """Draw from ``odd`` once in ``one_in`` draws, else from ``usual``."""
+    return st.integers(1, one_in).flatmap(lambda k: odd if k == 1 else usual)
+
+
+_VALUES = _rarely(st.sampled_from(["abc", "1.5.2", "0x1"]), st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["", "NA", "n/a", " Null ", "-", "nan", "inf"]),
+), 25)
+# microseconds added to a row's hour: 3 ms is inside the grid tolerance, 4 ms is not
+_NUDGES = _rarely(st.sampled_from([1, 3000, 4000, 500_000, 30 * 60 * 10**6]), st.just(0), 15)
+_BAD_STAMPS = st.sampled_from(["2019-02-30T00:00:00", "soon", "", "2019-01-01T25:00"])
+
+
+@st.composite
+def _stamp_cells(draw, utc):
+    """An ISO 8601 cell for the naive UTC instant ``utc``: T or space, Z or an
+    offset, seconds dropped, milli- or microseconds, padding, or a bad cell."""
+    if draw(st.integers(0, 39)) == 0:
+        return draw(_BAD_STAMPS)
+    offset = draw(st.sampled_from([None, "Z", 0, 120, -330, 345]))
+    local = utc if offset in (None, "Z") else utc + dt.timedelta(minutes=offset)
+    spec = "milliseconds" if local.microsecond % 1000 == 0 else "auto"
+    text = local.isoformat(sep=draw(st.sampled_from(["T", " "])),
+                           timespec=spec if local.microsecond else "auto")
+    if not local.microsecond and not local.second and draw(st.booleans()):
+        text = text[:-3]
+    if offset == "Z":
+        text += "Z"
+    elif offset is not None:
+        text += f"{'+' if offset >= 0 else '-'}{abs(offset) // 60:02d}:{abs(offset) % 60:02d}"
+    return draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", "  "]))
+
+
+def _body(draw, header, rows):
+    """CSV text: the header, the rows and a few blank lines."""
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " , "])))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _series_files(draw):
+    """A series CSV: shuffled rows, whole-hour gaps, duplicate and off-grid
+    stamps, NA markers, bad cells, short rows and an unread extra column."""
+    header = draw(st.permutations(["timestamp", "value"] + draw(st.sampled_from([[], ["other"]]))))
+    hours = draw(st.lists(st.integers(0, 40), min_size=0, max_size=30))
+    rows = []
+    for hour in hours:
+        utc = _BASE + dt.timedelta(hours=hour, microseconds=draw(_NUDGES))
+        cells = {"timestamp": draw(_stamp_cells(utc)), "value": draw(_VALUES), "other": "x"}
+        row = [cells[name] for name in header]
+        if draw(st.integers(0, 39)) == 0:
+            row = row[:-1]
+        rows.append(row)
+    return _body(draw, header, draw(st.permutations(rows)))
+
+
+@st.composite
+def _frame_files(draw):
+    """A dataset CSV: consecutive hours with an occasional gap, swap or
+    duplicate, NA markers, bad cells and rows of the wrong width."""
+    names = draw(st.lists(st.sampled_from(["load", "gen", "res"]), min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(0, 10))
+    hours = list(range(n))
+    if n > 1 and draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, n - 2))
+        hours[k], hours[k + 1] = draw(st.sampled_from([(hours[k + 1], hours[k]), (hours[k], hours[k]),
+                                                       (hours[k], hours[k + 1] + 1)]))
+    rows = []
+    for hour in hours:
+        utc = _BASE + dt.timedelta(hours=hour, microseconds=draw(_NUDGES))
+        row = [draw(_stamp_cells(utc))] + [draw(_VALUES) for _ in names]
+        width = draw(st.sampled_from([0] * 38 + [-1, 1]))
+        rows.append(row[:width] if width < 0 else row + ["1"] * width)
+    return _body(draw, ["timestamp", *names], rows)
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_series_files(), block=st.sampled_from([1, 2, 3, 4096]))
+def test_series_reader_matches_row_wise_oracle(text, block):
+    path = csv_stream(text)
+    expected = _outcome(oracle.parse_timeseries_csv_rows, path)
+    with mock.patch.object(ioutil, "READ_BLOCK", block):
+        got = _outcome(parse_timeseries_csv, path)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert (got.start, got.step, got.name) == (expected.start, expected.step, expected.name)
+        np.testing.assert_array_equal(got.values, expected.values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_frame_files(), block=st.sampled_from([1, 2, 3, 4096]))
+def test_frame_reader_matches_row_wise_oracle(text, block):
+    path = csv_stream(text)
+    expected = _outcome(oracle.read_frame_csv_rows, path)
+    with mock.patch.object(ioutil, "READ_BLOCK", block):
+        got = _outcome(read_frame_csv, path)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got.start == expected.start
+        assert list(got.columns) == list(expected.columns)
+        for name, column in expected.columns.items():
+            np.testing.assert_array_equal(got.columns[name], column)
 
 
 class TestHolidays:
