@@ -28,13 +28,11 @@ from .storage import (
 )
 from .timeseries import (
     SECONDS_PER_HOUR,
-    CsvSpec,
     TimeSeries,
     align_hourly,
     load_holidays,
-    parse_timeseries_csv,
     read_frame_csv,
-    read_timeseries_csv,
+    read_series,
     write_frame_csv,
 )
 from .volterra import Grid, load_kernel
@@ -86,18 +84,10 @@ def cmd_ingest(load_path, gen_path, res_path, temp_paths, holidays_path,
     """Align the input series on their common hourly range."""
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def parse(path, name):
-        spec = CsvSpec(timestamp_column=timestamp_column, value_column=value_column,
-                       timestamp_format=timestamp_format, name=name)
-        return parse_timeseries_csv(path, spec)
-
-    series = [parse(load_path, "load")]
-    if gen_path:
-        series.append(parse(gen_path, "gen"))
-    if res_path:
-        series.append(parse(res_path, "res"))
-    for path in temp_paths:
-        series.append(parse(path, Path(path).stem))
+    sources = [("load", load_path), ("gen", gen_path), ("res", res_path),
+               *((Path(path).stem, path) for path in temp_paths)]
+    series = read_series([(name, path) for name, path in sources if path],
+                         lambda name: (value_column,), timestamp_column, timestamp_format)
     holidays = load_holidays(holidays_path) if holidays_path else frozenset()
 
     frame = align_hourly(series, holidays=holidays)
@@ -196,28 +186,13 @@ def cmd_dispatch(load_path, gen_path, res_path, kernel_path, storage_path,
     """Solve the storage schedule for the given imbalance inputs."""
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def pick(path, names):
-        # a plain series file, a dataset.csv column or a forecast.csv: take
-        # the first candidate in the header, so an explicit --value-column
-        # does not stop the other series from using their conventional names
-        def columns(header):
-            chosen = []
-            for name in names:
-                candidates = list(dict.fromkeys((value_column, name, "value", "predicted")))
-                column = next((c for c in candidates if c in header), None)
-                if column is None:
-                    raise DataError(f"{path}: none of {candidates} in header {header}")
-                chosen.append((column, name))
-            return chosen
-        return columns
-
-    # a file given for several series is read once
-    files: dict[str, list[str]] = {}
-    for name, path in (("load", load_path), ("res", res_path), ("gen", gen_path)):
-        if path:
-            files.setdefault(path, []).append(name)
-    found = {s.name: s for path, names in files.items()
-             for s in read_timeseries_csv(path, pick(path, names), timestamp_column)}
+    # a plain series file, a dataset.csv column or a forecast.csv: take the
+    # first candidate in the header, so an explicit --value-column does not
+    # stop the other series from using their conventional names
+    sources = (("load", load_path), ("res", res_path), ("gen", gen_path))
+    found = {s.name: s for s in read_series(
+        [(name, path) for name, path in sources if path],
+        lambda name: (value_column, name, "value", "predicted"), timestamp_column)}
     f_load, f_res, f_gen = (found.get(name) for name in ("load", "res", "gen"))
     present = [s for s in (f_load, f_res, f_gen) if s is not None]
     if len(present) > 1:

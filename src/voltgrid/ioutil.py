@@ -49,38 +49,6 @@ def naive_utc(ts: datetime) -> datetime:
     return ts
 
 
-def _header(reader, path) -> list[str]:
-    try:
-        header = next(reader, None)
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: unreadable CSV: {exc}") from None
-    if header is None:
-        raise DataError(f"{path}: empty CSV: missing header row")
-    return [name.strip() for name in header]
-
-
-def read_csv(path):
-    """Stream a headered CSV file: yield (1, header with stripped names),
-    then (line number, cells) for every row that is not all blank.
-
-    An empty file, or one that is not UTF-8 text, raises DataError.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        yield 1, _header(reader, path)
-        try:
-            for row in reader:
-                if "".join(row).strip():
-                    yield reader.line_num, row
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise DataError(f"{path}: unreadable CSV: {exc}") from None
-
-
-def line_of_row(path, row: int) -> int:
-    """The line number read_csv gives data row ``row`` (0-based) of ``path``."""
-    return next(islice(read_csv(path), row + 1, None))[0]
-
-
 def _number(cell: str) -> float:
     try:
         return float(cell)
@@ -88,14 +56,6 @@ def _number(cell: str) -> float:
         if cell.strip().lower() in NA_STRINGS:
             return math.nan
         raise
-
-
-def parse_cell(cell: str, path, lineno: int) -> float:
-    """One numeric CSV cell; the NA_STRINGS markers (any case) read as NaN."""
-    try:
-        return _number(cell)
-    except ValueError:
-        raise DataError(f"{path}: line {lineno}: bad value {cell!r}") from None
 
 
 def _stamp_column(cells: list, fmt: str | None) -> np.ndarray:
@@ -116,16 +76,8 @@ def _stamp_column(cells: list, fmt: str | None) -> np.ndarray:
     return np.fromiter(micros, np.int64, len(stamps)).view("datetime64[us]")
 
 
-def _parse_stamp(text: str, fmt: str | None, path, lineno: int) -> datetime:
-    """One timestamp cell as a naive UTC datetime, by _stamp_column's rules."""
-    try:
-        return _stamp_column([text], fmt)[0].item()
-    except (ValueError, OverflowError) as exc:
-        raise DataError(f"{path}: line {lineno}: bad timestamp {text!r}: {exc}") from None
-
-
 def _number_column(cells: list) -> np.ndarray:
-    """parse_cell over a whole column; a bad cell raises ValueError."""
+    """_number over a whole column; a bad cell raises ValueError."""
     try:
         return np.fromiter(map(float, cells), float, len(cells))
     except ValueError:  # an NA marker, or a bad cell
@@ -133,43 +85,60 @@ def _number_column(cells: list) -> np.ndarray:
 
 
 def read_columns(path, pick, *, fmt=None, exact=False, finite=False):
-    """Read a headered CSV file once, converting whole columns READ_BLOCK
-    rows at a time, so memory does not grow with the file.
+    """Read a headered CSV file in one pass, converting whole columns
+    READ_BLOCK rows at a time, so memory does not grow with the file.
 
     ``pick(header)`` gets the stripped header names, raises DataError for a
     header it cannot use, and returns the timestamp column (or None), read
-    under ``fmt``, and the numeric columns, read as parse_cell reads. Each
-    must appear once in the header. Rows must hold every header column when
+    under ``fmt``, and the numeric columns, where the NA_STRINGS markers (any
+    case) read as NaN. Each must appear once in the header. Rows that are
+    all blank are skipped. Rows must hold every header column when
     ``exact``, else the picked ones; ``finite`` rejects NaN and infinities.
-    Returns the stamps (or None) and the numeric columns by name, in file
-    order. Should a block fail to convert, a row-at-a-time pass raises the
-    DataError of the first failing row.
+    Returns the stamps (or None), the numeric columns by name and the line
+    number of each data row, in file order. An empty file, text that is not
+    UTF-8 or a bad row raises the DataError of the first fault in the file:
+    should a block fail to convert, its rows are checked one at a time.
     """
-    def raise_first_bad_row():
-        lines = read_csv(path)
-        next(lines)
-        for lineno, row in lines:
+    def raise_first_bad_row(rows, lines):
+        for lineno, row in zip(lines, rows):
             if len(row) != len(header) if exact else len(row) <= top:
                 raise DataError(f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}")
-            if stamp is not None:
-                _parse_stamp(row[index[stamp]], fmt, path, lineno)
-            cells = [parse_cell(row[index[name]], path, lineno) for name in names]
-            if finite and not all(map(math.isfinite, cells)):
+            for name, column in index.items():  # the timestamp first
+                cell = row[column]
+                try:
+                    _stamp_column([cell], fmt) if name == stamp else _number(cell)
+                except (ValueError, OverflowError) as exc:
+                    fault = f"bad timestamp {cell!r}: {exc}" if name == stamp else f"bad value {cell!r}"
+                    raise DataError(f"{path}: line {lineno}: {fault}") from None
+            if finite and not all(math.isfinite(_number(row[index[name]])) for name in names):
                 raise DataError(f"{path}: line {lineno}: non-finite number in {row!r}")
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = _header(reader, path)
+        try:
+            header = [name.strip() for name in next(reader)]
+        except StopIteration:
+            raise DataError(f"{path}: empty CSV: missing header row") from None
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: unreadable CSV: {exc}") from None
         stamp, names = pick(header)
         index = {name: header.index(name) for name in (stamp, *names) if name is not None}
         for name in index:
             if header.count(name) > 1:
                 raise DataError(f"{path}: column {name!r} appears more than once in {header}")
         top = max(index.values())
-        stamps, values = [np.empty(0, "datetime64[us]")], {name: [np.empty(0)] for name in names}
-        try:
-            while chunk := list(islice(reader, READ_BLOCK)):
-                rows = [row for row in chunk if "".join(row).strip()]
+        stamps, values, lines, last = [], {name: [] for name in names}, [], -1
+        while reader.line_num > last:  # until a block reads no line; the first always runs
+            rows, at, last, unreadable = [], [], reader.line_num, None
+            try:
+                for row in islice(reader, READ_BLOCK):
+                    if "".join(row).strip():
+                        rows.append(row)
+                        at.append(reader.line_num)
+            except (csv.Error, UnicodeDecodeError) as exc:
+                # the rows read before the fault are checked first
+                unreadable = DataError(f"{path}: unreadable CSV: {exc}")
+            try:
                 widths = set(map(len, rows))
                 if widths and (widths != {len(header)} if exact else min(widths) <= top):
                     raise ValueError("row width")
@@ -179,11 +148,14 @@ def read_columns(path, pick, *, fmt=None, exact=False, finite=False):
                     values[name].append(_number_column(list(map(itemgetter(index[name]), rows))))
                     if finite and not np.isfinite(values[name][-1]).all():
                         raise ValueError("non-finite number")
-        except (ValueError, OverflowError, csv.Error):
-            raise_first_bad_row()
-            raise  # should the row pass find nothing, the block still fails
+            except (ValueError, OverflowError):
+                raise_first_bad_row(rows, at)
+                raise  # should the row check find nothing, the block still fails
+            if unreadable is not None:
+                raise unreadable
+            lines.append(np.array(at, np.int64))
     return (None if stamp is None else np.concatenate(stamps),
-            {name: np.concatenate(parts) for name, parts in values.items()})
+            {name: np.concatenate(parts) for name, parts in values.items()}, np.concatenate(lines))
 
 
 def _cells(col: np.ndarray) -> list:

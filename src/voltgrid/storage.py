@@ -306,7 +306,7 @@ def read_dispatch_csv(path):
             raise DataError(f"{path}: expected header t,x,v,E, got {header}")
         return None, header
 
-    _, values = read_columns(path, columns, exact=True, finite=True)
+    _, values, _ = read_columns(path, columns, exact=True, finite=True)
     if not len(values["t"]):
         raise DataError(f"{path}: no data rows")
     return tuple(values.values())

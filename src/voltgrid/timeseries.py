@@ -13,7 +13,7 @@ from datetime import date, datetime, timedelta
 import numpy as np
 
 from .errors import DataError
-from .ioutil import line_of_row, naive_utc, read_columns, write_csv
+from .ioutil import naive_utc, read_columns, write_csv
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -93,10 +93,11 @@ class CsvSpec:
     name: str | None = None
 
 
-def read_timeseries_csv(path, pick, timestamp_column: str = "timestamp",
+def read_timeseries_csv(path, columns, timestamp_column: str = "timestamp",
                         timestamp_format: str | None = None) -> list[TimeSeries]:
     """Read value columns of one headered CSV file into hourly TimeSeries
-    on one time base; ``pick(header)`` returns (column, series name) pairs.
+    on one time base. ``columns`` holds (candidate columns, series name)
+    pairs; each series takes the first of its candidates in the header.
 
     Rows are sorted by timestamp, duplicates are rejected, and any gaps that
     are whole hours are filled with NaN. Spacing off the hourly grid is an
@@ -104,21 +105,25 @@ def read_timeseries_csv(path, pick, timestamp_column: str = "timestamp",
     """
     chosen = []
 
-    def columns(header):
-        chosen.extend(pick(header))
-        for role, column in [("timestamp", timestamp_column), *(("value", c) for c, _ in chosen)]:
-            if column not in header:
-                raise DataError(f"{path}: {role} column {column!r} not in header {header}")
+    def pick(header):
+        if timestamp_column not in header:
+            raise DataError(f"{path}: timestamp column {timestamp_column!r} not in header {header}")
+        for candidates, name in columns:
+            column = next((c for c in candidates if c in header), None)
+            if column is None:
+                wanted = " or ".join(map(repr, dict.fromkeys(candidates)))
+                raise DataError(f"{path}: value column {wanted} not in header {header}")
+            chosen.append((column, name))
         return timestamp_column, list(dict.fromkeys(c for c, _ in chosen))
 
-    stamps, values = read_columns(path, columns, fmt=timestamp_format)
+    stamps, values, lines = read_columns(path, pick, fmt=timestamp_format)
     if not len(stamps):
         raise DataError(f"{path}: CSV contains no data rows")
     order = np.argsort(stamps, kind="stable")
     stamps = stamps[order]
     same = np.flatnonzero(stamps[1:] == stamps[:-1])
     if len(same):
-        raise DataError(f"{path}: duplicate timestamp at line {line_of_row(path, order[same[0] + 1])}")
+        raise DataError(f"{path}: duplicate timestamp at line {lines[order[same[0] + 1]]}")
 
     start = stamps[0].item()
     steps = (stamps - stamps[0]) / np.timedelta64(1, "s") / SECONDS_PER_HOUR
@@ -126,7 +131,7 @@ def read_timeseries_csv(path, pick, timestamp_column: str = "timestamp",
     off_grid = np.flatnonzero(np.abs(steps - rounded) > 1e-6)
     if len(off_grid):
         raise DataError(
-            f"{path}: line {line_of_row(path, order[off_grid[0]])}: timestamp not on the "
+            f"{path}: line {lines[order[off_grid[0]]]}: timestamp not on the "
             f"{SECONDS_PER_HOUR:g}s grid anchored at {start}"
         )
 
@@ -143,8 +148,23 @@ def parse_timeseries_csv(path, spec: CsvSpec = CsvSpec()) -> TimeSeries:
     """Read one value column out of a headered CSV file into an hourly
     TimeSeries, as read_timeseries_csv does."""
     name = spec.name if spec.name is not None else spec.value_column
-    return read_timeseries_csv(path, lambda header: [(spec.value_column, name)],
+    return read_timeseries_csv(path, [((spec.value_column,), name)],
                                spec.timestamp_column, spec.timestamp_format)[0]
+
+
+def read_series(sources, candidates, timestamp_column: str = "timestamp",
+                timestamp_format: str | None = None) -> list[TimeSeries]:
+    """Read (series name, path) ``sources`` into hourly TimeSeries, in
+    order, as read_timeseries_csv does; each series takes the first of
+    ``candidates(name)`` in its file's header. A file given for several
+    series is read once."""
+    files = {}
+    for name, path in sources:
+        files.setdefault(path, []).append(name)
+    read = {path: iter(read_timeseries_csv(path, [(candidates(name), name) for name in names],
+                                           timestamp_column, timestamp_format))
+            for path, names in files.items()}
+    return [next(read[path]) for _, path in sources]
 
 
 def load_holidays(path) -> frozenset[date]:
@@ -289,12 +309,12 @@ def read_frame_csv(path, holidays=frozenset()) -> AlignedFrame:
             raise DataError(f"{path}: no value columns")
         return "timestamp", header[1:]
 
-    stamps, values = read_columns(path, columns, exact=True)
+    stamps, values, lines = read_columns(path, columns, exact=True)
     if not len(stamps):
         raise DataError(f"{path}: no data rows")
     gaps = np.flatnonzero(np.diff(stamps) != np.timedelta64(1, "h"))
     if len(gaps):
-        raise DataError(f"{path}: rows {gaps[0] + 2}-{gaps[0] + 3} are not consecutive hours")
+        raise DataError(f"{path}: lines {lines[gaps[0]]}-{lines[gaps[0] + 1]} are not consecutive hours")
     return AlignedFrame(start=stamps[0].item(), step=SECONDS_PER_HOUR, columns=values,
                         holiday_calendar=frozenset(holidays))
 

@@ -1,11 +1,12 @@
 """Shared fixtures and the acceptance-summary hook."""
 
 import datetime as dt
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from voltgrid import TimeSeries, align_hourly, kernel_from_config
+from voltgrid import TimeSeries, align_hourly, ioutil, kernel_from_config
 
 # One line per acceptance criterion, echoed after the normal pytest summary
 # so the pass/fail verdicts are visible without -s.
@@ -39,6 +40,19 @@ def synthetic_load(n_hours, noise=500.0, seed=42, start=START):
               + 3000.0 * working
               + rng.normal(0.0, noise, n_hours))
     return TimeSeries(start, values, name="load")
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The paths of the files ``voltgrid.ioutil`` opens, in order."""
+    paths = []
+
+    def counting_open(file, *args, **kwargs):
+        paths.append(Path(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(ioutil, "open", counting_open, raising=False)
+    return paths
 
 
 @pytest.fixture

@@ -15,12 +15,14 @@ values from exact integer sums of the targets in the fixed point of
 ``trees._quantize``.
 
 ``parse_timeseries_csv_rows`` and ``read_frame_csv_rows`` read a CSV file one
-row at a time: each timestamp through ``datetime`` alone, each value through
-``voltgrid.ioutil.parse_cell``, then order, duplicates and the hourly grid
-checked on Python datetimes. ``voltgrid.timeseries`` converts whole columns
-to arrays and checks them there.
+row at a time through ``read_rows``: each timestamp through ``datetime``
+alone, each value through ``parse_value``, then order, duplicates and the
+hourly grid checked on Python datetimes. ``voltgrid.timeseries`` converts
+whole columns to arrays and checks them there; the two share no conversion
+code.
 """
 
+import csv
 import math
 from datetime import datetime
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from voltgrid import DataError, SolverError
 from voltgrid.forecast.trees import RegressionTree, _quantize
-from voltgrid.ioutil import fmt12, naive_utc, parse_cell, read_csv
+from voltgrid.ioutil import NA_STRINGS, fmt12, naive_utc
 from voltgrid.timeseries import SECONDS_PER_HOUR, AlignedFrame, CsvSpec, TimeSeries
 
 
@@ -262,6 +264,33 @@ def grow_tree_bfs(X, y, *, rng=None, max_depth=None, min_child: int = 1,
 
 # --- CSV readers, one row at a time ------------------------------------------
 
+def read_rows(path):
+    """Yield (1, header with stripped names), then (line number, cells) for
+    every row of a CSV file that is not all blank."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty CSV: missing header row")
+            yield 1, [name.strip() for name in header]
+            for row in reader:
+                if "".join(row).strip():
+                    yield reader.line_num, row
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: unreadable CSV: {exc}") from None
+
+
+def parse_value(cell, path, lineno):
+    """One numeric cell; a missing-value marker (any case, padded) is NaN."""
+    try:
+        return float(cell)
+    except ValueError:
+        if cell.strip().lower() in NA_STRINGS:
+            return math.nan
+        raise DataError(f"{path}: line {lineno}: bad value {cell!r}") from None
+
+
 def parse_stamp(text, fmt, path, lineno):
     """One timestamp cell, stripped, as a naive UTC datetime."""
     cleaned = text.strip()
@@ -277,7 +306,7 @@ def parse_stamp(text, fmt, path, lineno):
 
 def parse_timeseries_csv_rows(path, spec=CsvSpec()):
     """``voltgrid.timeseries.parse_timeseries_csv`` row by row."""
-    lines = read_csv(path)
+    lines = read_rows(path)
     _, header = next(lines)
     for role, column in (("timestamp", spec.timestamp_column), ("value", spec.value_column)):
         if column not in header:
@@ -288,7 +317,7 @@ def parse_timeseries_csv_rows(path, spec=CsvSpec()):
         if len(row) <= max(ts_idx, val_idx):
             raise DataError(f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}")
         stamp = parse_stamp(row[ts_idx], spec.timestamp_format, path, lineno)
-        rows.append((stamp, parse_cell(row[val_idx], path, lineno), lineno))
+        rows.append((stamp, parse_value(row[val_idx], path, lineno), lineno))
 
     if not rows:
         raise DataError(f"{path}: CSV contains no data rows")
@@ -317,7 +346,7 @@ def parse_timeseries_csv_rows(path, spec=CsvSpec()):
 
 def read_frame_csv_rows(path):
     """``voltgrid.timeseries.read_frame_csv`` row by row."""
-    lines = read_csv(path)
+    lines = read_rows(path)
     _, header = next(lines)
     if not header or header[0] != "timestamp":
         raise DataError(f"{path}: expected a leading 'timestamp' column")
@@ -331,13 +360,13 @@ def read_frame_csv_rows(path):
             raise DataError(
                 f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}"
             )
-        stamps.append(parse_stamp(row[0], None, path, lineno))
-        data.append([parse_cell(cell, path, lineno) for cell in row[1:]])
+        stamps.append((parse_stamp(row[0], None, path, lineno), lineno))
+        data.append([parse_value(cell, path, lineno) for cell in row[1:]])
     if not stamps:
         raise DataError(f"{path}: no data rows")
-    for i, (a, b) in enumerate(zip(stamps, stamps[1:])):
+    for (a, line_a), (b, line_b) in zip(stamps, stamps[1:]):
         if (b - a).total_seconds() != SECONDS_PER_HOUR:
-            raise DataError(f"{path}: rows {i + 2}-{i + 3} are not consecutive hours")
+            raise DataError(f"{path}: lines {line_a}-{line_b} are not consecutive hours")
     values = np.asarray(data, dtype=float)
     columns = {name: values[:, k].copy() for k, name in enumerate(names)}
-    return AlignedFrame(start=stamps[0], step=SECONDS_PER_HOUR, columns=columns)
+    return AlignedFrame(start=stamps[0][0], step=SECONDS_PER_HOUR, columns=columns)

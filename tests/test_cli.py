@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import voltgrid
-from voltgrid import SolverError, ioutil
+from voltgrid import SolverError
 from voltgrid.cli import _guarded, main
 from voltgrid.forecast import validation
 
@@ -124,6 +124,24 @@ class TestIngest:
             "--out", str(tmp_path / "run"),
         ])
         assert result.exit_code == 0, result.output
+
+    def test_file_for_several_series_is_read_once(self, runner, tmp_path, opened):
+        for name in ("data", "copy_a", "copy_b"):
+            write_series_csv(tmp_path / f"{name}.csv", np.arange(24.0) + 1)
+        outputs = {}
+        for out, files in (("once", ["data", "copy_a", "data"]), ("apart", ["data", "copy_a", "copy_b"])):
+            opened.clear()
+            paths = [str(tmp_path / f"{name}.csv") for name in files]
+            result = runner.invoke(main, [
+                "ingest", "--load", paths[0], "--gen", paths[1], "--res", paths[2],
+                "--out", str(tmp_path / out),
+            ])
+            assert result.exit_code == 0, all_output(result)
+            assert opened.count(tmp_path / "data.csv") == 1
+            outputs[out] = [(tmp_path / out / name).read_bytes()
+                            for name in ("dataset.csv", "summary.json")]
+        assert outputs["once"] == outputs["apart"]
+        assert read_rows(tmp_path / "once" / "dataset.csv")[0] == ["timestamp", "load", "gen", "res"]
 
 
 def make_dataset(runner, tmp_path, values, name="run"):
@@ -422,7 +440,7 @@ class TestDispatch:
         assert "band count" in all_output(result)
         assert not (tmp_path / "disp" / "dispatch.csv").exists()
 
-    def test_file_for_several_series_is_read_once(self, runner, tmp_path, monkeypatch):
+    def test_file_for_several_series_is_read_once(self, runner, tmp_path, opened):
         t = np.arange(48.0)
         frame = voltgrid.align_hourly([voltgrid.TimeSeries(START, 50 + np.sin(t), name="load"),
                                        voltgrid.TimeSeries(START, 20 + t / 4, name="gen"),
@@ -430,13 +448,6 @@ class TestDispatch:
         for name in ("data", "copy_a", "copy_b"):
             voltgrid.write_frame_csv(frame, tmp_path / f"{name}.csv")
         write_kernel(tmp_path / "kernel.json")
-        opened = []
-
-        def counting_open(file, *args, **kwargs):
-            opened.append(Path(file))
-            return open(file, *args, **kwargs)
-
-        monkeypatch.setattr(ioutil, "open", counting_open, raising=False)
         outputs = {}
         for out, files in (("once", ["data"] * 3), ("apart", ["data", "copy_a", "copy_b"])):
             opened.clear()
@@ -460,7 +471,8 @@ class TestDispatch:
             "--out", str(tmp_path / "disp"),
         ])
         assert result.exit_code == 2
-        assert "header" in all_output(result)
+        assert (f"{tmp_path / 'load.csv'}: value column 'value' or 'load' or 'predicted' "
+                f"not in header ['timestamp', 'megawatts']") in all_output(result)
 
 
 class TestReport:

@@ -8,35 +8,85 @@ from hypothesis import given, settings, strategies as st
 
 from voltgrid import (DataError, Grid, SolverError, ioutil, kernel_from_config, solve_apf,
                       storage_spec_from_config)
-from voltgrid.ioutil import parse_cell, read_csv, read_json, write_csv, write_json
+from voltgrid.ioutil import read_columns, read_json, write_csv, write_json
 from voltgrid.storage import read_dispatch_csv
 from voltgrid.timeseries import load_holidays, parse_timeseries_csv, read_frame_csv
 
 
 @pytest.mark.parametrize("cell", ["", " ", "NA", "na", "N/A", "n/a", "NaN", "nan",
                                   "NULL", "null", "-", " Null "])
-def test_na_markers_read_as_nan(cell):
-    assert math.isnan(parse_cell(cell, "f.csv", 2))
+def test_na_markers_read_as_nan(tmp_path, cell):
+    path = tmp_path / "f.csv"
+    path.write_text(f"timestamp,value\n2019-01-01T00:00:00,{cell}\n2019-01-01T01:00:00,1\n")
+    assert math.isnan(parse_timeseries_csv(path).values[0])
 
 
-def test_bad_cell_names_file_and_line():
-    assert parse_cell(" 1.5 ", "f.csv", 2) == 1.5
+def test_bad_cell_names_file_and_line(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("timestamp,value\n2019-01-01T00:00:00, 1.5 \n\n\n\n\n2019-01-01T01:00:00,abc\n")
     with pytest.raises(DataError, match=r"f\.csv: line 7: bad value 'abc'"):
-        parse_cell("abc", "f.csv", 7)
+        parse_timeseries_csv(path)
+    path.write_text("timestamp,value\n2019-01-01T00:00:00, 1.5 \n")
+    assert parse_timeseries_csv(path).values.tolist() == [1.5]
 
 
 def test_reader_strips_header_and_skips_blank_rows(tmp_path):
     path = tmp_path / "a.csv"
     path.write_text(" t , v\n1,2\n\n , \n3,4\n")
-    assert list(read_csv(path)) == [(1, ["t", "v"]), (2, ["1", "2"]), (5, ["3", "4"])]
+    seen = []
+
+    def pick(header):
+        seen.append(header)
+        return None, ["t", "v"]
+
+    stamps, values, lines = read_columns(path, pick)
+    assert seen == [["t", "v"]] and stamps is None
+    assert {name: col.tolist() for name, col in values.items()} == {"t": [1, 3], "v": [2, 4]}
+    assert lines.tolist() == [2, 5]
 
 
 @pytest.mark.parametrize("body", [b"", b"t,v\n1,\xff\n"])
 def test_reader_rejects_empty_or_binary_files(tmp_path, body):
     path = tmp_path / "a.csv"
     path.write_bytes(body)
-    with pytest.raises(DataError, match="a.csv"):
-        list(read_csv(path))
+    with pytest.raises(DataError, match="a.csv: (empty|unreadable) CSV"):
+        read_columns(path, lambda header: (None, ["v"]))
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["2019-01-01T00:00:00,1", "2019-01-01T01:00:00,abc"], "line 3: bad value 'abc'"),
+    (["2019-01-01T01:00:00,1", "2019-01-01T00:00:00,2", "2019-01-01T01:00:00,3"],
+     "duplicate timestamp at line 4"),
+    (["2019-01-01T00:00:00,1", "2019-01-01T01:30:00,2"], "line 3: timestamp not on the"),
+])
+@pytest.mark.parametrize("block", [1, 4096])
+def test_failed_read_opens_its_file_once(tmp_path, monkeypatch, opened, rows, message, block):
+    monkeypatch.setattr(ioutil, "READ_BLOCK", block)
+    path = tmp_path / "f.csv"
+    path.write_text("\n".join(["timestamp,value", *rows]) + "\n")
+    with pytest.raises(DataError, match=message):
+        parse_timeseries_csv(path)
+    assert opened == [path]
+
+
+@pytest.mark.parametrize("bad_cell", [True, False])
+@pytest.mark.parametrize("block", [1, 7, 1024])
+@pytest.mark.parametrize("read", [parse_timeseries_csv, read_frame_csv])
+def test_first_fault_in_the_file_wins_over_unreadable_text(tmp_path, monkeypatch, read,
+                                                           block, bad_cell):
+    # the text is decoded 8 KiB at a time, so the byte that is not UTF-8
+    # fails a read well after line 3 has been tokenized
+    monkeypatch.setattr(ioutil, "READ_BLOCK", block)
+    rows = [f"2019-01-{1 + k // 24:02d}T{k % 24:02d}:00:00,{k}" for k in range(600)]
+    if bad_cell:
+        rows[1] = "2019-01-01T01:00:00,abc"
+    body = "\n".join(["timestamp,value", *rows]).encode() + b"\n2019-01-26T00:00:00,\xff\n"
+    assert body.index(b"\xff") > 8192
+    path = tmp_path / "f.csv"
+    path.write_bytes(body)
+    message = r"line 3: bad value 'abc'" if bad_cell else "unreadable CSV"
+    with pytest.raises(DataError, match=message):
+        read(path)
 
 
 @pytest.mark.parametrize("block", [1, 4096])

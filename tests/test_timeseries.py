@@ -286,6 +286,22 @@ class TestFrameCsv:
         with pytest.raises(DataError, match="consecutive"):
             read_frame_csv(path)
 
+    def test_gap_names_the_file_lines(self, tmp_path):
+        path = tmp_path / "dataset.csv"
+        path.write_text(
+            "timestamp,load\n"
+            "2019-01-01T00:00:00,1\n"
+            "\n"
+            " , \n"
+            "2019-01-01T01:00:00,2\n"
+            "\n"
+            "2019-01-01T03:00:00,3\n"
+        )
+        with pytest.raises(DataError, match="dataset.csv: lines 5-7 are not consecutive hours"):
+            read_frame_csv(path)
+        with pytest.raises(DataError, match="lines 5-7 are not consecutive hours"):
+            oracle.read_frame_csv_rows(path)
+
     def test_rejects_duplicate_column(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("timestamp,load,load\n2019-01-01T00:00:00,1,2\n")
