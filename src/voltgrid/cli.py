@@ -18,10 +18,9 @@ from .errors import DataError, SolverError
 from .ioutil import fmt12, iso_seconds, read_json, write_csv, write_json
 from .storage import (
     StorageSpec,
-    count_cycles,
     dispatch,
-    min_capacity,
     read_dispatch_csv,
+    sizing,
     storage_spec_from_config,
     write_dispatch_csv,
     write_report_json,
@@ -190,26 +189,11 @@ def cmd_dispatch(load_path, gen_path, res_path, kernel_path, storage_path,
     # first candidate in the header, so an explicit --value-column does not
     # stop the other series from using their conventional names
     sources = (("load", load_path), ("res", res_path), ("gen", gen_path))
-    found = {s.name: s for s in read_series(
+    frame = align_hourly(read_series(
         [(name, path) for name, path in sources if path],
-        lambda name: (value_column, name, "value", "predicted"), timestamp_column)}
-    f_load, f_res, f_gen = (found.get(name) for name in ("load", "res", "gen"))
-    present = [s for s in (f_load, f_res, f_gen) if s is not None]
-    if len(present) > 1:
-        frame = align_hourly(present)
-        f_load = frame.column("load")
-        f_res = frame.column("res") if f_res is not None else None
-        f_gen = frame.column("gen") if f_gen is not None else None
+        lambda name: (value_column, name, "value", "predicted"), timestamp_column))
 
-    def zero_series(name):
-        return TimeSeries(f_load.start, np.zeros(len(f_load)), f_load.step, name)
-
-    if f_res is None:
-        f_res = zero_series("res")
-    if f_gen is None:
-        f_gen = zero_series("gen")
-
-    n_rows = len(f_load)
+    n_rows = frame.n_rows
     if n_rows < 3:
         raise DataError(f"need at least 3 aligned samples, got {n_rows}")
     n_cells = n_rows - 1
@@ -218,17 +202,17 @@ def cmd_dispatch(load_path, gen_path, res_path, kernel_path, storage_path,
             raise DataError(f"--grid-n must be in [2, {n_cells}], got {grid_n}")
         n_cells = grid_n
 
-    def truncate(s):
-        return TimeSeries(s.start, s.values[:n_cells + 1], s.step, s.name)
-
-    step_hours = f_load.step / SECONDS_PER_HOUR
-    grid = Grid(horizon=n_cells * step_hours, n_cells=n_cells)
+    # the first n_cells + 1 samples of each series; an omitted one is zero
+    zeros = np.zeros(n_rows)
+    f_res, f_gen, f_load = (
+        TimeSeries(frame.start, frame.columns.get(name, zeros)[:n_cells + 1], frame.step, name)
+        for name in ("res", "gen", "load"))
+    grid = Grid(horizon=n_cells * frame.step / SECONDS_PER_HOUR, n_cells=n_cells)
     kernel = load_kernel(kernel_path)
     spec = (storage_spec_from_config(read_json(storage_path, "storage"))
             if storage_path else StorageSpec())
 
-    report = dispatch(truncate(f_res), truncate(f_gen), truncate(f_load),
-                      kernel, spec, grid, soc_efficiency=soc_efficiency)
+    report = dispatch(f_res, f_gen, f_load, kernel, spec, grid, soc_efficiency=soc_efficiency)
     write_dispatch_csv(out_dir / "dispatch.csv", report)
     write_report_json(out_dir / "report.json", report)
     click.echo(
@@ -270,15 +254,7 @@ def cmd_report(dispatch_paths, out_dir):
         if len(t) != len(t0) or np.max(np.abs(t - t0)) > 1e-9 * max(1.0, float(t0[-1])):
             raise DataError(f"dispatch grids differ: {names[0]} vs {name}")
 
-    table = []
-    for name, (t, x, v, E) in zip(names, loaded):
-        capacity = min_capacity(E)
-        table.append({
-            "series": name,
-            "min_capacity": capacity,
-            "max_abs_power": float(np.max(np.abs(x))),
-            "equivalent_cycles": count_cycles(E, capacity) if capacity > 0 else 0.0,
-        })
+    table = [{"series": name, **sizing(x, E)} for name, (_, x, _, E) in zip(names, loaded)]
     pairwise = []
     for i in range(len(names)):
         for j in range(i + 1, len(names)):

@@ -7,7 +7,6 @@ from .validation import (
     CrossValidationReport,
     block_cross_validate,
     make_model,
-    predict,
 )
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "CrossValidationReport",
     "block_cross_validate",
     "make_model",
-    "predict",
 ]

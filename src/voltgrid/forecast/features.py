@@ -16,21 +16,17 @@ from ..timeseries import (SECONDS_PER_HOUR, AlignedFrame, calendar_arrays, ema, 
                           previous_day_stats)
 
 
+LAGS = (1, 24, 168)  # hours of load history
+EMA_PERIODS = (12, 24, 48, 168)  # hours
+
+
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Feature toggles around the default 14-column layout.
-
-    ``temperature_columns=None`` picks up every non-load column in the frame;
-    pass an empty tuple to drop temperatures entirely.
-    """
+    """The forecast horizon in hours. The layout is fixed: load, calendar,
+    lags, previous-day stats and EMAs, then every other frame column as a
+    temperature station."""
 
     horizon: int = 24
-    load_column: str = "load"
-    lags: tuple = (1, 24, 168)
-    ema_periods: tuple = (12, 24, 48, 168)
-    include_calendar: bool = True
-    include_prev_day: bool = True
-    temperature_columns: tuple | None = None
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -60,41 +56,27 @@ def build_feature_matrix(frame: AlignedFrame, config: FeatureConfig = FeatureCon
     load, lags, previous-day stats, EMAs, temperatures) is measured at the
     origin. Rows containing any NA are dropped.
     """
-    if config.load_column not in frame.columns:
-        raise DataError(
-            f"frame has no {config.load_column!r} column (have {sorted(frame.columns)})"
-        )
-    load = frame.column(config.load_column)
+    if "load" not in frame.columns:
+        raise DataError(f"frame has no 'load' column (have {sorted(frame.columns)})")
+    load = frame.column("load")
     if np.isnan(load.values).any():
         raise DataError(
-            f"column {config.load_column!r} has gaps; the EMA recursion needs a "
+            "column 'load' has gaps; the EMA recursion needs a "
             "complete history, fill or trim them first"
         )
 
     horizon = config.horizon
-    columns: list[tuple[str, np.ndarray]] = [(config.load_column, load.values)]
-
-    if config.include_calendar:
-        target_stamps = frame.timestamps() + np.timedelta64(int(horizon * SECONDS_PER_HOUR), "s")
-        cal = calendar_arrays(target_stamps, frame.holiday_calendar)
-        for name in ("day_of_week", "hour_of_day", "is_working_day"):
-            columns.append((name, cal[name].astype(float)))
-
-    for k in config.lags:
-        columns.append((f"{config.load_column}_lag_{k}", lag(load, k).values))
-    if config.include_prev_day:
-        columns.append(("prev_day_mean", previous_day_stats(load, "mean").values))
-        columns.append(("prev_day_min", previous_day_stats(load, "min").values))
-    for period in config.ema_periods:
-        columns.append((f"ema_{period}", ema(load, period).values))
-
-    temp_names = config.temperature_columns
-    if temp_names is None:
-        temp_names = tuple(name for name in frame.columns if name != config.load_column)
-    for name in temp_names:
-        if name not in frame.columns:
-            raise DataError(f"temperature column {name!r} not in frame")
-        columns.append((name, frame.columns[name]))
+    target_stamps = frame.timestamps() + np.timedelta64(int(horizon * SECONDS_PER_HOUR), "s")
+    calendar = calendar_arrays(target_stamps, frame.holiday_calendar)
+    columns: list[tuple[str, np.ndarray]] = [
+        ("load", load.values),
+        *((name, values.astype(float)) for name, values in calendar.items()),
+        *((f"load_lag_{k}", lag(load, k).values) for k in LAGS),
+        ("prev_day_mean", previous_day_stats(load, "mean").values),
+        ("prev_day_min", previous_day_stats(load, "min").values),
+        *((f"ema_{period}", ema(load, period).values) for period in EMA_PERIODS),
+        *((name, values) for name, values in frame.columns.items() if name != "load"),
+    ]
 
     n = frame.n_rows
     n_targets = max(0, n - horizon)

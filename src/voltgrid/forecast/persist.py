@@ -8,32 +8,27 @@ import numpy as np
 
 from ..errors import DataError
 from ..ioutil import read_json
-from .linear import RidgeRegression
-from .trees import GradientBoostedTrees, RandomForest, RegressionTree
+from .trees import RegressionTree
+from .validation import MODELS
 
 FORMAT = "voltgrid-model/1"
 
 
 def model_to_dict(model) -> dict:
-    doc = {"format": FORMAT}
+    kind = next((kind for kind, cls in MODELS.items() if isinstance(model, cls)), None)
+    if kind is None:
+        raise DataError(f"cannot serialize model of type {type(model).__name__}")
+    doc = {"format": FORMAT, "kind": kind, "params": model.get_params(),
+           "n_features": model.n_features_}
     names = getattr(model, "feature_names_", None)
     if names is not None:
         doc["feature_names"] = list(names)
-    if isinstance(model, RidgeRegression):
-        doc.update(kind="lm", params=model.get_params(),
-                   weights=model.weights_.tolist(), intercept=model.intercept_,
-                   n_features=model.n_features_)
-    elif isinstance(model, RandomForest):
-        doc.update(kind="rf", params=model.get_params(),
-                   trees=[t.to_dict() for t in model.trees_],
-                   n_features=model.n_features_)
-    elif isinstance(model, GradientBoostedTrees):
-        doc.update(kind="gbdt", params=model.get_params(),
-                   base_score=model.base_score_,
-                   trees=[t.to_dict() for t in model.trees_],
-                   n_features=model.n_features_)
+    if kind == "lm":
+        doc.update(weights=model.weights_.tolist(), intercept=model.intercept_)
     else:
-        raise DataError(f"cannot serialize model of type {type(model).__name__}")
+        doc["trees"] = [t.to_dict() for t in model.trees_]
+    if kind == "gbdt":
+        doc["base_score"] = model.base_score_
     return doc
 
 
@@ -79,12 +74,11 @@ def model_from_dict(doc: dict):
     if doc.get("format") != FORMAT:
         raise DataError(f"unsupported model document format {doc.get('format')!r}")
     kind = doc.get("kind")
-    classes = {"lm": RidgeRegression, "rf": RandomForest, "gbdt": GradientBoostedTrees}
-    if kind not in classes:
+    if kind not in MODELS:
         raise DataError(f"unknown model kind {kind!r}")
     params = _field(doc, "params", dict, "an object")
     try:
-        model = classes[kind](**params)
+        model = MODELS[kind](**params)
     except TypeError as exc:
         raise DataError(f"model document: bad params {params!r:.60}: {exc}") from None
     if kind == "lm":

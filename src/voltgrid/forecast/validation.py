@@ -9,41 +9,23 @@ import numpy as np
 
 from ..errors import DataError
 from ..timeseries import AlignedFrame, calendar_arrays, split_indices
-from .features import FeatureConfig, FeatureMatrix, build_feature_matrix
+from .features import FeatureConfig, build_feature_matrix
 from .linear import RidgeRegression
 from .metrics import Metrics, compute_metrics
 from .trees import GradientBoostedTrees, RandomForest
 
-MODEL_NAMES = ("lm", "rf", "gbdt")
+# the forecasters by short name; rf and gbdt take the harness seed
+MODELS = {"lm": RidgeRegression, "rf": RandomForest, "gbdt": GradientBoostedTrees}
 
 
 def make_model(name: str, params: dict | None = None, seed: int = 0):
     """Instantiate one of the three forecasters by its short name."""
+    if name not in MODELS:
+        raise DataError(f"unknown model {name!r} (choose from {tuple(MODELS)})")
     params = dict(params or {})
-    if name == "lm":
-        return RidgeRegression(**params)
-    if name == "rf":
+    if name != "lm":
         params.setdefault("seed", seed)
-        return RandomForest(**params)
-    if name == "gbdt":
-        params.setdefault("seed", seed)
-        return GradientBoostedTrees(**params)
-    raise DataError(f"unknown model {name!r} (choose from {MODEL_NAMES})")
-
-
-def _check_feature_names(model, matrix: FeatureMatrix) -> None:
-    trained = getattr(model, "feature_names_", None)
-    if trained is not None and tuple(trained) != tuple(matrix.feature_names):
-        raise DataError(
-            f"feature order mismatch: model was fitted on {list(trained)}, "
-            f"matrix provides {list(matrix.feature_names)}"
-        )
-
-
-def predict(model, matrix: FeatureMatrix) -> np.ndarray:
-    """Predict a feature matrix, guarding against reordered features."""
-    _check_feature_names(model, matrix)
-    return model.predict(matrix.X)
+    return MODELS[name](**params)
 
 
 def mae_by_group(predicted, actual, groups, n_groups: int) -> list:

@@ -30,11 +30,7 @@ def fmt12(x: float) -> str:
     through here. NaN renders as the empty string (the CSV missing marker).
     """
     v = float(x)
-    if math.isnan(v):
-        return ""
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.12g}"
+    return "" if math.isnan(v) else f"{v:.12g}"
 
 
 def iso_seconds(stamps) -> list[str]:
@@ -95,7 +91,7 @@ def read_columns(path, pick, *, fmt=None, exact=False, finite=False):
     all blank are skipped. Rows must hold every header column when
     ``exact``, else the picked ones; ``finite`` rejects NaN and infinities.
     Returns the stamps (or None), the numeric columns by name and the line
-    number of each data row, in file order. An empty file, text that is not
+    each data row starts on, in file order. An empty file, text that is not
     UTF-8 or a bad row raises the DataError of the first fault in the file:
     should a block fail to convert, its rows are checked one at a time.
     """
@@ -131,10 +127,12 @@ def read_columns(path, pick, *, fmt=None, exact=False, finite=False):
         while reader.line_num > last:  # until a block reads no line; the first always runs
             rows, at, last, unreadable = [], [], reader.line_num, None
             try:
+                first = last + 1  # a quoted newline lets a row span lines: name its first
                 for row in islice(reader, READ_BLOCK):
                     if "".join(row).strip():
                         rows.append(row)
-                        at.append(reader.line_num)
+                        at.append(first)
+                    first = reader.line_num + 1
             except (csv.Error, UnicodeDecodeError) as exc:
                 # the rows read before the fault are checked first
                 unreadable = DataError(f"{path}: unreadable CSV: {exc}")

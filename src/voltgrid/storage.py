@@ -206,6 +206,18 @@ def count_cycles(E, capacity: float) -> float:
     return float(np.abs(np.diff(E)).sum() / (2.0 * capacity))
 
 
+def sizing(x, E) -> dict:
+    """The fleet a schedule x with stored-energy trajectory E needs:
+    min_capacity, max_abs_power and equivalent_cycles (0 when the capacity
+    is 0)."""
+    capacity = min_capacity(E)
+    return {
+        "min_capacity": capacity,
+        "max_abs_power": float(np.max(np.abs(x))),
+        "equivalent_cycles": count_cycles(E, capacity) if capacity > 0 else 0.0,
+    }
+
+
 def lifetime(cycles_used: float, horizon: float, rated_cycles: int) -> float:
     """Linear cycle-budget extrapolation; infinite when nothing was used."""
     if horizon <= 0:
@@ -229,40 +241,31 @@ def dispatch(f_res: TimeSeries, f_gen: TimeSeries, f_load: TimeSeries,
     ``soc_efficiency=True`` to additionally apply the storage spec's
     asymmetric charge/discharge factor there.
     """
-    for s in (f_res, f_gen, f_load):
-        step_hours = s.step / SECONDS_PER_HOUR
-        if abs(step_hours - grid.step) > 1e-9 * max(1.0, grid.step):
-            raise DataError(
-                f"series {s.name!r} step {step_hours:g}h does not match grid step {grid.step:g}h"
-            )
-        if len(s) != grid.n_cells + 1:
-            raise DataError(
-                f"series {s.name!r} has {len(s)} samples, grid needs {grid.n_cells + 1}"
-            )
+    f, shift = imbalance(f_res, f_gen, f_load)  # the three series share one time base
+    step_hours = f_load.step / SECONDS_PER_HOUR
+    if abs(step_hours - grid.step) > 1e-9 * max(1.0, grid.step):
+        raise DataError(f"imbalance step {step_hours:g}h does not match grid step {grid.step:g}h")
+    if len(f) != grid.n_cells + 1:
+        raise DataError(f"imbalance has {len(f)} samples, grid needs {grid.n_cells + 1}")
 
-    f, shift = imbalance(f_res, f_gen, f_load)
     result: SolveResult = solve_apf(kernel, grid, f)
     x = result.x[1:]
     h = grid.step
     v = integrate_cumulative(x, h)
     soc_spec = spec if soc_efficiency else replace(spec, efficiency=1.0)
     E = soc_trajectory(x, h, soc_spec)
-    violations = check_constraints(x, v, E, spec)
-    capacity = min_capacity(E)
-    cycles = count_cycles(E, capacity) if capacity > 0 else 0.0
-    life = lifetime(cycles, grid.horizon, spec.rated_cycles)
+    sizes = sizing(x, E)
+    life = lifetime(sizes["equivalent_cycles"], grid.horizon, spec.rated_cycles)
     return DispatchReport(
         grid=grid,
         x=result.x,
         v=v,
         E=E,
-        violations=violations,
-        min_capacity=capacity,
-        equivalent_cycles=cycles,
+        violations=check_constraints(x, v, E, spec),
         lifetime_horizons=life / grid.horizon if math.isfinite(life) else math.inf,
         residual=result.residual,
         imbalance_shift=shift,
-        max_abs_power=float(np.max(np.abs(x))),
+        **sizes,
     )
 
 

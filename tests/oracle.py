@@ -274,9 +274,11 @@ def read_rows(path):
             if header is None:
                 raise DataError(f"{path}: empty CSV: missing header row")
             yield 1, [name.strip() for name in header]
+            first = reader.line_num + 1  # the line a row starts on
             for row in reader:
                 if "".join(row).strip():
-                    yield reader.line_num, row
+                    yield first, row
+                first = reader.line_num + 1
         except (csv.Error, UnicodeDecodeError) as exc:
             raise DataError(f"{path}: unreadable CSV: {exc}") from None
 

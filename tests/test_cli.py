@@ -15,7 +15,7 @@ from click.testing import CliRunner
 
 import voltgrid
 from voltgrid import SolverError
-from voltgrid.cli import _guarded, main
+from voltgrid.cli import _guarded, cmd_forecast, main
 from voltgrid.forecast import validation
 
 from conftest import START
@@ -236,6 +236,10 @@ class TestForecast:
         assert result.exit_code == 2, all_output(result)
         assert "n_trees must be >= 1, got 0" in all_output(result)
         assert "Traceback" not in all_output(result)
+
+    def test_model_choices_are_the_model_table(self):
+        option = next(p for p in cmd_forecast.params if p.name == "model_name")
+        assert list(option.type.choices) == list(validation.MODELS)
 
     def test_unknown_model_exit_2(self, runner, tmp_path):
         data = make_dataset(runner, tmp_path, np.full(400, 100.0))
@@ -461,6 +465,25 @@ class TestDispatch:
             outputs[out] = [(tmp_path / out / name).read_bytes()
                             for name in ("dispatch.csv", "report.json")]
         assert outputs["once"] == outputs["apart"]
+
+    @pytest.mark.parametrize("grid_n", [None, 20])
+    def test_omitted_series_is_zero(self, runner, tmp_path, grid_n):
+        write_series_csv(tmp_path / "load.csv", 50 + 5 * np.sin(np.arange(30.0) / 3))
+        write_series_csv(tmp_path / "zero.csv", np.zeros(30))
+        write_kernel(tmp_path / "kernel.json", value=0.92)
+        zero = str(tmp_path / "zero.csv")
+        outputs = []
+        for out, extra in (("alone", []), ("zeros", ["--gen", zero, "--res", zero])):
+            result = runner.invoke(main, [
+                "dispatch", "--load", str(tmp_path / "load.csv"), *extra,
+                "--kernel", str(tmp_path / "kernel.json"), "--out", str(tmp_path / out),
+                *(["--grid-n", str(grid_n)] if grid_n else []),
+            ])
+            assert result.exit_code == 0, all_output(result)
+            outputs.append([(tmp_path / out / name).read_bytes()
+                            for name in ("dispatch.csv", "report.json")])
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0].splitlines()) == (grid_n or 29) + 2
 
     def test_value_column_missing_exit_2(self, runner, tmp_path):
         (tmp_path / "load.csv").write_text("timestamp,megawatts\n2019-01-01,1\n")

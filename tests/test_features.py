@@ -138,12 +138,6 @@ class TestColumnContent:
 
 
 class TestSelectAndConfig:
-    def test_config_toggles(self, load_frame):
-        matrix = build_feature_matrix(load_frame, FeatureConfig(
-            include_calendar=False, include_prev_day=False,
-            lags=(1,), ema_periods=()))
-        assert matrix.feature_names == ("load", "load_lag_1")
-
     def test_horizon_one(self, load_frame):
         matrix = build_feature_matrix(load_frame, FeatureConfig(horizon=1))
         load = load_frame.columns["load"]

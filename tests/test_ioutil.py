@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from voltgrid import (DataError, Grid, SolverError, ioutil, kernel_from_config, solve_apf,
                       storage_spec_from_config)
-from voltgrid.ioutil import read_columns, read_json, write_csv, write_json
+from voltgrid.ioutil import fmt12, read_columns, read_json, write_csv, write_json
 from voltgrid.storage import read_dispatch_csv
 from voltgrid.timeseries import load_holidays, parse_timeseries_csv, read_frame_csv
+
+import oracle
 
 
 @pytest.mark.parametrize("cell", ["", " ", "NA", "na", "N/A", "n/a", "NaN", "nan",
@@ -69,6 +71,25 @@ def test_failed_read_opens_its_file_once(tmp_path, monkeypatch, opened, rows, me
     assert opened == [path]
 
 
+@pytest.mark.parametrize("rows, message", [
+    (['2019-01-01T00:00:00,"1', '2"'], "line 2: bad value '1\\n2'"),
+    # the row on lines 3-4 repeats line 2's stamp; its value reads as 2
+    (["2019-01-01T00:00:00,1", '2019-01-01T00:00:00,"2', '"'], "duplicate timestamp at line 3"),
+    # a row after the one on lines 2-3 keeps its own line
+    (['2019-01-01T00:00:00,"1', '"', "2019-01-01T00:00:00,4"], "duplicate timestamp at line 4"),
+])
+@pytest.mark.parametrize("read", [parse_timeseries_csv, oracle.parse_timeseries_csv_rows])
+@pytest.mark.parametrize("block", [1, 1024])
+def test_row_over_several_lines_is_named_by_its_first(tmp_path, monkeypatch, read, rows,
+                                                      message, block):
+    monkeypatch.setattr(ioutil, "READ_BLOCK", block)
+    path = tmp_path / "f.csv"
+    path.write_text("\n".join(["timestamp,value", *rows]) + "\n")
+    with pytest.raises(DataError) as err:
+        read(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize("bad_cell", [True, False])
 @pytest.mark.parametrize("block", [1, 7, 1024])
 @pytest.mark.parametrize("read", [parse_timeseries_csv, read_frame_csv])
@@ -99,6 +120,14 @@ def test_writer_formats_columns(tmp_path, monkeypatch, block):
     assert path.read_bytes() == (b"timestamp,name,value\r\n"
                                  b"2019-01-01T00:00:00,a,0.333333333333\r\n"
                                  b"2019-01-01T01:00:00,b,\r\n")
+
+
+@pytest.mark.parametrize("value, text", [
+    (math.nan, ""), (math.inf, "inf"), (-math.inf, "-inf"), (-0.0, "-0"),
+    (1e16, "1e+16"), (1 / 3, "0.333333333333"), (0.1 + 0.2, "0.3"),
+])
+def test_fmt12(value, text):
+    assert fmt12(value) == text
 
 
 def test_json_roundtrip_and_bad_json(tmp_path):

@@ -27,7 +27,7 @@ from voltgrid import (
 )
 from voltgrid import ioutil
 from voltgrid.ioutil import json_ready
-from voltgrid.storage import (CONSTRAINTS, DispatchReport, Violations, read_dispatch_csv,
+from voltgrid.storage import (CONSTRAINTS, DispatchReport, Violations, read_dispatch_csv, sizing,
                               write_dispatch_csv, write_report_json)
 
 from conftest import START, hourly, identity_kernel, two_band_kernel
@@ -217,6 +217,11 @@ class TestCapacityAndCycles:
         with pytest.raises(DataError, match="capacity"):
             count_cycles([0.0, 0.0], 0.0)
 
+    def test_sizing(self):
+        assert sizing([0.5, -3.0, 1.0], [0.0, 1.0, -1.0, 1.0]) == {
+            "min_capacity": 2.0, "max_abs_power": 3.0, "equivalent_cycles": 1.25}
+        assert sizing([0.0, 0.0], [2.0, 2.0, 2.0])["equivalent_cycles"] == 0.0
+
     def test_lifetime_extrapolation(self):
         assert lifetime(2.0, 100.0, 10) == 500.0
         assert lifetime(0.0, 100.0, 10) == math.inf
@@ -285,8 +290,17 @@ class TestDispatch:
 
     def test_grid_mismatch_rejected(self):
         res, gen, load, _ = self.make_inputs(np.zeros(5))
-        with pytest.raises(DataError, match="grid needs"):
+        with pytest.raises(DataError, match="^imbalance has 5 samples, grid needs 4$"):
             dispatch(res, gen, load, identity_kernel(), StorageSpec(), Grid(3.0, 3))
+        half_hourly = [TimeSeries(START, np.zeros(4), 1800.0, name) for name in ("res", "gen", "load")]
+        with pytest.raises(DataError, match="^imbalance step 0.5h does not match grid step 1h$"):
+            dispatch(*half_hourly, identity_kernel(), StorageSpec(), Grid(3.0, 3))
+
+    def test_misalignment_reported_before_grid_mismatch(self):
+        _, gen, load, _ = self.make_inputs(np.zeros(5))
+        with pytest.raises(DataError, match="misaligned"):
+            dispatch(hourly(np.zeros(4), name="res"), gen, load, identity_kernel(),
+                     StorageSpec(), Grid(3.0, 3))
 
     def test_report_dict_shape(self):
         res, gen, load, grid = self.make_inputs(np.array([0.0, 1.0, -1.0, 0.5]))

@@ -7,12 +7,10 @@ import pytest
 
 from voltgrid import DataError, align_hourly
 from voltgrid.forecast import (
-    FeatureConfig,
     block_cross_validate,
     build_feature_matrix,
     make_model,
     model_to_dict,
-    predict,
     validation,
 )
 
@@ -39,14 +37,6 @@ class TestMakeModel:
     def test_unknown_name(self):
         with pytest.raises(DataError, match="unknown model"):
             make_model("svm")
-
-
-class TestFitHelpers:
-    def test_predict_guards_feature_order(self, frame):
-        lm = block_cross_validate("lm", frame, n_blocks=2, validation_tail=200).final_model
-        shuffled = build_feature_matrix(frame, FeatureConfig(lags=(24, 1, 168)))
-        with pytest.raises(DataError, match="feature order"):
-            predict(lm, shuffled)
 
 
 class TestBlockCrossValidate:
@@ -103,7 +93,7 @@ class TestBlockCrossValidate:
         report = block_cross_validate("lm", frame, n_blocks=2,
                                       validation_tail=100, params={}, seed=0)
         matrix = build_feature_matrix(frame)
-        out = predict(report.final_model, matrix)
+        out = report.final_model.predict(matrix.X)
         assert np.isfinite(out).all()
 
     def test_mape_tracks_mean_level(self, frame):
