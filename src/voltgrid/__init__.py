@@ -7,12 +7,9 @@ from .storage import (
     StorageSpec,
     Violations,
     check_constraints,
-    count_cycles,
     dispatch,
     imbalance,
     integrate_cumulative,
-    lifetime,
-    min_capacity,
     soc_trajectory,
     storage_spec_from_config,
 )
@@ -21,13 +18,9 @@ from .timeseries import (
     CsvSpec,
     TimeSeries,
     align_hourly,
-    ema,
-    lag,
     load_holidays,
     parse_timeseries_csv,
-    previous_day_stats,
     read_frame_csv,
-    read_timeseries_csv,
     split_indices,
     write_frame_csv,
 )
@@ -36,7 +29,6 @@ from .volterra import (
     Grid,
     KernelSpec,
     SolveResult,
-    estimate_order,
     forward_apply,
     kernel_from_config,
     load_kernel,
@@ -53,32 +45,24 @@ __all__ = [
     "StorageSpec",
     "Violations",
     "check_constraints",
-    "count_cycles",
     "dispatch",
     "imbalance",
     "integrate_cumulative",
-    "lifetime",
-    "min_capacity",
     "soc_trajectory",
     "storage_spec_from_config",
     "AlignedFrame",
     "CsvSpec",
     "TimeSeries",
     "align_hourly",
-    "ema",
-    "lag",
     "load_holidays",
     "parse_timeseries_csv",
-    "previous_day_stats",
     "read_frame_csv",
-    "read_timeseries_csv",
     "split_indices",
     "write_frame_csv",
     "BandPartition",
     "Grid",
     "KernelSpec",
     "SolveResult",
-    "estimate_order",
     "forward_apply",
     "kernel_from_config",
     "load_kernel",

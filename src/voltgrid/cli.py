@@ -81,10 +81,14 @@ def main():
 def cmd_ingest(load_path, gen_path, res_path, temp_paths, holidays_path,
                timestamp_column, value_column, timestamp_format, out_dir):
     """Align the input series on their common hourly range."""
+    stations = [(Path(path).stem, path) for path in temp_paths]
+    for name, path in stations:
+        if name in ("load", "gen", "res"):
+            raise DataError(f"{path}: --temp file stem {name!r} is reserved for the "
+                            f"--{name} series; rename the file")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    sources = [("load", load_path), ("gen", gen_path), ("res", res_path),
-               *((Path(path).stem, path) for path in temp_paths)]
+    sources = [("load", load_path), ("gen", gen_path), ("res", res_path), *stations]
     series = read_series([(name, path) for name, path in sources if path],
                          lambda name: (value_column,), timestamp_column, timestamp_format)
     holidays = load_holidays(holidays_path) if holidays_path else frozenset()

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError
-from ..timeseries import (SECONDS_PER_HOUR, AlignedFrame, calendar_arrays, ema, lag,
-                          previous_day_stats)
+from ..timeseries import SECONDS_PER_HOUR, AlignedFrame, calendar_arrays
 
 
 LAGS = (1, 24, 168)  # hours of load history
@@ -49,6 +48,42 @@ class FeatureMatrix:
         return len(self.y)
 
 
+def _lag(v: np.ndarray, k: int) -> np.ndarray:
+    """v shifted k steps into the future; the first k entries are NaN."""
+    out = np.full(len(v), np.nan)
+    if k < len(v):
+        out[k:] = v[:-k]
+    return out
+
+
+def _ema(v: np.ndarray, period: int) -> np.ndarray:
+    """Exponential moving average, smoothing 2/(period+1), seeded with v[0]."""
+    beta = 2.0 / (period + 1.0)
+    keep = 1.0 - beta
+    # y[k] = (1-beta)*y[k-1] + beta*v[k], started from y[-1] = v[0]
+    out = []
+    prev = float(v[0])
+    for vk in v.tolist():
+        prev = keep * prev + beta * vk
+        out.append(prev)
+    return np.array(out)
+
+
+def _previous_day_stats(v: np.ndarray, stamps: np.ndarray):
+    """(mean, min) over all of day D-1, stamped on every sample of day D."""
+    day_ids = stamps.astype("datetime64[D]").astype(np.int64)
+    uniq, first_idx = np.unique(day_ids, return_index=True)
+    counts = np.diff(np.append(first_idx, len(v)))
+    prev_pos = np.searchsorted(uniq, day_ids - 1)
+    have_prev = (prev_pos < len(uniq)) & (uniq[np.minimum(prev_pos, len(uniq) - 1)] == day_ids - 1)
+    stats = []
+    for per_day in (np.add.reduceat(v, first_idx) / counts, np.minimum.reduceat(v, first_idx)):
+        out = np.full(len(v), np.nan)
+        out[have_prev] = per_day[prev_pos[have_prev]]
+        stats.append(out)
+    return stats
+
+
 def build_feature_matrix(frame: AlignedFrame, config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
     """Assemble features at origin t for the load target at t+H.
 
@@ -58,23 +93,27 @@ def build_feature_matrix(frame: AlignedFrame, config: FeatureConfig = FeatureCon
     """
     if "load" not in frame.columns:
         raise DataError(f"frame has no 'load' column (have {sorted(frame.columns)})")
-    load = frame.column("load")
-    if np.isnan(load.values).any():
+    load = np.asarray(frame.columns["load"], dtype=float)
+    if not len(load):
+        raise DataError("frame has no rows")
+    if np.isnan(load).any():
         raise DataError(
             "column 'load' has gaps; the EMA recursion needs a "
             "complete history, fill or trim them first"
         )
 
     horizon = config.horizon
-    target_stamps = frame.timestamps() + np.timedelta64(int(horizon * SECONDS_PER_HOUR), "s")
+    stamps = frame.timestamps()
+    target_stamps = stamps + np.timedelta64(int(horizon * SECONDS_PER_HOUR), "s")
     calendar = calendar_arrays(target_stamps, frame.holiday_calendar)
+    prev_day_mean, prev_day_min = _previous_day_stats(load, stamps)
     columns: list[tuple[str, np.ndarray]] = [
-        ("load", load.values),
+        ("load", load),
         *((name, values.astype(float)) for name, values in calendar.items()),
-        *((f"load_lag_{k}", lag(load, k).values) for k in LAGS),
-        ("prev_day_mean", previous_day_stats(load, "mean").values),
-        ("prev_day_min", previous_day_stats(load, "min").values),
-        *((f"ema_{period}", ema(load, period).values) for period in EMA_PERIODS),
+        *((f"load_lag_{k}", _lag(load, k)) for k in LAGS),
+        ("prev_day_mean", prev_day_mean),
+        ("prev_day_min", prev_day_min),
+        *((f"ema_{period}", _ema(load, period)) for period in EMA_PERIODS),
         *((name, values) for name, values in frame.columns.items() if name != "load"),
     ]
 
@@ -82,8 +121,8 @@ def build_feature_matrix(frame: AlignedFrame, config: FeatureConfig = FeatureCon
     n_targets = max(0, n - horizon)
     X = np.column_stack([vals for _, vals in columns])[:n_targets] if n_targets else \
         np.empty((0, len(columns)))
-    y = load.values[horizon:]
-    stamps = frame.timestamps()[horizon:]
+    y = load[horizon:]
+    stamps = stamps[horizon:]
     target_rows = np.arange(horizon, n)
 
     keep = np.all(np.isfinite(X), axis=1) & np.isfinite(y)

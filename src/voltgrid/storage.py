@@ -84,16 +84,9 @@ class DispatchReport:
     imbalance_shift: float
     max_abs_power: float
 
-    def as_dict(self) -> dict:
-        """The JSON report: scalars and one record per violation; node
-        series travel as CSV."""
-        rows = zip(self.violations.constraint.tolist(), self.violations.node.tolist(),
-                   self.violations.magnitude.tolist())
-        return {**self.scalars(), "violations": [
-            {"constraint": c, "node": n, "magnitude": m} for c, n, m in rows]}
-
     def scalars(self) -> dict:
-        """as_dict without the violations."""
+        """The report's scalars; report.json adds one record per violation,
+        and the node series travel as CSV."""
         lifetime = self.lifetime_horizons
         return {
             "min_capacity": self.min_capacity,
@@ -190,45 +183,19 @@ def check_constraints(x, v, E, spec: StorageSpec) -> Violations:
     return Violations(node[order], np.array(CONSTRAINTS)[code[order]], magnitude[order])
 
 
-def min_capacity(E) -> float:
-    """Smallest usable energy range a fleet needs to realize trajectory E."""
-    E = np.asarray(E, dtype=float)
-    if E.size == 0:
-        raise DataError("empty trajectory has no capacity requirement")
-    return float(E.max() - E.min())
-
-
-def count_cycles(E, capacity: float) -> float:
-    """Equivalent full cycles: total |dE| throughput over twice the capacity."""
-    if capacity <= 0:
-        raise DataError(f"capacity must be positive, got {capacity}")
-    E = np.asarray(E, dtype=float)
-    return float(np.abs(np.diff(E)).sum() / (2.0 * capacity))
-
-
 def sizing(x, E) -> dict:
     """The fleet a schedule x with stored-energy trajectory E needs:
-    min_capacity, max_abs_power and equivalent_cycles (0 when the capacity
-    is 0)."""
-    capacity = min_capacity(E)
+    min_capacity (the range of E), max_abs_power and equivalent_cycles
+    (total |dE| throughput over twice the capacity; 0 when the capacity is
+    0)."""
+    E = np.asarray(E, dtype=float)
+    capacity = float(E.max() - E.min())
     return {
         "min_capacity": capacity,
         "max_abs_power": float(np.max(np.abs(x))),
-        "equivalent_cycles": count_cycles(E, capacity) if capacity > 0 else 0.0,
+        "equivalent_cycles":
+            float(np.abs(np.diff(E)).sum() / (2.0 * capacity)) if capacity > 0 else 0.0,
     }
-
-
-def lifetime(cycles_used: float, horizon: float, rated_cycles: int) -> float:
-    """Linear cycle-budget extrapolation; infinite when nothing was used."""
-    if horizon <= 0:
-        raise DataError(f"horizon must be positive, got {horizon}")
-    if rated_cycles < 1:
-        raise DataError(f"rated_cycles must be a positive integer, got {rated_cycles}")
-    if cycles_used < 0:
-        raise DataError(f"cycles_used cannot be negative, got {cycles_used}")
-    if cycles_used == 0:
-        return math.inf
-    return horizon * rated_cycles / cycles_used
 
 
 def dispatch(f_res: TimeSeries, f_gen: TimeSeries, f_load: TimeSeries,
@@ -255,7 +222,9 @@ def dispatch(f_res: TimeSeries, f_gen: TimeSeries, f_load: TimeSeries,
     soc_spec = spec if soc_efficiency else replace(spec, efficiency=1.0)
     E = soc_trajectory(x, h, soc_spec)
     sizes = sizing(x, E)
-    life = lifetime(sizes["equivalent_cycles"], grid.horizon, spec.rated_cycles)
+    # linear cycle-budget extrapolation in hours; infinite when nothing was used
+    cycles = sizes["equivalent_cycles"]
+    life = grid.horizon * spec.rated_cycles / cycles if cycles else math.inf
     return DispatchReport(
         grid=grid,
         x=result.x,
@@ -297,8 +266,8 @@ def write_dispatch_csv(path, report: DispatchReport) -> None:
 
 
 def write_report_json(path, report: DispatchReport) -> None:
-    """report.json: ``report.as_dict()`` as write_json writes it, with the
-    violation records formatted from their columns."""
+    """report.json: the report's scalars and one {constraint, node,
+    magnitude} record per violation, formatted from the violation columns."""
     write_json(path, report.scalars(), records={"violations": vars(report.violations)})
 
 

@@ -43,11 +43,6 @@ class TimeSeries:
         """Timestamp of the last sample."""
         return self.start + timedelta(seconds=self.step * (len(self.values) - 1))
 
-    def timestamps(self) -> np.ndarray:
-        base = np.datetime64(self.start, "s")
-        offsets = (np.arange(len(self.values)) * self.step).astype("timedelta64[s]")
-        return base + offsets
-
 
 @dataclass(frozen=True)
 class AlignedFrame:
@@ -93,77 +88,70 @@ class CsvSpec:
     name: str | None = None
 
 
-def read_timeseries_csv(path, columns, timestamp_column: str = "timestamp",
-                        timestamp_format: str | None = None) -> list[TimeSeries]:
-    """Read value columns of one headered CSV file into hourly TimeSeries
-    on one time base. ``columns`` holds (candidate columns, series name)
-    pairs; each series takes the first of its candidates in the header.
+def parse_timeseries_csv(path, spec: CsvSpec = CsvSpec()) -> TimeSeries:
+    """Read one value column out of a headered CSV file into an hourly
+    TimeSeries, as read_series does."""
+    name = spec.name if spec.name is not None else spec.value_column
+    return read_series([(name, path)], lambda _: (spec.value_column,),
+                       spec.timestamp_column, spec.timestamp_format)[0]
+
+
+def read_series(sources, candidates, timestamp_column: str = "timestamp",
+                timestamp_format: str | None = None) -> list[TimeSeries]:
+    """Read (series name, path) ``sources`` of headered CSV files into hourly
+    TimeSeries, in order. Each series takes the first of ``candidates(name)``
+    in its file's header; a file given for several series is read once, and
+    its series share one time base.
 
     Rows are sorted by timestamp, duplicates are rejected, and any gaps that
     are whole hours are filled with NaN. Spacing off the hourly grid is an
     alignment error. ``timestamp_format`` is as in CsvSpec.
     """
-    chosen = []
-
-    def pick(header):
-        if timestamp_column not in header:
-            raise DataError(f"{path}: timestamp column {timestamp_column!r} not in header {header}")
-        for candidates, name in columns:
-            column = next((c for c in candidates if c in header), None)
-            if column is None:
-                wanted = " or ".join(map(repr, dict.fromkeys(candidates)))
-                raise DataError(f"{path}: value column {wanted} not in header {header}")
-            chosen.append((column, name))
-        return timestamp_column, list(dict.fromkeys(c for c, _ in chosen))
-
-    stamps, values, lines = read_columns(path, pick, fmt=timestamp_format)
-    if not len(stamps):
-        raise DataError(f"{path}: CSV contains no data rows")
-    order = np.argsort(stamps, kind="stable")
-    stamps = stamps[order]
-    same = np.flatnonzero(stamps[1:] == stamps[:-1])
-    if len(same):
-        raise DataError(f"{path}: duplicate timestamp at line {lines[order[same[0] + 1]]}")
-
-    start = stamps[0].item()
-    steps = (stamps - stamps[0]) / np.timedelta64(1, "s") / SECONDS_PER_HOUR
-    rounded = np.rint(steps)
-    off_grid = np.flatnonzero(np.abs(steps - rounded) > 1e-6)
-    if len(off_grid):
-        raise DataError(
-            f"{path}: line {lines[order[off_grid[0]]]}: timestamp not on the "
-            f"{SECONDS_PER_HOUR:g}s grid anchored at {start}"
-        )
-
-    slots = rounded.astype(int)
-    series = []
-    for column, name in chosen:
-        filled = np.full(slots[-1] + 1, np.nan)
-        filled[slots] = values[column][order]
-        series.append(TimeSeries(start=start, values=filled, step=SECONDS_PER_HOUR, name=name))
-    return series
-
-
-def parse_timeseries_csv(path, spec: CsvSpec = CsvSpec()) -> TimeSeries:
-    """Read one value column out of a headered CSV file into an hourly
-    TimeSeries, as read_timeseries_csv does."""
-    name = spec.name if spec.name is not None else spec.value_column
-    return read_timeseries_csv(path, [((spec.value_column,), name)],
-                               spec.timestamp_column, spec.timestamp_format)[0]
-
-
-def read_series(sources, candidates, timestamp_column: str = "timestamp",
-                timestamp_format: str | None = None) -> list[TimeSeries]:
-    """Read (series name, path) ``sources`` into hourly TimeSeries, in
-    order, as read_timeseries_csv does; each series takes the first of
-    ``candidates(name)`` in its file's header. A file given for several
-    series is read once."""
     files = {}
     for name, path in sources:
         files.setdefault(path, []).append(name)
-    read = {path: iter(read_timeseries_csv(path, [(candidates(name), name) for name in names],
-                                           timestamp_column, timestamp_format))
-            for path, names in files.items()}
+    read = {}
+    for path, names in files.items():
+        chosen = []
+
+        def pick(header):
+            if timestamp_column not in header:
+                raise DataError(f"{path}: timestamp column {timestamp_column!r} not in header {header}")
+            for name in names:
+                options = candidates(name)
+                column = next((c for c in options if c in header), None)
+                if column is None:
+                    wanted = " or ".join(map(repr, dict.fromkeys(options)))
+                    raise DataError(f"{path}: value column {wanted} not in header {header}")
+                chosen.append((column, name))
+            return timestamp_column, list(dict.fromkeys(c for c, _ in chosen))
+
+        stamps, values, lines = read_columns(path, pick, fmt=timestamp_format)
+        if not len(stamps):
+            raise DataError(f"{path}: CSV contains no data rows")
+        order = np.argsort(stamps, kind="stable")
+        stamps = stamps[order]
+        same = np.flatnonzero(stamps[1:] == stamps[:-1])
+        if len(same):
+            raise DataError(f"{path}: duplicate timestamp at line {lines[order[same[0] + 1]]}")
+
+        start = stamps[0].item()
+        steps = (stamps - stamps[0]) / np.timedelta64(1, "s") / SECONDS_PER_HOUR
+        rounded = np.rint(steps)
+        off_grid = np.flatnonzero(np.abs(steps - rounded) > 1e-6)
+        if len(off_grid):
+            raise DataError(
+                f"{path}: line {lines[order[off_grid[0]]]}: timestamp not on the "
+                f"{SECONDS_PER_HOUR:g}s grid anchored at {start}"
+            )
+
+        slots = rounded.astype(int)
+        series = []
+        for column, name in chosen:
+            filled = np.full(slots[-1] + 1, np.nan)
+            filled[slots] = values[column][order]
+            series.append(TimeSeries(start=start, values=filled, step=SECONDS_PER_HOUR, name=name))
+        read[path] = iter(series)
     return [next(read[path]) for _, path in sources]
 
 
@@ -219,59 +207,6 @@ def align_hourly(series: list[TimeSeries], policy: str = "intersect",
         columns[s.name] = s.values[first:first + n_rows].copy()
     return AlignedFrame(start=start, step=SECONDS_PER_HOUR, columns=columns,
                         holiday_calendar=frozenset(holidays))
-
-
-def ema(series: TimeSeries, period_hours: int) -> TimeSeries:
-    """Exponential moving average, smoothing 2/(period+1), seeded with v[0]."""
-    if period_hours < 1:
-        raise DataError(f"EMA period must be >= 1 hour, got {period_hours}")
-    v = series.values
-    if len(v) == 0:
-        raise DataError("EMA of an empty series")
-    if np.isnan(v).any():
-        raise DataError(f"series {series.name!r} has missing values; impute before EMA")
-    beta = 2.0 / (period_hours + 1.0)
-    keep = 1.0 - beta
-    # y[k] = (1-beta)*y[k-1] + beta*v[k], started from y[-1] = v[0]
-    out = []
-    prev = float(v[0])
-    for vk in v.tolist():
-        prev = keep * prev + beta * vk
-        out.append(prev)
-    return TimeSeries(series.start, np.array(out), series.step, f"{series.name}_ema{period_hours}")
-
-
-def lag(series: TimeSeries, k_hours: int) -> TimeSeries:
-    """Shift values k steps into the future; the first k outputs are NaN."""
-    if k_hours < 1:
-        raise DataError(f"lag must be >= 1, got {k_hours}")
-    v = series.values
-    out = np.full(len(v), np.nan)
-    if k_hours < len(v):
-        out[k_hours:] = v[:-k_hours]
-    return TimeSeries(series.start, out, series.step, f"{series.name}_lag{k_hours}")
-
-
-def previous_day_stats(series: TimeSeries, stat: str) -> TimeSeries:
-    """Stamp every sample of day D with mean or min over all of day D-1."""
-    if stat not in ("mean", "min"):
-        raise DataError(f"stat must be 'mean' or 'min', got {stat!r}")
-    stamps = series.timestamps()
-    day_ids = stamps.astype("datetime64[D]").astype(np.int64)
-    uniq, first_idx = np.unique(day_ids, return_index=True)
-    if stat == "mean":
-        sums = np.add.reduceat(series.values, first_idx)
-        counts = np.diff(np.append(first_idx, len(series.values)))
-        per_day = sums / counts
-    else:
-        per_day = np.minimum.reduceat(series.values, first_idx)
-
-    prev_pos = np.searchsorted(uniq, day_ids - 1)
-    have_prev = (prev_pos < len(uniq)) & (uniq[np.minimum(prev_pos, len(uniq) - 1)] == day_ids - 1)
-    out = np.full(len(series.values), np.nan)
-    out[have_prev] = per_day[prev_pos[have_prev]]
-    return TimeSeries(series.start, out, series.step,
-                      f"{series.name}_prev_day_{stat}")
 
 
 def calendar_arrays(stamps: np.ndarray, holidays=frozenset()) -> dict[str, np.ndarray]:

@@ -19,8 +19,7 @@ fragments of the final grid cell carry the not-yet-known ``x_j`` (a band
 boundary can cut that cell, so there may be several), which keeps the system
 lower triangular with exactly one unknown per step. With linear and cubic
 responses the own cell reads ``p*x^3 + q*x = r``, solved in closed form. The
-rule is first order; ``estimate_order`` measures that against manufactured
-solutions.
+rule is first order.
 
 Per band, node j needs the sum over the cells before its own. For the
 separable decaying factors the kernel takes, that sum is a window of a
@@ -358,9 +357,7 @@ def forward_apply(kernel: KernelSpec, grid: Grid, x) -> np.ndarray:
     return np.concatenate([[0.0], known + march.own(x)])
 
 
-def solve_apf(kernel: KernelSpec, grid: Grid, f, *,
-              cell_floor: float = DEFAULT_CELL_FLOOR,
-              residual_tol: float = DEFAULT_RESIDUAL_TOL) -> SolveResult:
+def solve_apf(kernel: KernelSpec, grid: Grid, f) -> SolveResult:
     """March the discretized equation and recover the power schedule x.
 
     ``f`` holds node values 0..N and must start at zero (shift it first; see
@@ -395,8 +392,8 @@ def solve_apf(kernel: KernelSpec, grid: Grid, f, *,
             f"coefficients {fmt12(p[j - 1])} and {fmt12(q[j - 1])} differ in sign"
         )
     scale = np.abs(p) + np.abs(q)
-    # reduces to "fragment width < cell_floor*h" when one band owns the cell
-    thresh = cell_floor * grid.step * max(kernel.kernel_floor, abs(kernel.K[-1].value))
+    # reduces to "fragment width < floor*h" when one band owns the cell
+    thresh = DEFAULT_CELL_FLOOR * grid.step * max(kernel.kernel_floor, abs(kernel.K[-1].value))
     tiny = (scale == 0.0) | (scale < thresh)
     if np.any(tiny):
         j = int(np.argmax(tiny)) + 1
@@ -431,7 +428,7 @@ def solve_apf(kernel: KernelSpec, grid: Grid, f, *,
     residual = float(np.max(np.abs(known + terms - f[1:])))
     # the residual is a difference of sums that grow with x, so rounding
     # scales with the largest own-cell term as well as with f
-    tol = residual_tol * max(f_scale, float(np.max(np.abs(terms))))
+    tol = DEFAULT_RESIDUAL_TOL * max(f_scale, float(np.max(np.abs(terms))))
     if not residual <= tol:
         raise SolverError(f"the march left residual {fmt12(residual)} above {fmt12(tol)}")
     return SolveResult(
@@ -440,27 +437,6 @@ def solve_apf(kernel: KernelSpec, grid: Grid, f, *,
         residual=residual,
         diagnostics={"newton_iterations": polish.astype(int)},
     )
-
-
-def estimate_order(kernel: KernelSpec, f_analytic, x_analytic,
-                   horizon: float, n_coarse: int) -> float:
-    """Observed convergence order from one grid refinement.
-
-    Solves with n_coarse and 2*n_coarse cells against an analytic pair and
-    returns log2(err_coarse / err_fine); +inf when the fine error is zero
-    (the scheme is exact for the supplied solution).
-    """
-    errs = []
-    for n in (n_coarse, 2 * n_coarse):
-        grid = Grid(horizon, n)
-        nodes = grid.nodes()
-        f = np.asarray(f_analytic(nodes), dtype=float)
-        result = solve_apf(kernel, grid, f)
-        exact = np.asarray(x_analytic(nodes[1:]), dtype=float)
-        errs.append(float(np.max(np.abs(result.x[1:] - exact))))
-    if errs[1] == 0.0:
-        return math.inf
-    return math.log2(errs[0] / errs[1])
 
 
 # --- kernel configuration ---------------------------------------------------

@@ -3,7 +3,10 @@
 The Volterra part is the product right-rectangle rule of ``voltgrid.volterra``
 written out the slow way: every fragment of every grid cell at every node, as
 a dense N x N coefficient matrix per band. The solver's march keeps running
-sums instead; the tests compare the two.
+sums instead; the tests compare the two. ``estimate_order`` measures the
+march's convergence order against manufactured solutions, and
+``report_dict`` builds the report.json object the storage writer formats
+from columns.
 
 ``grow_tree_dfs`` grows a regression tree depth first, sorting each node's
 rows again for every feature. ``grow_tree_bfs`` visits the nodes of each
@@ -28,7 +31,7 @@ from datetime import datetime
 
 import numpy as np
 
-from voltgrid import DataError, SolverError
+from voltgrid import DataError, Grid, SolverError, solve_apf
 from voltgrid.forecast.trees import RegressionTree, _quantize
 from voltgrid.ioutil import NA_STRINGS, fmt12, naive_utc
 from voltgrid.timeseries import SECONDS_PER_HOUR, AlignedFrame, CsvSpec, TimeSeries
@@ -142,6 +145,35 @@ def dense_solve(kernel, grid, f):
                 break
         x[j] = 0.5 * (lo + hi)
     return x
+
+
+def estimate_order(kernel, f_analytic, x_analytic, horizon, n_coarse):
+    """Observed convergence order of ``solve_apf`` from one grid refinement.
+
+    Solves with n_coarse and 2*n_coarse cells against an analytic pair and
+    returns log2(err_coarse / err_fine); +inf when the fine error is zero
+    (the scheme is exact for the supplied solution).
+    """
+    errs = []
+    for n in (n_coarse, 2 * n_coarse):
+        grid = Grid(horizon, n)
+        nodes = grid.nodes()
+        f = np.asarray(f_analytic(nodes), dtype=float)
+        result = solve_apf(kernel, grid, f)
+        exact = np.asarray(x_analytic(nodes[1:]), dtype=float)
+        errs.append(float(np.max(np.abs(result.x[1:] - exact))))
+    if errs[1] == 0.0:
+        return math.inf
+    return math.log2(errs[0] / errs[1])
+
+
+def report_dict(report):
+    """A DispatchReport as the JSON object report.json holds: its scalars and
+    one record per violation, built row by row from the violation columns."""
+    rows = zip(report.violations.constraint.tolist(), report.violations.node.tolist(),
+               report.violations.magnitude.tolist())
+    return {**report.scalars(), "violations": [
+        {"constraint": c, "node": n, "magnitude": m} for c, n, m in rows]}
 
 
 def _best_split(X, q_node, idx, candidates, min_child):

@@ -1,14 +1,17 @@
 """Benchmark drift guard: every name the benchmark scripts import from
-voltgrid still resolves.
+voltgrid still resolves, and the traced pass still runs.
 
 This suite does not run ``benchmarks/test_smoke.py``, so a renamed or removed
-name that only the traced pass of ``benchmarks/traced.py`` imports would
-otherwise pass here and break ``benchmarks/run.py --trace 1``. The scripts are
-parsed, not run.
+name that only the traced pass of ``benchmarks/traced.py`` imports, or a
+changed signature it calls, would otherwise pass here and break
+``benchmarks/run.py --trace 1``.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -33,3 +36,14 @@ def test_benchmark_imports_from_voltgrid_resolve():
     missing = [(file, module, name) for file, module, name in sorted(imports, key=str)
                if not hasattr(importlib.import_module(module), name or "__name__")]
     assert not missing
+
+
+def test_traced_pass_runs():
+    # the replay calls the library directly: TimeSeries by position,
+    # align_hourly with policy=, dispatch with its three series
+    proc = subprocess.run([sys.executable, str(BENCHMARKS / "run.py"), "--smoke",
+                           "--workload", "pipeline_small", "--seed", "1", "--trace", "1"],
+                          cwd=BENCHMARKS.parent, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0, proc.stdout

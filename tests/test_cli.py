@@ -125,6 +125,21 @@ class TestIngest:
         ])
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize("stem", ["load", "gen", "res"])
+    def test_reserved_temperature_stem_exit_2(self, runner, tmp_path, stem):
+        # a station column named gen or res would pass for that series in dispatch
+        write_series_csv(tmp_path / "demand.csv", np.arange(24.0) + 1)
+        (tmp_path / "stations").mkdir()
+        temp = tmp_path / "stations" / f"{stem}.csv"
+        write_series_csv(temp, np.linspace(-5.0, 5.0, 24))
+        result = runner.invoke(main, [
+            "ingest", "--load", str(tmp_path / "demand.csv"), "--temp", str(temp),
+            "--out", str(tmp_path / "run"),
+        ])
+        assert result.exit_code == 2
+        assert f"error: {temp}: --temp file stem '{stem}' is reserved" in all_output(result)
+        assert not (tmp_path / "run").exists()
+
     def test_file_for_several_series_is_read_once(self, runner, tmp_path, opened):
         for name in ("data", "copy_a", "copy_b"):
             write_series_csv(tmp_path / f"{name}.csv", np.arange(24.0) + 1)

@@ -10,10 +10,21 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from voltgrid import AlignedFrame, DataError, TimeSeries, align_hourly, ema
+from voltgrid import AlignedFrame, DataError, TimeSeries, align_hourly
 from voltgrid.forecast import FeatureConfig, build_feature_matrix
+from voltgrid.forecast.features import _ema, _lag, _previous_day_stats
 
 from conftest import START, hourly, synthetic_load
+
+def ema_reference(values, period):
+    """The EMA recursion written out: y[k] = beta*v[k] + (1-beta)*y[k-1]."""
+    beta = 2.0 / (period + 1)
+    out = np.empty_like(values)
+    prev = values[0]  # y[-1] = v[0], so y[0] = v[0] up to rounding
+    for i in range(len(values)):
+        out[i] = prev = beta * values[i] + (1 - beta) * prev
+    return out
+
 
 DEFAULT_NAMES = (
     "load", "day_of_week", "hour_of_day", "is_working_day",
@@ -67,6 +78,11 @@ class TestMatrixShape:
         with pytest.raises(DataError, match="complete"):
             build_feature_matrix(frame)
 
+    def test_empty_frame_rejected(self):
+        frame = AlignedFrame(START, 3600.0, {"load": np.array([])})
+        with pytest.raises(DataError, match="no rows"):
+            build_feature_matrix(frame)
+
     def test_too_short_frame_yields_no_rows(self):
         frame = align_hourly([hourly(np.ones(100), name="load")])
         matrix = build_feature_matrix(frame)
@@ -105,7 +121,7 @@ class TestColumnContent:
         origins = matrix.target_rows - matrix.horizon
         for period in (12, 24, 48, 168):
             k = matrix.feature_names.index(f"ema_{period}")
-            expected = ema(load_frame.column("load"), period).values[origins]
+            expected = ema_reference(load_frame.columns["load"], period)[origins]
             np.testing.assert_array_equal(matrix.X[:, k], expected)
 
     def test_calendar_is_for_target_hour(self, load_frame):
@@ -135,6 +151,30 @@ class TestColumnContent:
         assert (m_hol.X[on_holiday, k] == 0.0).all()
         off = ~on_holiday
         np.testing.assert_array_equal(m_plain.X[off, k], m_hol.X[off, k])
+
+
+class TestTransforms:
+    def test_ema_matches_recursion(self):
+        values = np.random.default_rng(3).normal(size=200)
+        np.testing.assert_array_equal(_ema(values, 24), ema_reference(values, 24))
+
+    def test_ema_constant_is_fixed_point(self):
+        np.testing.assert_array_equal(_ema(np.full(50, 7.0), 168), np.full(50, 7.0))
+
+    def test_lag_shifts_and_pads(self):
+        out = _lag(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), 2)
+        assert np.isnan(out[:2]).all()
+        assert out[2:].tolist() == [1.0, 2.0, 3.0]
+
+    def test_previous_day_mean_and_min(self):
+        # two full days then a partial third
+        values = np.concatenate([np.arange(24), np.arange(24) + 100, [7.0] * 6])
+        mean, low = _previous_day_stats(values, align_hourly([hourly(values)]).timestamps())
+        assert np.isnan(mean[:24]).all()
+        np.testing.assert_array_equal(mean[24:48], np.full(24, 11.5))
+        np.testing.assert_array_equal(mean[48:], np.full(6, 111.5))
+        np.testing.assert_array_equal(low[24:48], np.zeros(24))
+        np.testing.assert_array_equal(low[48:], np.full(6, 100.0))
 
 
 class TestSelectAndConfig:

@@ -15,13 +15,10 @@ from voltgrid import (
     StorageSpec,
     TimeSeries,
     check_constraints,
-    count_cycles,
     dispatch,
     forward_apply,
     imbalance,
     integrate_cumulative,
-    lifetime,
-    min_capacity,
     soc_trajectory,
     storage_spec_from_config,
 )
@@ -31,6 +28,15 @@ from voltgrid.storage import (CONSTRAINTS, DispatchReport, Violations, read_disp
                               write_dispatch_csv, write_report_json)
 
 from conftest import START, hourly, identity_kernel, two_band_kernel
+from oracle import report_dict
+
+
+def capacity(E):
+    return sizing(np.diff(E), E)["min_capacity"]
+
+
+def cycles(E):
+    return sizing(np.diff(E), E)["equivalent_cycles"]
 
 
 class TestImbalance:
@@ -99,6 +105,11 @@ class TestStorageSpecValidation:
     def test_interpretation_values(self):
         with pytest.raises(DataError, match="interpretation"):
             StorageSpec(interpretation="integral")
+
+    def test_rated_cycles_positive(self):
+        # the lifetime extrapolation relies on this guard alone
+        with pytest.raises(DataError, match="rated_cycles"):
+            StorageSpec(rated_cycles=0)
 
     def test_config_parsing(self):
         spec = storage_spec_from_config({"efficiency": 0.9, "e_min": -10,
@@ -186,7 +197,7 @@ class TestConstraints:
 
 class TestCapacityAndCycles:
     def test_min_capacity_is_range(self):
-        assert min_capacity([1.0, -2.0, 4.0]) == 6.0
+        assert capacity(np.array([1.0, -2.0, 4.0])) == 6.0
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(5)
@@ -194,14 +205,12 @@ class TestCapacityAndCycles:
         for shift in (-1e6, -3.7, 0.0, 42.0, 1e9):
             # shifting quantizes E at eps*|shift|, the only loss allowed
             tol = 8 * np.finfo(float).eps * max(1.0, abs(shift))
-            assert min_capacity(E + shift) == pytest.approx(min_capacity(E), abs=tol)
+            assert capacity(E + shift) == pytest.approx(capacity(E), abs=tol)
 
     def test_cycles_scale_covariance(self):
         rng = np.random.default_rng(6)
         E = np.cumsum(rng.normal(size=200))
-        cap = min_capacity(E)
-        assert count_cycles(2.0 * E, 2.0 * cap) == pytest.approx(
-            count_cycles(E, cap), rel=1e-12)
+        assert cycles(2.0 * E) == pytest.approx(cycles(E), rel=1e-12)
 
     def test_sinusoid_counts_whole_cycles(self):
         # sampling a multiple of 4 points per period hits every extreme, so
@@ -210,12 +219,7 @@ class TestCapacityAndCycles:
         for amp, periods, per_period in [(1.0, 3, 4), (7.5, 5, 24), (0.2, 2, 8)]:
             t = np.arange(periods * per_period + 1) * h
             E = amp * np.sin(2 * np.pi * t / (per_period * h))
-            cycles = count_cycles(E, min_capacity(E))
-            assert cycles == pytest.approx(periods, abs=1e-9)
-
-    def test_cycles_needs_positive_capacity(self):
-        with pytest.raises(DataError, match="capacity"):
-            count_cycles([0.0, 0.0], 0.0)
+            assert cycles(E) == pytest.approx(periods, abs=1e-9)
 
     def test_sizing(self):
         assert sizing([0.5, -3.0, 1.0], [0.0, 1.0, -1.0, 1.0]) == {
@@ -223,10 +227,15 @@ class TestCapacityAndCycles:
         assert sizing([0.0, 0.0], [2.0, 2.0, 2.0])["equivalent_cycles"] == 0.0
 
     def test_lifetime_extrapolation(self):
-        assert lifetime(2.0, 100.0, 10) == 500.0
-        assert lifetime(0.0, 100.0, 10) == math.inf
-        with pytest.raises(DataError, match="rated_cycles"):
-            lifetime(1.0, 100.0, 0)
+        # E ramps 0..4 over a 4 h horizon: capacity 4, half a cycle, so 10
+        # rated cycles last 20 horizons (80 h)
+        zero = hourly(np.zeros(5), name="res")
+        gen = hourly(0.92 * np.arange(5.0), name="gen")
+        report = dispatch(zero, gen, hourly(np.zeros(5)), identity_kernel(0.92),
+                          StorageSpec(rated_cycles=10, interpretation="power"), Grid(4.0, 4))
+        assert report.equivalent_cycles == pytest.approx(0.5, abs=1e-12)
+        assert report.lifetime_horizons == pytest.approx(20.0, rel=1e-12)
+        assert report.scalars()["lifetime_hours"] == pytest.approx(80.0, rel=1e-12)
 
 
 class TestDispatch:
@@ -305,7 +314,7 @@ class TestDispatch:
     def test_report_dict_shape(self):
         res, gen, load, grid = self.make_inputs(np.array([0.0, 1.0, -1.0, 0.5]))
         report = dispatch(res, gen, load, identity_kernel(), StorageSpec(), grid)
-        doc = report.as_dict()
+        doc = report_dict(report)
         for key in ("min_capacity", "max_abs_power", "equivalent_cycles",
                     "lifetime_hours", "lifetime_horizons", "violations",
                     "residual", "imbalance_shift", "n_cells", "horizon_hours"):
@@ -331,7 +340,7 @@ def test_report_json_is_what_json_dump_writes(tmp_path_factory, data):
                             *(data.draw(_SCALARS) for _ in range(6)))
     path = tmp_path_factory.getbasetemp() / "report.json"
     write_report_json(path, report)
-    assert path.read_text() == json.dumps(json_ready(report.as_dict()), indent=2, sort_keys=True) + "\n"
+    assert path.read_text() == json.dumps(json_ready(report_dict(report)), indent=2, sort_keys=True) + "\n"
 
 
 class TestDispatchCsv:

@@ -1,4 +1,4 @@
-"""Parsing, alignment, and the rolling/calendar transforms."""
+"""Parsing, alignment, and the calendar transform."""
 
 import atexit
 import datetime as dt
@@ -15,11 +15,8 @@ from voltgrid import (
     DataError,
     TimeSeries,
     align_hourly,
-    ema,
-    lag,
     load_holidays,
     parse_timeseries_csv,
-    previous_day_stats,
     read_frame_csv,
     split_indices,
     write_frame_csv,
@@ -201,45 +198,6 @@ class TestAlign:
 
 
 class TestTransforms:
-    def test_ema_matches_recursion(self):
-        values = np.random.default_rng(3).normal(size=200)
-        period = 24
-        beta = 2.0 / (period + 1)
-        expected = np.empty_like(values)
-        prev = values[0]  # y[-1] = v[0], so y[0] = v[0] up to rounding
-        for i in range(len(values)):
-            expected[i] = prev = beta * values[i] + (1 - beta) * prev
-        out = ema(hourly(values), period)
-        np.testing.assert_array_equal(out.values, expected)
-
-    def test_ema_rejects_nan(self):
-        with pytest.raises(DataError, match="missing"):
-            ema(hourly([1.0, np.nan, 3.0]), 12)
-
-    def test_ema_constant_is_fixed_point(self):
-        out = ema(hourly(np.full(50, 7.0)), 168)
-        np.testing.assert_array_equal(out.values, np.full(50, 7.0))
-
-    def test_lag_shifts_and_pads(self):
-        out = lag(hourly([1, 2, 3, 4, 5]), 2)
-        assert np.isnan(out.values[:2]).all()
-        assert out.values[2:].tolist() == [1.0, 2.0, 3.0]
-
-    def test_previous_day_mean_and_min(self):
-        # two full days then a partial third
-        values = np.concatenate([np.arange(24), np.arange(24) + 100, [7.0] * 6])
-        mean = previous_day_stats(hourly(values), "mean")
-        low = previous_day_stats(hourly(values), "min")
-        assert np.isnan(mean.values[:24]).all()
-        np.testing.assert_array_equal(mean.values[24:48], np.full(24, 11.5))
-        np.testing.assert_array_equal(mean.values[48:], np.full(6, 111.5))
-        np.testing.assert_array_equal(low.values[24:48], np.zeros(24))
-        np.testing.assert_array_equal(low.values[48:], np.full(6, 100.0))
-
-    def test_previous_day_requires_known_stat(self):
-        with pytest.raises(DataError, match="stat"):
-            previous_day_stats(hourly([1.0]), "median")
-
     def test_calendar_features(self):
         # 2019-01-01 is a Tuesday
         frame = align_hourly([hourly(np.ones(30))])

@@ -20,14 +20,14 @@ from voltgrid import (
     Grid,
     KernelSpec,
     SolverError,
-    estimate_order,
     forward_apply,
     kernel_from_config,
     solve_apf,
 )
+from voltgrid import volterra
 
 from conftest import identity_kernel, two_band_kernel
-from oracle import dense_forward, dense_solve, segment_cells
+from oracle import dense_forward, dense_solve, estimate_order, segment_cells
 
 README_KERNEL = {
     "n": 2,
@@ -370,15 +370,16 @@ class TestSolveGates:
         with pytest.raises(SolverError, match="not finite"):
             solve_apf(kernel, grid, f)
 
-    def test_cubic_residual_is_gated(self):
+    def test_cubic_residual_is_gated(self, monkeypatch):
         # the cubic step is gated too: a negative tolerance, which no
         # residual can meet, must fail the solve
         kernel = kernel_from_config(README_KERNEL)
         grid = Grid(48.0, 48)
         f = 1000.0 * np.sin(2 * np.pi * grid.nodes() / 24.0)
         assert solve_apf(kernel, grid, f).residual <= 1e-8 * 1000.0
+        monkeypatch.setattr(volterra, "DEFAULT_RESIDUAL_TOL", -1.0)
         with pytest.raises(SolverError, match="residual"):
-            solve_apf(kernel, grid, f, residual_tol=-1.0)
+            solve_apf(kernel, grid, f)
 
     def test_residual_gate_scales_with_the_summed_terms(self):
         # ten years of a daily swing: x grows to ~5e13, and the rounding
