@@ -26,7 +26,7 @@ from .storage import (
     write_report_json,
 )
 from .timeseries import (
-    SECONDS_PER_HOUR,
+    GRID_SERIES,
     TimeSeries,
     align_hourly,
     load_holidays,
@@ -83,12 +83,12 @@ def cmd_ingest(load_path, gen_path, res_path, temp_paths, holidays_path,
     """Align the input series on their common hourly range."""
     stations = [(Path(path).stem, path) for path in temp_paths]
     for name, path in stations:
-        if name in ("load", "gen", "res"):
+        if name in GRID_SERIES:
             raise DataError(f"{path}: --temp file stem {name!r} is reserved for the "
                             f"--{name} series; rename the file")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    sources = [("load", load_path), ("gen", gen_path), ("res", res_path), *stations]
+    sources = [*zip(GRID_SERIES, (load_path, gen_path, res_path)), *stations]
     series = read_series([(name, path) for name, path in sources if path],
                          lambda name: (value_column,), timestamp_column, timestamp_format)
     holidays = load_holidays(holidays_path) if holidays_path else frozenset()
@@ -209,9 +209,9 @@ def cmd_dispatch(load_path, gen_path, res_path, kernel_path, storage_path,
     # the first n_cells + 1 samples of each series; an omitted one is zero
     zeros = np.zeros(n_rows)
     f_res, f_gen, f_load = (
-        TimeSeries(frame.start, frame.columns.get(name, zeros)[:n_cells + 1], frame.step, name)
+        TimeSeries(frame.start, frame.columns.get(name, zeros)[:n_cells + 1], name=name)
         for name in ("res", "gen", "load"))
-    grid = Grid(horizon=n_cells * frame.step / SECONDS_PER_HOUR, n_cells=n_cells)
+    grid = Grid(horizon=float(n_cells), n_cells=n_cells)
     kernel = load_kernel(kernel_path)
     spec = (storage_spec_from_config(read_json(storage_path, "storage"))
             if storage_path else StorageSpec())

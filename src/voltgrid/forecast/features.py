@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError
-from ..timeseries import SECONDS_PER_HOUR, AlignedFrame, calendar_arrays
+from ..timeseries import GRID_SERIES, AlignedFrame, calendar_arrays
 
 
 LAGS = (1, 24, 168)  # hours of load history
@@ -22,8 +22,8 @@ EMA_PERIODS = (12, 24, 48, 168)  # hours
 @dataclass(frozen=True)
 class FeatureConfig:
     """The forecast horizon in hours. The layout is fixed: load, calendar,
-    lags, previous-day stats and EMAs, then every other frame column as a
-    temperature station."""
+    lags, previous-day stats and EMAs, then every frame column other than
+    load, gen and res as a temperature station."""
 
     horizon: int = 24
 
@@ -104,7 +104,7 @@ def build_feature_matrix(frame: AlignedFrame, config: FeatureConfig = FeatureCon
 
     horizon = config.horizon
     stamps = frame.timestamps()
-    target_stamps = stamps + np.timedelta64(int(horizon * SECONDS_PER_HOUR), "s")
+    target_stamps = stamps + np.timedelta64(horizon, "h")
     calendar = calendar_arrays(target_stamps, frame.holiday_calendar)
     prev_day_mean, prev_day_min = _previous_day_stats(load, stamps)
     columns: list[tuple[str, np.ndarray]] = [
@@ -114,7 +114,7 @@ def build_feature_matrix(frame: AlignedFrame, config: FeatureConfig = FeatureCon
         ("prev_day_mean", prev_day_mean),
         ("prev_day_min", prev_day_min),
         *((f"ema_{period}", _ema(load, period)) for period in EMA_PERIODS),
-        *((name, values) for name, values in frame.columns.items() if name != "load"),
+        *((name, values) for name, values in frame.columns.items() if name not in GRID_SERIES),
     ]
 
     n = frame.n_rows

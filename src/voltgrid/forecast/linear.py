@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from .trees import _check_training_arrays
+from .trees import _check_training_arrays, _params
 
 
 class RidgeRegression:
@@ -22,8 +22,7 @@ class RidgeRegression:
             raise DataError(f"ridge penalty must be >= 0, got {ridge}")
         self.ridge = ridge
 
-    def get_params(self) -> dict:
-        return {"ridge": self.ridge}
+    get_params = _params
 
     def fit(self, X, y) -> "RidgeRegression":
         X, y = _check_training_arrays(X, y)

@@ -18,9 +18,6 @@ class Metrics:
     mae: float
     mape_percent: float | None
 
-    def as_dict(self) -> dict:
-        return {"rmse": self.rmse, "mae": self.mae, "mape_percent": self.mape_percent}
-
 
 def compute_metrics(predicted, actual) -> Metrics:
     """RMSE, MAE, and MAPE of predictions against real values.

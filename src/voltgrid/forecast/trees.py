@@ -31,14 +31,13 @@ _NO_DEPTH_CAP = 1 << 30
 class RegressionTree:
     """Binary tree over one float matrix; rows with x <= threshold go left."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+    FIELDS = {"feature": np.int64, "threshold": float, "left": np.int64,
+              "right": np.int64, "value": float}  # the node arrays and their dtypes
+    __slots__ = tuple(FIELDS)
 
     def __init__(self, feature, threshold, left, right, value):
-        self.feature = np.asarray(feature, dtype=np.int64)
-        self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.value = np.asarray(value, dtype=float)
+        for (name, dtype), array in zip(self.FIELDS.items(), (feature, threshold, left, right, value)):
+            setattr(self, name, np.asarray(array, dtype=dtype))
 
     @property
     def n_nodes(self) -> int:
@@ -60,18 +59,7 @@ class RegressionTree:
         return self.value[node]
 
     def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RegressionTree":
-        return cls(data["feature"], data["threshold"], data["left"],
-                   data["right"], data["value"])
+        return {name: getattr(self, name).tolist() for name in self.FIELDS}
 
 
 def _quantize(y, total_weight: int):
@@ -254,6 +242,12 @@ def _grow(X, order, y, weight, rng, max_depth, min_child, mtry) -> RegressionTre
     return RegressionTree(feature, threshold, left, np.where(left < 0, -1, left + 1), value)
 
 
+def _params(model) -> dict:
+    """A model's constructor arguments: its attributes whose names do not end
+    in ``_``, as fitted state's always do."""
+    return {name: value for name, value in vars(model).items() if not name.endswith("_")}
+
+
 def _check_training_arrays(X, y):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -295,9 +289,7 @@ class RandomForest:
         self.min_leaf = min_leaf
         self.seed = seed
 
-    def get_params(self) -> dict:
-        return {"n_trees": self.n_trees, "mtry": self.mtry,
-                "min_leaf": self.min_leaf, "seed": self.seed}
+    get_params = _params
 
     def fit(self, X, y) -> "RandomForest":
         X, y = _check_training_arrays(X, y)
@@ -362,10 +354,7 @@ class GradientBoostedTrees:
         self.subsample = subsample
         self.seed = seed
 
-    def get_params(self) -> dict:
-        return {"n_trees": self.n_trees, "max_depth": self.max_depth,
-                "shrinkage": self.shrinkage, "min_node": self.min_node,
-                "subsample": self.subsample, "seed": self.seed}
+    get_params = _params
 
     def fit(self, X, y) -> "GradientBoostedTrees":
         X, y = _check_training_arrays(X, y)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -94,19 +94,10 @@ class CrossValidationReport:
     final_model: object = field(repr=False)
 
     def as_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "params": self.params,
-            "horizon": self.horizon,
-            "n_blocks": self.n_blocks,
-            "frame_rows": self.frame_rows,
-            "train_rows": self.train_rows,
-            "validation_rows": self.validation_rows,
-            "per_block": [m.as_dict() for m in self.per_block],
-            "validation": self.validation.as_dict(),
-            "mae_by_weekday": self.mae_by_weekday,
-            "mae_by_hour": self.mae_by_hour,
-        }
+        """metrics.json's fields: those the repr shows, the metrics as dicts."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
+        return {**doc, "per_block": [asdict(m) for m in self.per_block],
+                "validation": asdict(self.validation)}
 
 
 def block_cross_validate(model_name: str, frame: AlignedFrame, n_blocks: int,

@@ -93,7 +93,8 @@ def read_columns(path, pick, *, fmt=None, exact=False, finite=False):
     Returns the stamps (or None), the numeric columns by name and the line
     each data row starts on, in file order. An empty file, text that is not
     UTF-8 or a bad row raises the DataError of the first fault in the file:
-    should a block fail to convert, its rows are checked one at a time.
+    should a block fail to convert, its rows are checked one at a time. A
+    file with no data rows is a DataError too.
     """
     def raise_first_bad_row(rows, lines):
         for lineno, row in zip(lines, rows):
@@ -152,8 +153,11 @@ def read_columns(path, pick, *, fmt=None, exact=False, finite=False):
             if unreadable is not None:
                 raise unreadable
             lines.append(np.array(at, np.int64))
+    lines = np.concatenate(lines)
+    if not len(lines):
+        raise DataError(f"{path}: no data rows")
     return (None if stamp is None else np.concatenate(stamps),
-            {name: np.concatenate(parts) for name, parts in values.items()}, np.concatenate(lines))
+            {name: np.concatenate(parts) for name, parts in values.items()}, lines)
 
 
 def _cells(col: np.ndarray) -> list:

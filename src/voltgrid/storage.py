@@ -279,6 +279,4 @@ def read_dispatch_csv(path):
         return None, header
 
     _, values, _ = read_columns(path, columns, exact=True, finite=True)
-    if not len(values["t"]):
-        raise DataError(f"{path}: no data rows")
     return tuple(values.values())

@@ -16,6 +16,8 @@ from .errors import DataError
 from .ioutil import naive_utc, read_columns, write_csv
 
 SECONDS_PER_HOUR = 3600.0
+# ingest's fixed series names; every other dataset column is a temperature station
+GRID_SERIES = ("load", "gen", "res")
 
 
 @dataclass(frozen=True)
@@ -46,10 +48,10 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class AlignedFrame:
-    """Equal-length named columns on one shared hourly time base."""
+    """Equal-length named columns on one shared hourly time base: row k sits
+    at ``start`` plus k hours."""
 
     start: datetime
-    step: float
     columns: dict[str, np.ndarray]
     holiday_calendar: frozenset[date] = frozenset()
 
@@ -64,14 +66,12 @@ class AlignedFrame:
         return len(next(iter(self.columns.values()))) if self.columns else 0
 
     def timestamps(self) -> np.ndarray:
-        base = np.datetime64(self.start, "s")
-        offsets = (np.arange(self.n_rows) * self.step).astype("timedelta64[s]")
-        return base + offsets
+        return np.datetime64(self.start, "s") + np.arange(self.n_rows).astype("timedelta64[h]")
 
     def column(self, name: str) -> TimeSeries:
         if name not in self.columns:
             raise DataError(f"no column named {name!r} (have {sorted(self.columns)})")
-        return TimeSeries(self.start, self.columns[name], self.step, name)
+        return TimeSeries(self.start, self.columns[name], name=name)
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,6 @@ def read_series(sources, candidates, timestamp_column: str = "timestamp",
             return timestamp_column, list(dict.fromkeys(c for c, _ in chosen))
 
         stamps, values, lines = read_columns(path, pick, fmt=timestamp_format)
-        if not len(stamps):
-            raise DataError(f"{path}: CSV contains no data rows")
         order = np.argsort(stamps, kind="stable")
         stamps = stamps[order]
         same = np.flatnonzero(stamps[1:] == stamps[:-1])
@@ -205,8 +203,7 @@ def align_hourly(series: list[TimeSeries], policy: str = "intersect",
     for s in series:
         first = int(round((start - s.start).total_seconds() / SECONDS_PER_HOUR))
         columns[s.name] = s.values[first:first + n_rows].copy()
-    return AlignedFrame(start=start, step=SECONDS_PER_HOUR, columns=columns,
-                        holiday_calendar=frozenset(holidays))
+    return AlignedFrame(start=start, columns=columns, holiday_calendar=frozenset(holidays))
 
 
 def calendar_arrays(stamps: np.ndarray, holidays=frozenset()) -> dict[str, np.ndarray]:
@@ -245,13 +242,10 @@ def read_frame_csv(path, holidays=frozenset()) -> AlignedFrame:
         return "timestamp", header[1:]
 
     stamps, values, lines = read_columns(path, columns, exact=True)
-    if not len(stamps):
-        raise DataError(f"{path}: no data rows")
     gaps = np.flatnonzero(np.diff(stamps) != np.timedelta64(1, "h"))
     if len(gaps):
         raise DataError(f"{path}: lines {lines[gaps[0]]}-{lines[gaps[0] + 1]} are not consecutive hours")
-    return AlignedFrame(start=stamps[0].item(), step=SECONDS_PER_HOUR, columns=values,
-                        holiday_calendar=frozenset(holidays))
+    return AlignedFrame(start=stamps[0].item(), columns=values, holiday_calendar=frozenset(holidays))
 
 
 def split_indices(n_rows: int, validation_tail: int, n_blocks: int):

@@ -6,13 +6,13 @@ The model equation is
 
 where the kernel is given piecewise on n time-dependent bands: band i covers
 ``boundary_{i-1}(t) < s < boundary_i(t)`` with ``boundary_0 = 0`` and
-``boundary_n(t) = t``, and contributes ``K_i(t, s) * G_i(s, x(s))``.
+``boundary_n(t) = t``, and contributes ``K_i(t, s) * G_i(x(s))``.
 
 Discretization is a product right-rectangle rule on a uniform grid. Each grid
 cell ``[t_{k-1}, t_k]`` is intersected with the bands at the current node
 ``t_j``; every fragment is integrated as
 
-    width * K_i(t_j, b) * G_i(b, x_k),   b = fragment right endpoint,
+    width * K_i(t_j, b) * G_i(x_k),   b = fragment right endpoint,
 
 with the unknown sampled at the parent cell's right node ``x_k``. All
 fragments of the final grid cell carry the not-yet-known ``x_j`` (a band
@@ -155,12 +155,12 @@ class _ExpFactor(NamedTuple):
 
 
 class Cubic(NamedTuple):
-    """Response G(s, x) = a*x + b*x^3; monotone in x when a*b >= 0."""
+    """Response G(x) = a*x + b*x^3; monotone in x when a*b >= 0."""
 
     a: float
     b: float
 
-    def __call__(self, s, x):
+    def __call__(self, x):
         # x*x*x overflows to inf where Python's x**3 would raise
         return self.a * x + self.b * (x * x * x)
 
@@ -168,10 +168,10 @@ class Cubic(NamedTuple):
 @dataclass(frozen=True)
 class KernelSpec:
     """Piecewise kernel: per band an efficiency factor K_i(t, s) and a
-    response G_i(s, x).
+    response G_i(x).
 
     Factors are ``_ExpFactor`` with rate >= 0 (an efficiency does not grow
-    with storage age). A ``None`` response means the identity G(s, x) = x,
+    with storage age). A ``None`` response means the identity G(x) = x,
     any other is a ``Cubic`` with a*b >= 0. ``kernel_from_config`` builds
     both; this is the one place that rejects anything else.
     """
@@ -213,14 +213,9 @@ class KernelSpec:
     def n_bands(self) -> int:
         return self.partition.n_bands
 
-    @property
-    def is_linear(self) -> bool:
-        return all(g is None for g in self.G)
-
 
 @dataclass(frozen=True)
 class SolveResult:
-    grid: Grid
     x: np.ndarray
     residual: float
     diagnostics: dict = field(default_factory=dict)
@@ -242,7 +237,7 @@ def _node_values(x, n_cells: int) -> np.ndarray:
 class _WindowHistory:
     """History sum of one band.
 
-    ``Q_m = e^{-rate*h} * Q_{m-1} + w_m * G(t_m, x_m)`` runs over finished
+    ``Q_m = e^{-rate*h} * Q_{m-1} + w_m * G(x_m)`` runs over finished
     cells; at node j the band's whole cells a+1..b add ``K(t_j, t_b) * (Q_b -
     e^{-rate*(t_b - t_a)} * Q_a)`` and the cells a, b+1 its boundaries cut one
     fragment each. Only decaying exponentials are formed (prefix sums of
@@ -273,25 +268,25 @@ class _WindowHistory:
         # cell r+1 when hi cuts it and lo does not
         right = (nodes[r] < hi) & (r + 1 < j) & (nodes[r] >= lo)
         c_right = np.where(right, (hi - nodes[r]) * factor(t, hi), 0.0)
-        fields = (scale, drop, a, b, c_left, np.where(left, p, 0), s_left,
-                  c_right, np.where(right, r + 1, 0), hi)
+        fields = (scale, drop, a, b, c_left, np.where(left, p, 0),
+                  c_right, np.where(right, r + 1, 0))
         return zip(*(f.tolist() for f in fields))
 
     def known(self, row, x, q):
-        scale, drop, a, b, c_left, k_left, s_left, c_right, k_right, s_right = row
+        scale, drop, a, b, c_left, k_left, c_right, k_right = row
         total = scale * (q[b] - drop * q[a])
         g = self.g
         if g is None:
             return total + c_left * x[k_left] + c_right * x[k_right]
         if c_left:
-            total += c_left * g(s_left, x[k_left])
+            total += c_left * g(x[k_left])
         if c_right:
-            total += c_right * g(s_right, x[k_right])
+            total += c_right * g(x[k_right])
         return total
 
-    def push(self, q, j, xj, t_j, w_j):
+    def push(self, q, j, xj, w_j):
         g = self.g
-        q[j] = self.decay * q[j - 1] + w_j * (xj if g is None else g(t_j, xj))
+        q[j] = self.decay * q[j - 1] + w_j * (xj if g is None else g(xj))
 
 
 class _March:
@@ -307,8 +302,8 @@ class _March:
         # the unknown's cell [t_{j-1}, t_j], cut by the bands at t_j
         right = np.minimum(t, bm[1:])
         width = np.clip(right - np.maximum(nodes[:-1], bm[:-1]), 0.0, None)
-        self.points = np.maximum(right, bm[:-1])
-        self.coefs = np.array([width[i] * np.asarray(K(t, self.points[i]), dtype=float)
+        points = np.maximum(right, bm[:-1])
+        self.coefs = np.array([width[i] * np.asarray(K(t, points[i]), dtype=float)
                                for i, K in enumerate(kernel.K)])
         self.histories = [_WindowHistory(K, g, nodes, bm[i], bm[i + 1])
                           for i, (K, g) in enumerate(zip(kernel.K, kernel.G))]
@@ -325,25 +320,24 @@ class _March:
             stop = min(start + _CHUNK, n + 1)
             sl = slice(start - 1, stop - 1)
             per_node = zip(
-                range(start, stop), nodes[start:stop].tolist(),
-                np.diff(nodes[start - 1:stop]).tolist(),
+                range(start, stop), np.diff(nodes[start - 1:stop]).tolist(),
                 zip(*(h.rows(sl) for h in hs)), zip(*(g[sl].tolist() for g in given)),
             )
-            for j, t_j, w_j, rows, given_j in per_node:
+            for j, w_j, rows, given_j in per_node:
                 known = 0.0
                 for h, row, q in zip(hs, rows, qs):
                     known += h.known(row, x, q)
                 knowns.append(known)
                 xj = x[j] = step(known, *given_j)
                 for h, q in zip(hs, qs):
-                    h.push(q, j, xj, t_j, w_j)
+                    h.push(q, j, xj, w_j)
         return x, np.array(knowns)
 
     def own(self, x) -> np.ndarray:
-        """Each node's own-cell sum, sum_i c_i*G_i(b_i, x_j), for x at nodes 1..N."""
+        """Each node's own-cell sum, sum_i c_i*G_i(x_j), for x at nodes 1..N."""
         total = np.zeros(self.n)
-        for c, s, g in zip(self.coefs, self.points, self.G):
-            total += c * (x if g is None else g(s, x))
+        for c, g in zip(self.coefs, self.G):
+            total += c * (x if g is None else g(x))
         return total
 
 
@@ -393,7 +387,7 @@ def solve_apf(kernel: KernelSpec, grid: Grid, f) -> SolveResult:
         )
     scale = np.abs(p) + np.abs(q)
     # reduces to "fragment width < floor*h" when one band owns the cell
-    thresh = DEFAULT_CELL_FLOOR * grid.step * max(kernel.kernel_floor, abs(kernel.K[-1].value))
+    thresh = DEFAULT_CELL_FLOOR * grid.step * abs(kernel.K[-1].value)
     tiny = (scale == 0.0) | (scale < thresh)
     if np.any(tiny):
         j = int(np.argmax(tiny)) + 1
@@ -432,7 +426,6 @@ def solve_apf(kernel: KernelSpec, grid: Grid, f) -> SolveResult:
     if not residual <= tol:
         raise SolverError(f"the march left residual {fmt12(residual)} above {fmt12(tol)}")
     return SolveResult(
-        grid=grid,
         x=np.concatenate([x[:1], x]),
         residual=residual,
         diagnostics={"newton_iterations": polish.astype(int)},

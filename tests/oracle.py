@@ -72,11 +72,11 @@ def segment_cells(t_j, grid, partition):
 
 
 def band_matrices(kernel, grid):
-    """Per band: (coef, point) matrices of shape (N, N).
+    """Per band: the coefficient matrix of shape (N, N).
 
     Row j-1 stands for node j, column k-1 for grid cell [t_{k-1}, t_k]
-    (unknown x_k). coef is fragment width * K_i(t_j, point), zero wherever the
-    band misses the cell; point is the fragment's right endpoint.
+    (unknown x_k). The entry is fragment width * K_i(t_j, b), b the
+    fragment's right endpoint, and zero wherever the band misses the cell.
     """
     nodes = grid.nodes()
     bm = kernel.partition.validate_on(grid)
@@ -91,27 +91,27 @@ def band_matrices(kernel, grid):
         width = np.clip(right - np.maximum(t_left, lo), 0.0, None)
         point = np.maximum(right, lo)
         coef = width * np.asarray(kernel.K[i](t_row, point), dtype=float)
-        out.append((np.tril(coef), point))
+        out.append(np.tril(coef))
     return out
 
 
-def _response(g, s, x):
-    return x if g is None else np.asarray(g(s, x), dtype=float)
+def _response(g, x):
+    return x if g is None else np.asarray(g(x), dtype=float)
 
 
 def dense_forward(kernel, grid, x):
     """f at nodes 0..N from x at nodes 1..N, summing every dense row."""
     x = np.asarray(x, dtype=float)
     f = np.zeros(grid.n_cells + 1)
-    for g, (coef, point) in zip(kernel.G, band_matrices(kernel, grid)):
-        f[1:] += (coef * _response(g, point, x[None, :])).sum(axis=1)
+    for g, coef in zip(kernel.G, band_matrices(kernel, grid)):
+        f[1:] += (coef * _response(g, x[None, :])).sum(axis=1)
     return f
 
 
 def dense_solve(kernel, grid, f):
     """x at nodes 1..N by forward substitution over the dense rows.
 
-    A node's own-cell equation sum_i c_i G_i(b_i, xi) = rhs is solved by
+    A node's own-cell equation sum_i c_i G_i(xi) = rhs is solved by
     bisection on the sign change down to a few ulps; every response used in
     the tests is monotone.
     """
@@ -119,17 +119,16 @@ def dense_solve(kernel, grid, f):
     mats = band_matrices(kernel, grid)
     x = np.zeros(n)
     for j in range(n):
-        known = sum(float(np.dot(coef[j, :j], _response(g, point[j, :j], x[:j])))
-                    for g, (coef, point) in zip(kernel.G, mats))
+        known = sum(float(np.dot(coef[j, :j], _response(g, x[:j])))
+                    for g, coef in zip(kernel.G, mats))
         rhs = f[j + 1] - known
-        own = [(coef[j, j], point[j, j], g) for g, (coef, point) in zip(kernel.G, mats)
-               if coef[j, j] != 0.0]
+        own = [(coef[j, j], g) for g, coef in zip(kernel.G, mats) if coef[j, j] != 0.0]
 
         def phi(xi):
-            return sum(c * float(_response(g, s, xi)) for c, s, g in own) - rhs
+            return sum(c * float(_response(g, xi)) for c, g in own) - rhs
 
-        if all(g is None for _, _, g in own):
-            x[j] = rhs / sum(c for c, _, _ in own)
+        if all(g is None for _, g in own):
+            x[j] = rhs / sum(c for c, _ in own)
             continue
         span = 1.0
         while phi(-span) * phi(span) > 0.0:
@@ -354,7 +353,7 @@ def parse_timeseries_csv_rows(path, spec=CsvSpec()):
         rows.append((stamp, parse_value(row[val_idx], path, lineno), lineno))
 
     if not rows:
-        raise DataError(f"{path}: CSV contains no data rows")
+        raise DataError(f"{path}: no data rows")
     rows.sort(key=lambda r: r[0])
     for (t0, _, _), (t1, _, line1) in zip(rows, rows[1:]):
         if t0 == t1:
@@ -403,4 +402,4 @@ def read_frame_csv_rows(path):
             raise DataError(f"{path}: lines {line_a}-{line_b} are not consecutive hours")
     values = np.asarray(data, dtype=float)
     columns = {name: values[:, k].copy() for k, name in enumerate(names)}
-    return AlignedFrame(start=stamps[0][0], step=SECONDS_PER_HOUR, columns=columns)
+    return AlignedFrame(start=stamps[0][0], columns=columns)

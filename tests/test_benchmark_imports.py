@@ -10,11 +10,13 @@ changed signature it calls, would otherwise pass here and break
 import ast
 import importlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARKS = ROOT / "benchmarks"
 
 
 def voltgrid_imports(path):
@@ -38,12 +40,17 @@ def test_benchmark_imports_from_voltgrid_resolve():
     assert not missing
 
 
-def test_traced_pass_runs():
+def test_traced_pass_runs(tmp_path):
     # the replay calls the library directly: TimeSeries by position,
-    # align_hourly with policy=, dispatch with its three series
-    proc = subprocess.run([sys.executable, str(BENCHMARKS / "run.py"), "--smoke",
+    # align_hourly with policy=, dispatch with its three series. It runs in
+    # a copy, so the benchmark's work and output folders stay out of the checkout.
+    for name in ("benchmarks", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=shutil.ignore_patterns("__pycache__"))
+    for name in ("pyproject.toml", "BENCHMARK.json"):
+        shutil.copy(ROOT / name, tmp_path / name)
+    proc = subprocess.run([sys.executable, str(tmp_path / "benchmarks" / "run.py"), "--smoke",
                            "--workload", "pipeline_small", "--seed", "1", "--trace", "1"],
-                          cwd=BENCHMARKS.parent, capture_output=True, text=True, timeout=300)
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0, proc.stdout

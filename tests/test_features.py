@@ -66,6 +66,15 @@ class TestMatrixShape:
         np.testing.assert_array_equal(matrix.X[:, k],
                                       frame.columns["t_station"][origins])
 
+    def test_generation_columns_are_not_features(self):
+        # ingest's gen and res columns are not temperature stations
+        others = [TimeSeries(START, np.linspace(-5, 20, 400), name=name)
+                  for name in ("gen", "res", "t_station")]
+        matrix = build_feature_matrix(align_hourly([synthetic_load(400), *others]))
+        assert not {"gen", "res"} & set(matrix.feature_names)
+        assert matrix.feature_names[-1] == "t_station"
+        assert matrix.X.shape[1] == 14
+
     def test_missing_load_column_rejected(self):
         frame = align_hourly([hourly(np.ones(300), name="gen")])
         with pytest.raises(DataError, match="load"):
@@ -79,7 +88,7 @@ class TestMatrixShape:
             build_feature_matrix(frame)
 
     def test_empty_frame_rejected(self):
-        frame = AlignedFrame(START, 3600.0, {"load": np.array([])})
+        frame = AlignedFrame(START, {"load": np.array([])})
         with pytest.raises(DataError, match="no rows"):
             build_feature_matrix(frame)
 
@@ -204,8 +213,7 @@ class TestLeakage:
             load = tampered["load"].copy()
             load[origin + 1:] = rng.uniform(1.0, 2.0, len(load) - origin - 1)
             tampered["load"] = load
-            frame2 = AlignedFrame(start=load_frame.start, step=load_frame.step,
-                                  columns=tampered,
+            frame2 = AlignedFrame(start=load_frame.start, columns=tampered,
                                   holiday_calendar=load_frame.holiday_calendar)
             matrix2 = build_feature_matrix(frame2)
             i1 = int(np.flatnonzero(matrix.target_rows == r)[0])

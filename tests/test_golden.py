@@ -43,43 +43,43 @@ DIGESTS = {
     "disp_k2cub_data/report.json":
         "113cf3eb499dda4e618e44b0c49cb60b4886ebdac3981f388d29e28dbae014ff",
     "disp_k2cub_fc/dispatch.csv":
-        "5050ec2d7b0b370d89519bf10b545e99eac0fce6d0e658c8f88b65ea3d583acd",
+        "bf65c7f43206bafc6153bad05ea300a534bca390a96b402950630afe90866acc",
     "disp_k2cub_fc/report.json":
-        "67cf16492c56dcc766a3a6b50b3409e84a1cdeea66031687c88390791306c8b2",
+        "d3a8e24dfb92b8ca0a173841de589cc976e6a8f39b9cc7c3a8f52c0285019a54",
     "disp_k2lin_data/dispatch.csv":
         "0443570a955f06ad45e170e94dcc097c89f06dd3cbc821fb47d7055f159645ca",
     "disp_k2lin_data/report.json":
         "aef2779dbd6cb7cd00ea6275733fa6e85913b8d9e778bff55f47e6ef9be9e225",
     "disp_k2lin_fc/dispatch.csv":
-        "6ad8763ef46a304baf4e35b7fd72a3a269c84d5dc3eef017ef6a0f33c24a84cf",
+        "1b7f157d0fafc1fcab21e64d8ece9e4282cf015cfc07472a562b3208bea9bc59",
     "disp_k2lin_fc/report.json":
-        "3f37e79f177f49bb42c8e25057f258eaff9f22816b55cb4f5ad27f7ffe710882",
+        "75c807dda93fabe3fdc0e664b54152893bff75f9ee5d3ec74b62f77e27b6e061",
     "fc_gbdt/forecast.csv":
-        "4f13cf9685f36bb74f52081541ddfb8b938f274bad47462c0ca6fbae3f6b60de",
+        "66c6c756f1ea8d174a77f0153229470b7c82efa33f87c1a87026db240acb2f2b",
     "fc_gbdt/metrics.json":
-        "fee15051745762dce6f96d54fa97630ae123605d3dde520f12d4db933d732326",
+        "39b722ed9722a1083fd0ea00049cbd6a3401580fd2dc109cb9ed9fb77621ac76",
     "fc_gbdt/model.json":
-        "2b2822a2c3190f067ac3e3c5b048b5e350fbd81c9e1c52168d044cf008a6cdf0",
+        "4e2403bc69397935f42ddf4ed91c072750f50e786318d0419d80bc3f1eae814f",
     "fc_lm/forecast.csv":
-        "318142d7bed8e9ce54120a383874da567a414c1c30a2e1d808475a4cb144d2a9",
+        "22719553e8d35db8f76f1e490804686127005667cf2a029b8115038e87106665",
     "fc_lm/metrics.json":
-        "4632f80fd4f758bf48dbeb186ab83e4b46a224121ff757b231e82fee5e3a86fa",
+        "eb24f9d71fae17ca58ea9f71c0760b3e6173d4decd9fcbe88a098f54bc2e14b4",
     "fc_lm/model.json":
-        "023fe54d40089f4ecda4e62a061636e301352b9d4f7211de0726884d0a9581ba",
+        "1212de05045d5e4d881ae202d1cab0f29ad6fef116de03945d9e64edd4279674",
     "fc_rf/forecast.csv":
-        "dc36fca07f48e73daf5ef132376898a73548a569bba81ba033c260a3d55fd4ba",
+        "be3d90a7cad46c12476e6945b403be2dd8fd9980880423de65ac1e2cb5b45283",
     "fc_rf/metrics.json":
-        "866a7047104f70fde0254cb804c6b42b3174fbed6425c4ef18f34767a742d939",
+        "58ad7f06badfcbd94e0fbdcd879555318d76206b6838b64c0acdaaab591d3ff0",
     "fc_rf/model.json":
-        "5159092ac9f10ec61f4539cfd9d5c078738766953e84ee2812b6c993a52034ca",
+        "d6f61d4a8c2b9026d5ae92a6afe1489a53c3246ec716a2f32bacb1eba95f7af6",
     "ingest/dataset.csv":
         "302d92dbe9af2a14a2657af8240d40022996ae27f98cc61472d54ce7f9b2a036",
     "ingest/summary.json":
         "cd495ff36fdc9569bed0ae2f964938ab0396b6ae478421ed063a0a14948414c6",
     "report/comparison.csv":
-        "70aa66c250bc035a02ff9682aa394a44a043096645200f218275cafaa3da8e3c",
+        "b8f9d8f41be67157c4bcc6c1a62b41b94fe1ac0d362178c9cf4d4c67d5bf2349",
     "report/comparison.json":
-        "699a1c5e21c6f7c8ed2af0c6234df55e630adec1d5de790b4de0b805d78f0f81",
+        "c4c78ff7088137ec94c4ad5312ffecfece4f30e20095ddb3f7348b4c0b8cd381",
 }
 
 

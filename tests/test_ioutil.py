@@ -47,11 +47,12 @@ def test_reader_strips_header_and_skips_blank_rows(tmp_path):
     assert lines.tolist() == [2, 5]
 
 
-@pytest.mark.parametrize("body", [b"", b"t,v\n1,\xff\n"])
-def test_reader_rejects_empty_or_binary_files(tmp_path, body):
+@pytest.mark.parametrize("body, fault", [(b"", "empty CSV"), (b"t,v\n1,\xff\n", "unreadable CSV"),
+                                         (b"t,v\n\n , \n", "no data rows")])
+def test_reader_rejects_empty_or_binary_files(tmp_path, body, fault):
     path = tmp_path / "a.csv"
     path.write_bytes(body)
-    with pytest.raises(DataError, match="a.csv: (empty|unreadable) CSV"):
+    with pytest.raises(DataError, match=f"a.csv: {fault}"):
         read_columns(path, lambda header: (None, ["v"]))
 
 

@@ -42,8 +42,3 @@ def test_shape_validation():
         compute_metrics([1.0, 2.0], [1.0])
     with pytest.raises(DataError, match="empty"):
         compute_metrics([], [])
-
-
-def test_as_dict():
-    m = compute_metrics([110.0, 190.0], [100.0, 200.0])
-    assert m.as_dict() == {"rmse": 10.0, "mae": 10.0, "mape_percent": 7.5}

@@ -1,5 +1,6 @@
 """The three forecasters: exactness oracles, determinism, persistence."""
 
+import functools
 import json
 
 import numpy as np
@@ -137,7 +138,7 @@ class TestSingleTree:
         X = np.linspace(0.0, 1.0, 32).reshape(-1, 1)
         y = np.sin(6 * X[:, 0])
         tree = grow_tree(X, y, min_child=4)
-        clone = RegressionTree.from_dict(tree.to_dict())
+        clone = RegressionTree(**tree.to_dict())
         np.testing.assert_array_equal(clone.predict(X), tree.predict(X))
 
 
@@ -306,6 +307,11 @@ class TestTrainingInput:
             make_model(name).fit(X, y)
 
 
+# a root split on feature 0 with two leaves
+STUMP = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+         "right": [2, -1, -1], "value": [0.0, -1.0, 1.0]}
+
+
 class TestPersistence:
     def fitted_models(self):
         rng = np.random.default_rng(8)
@@ -378,7 +384,78 @@ class TestPersistence:
                      "value": [1.0]}]}, "child index"),
         ({"format": "voltgrid-model/1", "kind": "rf", "params": {}, "trees": [],
           "n_features": "4"}, "'n_features'"),
+        ({"format": "voltgrid-model/1", "kind": {}}, "kind"),
+        ({"format": "voltgrid-model/1", "kind": "rf", "params": {}, "n_features": 1,
+          "trees": [{**STUMP, "feature": [1, -1, -1]}]}, "feature index"),
+        ({"format": "voltgrid-model/1", "kind": "gbdt", "params": {"shrinkage": {}},
+          "trees": [STUMP], "base_score": 0.0, "n_features": 1}, "'shrinkage'"),
+        ({"format": "voltgrid-model/1", "kind": "lm", "params": {},
+          "weights": [1.0, 2.0], "intercept": 1.0, "n_features": 1}, "'weights' holds 2"),
+        ({"format": "voltgrid-model/1", "kind": "rf", "params": {}, "trees": [],
+          "n_features": 1}, "'trees' is empty"),
+        ({"format": "voltgrid-model/1", "kind": "rf", "params": {}, "n_features": 1,
+          "trees": [{**STUMP, "left": [0, -1, -1]}]}, "child index"),
+        ({"format": "voltgrid-model/1", "kind": "rf", "params": {}, "n_features": 1,
+          "trees": [{**STUMP, "value": [0.0, float("nan"), 1.0]}]}, "finite"),
+        ({"format": "voltgrid-model/1", "kind": "lm", "params": {},
+          "weights": [1.0], "intercept": float("inf"), "n_features": 1}, "'intercept'"),
     ])
     def test_malformed_document_is_a_data_error(self, doc, message):
         with pytest.raises(DataError, match=message):
             model_from_dict(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_document_loads_and_predicts_or_is_a_data_error(self, data):
+        X, docs = fuzz_documents()
+        doc = json.loads(data.draw(st.sampled_from(docs)))
+        for _ in range(data.draw(st.integers(1, 3))):
+            mutate(doc, data)
+        try:
+            predicted = model_from_dict(doc).predict(X)
+        except DataError:
+            return
+        assert predicted.shape == (len(X),)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_documents():
+    """Rows to predict and the JSON text of small fitted lm, rf and gbdt models."""
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(40, 3))
+    y = X @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=40)
+    models = [RidgeRegression().fit(X, y), RandomForest(n_trees=2, mtry=2, min_leaf=3).fit(X, y),
+              GradientBoostedTrees(n_trees=2, max_depth=2, min_node=3).fit(X, y)]
+    for model in models:
+        model.feature_names_ = ("a", "b", "c")
+    return X[:5], tuple(json.dumps(model_to_dict(m)) for m in models)
+
+
+def mutate(doc, data):
+    """Replace, shift or delete one member of ``doc``, at any depth."""
+    slots = []
+
+    def walk(node):
+        for key in (node if isinstance(node, dict) else range(len(node))):
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                walk(node[key])
+
+    walk(doc)
+    if not slots:
+        return
+    node, key = data.draw(st.sampled_from(slots))
+    action = data.draw(st.sampled_from(["replace", "shift", "delete"]))
+    if action == "delete":
+        del node[key]
+    elif action == "shift" and type(node[key]) is int:
+        node[key] += data.draw(st.integers(-2, 2))
+    else:
+        node[key] = data.draw(JSON_VALUES)

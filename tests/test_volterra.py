@@ -400,7 +400,7 @@ class TestKernelConfig:
             "n": 1, "K": [{"type": "const", "value": 0.92}], "G": [{"type": "linear"}],
         })
         assert kernel.n_bands == 1
-        assert kernel.is_linear
+        assert all(g is None for g in kernel.G)
 
     def test_lengths_must_match_n(self):
         with pytest.raises(DataError, match="K"):
@@ -449,7 +449,7 @@ class TestKernelConfig:
             "n": 1, "K": [{"type": "const", "value": 1.0}],
             "G": [{"type": "cubic", "a": 1.0, "b": 0.0}],
         })
-        assert kernel.is_linear
+        assert all(g is None for g in kernel.G)
 
     def test_table_alphas(self):
         kernel = kernel_from_config({
