@@ -114,10 +114,11 @@ def model_from_dict(doc: dict):
 def save_model(model, path) -> None:
     # not ioutil.write_json: its json_ready rounds floats to 12 digits, and a
     # model must round-trip exactly; compact separators keep forest
-    # documents from ballooning
+    # documents from ballooning. json.dumps, not json.dump: only dumps uses
+    # the C encoder
+    text = json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path):

@@ -5,9 +5,11 @@ prediction is a vectorized descent and serialization is plain lists. Trees
 grow one depth level at a time over presorted orders: each feature's rows are
 sorted once per ensemble fit and every tree filters that presort, a level
 scores every (node, candidate feature) boundary in one pass of segmented
-prefix sums, and a stable partition keeps each child's rows sorted. Splits
-are exact midpoints. Rows may carry integer weights; a row of weight w grows
-the same tree as w copies of it, which is how a bootstrap sample is grown.
+prefix sums, and a stable partition keeps each child's rows sorted. A split's
+threshold is the midpoint of the two values it separates, or the lower value
+where that midpoint would round onto the upper one or overflow. Rows may
+carry integer weights; a row of weight w grows the same tree as w copies of
+it, which is how a bootstrap sample is grown.
 
 A tree's targets are quantized once to int64 fixed point (``_quantize``), so
 every prefix sum is exact and independent of summation order. A gain is a
@@ -126,7 +128,11 @@ def _score_level(values, targets, weights, orders, starts, counts, cand, min_chi
     hits = np.flatnonzero((gain == block_best[blk]) & chosen[blk])
     # a node's hits all lie in its chosen block: its first hit is the cut
     cut = hits[np.unique(bn[blk[hits]], return_index=True)[1]]
-    return split, bf[blk[cut]], 0.5 * (v[cut] + v[cut + 1]), n_left[cut]
+    lo, hi = v[cut], v[cut + 1]
+    # the midpoint, unless it rounds onto hi (adjacent floats) or overflows
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lo + hi)
+    return split, bf[blk[cut]], np.where((lo <= mid) & (mid < hi), mid, lo), n_left[cut]
 
 
 def _partition(orders, seg, counts, split, feature, n_left, n):

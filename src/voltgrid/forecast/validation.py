@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -44,35 +46,101 @@ def _available_cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _fit_and_predict(model_name, params, seed, X_train, y_train, X_test):
-    """One cross-validation job: fit on the training rows, predict the test rows."""
+def _fit_and_predict(X, y, model_name, params, seed, train_mask, test_mask):
+    """One cross-validation job: fit on the masked training rows of X and y,
+    predict the masked test rows. The rows are sliced here, so a caller holds
+    one job's copies at a time."""
     model = make_model(model_name, params, seed=seed)
-    model.fit(X_train, y_train)
-    return model, model.predict(X_test)
+    model.fit(X[train_mask], y[train_mask])
+    return model, model.predict(X[test_mask])
 
 
-def _run_jobs(jobs: list, workers: int) -> list:
-    """``_fit_and_predict(*job)`` for every job, in job order.
+def _deal(jobs: list, workers: int) -> list:
+    """Job indices per worker: largest training set first, each job to the
+    worker with the fewest training rows so far."""
+    sizes = [int(np.count_nonzero(job[3])) for job in jobs]
+    shares, rows = [[] for _ in range(workers)], [0] * workers
+    for i in sorted(range(len(jobs)), key=lambda i: -sizes[i]):
+        w = rows.index(min(rows))
+        shares[w].append(i)
+        rows[w] += sizes[i]
+    return shares
 
-    With more than one worker the jobs run on forked processes, largest
-    training set first; the first job error is raised here.
+
+def _child(X, y, jobs: list, write_end: int, inherited: tuple):
+    """A forked worker's whole life: close the ``inherited`` read ends, run
+    its jobs, pickle the results (or the exception that stopped them) into
+    ``write_end``, exit."""
+    status = 1
+    try:
+        # no read end stays open here, so once the parent is gone the write fails
+        for fd in inherited:
+            os.close(fd)
+        try:
+            outcome = [_fit_and_predict(X, y, *job) for job in jobs]
+        except Exception as exc:  # the parent raises it
+            outcome = exc
+        # pickled whole before writing: a payload that cannot be pickled
+        # leaves the pipe empty rather than truncated
+        data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_jobs(X, y, jobs: list, workers: int) -> list:
+    """``_fit_and_predict(X, y, *job)`` for every job, in job order.
+
+    With more than one worker the jobs are dealt (``_deal``) to forked
+    children, which inherit X, y and the jobs and send back only their
+    results; the first job error is raised here. Every child is reaped
+    before this returns or raises.
     """
     if workers <= 1:
-        return [_fit_and_predict(*job) for job in jobs]
-    # imported on use: commands that fit no trees skip the import cost
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, not spawn: workers start with numpy and voltgrid already
-    # imported, where spawn would import them again in every worker. Fork
-    # is safe only while the caller runs no other threads; the CLI runs none.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        return [_fit_and_predict(X, y, *job) for job in jobs]
+    # fork, not spawn: children start with numpy, voltgrid and the feature
+    # matrix already in memory, where spawn would import and send them
+    # again. Fork is safe only while the caller runs no other threads; the
+    # CLI runs none.
+    results = [None] * len(jobs)
+    children = []  # (pid, read end of its pipe, its share), not yet reaped
     try:
-        by_size = sorted(range(len(jobs)), key=lambda i: -len(jobs[i][3]))  # X_train rows
-        futures = {i: pool.submit(_fit_and_predict, *jobs[i]) for i in by_size}
-        return [futures[i].result() for i in range(len(jobs))]
+        for share in _deal(jobs, workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _child(X, y, [jobs[i] for i in share], write_end,
+                       (read_end, *(pipe.fileno() for _, pipe, _ in children)))
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb"), share))
+        while children:
+            pid, pipe, share = children[0]
+            data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            pipe.close()
+            children.pop(0)
+            if not data:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise RuntimeError(f"forecast worker {pid} ended without a result ({how})")
+            outcome = pickle.loads(data)
+            if isinstance(outcome, Exception):
+                raise outcome
+            for i, result in zip(share, outcome):
+                results[i] = result
+        return results
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 @dataclass(frozen=True)
@@ -111,7 +179,7 @@ def block_cross_validate(model_name: str, frame: AlignedFrame, n_blocks: int,
     last ``validation_tail`` forecast hours. Per fold the model trains on
     every other training block; the final model trains on the whole training
     slice and produces the validation metrics and the per-weekday/per-hour
-    MAE breakdown. The n_blocks + 1 fits run on up to one worker process per
+    MAE breakdown. The n_blocks + 1 fits run on up to one forked worker per
     available core; each is a pure function of its rows, params and seed, so
     the report does not depend on the worker count.
     """
@@ -124,24 +192,23 @@ def block_cross_validate(model_name: str, frame: AlignedFrame, n_blocks: int,
 
     rows = matrix.target_rows
     X, y = matrix.X, matrix.y
-    jobs, tests = [], []
+    jobs = []
     for b, block in enumerate(blocks):
         test_mask = (rows >= block.start) & (rows < block.stop)
         train_mask = (rows < tail.start) & ~test_mask
         if not test_mask.any() or not train_mask.any():
             raise DataError(f"block {b} has no usable rows after feature assembly")
-        jobs.append((model_name, params, seed, X[train_mask], y[train_mask], X[test_mask]))
-        tests.append(test_mask)
+        jobs.append((model_name, params, seed, train_mask, test_mask))
 
     train_mask = rows < tail.start
     val_mask = rows >= tail.start
     if not val_mask.any():
         raise DataError("validation tail has no usable rows after feature assembly")
-    jobs.append((model_name, params, seed, X[train_mask], y[train_mask], X[val_mask]))
+    jobs.append((model_name, params, seed, train_mask, val_mask))
     # a linear fit takes about a millisecond, less than starting a worker
     workers = 1 if model_name == "lm" else min(len(jobs), _available_cores())
-    *folds, (model, predicted) = _run_jobs(jobs, workers)
-    fold_metrics = [compute_metrics(pred, y[mask]) for (_, pred), mask in zip(folds, tests)]
+    *folds, (model, predicted) = _run_jobs(X, y, jobs, workers)
+    fold_metrics = [compute_metrics(pred, y[job[4]]) for (_, pred), job in zip(folds, jobs)]
     model.feature_names_ = matrix.feature_names
     actual = y[val_mask]
     stamps = matrix.timestamps[val_mask]

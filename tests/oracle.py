@@ -202,7 +202,10 @@ def _best_split(X, q_node, idx, candidates, min_child):
         if gain[local] > best_gain:
             best_gain = float(gain[local])
             cut = pos[local]
-            best = (fi, 0.5 * (v[cut] + v[cut + 1]), order[:cut + 1])
+            lo, hi = v[cut], v[cut + 1]
+            with np.errstate(over="ignore"):
+                mid = 0.5 * (lo + hi)
+            best = (fi, mid if lo <= mid < hi else lo, order[:cut + 1])
     if best is None:
         return None
     fi, threshold, left_order = best

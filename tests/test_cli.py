@@ -241,7 +241,7 @@ class TestForecast:
         assert "--trees" in all_output(result)
 
     def test_data_error_in_a_worker_exit_2(self, runner, tmp_path, monkeypatch):
-        # two workers whatever this machine has: the fits raise in the pool
+        # two workers whatever this machine has: the fits raise in the children
         monkeypatch.setattr(validation, "_available_cores", lambda: 2)
         data = make_dataset(runner, tmp_path, np.full(1200, 100.0))
         result = runner.invoke(main, [
@@ -251,6 +251,8 @@ class TestForecast:
         assert result.exit_code == 2, all_output(result)
         assert "n_trees must be >= 1, got 0" in all_output(result)
         assert "Traceback" not in all_output(result)
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_model_choices_are_the_model_table(self):
         option = next(p for p in cmd_forecast.params if p.name == "model_name")
@@ -608,17 +610,21 @@ class TestExitCodes:
         assert result.exit_code == 2
 
 
-def modules_after_cli_import(names):
+def modules_after_cli_import(names, *args):
     """Which of ``names`` and their submodules a fresh interpreter holds after
-    ``import voltgrid.cli`` (this one may have imported them for other tests)."""
+    ``import voltgrid.cli`` and, given ``args``, after running that command
+    with two forecast workers (this one may have imported them for other
+    tests)."""
     src = str(Path(voltgrid.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, voltgrid.cli; print(*[m for m in sys.modules if any("
+    run = ("from voltgrid.forecast import validation; validation._available_cores = lambda: 2; "
+           f"voltgrid.cli.main({list(args)!r}, standalone_mode=False); ") if args else ""
+    code = (f"import sys, voltgrid.cli; {run}print(*[m for m in sys.modules if any("
             f"m == n or m.startswith(n + '.') for n in {list(names)!r})])")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    return proc.stdout.split()
+    return proc.stdout.splitlines()[-1].split()
 
 
 class TestImport:
@@ -630,6 +636,14 @@ class TestImport:
         assert modules_after_cli_import(["voltgrid.forecast"]) == []
 
     def test_cli_import_leaves_process_pools_out(self):
-        # the worker pool is imported only when a forecast fits trees
         assert modules_after_cli_import(
             ["multiprocessing", "concurrent.futures.process"]) == []
+
+    def test_forest_forecast_imports_no_process_pools(self, runner, tmp_path):
+        # the fits fork their workers themselves
+        data = make_dataset(runner, tmp_path, np.full(1200, 100.0))
+        assert modules_after_cli_import(
+            ["multiprocessing", "concurrent.futures"],
+            "forecast", "--data", str(data), "--model", "rf", "--trees", "2",
+            "--blocks", "2", "--tail", "60", "--out", str(tmp_path / "fc")) == []
+        assert (tmp_path / "fc" / "metrics.json").is_file()

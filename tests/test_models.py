@@ -2,6 +2,7 @@
 
 import functools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,25 @@ class TestSingleTree:
         # a zero min_child admitted the empty right side at a node's end
         with pytest.raises(DataError, match="min_child"):
             grow_tree(np.arange(4.0).reshape(-1, 1), np.arange(4.0), min_child=0)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (1 + 2**-52, 1 + 2**-51),  # the midpoint rounds onto hi
+        (0.9 * np.finfo(float).max, np.finfo(float).max),  # lo + hi overflows to inf
+        (-np.finfo(float).max, -0.9 * np.finfo(float).max),  # ... and to -inf
+    ])
+    def test_threshold_separates_its_two_values(self, lo, hi, tmp_path):
+        X = np.array([[lo], [lo], [hi], [hi]])
+        y = np.array([0.0, 0.0, 10.0, 10.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = grow_tree(X, y)
+            model = GradientBoostedTrees(n_trees=1, shrinkage=1.0, subsample=1.0,
+                                         min_node=1).fit(X, y)
+        assert lo <= tree.threshold[0] < hi
+        np.testing.assert_array_equal(tree.predict(X), y)
+        # a non-finite threshold made a model document that load_model rejects
+        save_model(model, tmp_path / "model.json")
+        np.testing.assert_array_equal(load_model(tmp_path / "model.json").predict(X), y)
 
     def test_split_prefers_lowest_feature_on_ties(self):
         # two identical columns: the split must use column 0

@@ -17,6 +17,12 @@ from voltgrid.forecast import (
 from conftest import synthetic_load
 
 
+def assert_no_children():
+    """Every forked worker has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(scope="module")
 def frame():
     return align_hourly([synthetic_load(10 * 168)])
@@ -108,22 +114,44 @@ class TestSchedule:
     @pytest.mark.parametrize("name", ["rf", "gbdt"])
     def test_report_does_not_depend_on_core_count(self, frame, monkeypatch, name):
         reports = []
-        for cores in (1, 2):
+        for cores in (1, 2, 3):
             monkeypatch.setattr(validation, "_available_cores", lambda c=cores: c)
-            reports.append(block_cross_validate(name, frame, n_blocks=2, validation_tail=100,
+            reports.append(block_cross_validate(name, frame, n_blocks=4, validation_tail=100,
                                                 params={"n_trees": 4}, seed=3))
-        serial, pooled = reports
-        assert serial.as_dict() == pooled.as_dict()
-        np.testing.assert_array_equal(serial.predicted, pooled.predicted)
-        assert model_to_dict(serial.final_model) == model_to_dict(pooled.final_model)
+            assert_no_children()
+        serial, *forked = reports
+        for report in forked:
+            assert serial.as_dict() == report.as_dict()
+            np.testing.assert_array_equal(serial.predicted, report.predicted)
+            assert model_to_dict(serial.final_model) == model_to_dict(report.final_model)
+
+    def test_deal_puts_the_largest_training_sets_first(self):
+        jobs = [(None, None, 0, np.arange(10) < n, None) for n in (3, 9, 5, 8, 2)]
+        assert validation._deal(jobs, 2) == [[1, 0, 4], [3, 2]]
+        assert validation._deal(jobs, 5) == [[1], [3], [2], [0], [4]]
+
+    def test_a_worker_that_dies_without_a_result(self, frame, monkeypatch):
+        parent = os.getpid()
+
+        def crash(*job):
+            if os.getpid() == parent:  # never end the test process itself
+                raise AssertionError("the job ran in the parent")
+            os._exit(3)
+
+        monkeypatch.setattr(validation, "_available_cores", lambda: 2)
+        monkeypatch.setattr(validation, "_fit_and_predict", crash)
+        with pytest.raises(RuntimeError, match=r"without a result \(exit status 3\)"):
+            block_cross_validate("rf", frame, n_blocks=2, validation_tail=100,
+                                 params={"n_trees": 2})
+        assert_no_children()
 
     def test_workers_never_exceed_the_cores(self, frame, monkeypatch):
         seen = []
         run_jobs = validation._run_jobs
 
-        def spy(jobs, workers):
+        def spy(X, y, jobs, workers):
             seen.append((len(jobs), workers))
-            return run_jobs(jobs, workers)
+            return run_jobs(X, y, jobs, workers)
 
         monkeypatch.setattr(validation, "_run_jobs", spy)
         for name in ("lm", "rf"):
