@@ -83,9 +83,10 @@ def cmd_ingest(load_path, gen_path, res_path, temp_paths, holidays_path,
     """Align the input series on their common hourly range."""
     stations = [(Path(path).stem, path) for path in temp_paths]
     for name, path in stations:
-        if name in GRID_SERIES:
-            raise DataError(f"{path}: --temp file stem {name!r} is reserved for the "
-                            f"--{name} series; rename the file")
+        if name in (*GRID_SERIES, "timestamp"):
+            what = "the dataset's timestamp column" if name == "timestamp" else f"the --{name} series"
+            raise DataError(f"{path}: --temp file stem {name!r} is reserved for {what}; "
+                            "rename the file")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     sources = [*zip(GRID_SERIES, (load_path, gen_path, res_path)), *stations]
@@ -120,7 +121,7 @@ def cmd_ingest(load_path, gen_path, res_path, temp_paths, holidays_path,
               help="Held-out validation rows at the end of the frame.")
 @click.option("--trees", default=None, type=int,
               help="Override the ensemble size (rf: 500, gbdt: 100).")
-@click.option("--seed", default=0, show_default=True, type=int,
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0),
               envvar="VOLTGRID_SEED",
               help="Master seed; VOLTGRID_SEED is used unless --seed is given.")
 @click.option("--holidays", "holidays_path", type=INPUT_FILE,

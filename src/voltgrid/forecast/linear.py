@@ -7,20 +7,15 @@ import numpy as np
 from ..errors import DataError
 from .trees import _check_training_arrays, _params
 
+RIDGE = 1e-8  # the L2 penalty on the weights, there only for conditioning
+
 
 class RidgeRegression:
-    """Least squares with an L2 penalty on the weights (not the intercept).
-
-    Solved through one QR/SVD pass over the augmented design rather than the
-    normal equations, so near-collinear features stay stable. The tiny
-    default penalty exists purely for conditioning; set ``ridge=0`` to demand
-    an exact least-squares fit and get an error on rank-deficient designs.
+    """Least squares with the L2 penalty ``RIDGE`` on the weights (not the
+    intercept), solved through one QR/SVD pass over the design augmented with
+    the penalty rows rather than the normal equations, so near-collinear
+    features stay stable. The penalty rows give the design full rank.
     """
-
-    def __init__(self, ridge: float = 1e-8):
-        if ridge < 0:
-            raise DataError(f"ridge penalty must be >= 0, got {ridge}")
-        self.ridge = ridge
 
     get_params = _params
 
@@ -29,19 +24,10 @@ class RidgeRegression:
         n, p = X.shape
         if n < p + 1:
             raise DataError(f"need at least {p + 1} rows to fit {p} features, got {n}")
-        design = np.hstack([X, np.ones((n, 1))])
-        rhs = y
-        if self.ridge > 0:
-            # penalty rows: sqrt(ridge) on each weight, none on the intercept
-            penalty = np.hstack([np.sqrt(self.ridge) * np.eye(p), np.zeros((p, 1))])
-            design = np.vstack([design, penalty])
-            rhs = np.concatenate([y, np.zeros(p)])
-        solution, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
-        if self.ridge == 0 and rank < p + 1:
-            raise DataError(
-                f"design has rank {rank} < {p + 1}: features are collinear; "
-                "set ridge > 0"
-            )
+        # penalty rows: sqrt(RIDGE) on each weight, none on the intercept
+        design = np.block([[X, np.ones((n, 1))],
+                           [np.sqrt(RIDGE) * np.eye(p), np.zeros((p, 1))]])
+        solution = np.linalg.lstsq(design, np.concatenate([y, np.zeros(p)]), rcond=None)[0]
         if not np.all(np.isfinite(solution)):
             raise DataError("linear fit produced non-finite weights")
         self.weights_ = solution[:p]

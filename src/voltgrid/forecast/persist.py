@@ -11,7 +11,7 @@ from ..ioutil import config_number, read_json
 from .trees import RegressionTree
 from .validation import MODELS
 
-FORMAT = "voltgrid-model/1"
+FORMAT = "voltgrid-model/2"
 
 
 def model_to_dict(model) -> dict:

@@ -277,22 +277,25 @@ def _sum_trees(model, X) -> np.ndarray:
     return total
 
 
+# rf: feature candidates per split, smallest leaf weight; gbdt: depth cap,
+# stage weight, smallest child, fraction of the rows each stage draws
+RF_MTRY, RF_MIN_LEAF = 4, 5
+GBDT_MAX_DEPTH, GBDT_SHRINKAGE, GBDT_MIN_NODE, GBDT_SUBSAMPLE = 9, 0.1, 10, 0.5
+
+
 class RandomForest:
     """Bagged variance-reduction trees with per-node feature sampling.
 
     Each tree sees a bootstrap resample (with replacement, original size),
     grown as its distinct rows weighted by their counts (Breiman, "Random
-    Forests", Machine Learning 45, 2001), and draws ``mtry`` feature
+    Forests", Machine Learning 45, 2001), and draws ``RF_MTRY`` feature
     candidates per split, a depth level at a time. Prediction is the plain
-    mean over trees. Out-of-bag predictions are collected during fit;
-    samples that every tree saw stay NaN there.
+    mean over trees. ``oob_rmse_`` scores each sample by the trees that did
+    not see it; samples that every tree saw are left out of it.
     """
 
-    def __init__(self, n_trees: int = 500, mtry: int = 4, min_leaf: int = 5,
-                 seed: int = 0):
+    def __init__(self, n_trees: int = 500, seed: int = 0):
         self.n_trees = n_trees
-        self.mtry = mtry
-        self.min_leaf = min_leaf
         self.seed = seed
 
     get_params = _params
@@ -302,12 +305,10 @@ class RandomForest:
         n, p = X.shape
         if self.n_trees < 1:
             raise DataError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.min_leaf < 1:
-            raise DataError(f"min_leaf must be >= 1, got {self.min_leaf}")
-        if not 1 <= self.mtry <= p:
-            raise DataError(f"mtry {self.mtry} exceeds the feature count {p}")
-        if n < 2 * self.min_leaf:
-            raise DataError(f"need at least {2 * self.min_leaf} rows, got {n}")
+        if RF_MTRY > p:
+            raise DataError(f"mtry {RF_MTRY} exceeds the feature count {p}")
+        if n < 2 * RF_MIN_LEAF:
+            raise DataError(f"need at least {2 * RF_MIN_LEAF} rows, got {n}")
 
         self.trees_ = []
         oob_sum = np.zeros(n)
@@ -320,7 +321,7 @@ class RandomForest:
             count = np.bincount(rng.integers(0, n, size=n), minlength=n)
             seen = count > 0
             tree = _grow(X[seen], _restrict(order, seen), y[seen], count[seen], rng,
-                         None, self.min_leaf, self.mtry)
+                         None, RF_MIN_LEAF, RF_MTRY)
             self.trees_.append(tree)
             outside = ~seen
             if outside.any():
@@ -328,10 +329,8 @@ class RandomForest:
                 oob_count[outside] += 1
 
         covered = oob_count > 0
-        self.oob_prediction_ = np.full(n, np.nan)
-        self.oob_prediction_[covered] = oob_sum[covered] / oob_count[covered]
         if covered.any():
-            err = self.oob_prediction_[covered] - y[covered]
+            err = oob_sum[covered] / oob_count[covered] - y[covered]
             self.oob_rmse_ = float(np.sqrt(np.mean(err ** 2)))
         else:
             self.oob_rmse_ = float("nan")
@@ -346,18 +345,13 @@ class GradientBoostedTrees:
     """Stagewise least-squares boosting with depth-capped trees.
 
     Starts from the target mean, fits each stage to the current residuals on
-    a without-replacement subsample, and adds ``shrinkage`` times the stage
-    output. Prediction is base_score + shrinkage * sum of tree outputs.
+    a without-replacement subsample of ``GBDT_SUBSAMPLE`` of the rows, and
+    adds ``GBDT_SHRINKAGE`` times the stage output. Prediction is base_score
+    + GBDT_SHRINKAGE * sum of tree outputs.
     """
 
-    def __init__(self, n_trees: int = 100, max_depth: int = 9,
-                 shrinkage: float = 0.1, min_node: int = 10,
-                 subsample: float = 0.5, seed: int = 0):
+    def __init__(self, n_trees: int = 100, seed: int = 0):
         self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.shrinkage = shrinkage
-        self.min_node = min_node
-        self.subsample = subsample
         self.seed = seed
 
     get_params = _params
@@ -365,38 +359,28 @@ class GradientBoostedTrees:
     def fit(self, X, y) -> "GradientBoostedTrees":
         X, y = _check_training_arrays(X, y)
         n, p = X.shape
-        if not 0.0 < self.shrinkage <= 1.0:
-            raise DataError(f"shrinkage must be in (0, 1], got {self.shrinkage}")
-        if not 0.0 < self.subsample <= 1.0:
-            raise DataError(f"subsample must be in (0, 1], got {self.subsample}")
         if self.n_trees < 1:
             raise DataError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.max_depth < 1:
-            raise DataError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.min_node < 1:
-            raise DataError(f"min_node must be >= 1, got {self.min_node}")
-        if n < 2 * self.min_node:
-            raise DataError(f"need at least {2 * self.min_node} rows, got {n}")
+        if n < 2 * GBDT_MIN_NODE:
+            raise DataError(f"need at least {2 * GBDT_MIN_NODE} rows, got {n}")
 
         self.base_score_ = float(y.mean())
         self.trees_ = []
         current = np.full(n, self.base_score_)
-        m = max(1, int(self.subsample * n))
+        # 0 < m < n, as n >= 2 * GBDT_MIN_NODE
+        m = int(GBDT_SUBSAMPLE * n)
         order = _presort(X)
         for stage in range(self.n_trees):
             rng = np.random.default_rng([self.seed, stage])
-            if m < n:
-                keep = np.zeros(n, dtype=bool)
-                keep[rng.choice(n, size=m, replace=False)] = True
-            else:
-                keep = np.ones(n, dtype=bool)
+            keep = np.zeros(n, dtype=bool)
+            keep[rng.choice(n, size=m, replace=False)] = True
             residual = y - current
             tree = _grow(X[keep], _restrict(order, keep), residual[keep], None, rng,
-                         self.max_depth, self.min_node, None)
+                         GBDT_MAX_DEPTH, GBDT_MIN_NODE, None)
             self.trees_.append(tree)
-            current += self.shrinkage * tree.predict(X)
+            current += GBDT_SHRINKAGE * tree.predict(X)
         self.n_features_ = p
         return self
 
     def predict(self, X) -> np.ndarray:
-        return self.base_score_ + self.shrinkage * _sum_trees(self, X)
+        return self.base_score_ + GBDT_SHRINKAGE * _sum_trees(self, X)

@@ -222,16 +222,15 @@ def dispatch(f_res: TimeSeries, f_gen: TimeSeries, f_load: TimeSeries,
     soc_spec = spec if soc_efficiency else replace(spec, efficiency=1.0)
     E = soc_trajectory(x, h, soc_spec)
     sizes = sizing(x, E)
-    # linear cycle-budget extrapolation in hours; infinite when nothing was used
+    # linear cycle-budget extrapolation in horizons; infinite when nothing was used
     cycles = sizes["equivalent_cycles"]
-    life = grid.horizon * spec.rated_cycles / cycles if cycles else math.inf
     return DispatchReport(
         grid=grid,
         x=result.x,
         v=v,
         E=E,
         violations=check_constraints(x, v, E, spec),
-        lifetime_horizons=life / grid.horizon if math.isfinite(life) else math.inf,
+        lifetime_horizons=spec.rated_cycles / cycles if cycles else math.inf,
         residual=result.residual,
         imbalance_shift=shift,
         **sizes,

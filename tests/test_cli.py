@@ -125,9 +125,10 @@ class TestIngest:
         ])
         assert result.exit_code == 0, result.output
 
-    @pytest.mark.parametrize("stem", ["load", "gen", "res"])
+    @pytest.mark.parametrize("stem", ["load", "gen", "res", "timestamp"])
     def test_reserved_temperature_stem_exit_2(self, runner, tmp_path, stem):
-        # a station column named gen or res would pass for that series in dispatch
+        # a station column named gen or res would pass for that series in
+        # dispatch; one named timestamp made a dataset.csv no command could read
         write_series_csv(tmp_path / "demand.csv", np.arange(24.0) + 1)
         (tmp_path / "stations").mkdir()
         temp = tmp_path / "stations" / f"{stem}.csv"
@@ -231,6 +232,19 @@ class TestForecast:
         assert r_mix.exit_code == 0, r_mix.output
         assert json.loads((tmp_path / "mix" / "metrics.json").read_text())["seed"] == 7
 
+    @pytest.mark.parametrize("model", ["lm", "rf", "gbdt"])
+    @pytest.mark.parametrize("flag, env", [(["--seed", "-1"], {}), ([], {"VOLTGRID_SEED": "-3"})])
+    def test_negative_seed_exit_2(self, runner, tmp_path, model, flag, env):
+        data = make_dataset(runner, tmp_path, np.full(1200, 100.0))
+        result = runner.invoke(main, [
+            "forecast", "--data", str(data), "--model", model, "--blocks", "2",
+            "--tail", "60", *flag, "--out", str(tmp_path / "fc"),
+        ], env=env)
+        assert result.exit_code == 2, all_output(result)
+        assert "Invalid value for '--seed'" in all_output(result)
+        assert "is not in the range x>=0" in all_output(result)
+        assert not (tmp_path / "fc").exists()
+
     def test_trees_flag_rejected_for_lm(self, runner, tmp_path):
         data = make_dataset(runner, tmp_path, np.full(1200, 100.0))
         result = runner.invoke(main, [
@@ -277,7 +291,8 @@ class TestForecast:
         assert result.exit_code == 0, result.output
         doc = json.loads((tmp_path / "model.json").read_text())
         assert doc["kind"] == "lm"
-        assert doc["format"] == "voltgrid-model/1"
+        assert doc["format"] == "voltgrid-model/2"
+        assert doc["params"] == {}
 
 
 class TestDispatch:

@@ -59,19 +59,19 @@ DIGESTS = {
     "fc_gbdt/metrics.json":
         "39b722ed9722a1083fd0ea00049cbd6a3401580fd2dc109cb9ed9fb77621ac76",
     "fc_gbdt/model.json":
-        "4e2403bc69397935f42ddf4ed91c072750f50e786318d0419d80bc3f1eae814f",
+        "b82710ad4a749dc0d7284569070151c5c83ae81d36f43c3c4631de0d78a50930",
     "fc_lm/forecast.csv":
         "22719553e8d35db8f76f1e490804686127005667cf2a029b8115038e87106665",
     "fc_lm/metrics.json":
         "eb24f9d71fae17ca58ea9f71c0760b3e6173d4decd9fcbe88a098f54bc2e14b4",
     "fc_lm/model.json":
-        "1212de05045d5e4d881ae202d1cab0f29ad6fef116de03945d9e64edd4279674",
+        "27ac8646e443d8ec7cdfc07761212b60f358b4ba5690dc7628c49e76046253ad",
     "fc_rf/forecast.csv":
         "be3d90a7cad46c12476e6945b403be2dd8fd9980880423de65ac1e2cb5b45283",
     "fc_rf/metrics.json":
         "58ad7f06badfcbd94e0fbdcd879555318d76206b6838b64c0acdaaab591d3ff0",
     "fc_rf/model.json":
-        "d6f61d4a8c2b9026d5ae92a6afe1489a53c3246ec716a2f32bacb1eba95f7af6",
+        "bf6b2e34b208f9af31a0002e4337aa9b9702928f825dec2fe036494d4eb03a5b",
     "ingest/dataset.csv":
         "302d92dbe9af2a14a2657af8240d40022996ae27f98cc61472d54ce7f9b2a036",
     "ingest/summary.json":

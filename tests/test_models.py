@@ -19,6 +19,7 @@ from voltgrid.forecast import (
     model_to_dict,
     save_model,
 )
+from voltgrid.forecast.persist import FORMAT
 from voltgrid.forecast.trees import RegressionTree, _grow, _presort, _restrict, grow_tree
 
 from oracle import grow_tree_bfs, grow_tree_dfs
@@ -33,23 +34,12 @@ def linear_data(n=200, p=5, noise=0.0, seed=1):
 
 
 class TestRidge:
-    def test_recovers_exact_linear_relation(self):
-        X, y, w = linear_data()
-        model = RidgeRegression(ridge=0.0).fit(X, y)
-        np.testing.assert_allclose(model.weights_, w, rtol=0, atol=1e-10)
-        assert model.intercept_ == pytest.approx(3.0, abs=1e-10)
-        np.testing.assert_allclose(model.predict(X), y, rtol=0, atol=1e-9)
-
     def test_default_penalty_barely_biases(self):
         X, y, w = linear_data()
         model = RidgeRegression().fit(X, y)
         np.testing.assert_allclose(model.weights_, w, rtol=0, atol=1e-6)
-
-    def test_zero_ridge_rejects_collinear_design(self):
-        X, y, _ = linear_data()
-        X = np.hstack([X, X[:, :1]])  # exact duplicate column
-        with pytest.raises(DataError, match="collinear"):
-            RidgeRegression(ridge=0.0).fit(X, y)
+        assert model.intercept_ == pytest.approx(3.0, abs=1e-6)
+        np.testing.assert_allclose(model.predict(X), y, rtol=0, atol=1e-5)
 
     def test_positive_ridge_survives_collinearity(self):
         X, y, _ = linear_data()
@@ -61,13 +51,8 @@ class TestRidge:
         with pytest.raises(DataError, match="rows"):
             RidgeRegression().fit(np.ones((3, 5)), np.ones(3))
 
-    def test_negative_ridge_rejected(self):
-        with pytest.raises(DataError, match="ridge"):
-            RidgeRegression(ridge=-1.0)
-
     def test_params_roundtrip(self):
-        model = RidgeRegression(ridge=0.5)
-        assert model.get_params() == {"ridge": 0.5}
+        assert RidgeRegression().get_params() == {}
 
 
 class TestSingleTree:
@@ -128,11 +113,11 @@ class TestSingleTree:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tree = grow_tree(X, y)
-            model = GradientBoostedTrees(n_trees=1, shrinkage=1.0, subsample=1.0,
-                                         min_node=1).fit(X, y)
         assert lo <= tree.threshold[0] < hi
         np.testing.assert_array_equal(tree.predict(X), y)
         # a non-finite threshold made a model document that load_model rejects
+        model = RandomForest(n_trees=1)
+        model.trees_, model.n_features_ = [tree], 1
         save_model(model, tmp_path / "model.json")
         np.testing.assert_array_equal(load_model(tmp_path / "model.json").predict(X), y)
 
@@ -269,7 +254,7 @@ class TestRandomForest:
 
     def test_mtry_validated(self):
         with pytest.raises(DataError, match="mtry"):
-            RandomForest(mtry=7, n_trees=2).fit(self.X[:, :3], self.y)
+            RandomForest(n_trees=2).fit(self.X[:, :3], self.y)
 
     def test_predict_requires_fit(self):
         with pytest.raises(DataError, match="not fitted"):
@@ -304,18 +289,8 @@ class TestGradientBoosting:
         np.testing.assert_array_equal(a.predict(self.X), b.predict(self.X))
 
     def test_parameter_validation(self):
-        with pytest.raises(DataError, match="shrinkage"):
-            GradientBoostedTrees(shrinkage=0.0).fit(self.X, self.y)
-        with pytest.raises(DataError, match="subsample"):
-            GradientBoostedTrees(subsample=1.5).fit(self.X, self.y)
-        with pytest.raises(DataError, match="min_node"):
-            GradientBoostedTrees(min_node=0).fit(self.X, self.y)
-
-    def test_full_subsample_uses_all_rows(self):
-        model = GradientBoostedTrees(n_trees=30, subsample=1.0, min_node=1,
-                                     seed=0).fit(self.X, self.y)
-        err = np.sqrt(np.mean((model.predict(self.X) - self.y) ** 2))
-        assert err < 0.25 * np.std(self.y)
+        with pytest.raises(DataError, match="n_trees"):
+            GradientBoostedTrees(n_trees=0).fit(self.X, self.y)
 
 
 class TestTrainingInput:
@@ -381,43 +356,47 @@ class TestPersistence:
         old = grow_tree_dfs(X, y, min_child=3)
         new = grow_tree(X, y, min_child=3)
         assert old.to_dict() != new.to_dict()
-        doc = {"format": "voltgrid-model/1", "kind": "rf",
-               "params": RandomForest(n_trees=1, mtry=4).get_params(),
+        doc = {"format": FORMAT, "kind": "rf", "params": RandomForest(n_trees=1).get_params(),
                "trees": [old.to_dict()], "n_features": 4}
         model = model_from_dict(json.loads(json.dumps(doc)))
         np.testing.assert_array_equal(model.predict(X), new.predict(X))
 
+    def test_earlier_format_rejected(self):
+        doc = model_to_dict(RidgeRegression().fit(*linear_data()[:2]))
+        with pytest.raises(DataError, match="'voltgrid-model/1'"):
+            model_from_dict({**doc, "format": "voltgrid-model/1"})
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(DataError, match="kind"):
-            model_from_dict({"kind": "svm", "format": "voltgrid-model/1"})
+            model_from_dict({"kind": "svm", "format": FORMAT})
 
     @pytest.mark.parametrize("doc, message", [
         ([1, 2], "JSON object"),
-        ({"format": "voltgrid-model/1", "kind": "lm"}, "'params'"),
-        ({"format": "voltgrid-model/1", "kind": "lm", "params": {},
+        ({"format": FORMAT, "kind": "lm"}, "'params'"),
+        ({"format": FORMAT, "kind": "lm", "params": {},
           "weights": ["a"], "intercept": 1.0, "n_features": 1}, "'weights'"),
-        ({"format": "voltgrid-model/1", "kind": "lm", "params": {"depth": 3}}, "params"),
-        ({"format": "voltgrid-model/1", "kind": "gbdt", "params": {}, "trees": [[1]],
+        ({"format": FORMAT, "kind": "lm", "params": {"depth": 3}}, "params"),
+        ({"format": FORMAT, "kind": "gbdt", "params": {}, "trees": [[1]],
           "base_score": 0.0, "n_features": 1}, "tree"),
-        ({"format": "voltgrid-model/1", "kind": "rf", "params": {}, "n_features": 1,
+        ({"format": FORMAT, "kind": "rf", "params": {}, "n_features": 1,
           "trees": [{"feature": [0], "threshold": [0.5], "left": [1], "right": [2],
                      "value": [1.0]}]}, "child index"),
-        ({"format": "voltgrid-model/1", "kind": "rf", "params": {}, "trees": [],
+        ({"format": FORMAT, "kind": "rf", "params": {}, "trees": [],
           "n_features": "4"}, "'n_features'"),
-        ({"format": "voltgrid-model/1", "kind": {}}, "kind"),
-        ({"format": "voltgrid-model/1", "kind": "rf", "params": {}, "n_features": 1,
+        ({"format": FORMAT, "kind": {}}, "kind"),
+        ({"format": FORMAT, "kind": "rf", "params": {}, "n_features": 1,
           "trees": [{**STUMP, "feature": [1, -1, -1]}]}, "feature index"),
-        ({"format": "voltgrid-model/1", "kind": "gbdt", "params": {"shrinkage": {}},
-          "trees": [STUMP], "base_score": 0.0, "n_features": 1}, "'shrinkage'"),
-        ({"format": "voltgrid-model/1", "kind": "lm", "params": {},
+        ({"format": FORMAT, "kind": "gbdt", "params": {"seed": {}},
+          "trees": [STUMP], "base_score": 0.0, "n_features": 1}, "'seed'"),
+        ({"format": FORMAT, "kind": "lm", "params": {},
           "weights": [1.0, 2.0], "intercept": 1.0, "n_features": 1}, "'weights' holds 2"),
-        ({"format": "voltgrid-model/1", "kind": "rf", "params": {}, "trees": [],
+        ({"format": FORMAT, "kind": "rf", "params": {}, "trees": [],
           "n_features": 1}, "'trees' is empty"),
-        ({"format": "voltgrid-model/1", "kind": "rf", "params": {}, "n_features": 1,
+        ({"format": FORMAT, "kind": "rf", "params": {}, "n_features": 1,
           "trees": [{**STUMP, "left": [0, -1, -1]}]}, "child index"),
-        ({"format": "voltgrid-model/1", "kind": "rf", "params": {}, "n_features": 1,
+        ({"format": FORMAT, "kind": "rf", "params": {}, "n_features": 1,
           "trees": [{**STUMP, "value": [0.0, float("nan"), 1.0]}]}, "finite"),
-        ({"format": "voltgrid-model/1", "kind": "lm", "params": {},
+        ({"format": FORMAT, "kind": "lm", "params": {},
           "weights": [1.0], "intercept": float("inf"), "n_features": 1}, "'intercept'"),
     ])
     def test_malformed_document_is_a_data_error(self, doc, message):
@@ -449,12 +428,12 @@ JSON_VALUES = st.recursive(
 def fuzz_documents():
     """Rows to predict and the JSON text of small fitted lm, rf and gbdt models."""
     rng = np.random.default_rng(5)
-    X = rng.normal(size=(40, 3))
-    y = X @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=40)
-    models = [RidgeRegression().fit(X, y), RandomForest(n_trees=2, mtry=2, min_leaf=3).fit(X, y),
-              GradientBoostedTrees(n_trees=2, max_depth=2, min_node=3).fit(X, y)]
+    X = rng.normal(size=(40, 4))
+    y = X @ np.array([1.0, -2.0, 0.5, 0.0]) + rng.normal(size=40)
+    models = [RidgeRegression().fit(X, y), RandomForest(n_trees=2).fit(X, y),
+              GradientBoostedTrees(n_trees=2).fit(X, y)]
     for model in models:
-        model.feature_names_ = ("a", "b", "c")
+        model.feature_names_ = ("a", "b", "c", "d")
     return X[:5], tuple(json.dumps(model_to_dict(m)) for m in models)
 
 
