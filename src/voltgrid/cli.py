@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .errors import DataError, SolverError
+from .errors import DataError, SolverError, overflow_as_data_error
 from .ioutil import fmt12, iso_seconds, read_json, write_csv, write_json
 from .storage import (
     StorageSpec,
@@ -87,7 +87,6 @@ def cmd_ingest(load_path, gen_path, res_path, temp_paths, holidays_path,
             what = "the dataset's timestamp column" if name == "timestamp" else f"the --{name} series"
             raise DataError(f"{path}: --temp file stem {name!r} is reserved for {what}; "
                             "rename the file")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     sources = [*zip(GRID_SERIES, (load_path, gen_path, res_path)), *stations]
     series = read_series([(name, path) for name, path in sources if path],
@@ -95,6 +94,7 @@ def cmd_ingest(load_path, gen_path, res_path, temp_paths, holidays_path,
     holidays = load_holidays(holidays_path) if holidays_path else frozenset()
 
     frame = align_hourly(series, holidays=holidays)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_frame_csv(frame, out_dir / "dataset.csv")
     start, end = iso_seconds(frame.timestamps()[[0, -1]])
     summary = {
@@ -135,9 +135,10 @@ def cmd_forecast(data_path, model_name, horizon, blocks, tail, trees, seed,
                  holidays_path, model_path, out_dir):
     """Cross-validate one model and forecast the held-out tail."""
     # imported here, so the other commands do not load the forecasting code
-    from .forecast import FeatureConfig, block_cross_validate, save_model
+    from .forecast.features import FeatureConfig
+    from .forecast.persist import save_model
+    from .forecast.validation import block_cross_validate
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     holidays = load_holidays(holidays_path) if holidays_path else frozenset()
     frame = read_frame_csv(data_path, holidays=holidays)
 
@@ -151,11 +152,19 @@ def cmd_forecast(data_path, model_name, horizon, blocks, tail, trees, seed,
         params=params, config=FeatureConfig(horizon=horizon), seed=seed,
     )
 
+    # the model first, as it may live in --out; a --out made here is empty should that fail
+    fresh = not out_dir.exists()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if model_path:
+        try:
+            save_model(report.final_model, model_path)
+        except OSError:
+            if fresh:
+                out_dir.rmdir()
+            raise
     write_csv(out_dir / "forecast.csv", ["timestamp", "predicted", "actual"],
               [report.timestamps, report.predicted, report.actual])
     write_json(out_dir / "metrics.json", {**report.as_dict(), "seed": seed})
-    if model_path:
-        save_model(report.final_model, model_path)
 
     val = report.validation
     mape = "n/a" if val.mape_percent is None else f"{val.mape_percent:.3f}%"
@@ -188,8 +197,6 @@ def cmd_forecast(data_path, model_name, horizon, blocks, tail, trees, seed,
 def cmd_dispatch(load_path, gen_path, res_path, kernel_path, storage_path,
                  grid_n, soc_efficiency, timestamp_column, value_column, out_dir):
     """Solve the storage schedule for the given imbalance inputs."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     # a plain series file, a dataset.csv column or a forecast.csv: take the
     # first candidate in the header, so an explicit --value-column does not
     # stop the other series from using their conventional names
@@ -218,6 +225,7 @@ def cmd_dispatch(load_path, gen_path, res_path, kernel_path, storage_path,
             if storage_path else StorageSpec())
 
     report = dispatch(f_res, f_gen, f_load, kernel, spec, grid, soc_efficiency=soc_efficiency)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_dispatch_csv(out_dir / "dispatch.csv", report)
     write_report_json(out_dir / "report.json", report)
     click.echo(
@@ -246,10 +254,9 @@ def _series_label(path: str, taken) -> str:
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path),
               help="Output directory for comparison.json and comparison.csv.")
 @_guarded
+@overflow_as_data_error("the dispatch runs overflow the comparison")
 def cmd_report(dispatch_paths, out_dir):
     """Compare dispatch runs (e.g. actual-load vs forecast-load schedules)."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     names: list[str] = []
     for path in dispatch_paths:
         names.append(_series_label(path, names))
@@ -266,6 +273,7 @@ def cmd_report(dispatch_paths, out_dir):
             diff = float(np.max(np.abs(loaded[i][1] - loaded[j][1])))
             pairwise.append({"a": names[i], "b": names[j], "max_abs_x_diff": diff})
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "comparison.json", {"runs": table, "pairwise": pairwise})
     # long format: every run's rows in turn, labelled by series
     t, x, _, E = (np.concatenate(cols) for cols in zip(*loaded))

@@ -295,6 +295,8 @@ class RandomForest:
     """
 
     def __init__(self, n_trees: int = 500, seed: int = 0):
+        if seed < 0:
+            raise DataError(f"seed must be >= 0, got {seed}")
         self.n_trees = n_trees
         self.seed = seed
 
@@ -351,6 +353,8 @@ class GradientBoostedTrees:
     """
 
     def __init__(self, n_trees: int = 100, seed: int = 0):
+        if seed < 0:
+            raise DataError(f"seed must be >= 0, got {seed}")
         self.n_trees = n_trees
         self.seed = seed
 

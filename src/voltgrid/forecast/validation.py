@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, overflow_as_data_error
 from ..timeseries import AlignedFrame, calendar_arrays, split_indices
 from .features import FeatureConfig, build_feature_matrix
 from .linear import RidgeRegression
@@ -168,6 +168,7 @@ class CrossValidationReport:
                 "validation": asdict(self.validation)}
 
 
+@overflow_as_data_error("the frame's values overflow the forecast")
 def block_cross_validate(model_name: str, frame: AlignedFrame, n_blocks: int,
                          validation_tail: int, *, params: dict | None = None,
                          config: FeatureConfig = FeatureConfig(),

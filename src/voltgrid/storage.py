@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, overflow_as_data_error
 from .ioutil import config_number, read_columns, write_csv, write_json
 from .timeseries import SECONDS_PER_HOUR, TimeSeries
 from .volterra import Grid, KernelSpec, SolveResult, solve_apf
@@ -120,9 +120,12 @@ def imbalance(f_res: TimeSeries, f_gen: TimeSeries, f_load: TimeSeries):
     for s in series:
         if not np.all(np.isfinite(s.values)):
             raise DataError(f"series {s.name!r} has missing values; impute before dispatch")
-    raw = f_res.values + f_gen.values - f_load.values
-    shift = float(raw[0])
-    return raw - shift, shift
+    with np.errstate(over="ignore", invalid="ignore"):  # finite inputs can still overflow
+        raw = f_res.values + f_gen.values - f_load.values
+        f = raw - raw[0]
+    if not np.isfinite(f).all():
+        raise DataError(f"imbalance res + gen - load overflows at node {np.argmin(np.isfinite(f))}")
+    return f, float(raw[0])
 
 
 def integrate_cumulative(x, h: float) -> np.ndarray:
@@ -218,10 +221,12 @@ def dispatch(f_res: TimeSeries, f_gen: TimeSeries, f_load: TimeSeries,
     result: SolveResult = solve_apf(kernel, grid, f)
     x = result.x[1:]
     h = grid.step
-    v = integrate_cumulative(x, h)
     soc_spec = spec if soc_efficiency else replace(spec, efficiency=1.0)
-    E = soc_trajectory(x, h, soc_spec)
-    sizes = sizing(x, E)
+    with overflow_as_data_error("the schedule's energy trajectory overflows"):
+        v = integrate_cumulative(x, h)
+        E = soc_trajectory(x, h, soc_spec)
+        sizes = sizing(x, E)
+        violations = check_constraints(x, v, E, spec)
     # linear cycle-budget extrapolation in horizons; infinite when nothing was used
     cycles = sizes["equivalent_cycles"]
     return DispatchReport(
@@ -229,7 +234,7 @@ def dispatch(f_res: TimeSeries, f_gen: TimeSeries, f_load: TimeSeries,
         x=result.x,
         v=v,
         E=E,
-        violations=check_constraints(x, v, E, spec),
+        violations=violations,
         lifetime_horizons=spec.rated_cycles / cycles if cycles else math.inf,
         residual=result.residual,
         imbalance_shift=shift,

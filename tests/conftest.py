@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voltgrid import TimeSeries, align_hourly, ioutil, kernel_from_config
+from voltgrid import ioutil
+from voltgrid.timeseries import TimeSeries, align_hourly
+from voltgrid.volterra import kernel_from_config
 
 # One line per acceptance criterion, echoed after the normal pytest summary
 # so the pass/fail verdicts are visible without -s.

@@ -31,10 +31,11 @@ from datetime import datetime
 
 import numpy as np
 
-from voltgrid import DataError, Grid, SolverError, solve_apf
+from voltgrid.errors import DataError, SolverError
 from voltgrid.forecast.trees import RegressionTree, _quantize
 from voltgrid.ioutil import NA_STRINGS, fmt12, naive_utc
 from voltgrid.timeseries import SECONDS_PER_HOUR, AlignedFrame, CsvSpec, TimeSeries
+from voltgrid.volterra import Grid, solve_apf
 
 
 def segment_cells(t_j, grid, partition):

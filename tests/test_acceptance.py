@@ -15,23 +15,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from voltgrid import (
-    Grid,
-    StorageSpec,
-    TimeSeries,
-    align_hourly,
-    forward_apply,
-    kernel_from_config,
-    solve_apf,
-)
 from voltgrid.cli import main
-from voltgrid.forecast import (
-    FeatureConfig,
-    block_cross_validate,
-    build_feature_matrix,
-    compute_metrics,
-)
-from voltgrid.storage import dispatch, sizing
+from voltgrid.forecast.features import FeatureConfig, build_feature_matrix
+from voltgrid.forecast.metrics import compute_metrics
+from voltgrid.forecast.validation import block_cross_validate
+from voltgrid.storage import StorageSpec, dispatch, sizing
+from voltgrid.timeseries import TimeSeries, align_hourly
+from voltgrid.volterra import Grid, forward_apply, kernel_from_config, solve_apf
 
 from conftest import ACCEPTANCE_LINES, hourly, identity_kernel, synthetic_load, two_band_kernel
 from oracle import estimate_order

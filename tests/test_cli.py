@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-import voltgrid
-from voltgrid import SolverError
+import voltgrid.timeseries
 from voltgrid.cli import _guarded, cmd_forecast, main
+from voltgrid.errors import SolverError
 from voltgrid.forecast import validation
 
 from conftest import START
@@ -478,11 +478,12 @@ class TestDispatch:
 
     def test_file_for_several_series_is_read_once(self, runner, tmp_path, opened):
         t = np.arange(48.0)
-        frame = voltgrid.align_hourly([voltgrid.TimeSeries(START, 50 + np.sin(t), name="load"),
-                                       voltgrid.TimeSeries(START, 20 + t / 4, name="gen"),
-                                       voltgrid.TimeSeries(START, np.cos(t), name="res")])
+        frame = voltgrid.timeseries.align_hourly([
+            voltgrid.timeseries.TimeSeries(START, 50 + np.sin(t), name="load"),
+            voltgrid.timeseries.TimeSeries(START, 20 + t / 4, name="gen"),
+            voltgrid.timeseries.TimeSeries(START, np.cos(t), name="res")])
         for name in ("data", "copy_a", "copy_b"):
-            voltgrid.write_frame_csv(frame, tmp_path / f"{name}.csv")
+            voltgrid.timeseries.write_frame_csv(frame, tmp_path / f"{name}.csv")
         write_kernel(tmp_path / "kernel.json")
         outputs = {}
         for out, files in (("once", ["data"] * 3), ("apart", ["data", "copy_a", "copy_b"])):
@@ -602,6 +603,82 @@ class TestReport:
         assert message in all_output(result)
 
 
+def failing_run(command, tmp_path):
+    """Arguments for one ``command`` run that exits 2, and its message."""
+    write_series_csv(tmp_path / "load.csv", np.arange(24.0))
+    write_kernel(tmp_path / "kernel.json")
+    if command == "ingest":
+        for station in ("a", "b"):
+            (tmp_path / station).mkdir()
+            write_series_csv(tmp_path / station / "x.csv", np.arange(24.0))
+        return ["ingest", "--load", str(tmp_path / "load.csv"), "--temp",
+                str(tmp_path / "a" / "x.csv"), "--temp", str(tmp_path / "b" / "x.csv")], \
+            "duplicate series names"
+    if command == "forecast":
+        return ["forecast", "--data", str(tmp_path / "load.csv"), "--model", "lm",
+                "--tail", "24"], "validation_tail 24 must be smaller"
+    if command == "dispatch":
+        (tmp_path / "kernel.json").write_text("{")
+        return ["dispatch", "--load", str(tmp_path / "load.csv"),
+                "--kernel", str(tmp_path / "kernel.json")], "invalid kernel JSON"
+    for name, t_end in (("a", 1), ("b", 2)):
+        (tmp_path / f"{name}.csv").write_text(f"t,x,v,E\n0,0,0,0\n{t_end},0,0,0\n")
+    return ["report", "--dispatch", str(tmp_path / "a.csv"),
+            "--dispatch", str(tmp_path / "b.csv")], "grids differ"
+
+
+class TestFailedRun:
+    @pytest.mark.parametrize("command", ["ingest", "forecast", "dispatch", "report"])
+    def test_leaves_no_output_directory(self, runner, tmp_path, command):
+        args, message = failing_run(command, tmp_path)
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, all_output(result)
+        assert message in all_output(result)
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_model_path_leaves_no_output_directory(self, runner, tmp_path):
+        data = make_dataset(runner, tmp_path, np.full(1200, 100.0))
+        result = runner.invoke(main, [
+            "forecast", "--data", str(data), "--model", "lm", "--blocks", "2", "--tail", "60",
+            "--save-model", str(tmp_path / "missing" / "model.json"),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2, all_output(result)
+        assert "No such file or directory" in all_output(result)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case, message", [
+        ("imbalance", "imbalance res + gen - load overflows at node 1"),
+        ("trajectory", "the schedule's energy trajectory overflows: overflow encountered in"),
+        ("comparison", "the dispatch runs overflow the comparison: overflow encountered in"),
+        ("forecast", "the frame's values overflow the forecast: overflow encountered in"),
+    ])
+    def test_finite_inputs_that_overflow_exit_2(self, runner, tmp_path, case, message):
+        # every input is finite; numpy's overflow warning must not leak
+        write_kernel(tmp_path / "kernel.json")
+        if case == "forecast":
+            load = 100 + np.sin(np.arange(600.0))
+            load[500] = 1.7e308
+            args = ["forecast", "--data", str(make_dataset(runner, tmp_path, load)),
+                    "--model", "lm", "--blocks", "2", "--tail", "60"]
+        elif case == "comparison":
+            (tmp_path / "a.csv").write_text("t,x,v,E\n0,0,0,0\n1,1.7e308,0,0\n")
+            (tmp_path / "b.csv").write_text("t,x,v,E\n0,0,0,0\n1,-1.7e308,0,0\n")
+            args = ["report", "--dispatch", str(tmp_path / "a.csv"),
+                    "--dispatch", str(tmp_path / "b.csv")]
+        else:
+            # the imbalance alternates sign at full scale, or steps up to it twice
+            big = [1.7e308, -1.7e308] * 6 if case == "imbalance" else [0, 1e308, 1e308, 0]
+            write_series_csv(tmp_path / "big.csv", big)
+            write_series_csv(tmp_path / "zero.csv", np.zeros(len(big)))
+            args = ["dispatch", "--load", str(tmp_path / "big.csv"),
+                    "--gen", str(tmp_path / "zero.csv"), "--kernel", str(tmp_path / "kernel.json")]
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, all_output(result)
+        assert message in all_output(result)
+        assert not (tmp_path / "out").exists()
+
+
 class TestExitCodes:
     def test_solver_error_maps_to_3(self, runner):
         @click.command()
@@ -614,7 +691,7 @@ class TestExitCodes:
         assert "node 4" in all_output(result)
 
     def test_data_error_maps_to_2(self, runner):
-        from voltgrid import DataError
+        from voltgrid.errors import DataError
 
         @click.command()
         @_guarded

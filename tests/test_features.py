@@ -10,9 +10,10 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from voltgrid import AlignedFrame, DataError, TimeSeries, align_hourly
-from voltgrid.forecast import FeatureConfig, build_feature_matrix
-from voltgrid.forecast.features import _ema, _lag, _previous_day_stats
+from voltgrid.errors import DataError
+from voltgrid.forecast.features import (FeatureConfig, _ema, _lag, _previous_day_stats,
+                                        build_feature_matrix)
+from voltgrid.timeseries import AlignedFrame, TimeSeries, align_hourly
 
 from conftest import START, hourly, synthetic_load
 

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voltgrid import (DataError, Grid, SolverError, ioutil, kernel_from_config, solve_apf,
-                      storage_spec_from_config)
+from voltgrid import ioutil
+from voltgrid.errors import DataError, SolverError
 from voltgrid.ioutil import fmt12, read_columns, read_json, write_csv, write_json
-from voltgrid.storage import read_dispatch_csv
+from voltgrid.storage import read_dispatch_csv, storage_spec_from_config
 from voltgrid.timeseries import load_holidays, parse_timeseries_csv, read_frame_csv
+from voltgrid.volterra import Grid, kernel_from_config, solve_apf
 
 import oracle
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from voltgrid import DataError
-from voltgrid.forecast import compute_metrics
+from voltgrid.errors import DataError
+from voltgrid.forecast.metrics import compute_metrics
 
 
 def test_worked_example_is_exact():

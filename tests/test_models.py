@@ -8,19 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voltgrid import DataError
-from voltgrid.forecast import (
-    GradientBoostedTrees,
-    RandomForest,
-    RidgeRegression,
-    load_model,
-    make_model,
-    model_from_dict,
-    model_to_dict,
-    save_model,
-)
-from voltgrid.forecast.persist import FORMAT
-from voltgrid.forecast.trees import RegressionTree, _grow, _presort, _restrict, grow_tree
+from voltgrid.errors import DataError
+from voltgrid.forecast.linear import RidgeRegression
+from voltgrid.forecast.persist import FORMAT, load_model, model_from_dict, model_to_dict, save_model
+from voltgrid.forecast.trees import (GradientBoostedTrees, RandomForest, RegressionTree, _grow,
+                                     _presort, _restrict, grow_tree)
+from voltgrid.forecast.validation import make_model
 
 from oracle import grow_tree_bfs, grow_tree_dfs
 
@@ -398,6 +391,8 @@ class TestPersistence:
           "trees": [{**STUMP, "value": [0.0, float("nan"), 1.0]}]}, "finite"),
         ({"format": FORMAT, "kind": "lm", "params": {},
           "weights": [1.0], "intercept": float("inf"), "n_features": 1}, "'intercept'"),
+        ({"format": FORMAT, "kind": "gbdt", "params": {"seed": -1},
+          "trees": [STUMP], "base_score": 0.0, "n_features": 1}, "seed must be >= 0, got -1"),
     ])
     def test_malformed_document_is_a_data_error(self, doc, message):
         with pytest.raises(DataError, match=message):

@@ -9,23 +9,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voltgrid import (
-    DataError,
-    Grid,
+from voltgrid import ioutil
+from voltgrid.errors import DataError
+from voltgrid.ioutil import json_ready
+from voltgrid.storage import (
+    CONSTRAINTS,
+    DispatchReport,
     StorageSpec,
-    TimeSeries,
+    Violations,
     check_constraints,
     dispatch,
-    forward_apply,
     imbalance,
     integrate_cumulative,
+    read_dispatch_csv,
+    sizing,
     soc_trajectory,
     storage_spec_from_config,
+    write_dispatch_csv,
+    write_report_json,
 )
-from voltgrid import ioutil
-from voltgrid.ioutil import json_ready
-from voltgrid.storage import (CONSTRAINTS, DispatchReport, Violations, read_dispatch_csv, sizing,
-                              write_dispatch_csv, write_report_json)
+from voltgrid.timeseries import TimeSeries
+from voltgrid.volterra import Grid, forward_apply
 
 from conftest import START, hourly, identity_kernel, two_band_kernel
 from oracle import report_dict

@@ -10,19 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voltgrid import (
+from voltgrid import ioutil
+from voltgrid.errors import DataError
+from voltgrid.timeseries import (
     CsvSpec,
-    DataError,
     TimeSeries,
     align_hourly,
+    calendar_arrays,
     load_holidays,
     parse_timeseries_csv,
     read_frame_csv,
     split_indices,
     write_frame_csv,
 )
-from voltgrid import ioutil
-from voltgrid.timeseries import calendar_arrays
 
 import oracle
 from conftest import START, hourly

@@ -5,14 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from voltgrid import DataError, align_hourly
-from voltgrid.forecast import (
-    block_cross_validate,
-    build_feature_matrix,
-    make_model,
-    model_to_dict,
-    validation,
-)
+from voltgrid.errors import DataError
+from voltgrid.forecast import validation
+from voltgrid.forecast.features import build_feature_matrix
+from voltgrid.forecast.persist import model_to_dict
+from voltgrid.forecast.validation import block_cross_validate, make_model
+from voltgrid.timeseries import align_hourly
 
 from conftest import synthetic_load
 
@@ -43,6 +41,11 @@ class TestMakeModel:
     def test_unknown_name(self):
         with pytest.raises(DataError, match="unknown model"):
             make_model("svm")
+
+    @pytest.mark.parametrize("name", ["rf", "gbdt"])
+    def test_negative_seed(self, name):
+        with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+            make_model(name, {"n_trees": 1}, seed=-1)
 
 
 class TestBlockCrossValidate:
@@ -94,6 +97,12 @@ class TestBlockCrossValidate:
     def test_needs_two_blocks(self, frame):
         with pytest.raises(DataError, match=">= 2 blocks"):
             block_cross_validate("lm", frame, n_blocks=1, validation_tail=100)
+
+    def test_negative_seed(self, frame):
+        with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+            block_cross_validate("rf", frame, n_blocks=2, validation_tail=100,
+                                 params={"n_trees": 1}, seed=-1)
+        assert_no_children()
 
     def test_final_model_is_usable(self, frame):
         report = block_cross_validate("lm", frame, n_blocks=2,

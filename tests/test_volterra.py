@@ -14,17 +14,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from voltgrid import (
+from voltgrid import volterra
+from voltgrid.errors import DataError, SolverError
+from voltgrid.volterra import (
     BandPartition,
-    DataError,
     Grid,
     KernelSpec,
-    SolverError,
     forward_apply,
     kernel_from_config,
     solve_apf,
 )
-from voltgrid import volterra
 
 from conftest import identity_kernel, two_band_kernel
 from oracle import dense_forward, dense_solve, estimate_order, segment_cells
