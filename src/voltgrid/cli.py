@@ -3,6 +3,11 @@
 Exit codes: 0 success, 2 bad input or configuration, 3 numerical failure in
 the solver. All numbers are written with 12 significant digits, so a rerun
 with the same flags and seed is byte-identical.
+
+Each command imports its layer in its body, each name from the module that
+defines it. This module itself loads only click and ``errors``, so help,
+usage errors and shell completion load no numpy, and only ``dispatch``
+loads the solver.
 """
 
 from __future__ import annotations
@@ -12,29 +17,8 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .errors import DataError, SolverError, overflow_as_data_error
-from .ioutil import fmt12, iso_seconds, read_json, write_csv, write_json
-from .storage import (
-    StorageSpec,
-    dispatch,
-    read_dispatch_csv,
-    sizing,
-    storage_spec_from_config,
-    write_dispatch_csv,
-    write_report_json,
-)
-from .timeseries import (
-    GRID_SERIES,
-    TimeSeries,
-    align_hourly,
-    load_holidays,
-    read_frame_csv,
-    read_series,
-    write_frame_csv,
-)
-from .volterra import Grid, load_kernel
 
 # every input option names an existing file; click exits 2 otherwise
 INPUT_FILE = click.Path(exists=True, dir_okay=False)
@@ -81,6 +65,11 @@ def main():
 def cmd_ingest(load_path, gen_path, res_path, temp_paths, holidays_path,
                timestamp_column, value_column, timestamp_format, out_dir):
     """Align the input series on their common hourly range."""
+    import numpy as np
+
+    from .ioutil import iso_seconds, write_json
+    from .timeseries import GRID_SERIES, align_hourly, load_holidays, read_series, write_frame_csv
+
     stations = [(Path(path).stem, path) for path in temp_paths]
     for name, path in stations:
         if name in (*GRID_SERIES, "timestamp"):
@@ -134,10 +123,11 @@ def cmd_ingest(load_path, gen_path, res_path, temp_paths, holidays_path,
 def cmd_forecast(data_path, model_name, horizon, blocks, tail, trees, seed,
                  holidays_path, model_path, out_dir):
     """Cross-validate one model and forecast the held-out tail."""
-    # imported here, so the other commands do not load the forecasting code
     from .forecast.features import FeatureConfig
     from .forecast.persist import save_model
     from .forecast.validation import block_cross_validate
+    from .ioutil import write_csv, write_json
+    from .timeseries import load_holidays, read_frame_csv
 
     holidays = load_holidays(holidays_path) if holidays_path else frozenset()
     frame = read_frame_csv(data_path, holidays=holidays)
@@ -197,6 +187,14 @@ def cmd_forecast(data_path, model_name, horizon, blocks, tail, trees, seed,
 def cmd_dispatch(load_path, gen_path, res_path, kernel_path, storage_path,
                  grid_n, soc_efficiency, timestamp_column, value_column, out_dir):
     """Solve the storage schedule for the given imbalance inputs."""
+    import numpy as np
+
+    from .ioutil import fmt12, read_json
+    from .storage import (StorageSpec, dispatch, storage_spec_from_config, write_dispatch_csv,
+                          write_report_json)
+    from .timeseries import TimeSeries, align_hourly, read_series
+    from .volterra import Grid, load_kernel
+
     # a plain series file, a dataset.csv column or a forecast.csv: take the
     # first candidate in the header, so an explicit --value-column does not
     # stop the other series from using their conventional names
@@ -257,6 +255,11 @@ def _series_label(path: str, taken) -> str:
 @overflow_as_data_error("the dispatch runs overflow the comparison")
 def cmd_report(dispatch_paths, out_dir):
     """Compare dispatch runs (e.g. actual-load vs forecast-load schedules)."""
+    import numpy as np
+
+    from .ioutil import write_csv, write_json
+    from .storage import read_dispatch_csv, sizing
+
     names: list[str] = []
     for path in dispatch_paths:
         names.append(_series_label(path, names))

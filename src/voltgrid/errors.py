@@ -7,8 +7,6 @@ solve itself failed. The CLI maps them to exit codes 2 and 3.
 
 from contextlib import contextmanager
 
-import numpy as np
-
 
 class VoltgridError(Exception):
     """Base class for all package errors."""
@@ -26,6 +24,8 @@ class SolverError(VoltgridError):
 def overflow_as_data_error(what: str):
     """Raise numpy's overflow, invalid-value and divide-by-zero faults in the
     block as a DataError: ``what``, then numpy's name for the fault."""
+    import numpy as np  # at entry, so importing this module loads no numpy
+
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             yield

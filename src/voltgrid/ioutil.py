@@ -47,11 +47,14 @@ def naive_utc(ts: datetime) -> datetime:
 
 def _number(cell: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         if cell.strip().lower() in NA_STRINGS:
             return math.nan
         raise
+    if math.isinf(value):  # inf, Infinity, or a number too large for a float
+        raise ValueError(f"infinite number {cell!r}")
+    return value
 
 
 def _stamp_column(cells: list, fmt: str | None) -> np.ndarray:
@@ -73,11 +76,14 @@ def _stamp_column(cells: list, fmt: str | None) -> np.ndarray:
 
 
 def _number_column(cells: list) -> np.ndarray:
-    """_number over a whole column; a bad cell raises ValueError."""
+    """_number over a whole column; a bad or infinite cell raises ValueError."""
     try:
-        return np.fromiter(map(float, cells), float, len(cells))
+        column = np.fromiter(map(float, cells), float, len(cells))
     except ValueError:  # an NA marker, or a bad cell
         return np.fromiter(map(_number, cells), float, len(cells))
+    if np.isinf(column).any():
+        raise ValueError("infinite number")
+    return column
 
 
 def read_columns(path, pick, *, fmt=None, exact=False, finite=False):
@@ -87,9 +93,10 @@ def read_columns(path, pick, *, fmt=None, exact=False, finite=False):
     ``pick(header)`` gets the stripped header names, raises DataError for a
     header it cannot use, and returns the timestamp column (or None), read
     under ``fmt``, and the numeric columns, where the NA_STRINGS markers (any
-    case) read as NaN. Each must appear once in the header. Rows that are
-    all blank are skipped. Rows must hold every header column when
-    ``exact``, else the picked ones; ``finite`` rejects NaN and infinities.
+    case) read as NaN and an infinite number (``inf``, ``1e999``) is a bad
+    value. Each must appear once in the header. Rows that are all blank are
+    skipped. Rows must hold every header column when ``exact``, else the
+    picked ones; ``finite`` rejects NaN too.
     Returns the stamps (or None), the numeric columns by name and the line
     each data row starts on, in file order. An empty file, text that is not
     UTF-8 or a bad row raises the DataError of the first fault in the file:

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DataError, overflow_as_data_error
 from .ioutil import config_number, read_columns, write_csv, write_json
 from .timeseries import SECONDS_PER_HOUR, TimeSeries
-from .volterra import Grid, KernelSpec, SolveResult, solve_apf
+
+if TYPE_CHECKING:  # the solver loads only when dispatch runs
+    from .volterra import Grid, KernelSpec, SolveResult
 
 INTERPRETATIONS = ("literal", "power")
 
@@ -211,6 +214,8 @@ def dispatch(f_res: TimeSeries, f_gen: TimeSeries, f_load: TimeSeries,
     ``soc_efficiency=True`` to additionally apply the storage spec's
     asymmetric charge/discharge factor there.
     """
+    from .volterra import solve_apf
+
     f, shift = imbalance(f_res, f_gen, f_load)  # the three series share one time base
     step_hours = f_load.step / SECONDS_PER_HOUR
     if abs(step_hours - grid.step) > 1e-9 * max(1.0, grid.step):

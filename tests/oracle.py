@@ -319,13 +319,17 @@ def read_rows(path):
 
 
 def parse_value(cell, path, lineno):
-    """One numeric cell; a missing-value marker (any case, padded) is NaN."""
+    """One numeric cell; a missing-value marker (any case, padded) is NaN,
+    and an infinite number is a bad value."""
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         if cell.strip().lower() in NA_STRINGS:
             return math.nan
-        raise DataError(f"{path}: line {lineno}: bad value {cell!r}") from None
+        value = math.inf  # a bad cell: reported with the infinite ones below
+    if math.isinf(value):
+        raise DataError(f"{path}: line {lineno}: bad value {cell!r}")
+    return value
 
 
 def parse_stamp(text, fmt, path, lineno):

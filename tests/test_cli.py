@@ -39,6 +39,18 @@ def write_kernel(path, value=1.0):
     }))
 
 
+# cells float() reads as infinite; every CSV reader rejects them
+INFINITE_CELLS = ["inf", "-Infinity", "1e999"]
+
+
+def write_load_with_cell(path, cell):
+    """A four-hour load series whose third row (line 4) holds ``cell``."""
+    write_series_csv(path, [1.0, 2.0, 3.0, 4.0])
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + f",{cell}"
+    path.write_text("\n".join(lines) + "\n")
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -90,6 +102,17 @@ class TestIngest:
         ])
         assert result.exit_code == 2
         assert "overlap" in all_output(result)
+
+    @pytest.mark.parametrize("cell", INFINITE_CELLS)
+    def test_infinite_cell_exit_2(self, runner, tmp_path, cell):
+        # inf used to pass as a number: dataset.csv held it and na_counts read 0
+        load = tmp_path / "load.csv"
+        write_load_with_cell(load, cell)
+        result = runner.invoke(main, ["ingest", "--load", str(load),
+                                      "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2, all_output(result)
+        assert f"error: {load}: line 4: bad value '{cell}'" in all_output(result)
+        assert not (tmp_path / "run").exists()
 
     def test_missing_file_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -517,6 +540,19 @@ class TestDispatch:
                             for name in ("dispatch.csv", "report.json")])
         assert outputs[0] == outputs[1]
         assert len(outputs[0][0].splitlines()) == (grid_n or 29) + 2
+
+    @pytest.mark.parametrize("cell", INFINITE_CELLS)
+    def test_infinite_cell_exit_2(self, runner, tmp_path, cell):
+        # named as the bad value it is, not as a missing value
+        load = tmp_path / "load.csv"
+        write_load_with_cell(load, cell)
+        write_kernel(tmp_path / "kernel.json")
+        result = runner.invoke(main, [
+            "dispatch", "--load", str(load), "--kernel", str(tmp_path / "kernel.json"),
+            "--out", str(tmp_path / "disp"),
+        ])
+        assert result.exit_code == 2, all_output(result)
+        assert f"error: {load}: line 4: bad value '{cell}'" in all_output(result)
 
     def test_value_column_missing_exit_2(self, runner, tmp_path):
         (tmp_path / "load.csv").write_text("timestamp,megawatts\n2019-01-01,1\n")
