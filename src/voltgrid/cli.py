@@ -5,63 +5,19 @@ the solver. All numbers are written with 12 significant digits, so a rerun
 with the same flags and seed is byte-identical.
 
 Each command imports its layer in its body, each name from the module that
-defines it. This module itself loads only click and ``errors``, so help,
-usage errors and shell completion load no numpy, and only ``dispatch``
-loads the solver.
+defines it. This module itself loads only argparse and ``errors``, and
+builds its parser when ``main`` runs, so help and usage errors load no
+numpy, and only ``dispatch`` loads the solver.
 """
 
-from __future__ import annotations
-
-import functools
+import argparse
+import os
 import sys
 from pathlib import Path
 
-import click
-
 from .errors import DataError, SolverError, overflow_as_data_error
 
-# every input option names an existing file; click exits 2 otherwise
-INPUT_FILE = click.Path(exists=True, dir_okay=False)
 
-
-def _guarded(fn):
-    """Map package errors onto the documented exit codes."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (DataError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except SolverError as exc:
-            click.echo(f"solver error: {exc}", err=True)
-            sys.exit(3)
-    return wrapper
-
-
-@click.group()
-def main():
-    """Storage dispatch from load imbalances, plus the forecasting harness."""
-
-
-@main.command("ingest")
-@click.option("--load", "load_path", required=True, type=INPUT_FILE,
-              help="CSV with a timestamp column and the load values.")
-@click.option("--gen", "gen_path", type=INPUT_FILE,
-              help="Conventional generation series CSV.")
-@click.option("--res", "res_path", type=INPUT_FILE,
-              help="Renewable generation series CSV.")
-@click.option("--temp", "temp_paths", type=INPUT_FILE, multiple=True,
-              help="Temperature CSV; repeat per station. Column named by file stem.")
-@click.option("--holidays", "holidays_path", type=INPUT_FILE,
-              help="Holiday calendar, one YYYY-MM-DD per line.")
-@click.option("--timestamp-column", default="timestamp", show_default=True)
-@click.option("--value-column", default="value", show_default=True)
-@click.option("--timestamp-format", default=None,
-              help="strptime pattern; ISO 8601 when omitted.")
-@click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path),
-              help="Output directory for dataset.csv and summary.json.")
-@_guarded
 def cmd_ingest(load_path, gen_path, res_path, temp_paths, holidays_path,
                timestamp_column, value_column, timestamp_format, out_dir):
     """Align the input series on their common hourly range."""
@@ -96,30 +52,9 @@ def cmd_ingest(load_path, gen_path, res_path, temp_paths, holidays_path,
         "holidays": sorted(d.isoformat() for d in holidays),
     }
     write_json(out_dir / "summary.json", summary)
-    click.echo(f"wrote {out_dir / 'dataset.csv'} ({frame.n_rows} rows)")
+    print(f"wrote {out_dir / 'dataset.csv'} ({frame.n_rows} rows)")
 
 
-@main.command("forecast")
-@click.option("--data", "data_path", required=True, type=INPUT_FILE,
-              help="dataset.csv from the ingest step.")
-@click.option("--model", "model_name", required=True,
-              type=click.Choice(["lm", "rf", "gbdt"]))
-@click.option("--horizon", default=24, show_default=True, type=int)
-@click.option("--blocks", default=5, show_default=True, type=int)
-@click.option("--tail", required=True, type=int,
-              help="Held-out validation rows at the end of the frame.")
-@click.option("--trees", default=None, type=int,
-              help="Override the ensemble size (rf: 500, gbdt: 100).")
-@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0),
-              envvar="VOLTGRID_SEED",
-              help="Master seed; VOLTGRID_SEED is used unless --seed is given.")
-@click.option("--holidays", "holidays_path", type=INPUT_FILE,
-              help="Holiday calendar for the working-day feature.")
-@click.option("--save-model", "model_path", type=click.Path(),
-              help="Also persist the final fitted model as JSON.")
-@click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path),
-              help="Output directory for forecast.csv and metrics.json.")
-@_guarded
 def cmd_forecast(data_path, model_name, horizon, blocks, tail, trees, seed,
                  holidays_path, model_path, out_dir):
     """Cross-validate one model and forecast the held-out tail."""
@@ -158,32 +93,9 @@ def cmd_forecast(data_path, model_name, horizon, blocks, tail, trees, seed,
 
     val = report.validation
     mape = "n/a" if val.mape_percent is None else f"{val.mape_percent:.3f}%"
-    click.echo(
-        f"{model_name}: validation rmse {val.rmse:.3f} mae {val.mae:.3f} mape {mape}"
-    )
+    print(f"{model_name}: validation rmse {val.rmse:.3f} mae {val.mae:.3f} mape {mape}")
 
 
-@main.command("dispatch")
-@click.option("--load", "load_path", required=True, type=INPUT_FILE,
-              help="Load series: ingest-style CSV or a forecast.csv.")
-@click.option("--gen", "gen_path", type=INPUT_FILE,
-              help="Conventional generation series; zero when omitted.")
-@click.option("--res", "res_path", type=INPUT_FILE,
-              help="Renewable generation series; zero when omitted.")
-@click.option("--kernel", "kernel_path", required=True, type=INPUT_FILE,
-              help="Kernel configuration JSON.")
-@click.option("--storage", "storage_path", type=INPUT_FILE,
-              help="StorageSpec JSON; defaults apply when omitted.")
-@click.option("--grid-n", default=None, type=int,
-              help="Use only the first N+1 samples (default: all).")
-@click.option("--soc-efficiency", is_flag=True, default=False,
-              help="Apply the charge/discharge efficiency asymmetry to the "
-                   "stored-energy trajectory as well as the kernel.")
-@click.option("--timestamp-column", default="timestamp", show_default=True)
-@click.option("--value-column", default="value", show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path),
-              help="Output directory for dispatch.csv and report.json.")
-@_guarded
 def cmd_dispatch(load_path, gen_path, res_path, kernel_path, storage_path,
                  grid_n, soc_efficiency, timestamp_column, value_column, out_dir):
     """Solve the storage schedule for the given imbalance inputs."""
@@ -226,7 +138,7 @@ def cmd_dispatch(load_path, gen_path, res_path, kernel_path, storage_path,
     out_dir.mkdir(parents=True, exist_ok=True)
     write_dispatch_csv(out_dir / "dispatch.csv", report)
     write_report_json(out_dir / "report.json", report)
-    click.echo(
+    print(
         f"dispatch over {n_cells} cells: min capacity {fmt12(report.min_capacity)}, "
         f"max |x| {fmt12(report.max_abs_power)}, "
         f"{len(report.violations)} constraint violation(s)"
@@ -246,12 +158,6 @@ def _series_label(path: str, taken) -> str:
     return label
 
 
-@main.command("report")
-@click.option("--dispatch", "dispatch_paths", required=True, multiple=True,
-              type=INPUT_FILE, help="dispatch.csv files to compare; repeatable.")
-@click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path),
-              help="Output directory for comparison.json and comparison.csv.")
-@_guarded
 @overflow_as_data_error("the dispatch runs overflow the comparison")
 def cmd_report(dispatch_paths, out_dir):
     """Compare dispatch runs (e.g. actual-load vs forecast-load schedules)."""
@@ -282,7 +188,116 @@ def cmd_report(dispatch_paths, out_dir):
     t, x, _, E = (np.concatenate(cols) for cols in zip(*loaded))
     write_csv(out_dir / "comparison.csv", ["t", "series", "x", "E"],
               [t, np.repeat(names, [len(run[0]) for run in loaded]), x, E])
-    click.echo(f"compared {len(names)} dispatch run(s)")
+    print(f"compared {len(names)} dispatch run(s)")
+
+
+def _input_file(path: str) -> str:
+    """An input option's value: a file that exists and is not a directory."""
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    return path
+
+
+def _seed(text: str) -> int:
+    """--seed's value: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"{seed} is not in the range x>=0")
+    return seed
+
+
+INPUT_FILE = {"type": _input_file, "metavar": "FILE"}
+SHOW_DEFAULT = "(default: %(default)s)"
+
+
+def main(argv=None):
+    """Storage dispatch from load imbalances, plus the forecasting harness."""
+    parser = argparse.ArgumentParser(prog="voltgrid", description=main.__doc__)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, fn):
+        """A subcommand that calls ``fn`` with its options; returns its add_argument."""
+        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(command=fn)
+        return sub.add_argument
+
+    option = command("ingest", cmd_ingest)
+    option("--load", dest="load_path", required=True, **INPUT_FILE,
+           help="CSV with a timestamp column and the load values.")
+    option("--gen", dest="gen_path", **INPUT_FILE, help="Conventional generation series CSV.")
+    option("--res", dest="res_path", **INPUT_FILE, help="Renewable generation series CSV.")
+    option("--temp", dest="temp_paths", action="append", default=[], **INPUT_FILE,
+           help="Temperature CSV; repeat per station. Column named by file stem.")
+    option("--holidays", dest="holidays_path", **INPUT_FILE,
+           help="Holiday calendar, one YYYY-MM-DD per line.")
+    option("--timestamp-column", default="timestamp", help=SHOW_DEFAULT)
+    option("--value-column", default="value", help=SHOW_DEFAULT)
+    option("--timestamp-format", help="strptime pattern; ISO 8601 when omitted.")
+    option("--out", dest="out_dir", required=True, type=Path,
+           help="Output directory for dataset.csv and summary.json.")
+
+    option = command("forecast", cmd_forecast)
+    option("--data", dest="data_path", required=True, **INPUT_FILE,
+           help="dataset.csv from the ingest step.")
+    option("--model", dest="model_name", required=True, choices=("lm", "rf", "gbdt"))
+    option("--horizon", default=24, type=int, help=SHOW_DEFAULT)
+    option("--blocks", default=5, type=int, help=SHOW_DEFAULT)
+    option("--tail", required=True, type=int,
+           help="Held-out validation rows at the end of the frame.")
+    option("--trees", type=int, help="Override the ensemble size (rf: 500, gbdt: 100).")
+    # a string default goes through _seed too, so a bad VOLTGRID_SEED exits 2
+    option("--seed", default=os.environ.get("VOLTGRID_SEED") or 0, type=_seed,
+           help="Master seed, a non-negative integer; VOLTGRID_SEED is used unless "
+                "--seed is given. " + SHOW_DEFAULT)
+    option("--holidays", dest="holidays_path", **INPUT_FILE,
+           help="Holiday calendar for the working-day feature.")
+    option("--save-model", dest="model_path",
+           help="Also persist the final fitted model as JSON.")
+    option("--out", dest="out_dir", required=True, type=Path,
+           help="Output directory for forecast.csv and metrics.json.")
+
+    option = command("dispatch", cmd_dispatch)
+    option("--load", dest="load_path", required=True, **INPUT_FILE,
+           help="Load series: ingest-style CSV or a forecast.csv.")
+    option("--gen", dest="gen_path", **INPUT_FILE,
+           help="Conventional generation series; zero when omitted.")
+    option("--res", dest="res_path", **INPUT_FILE,
+           help="Renewable generation series; zero when omitted.")
+    option("--kernel", dest="kernel_path", required=True, **INPUT_FILE,
+           help="Kernel configuration JSON.")
+    option("--storage", dest="storage_path", **INPUT_FILE,
+           help="StorageSpec JSON; defaults apply when omitted.")
+    option("--grid-n", type=int, help="Use only the first N+1 samples (default: all).")
+    option("--soc-efficiency", action="store_true",
+           help="Apply the charge/discharge efficiency asymmetry to the "
+                "stored-energy trajectory as well as the kernel.")
+    option("--timestamp-column", default="timestamp", help=SHOW_DEFAULT)
+    option("--value-column", default="value", help=SHOW_DEFAULT)
+    option("--out", dest="out_dir", required=True, type=Path,
+           help="Output directory for dispatch.csv and report.json.")
+
+    option = command("report", cmd_report)
+    option("--dispatch", dest="dispatch_paths", required=True, action="append", **INPUT_FILE,
+           help="dispatch.csv files to compare; repeatable.")
+    option("--out", dest="out_dir", required=True, type=Path,
+           help="Output directory for comparison.json and comparison.csv.")
+
+    options = vars(parser.parse_args(argv))
+    run = options.pop("command")
+    try:
+        run(**options)
+    except (DataError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        sys.exit(3)
 
 
 if __name__ == "__main__":

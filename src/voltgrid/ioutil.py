@@ -167,24 +167,44 @@ def read_columns(path, pick, *, fmt=None, exact=False, finite=False):
             {name: np.concatenate(parts) for name, parts in values.items()}, lines)
 
 
-def _cells(col: np.ndarray) -> list:
-    if col.dtype.kind == "M":
-        return iso_seconds(col)
-    if col.dtype.kind in "fiu":
-        return list(map(fmt12, col.tolist()))
-    return col.tolist()
+def _fits_template(block: list, cells: list) -> bool:
+    """Whether the row template writes this block's cells as fmt12 and
+    csv.writer would: no NaN (fmt12's empty cell), no text cell that
+    csv.writer quotes, and no column but numbers, datetimes and str."""
+    for col, column in zip(block, cells):
+        kind = col.dtype.kind
+        if kind == "f" and np.isnan(col).any():
+            return False
+        if kind == "U":
+            joined = "".join(column)
+            if any(c in joined for c in ',"\r\n') or (len(block) == 1 and "" in column):
+                return False
+        elif kind not in "fiuM":
+            return False
+    return True
 
 
 def write_csv(path, header, columns) -> None:
     """Write equal-length columns under ``header``: datetime64 columns as
     ISO seconds, numeric columns through fmt12, others as text. Rows are
-    formatted a block at a time, so memory does not grow with the file."""
+    formatted a block at a time, so memory does not grow with the file.
+    A block fills one row template, ``%.12g`` per numeric column and ``%s``
+    per other, unless _fits_template says otherwise; then each of its cells
+    goes through fmt12 and csv.writer."""
     columns = [np.asarray(col) for col in columns]
+    numeric = [col.dtype.kind in "fiu" for col in columns]
+    row = ",".join("%.12g" if number else "%s" for number in numeric) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for lo in range(0, len(columns[0]), WRITE_BLOCK):
-            writer.writerows(zip(*(_cells(col[lo:lo + WRITE_BLOCK]) for col in columns)))
+            block = [col[lo:lo + WRITE_BLOCK] for col in columns]
+            cells = [iso_seconds(col) if col.dtype.kind == "M" else col.tolist() for col in block]
+            if _fits_template(block, cells):
+                fh.write("".join(map(row.__mod__, zip(*cells))))
+            else:
+                writer.writerows(zip(*(list(map(fmt12, column)) if number else column
+                                       for column, number in zip(cells, numeric))))
 
 
 def read_json(path, what: str):

@@ -1,12 +1,19 @@
-"""Shared fixtures and the acceptance-summary hook."""
+"""Shared fixtures, the in-process CLI runner and the acceptance-summary hook."""
 
 import datetime as dt
+import io
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from voltgrid import ioutil
+from voltgrid.cli import main
 from voltgrid.timeseries import TimeSeries, align_hourly
 from voltgrid.volterra import kernel_from_config
 
@@ -23,6 +30,36 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 START = dt.datetime(2019, 1, 1)
+
+
+@dataclass
+class Result:
+    """One in-process CLI run: its exit code, what it printed to stdout
+    (``output``) and stderr, and the exception that ended it, if any."""
+
+    exit_code: int
+    output: str
+    stderr: str
+    exception: BaseException | None
+    exc_info: tuple | None
+
+
+def invoke(args, env=None) -> Result:
+    """Run ``voltgrid.cli.main(args)`` in-process with stdout and stderr
+    captured and ``env`` added to the environment. An exception other than
+    SystemExit is recorded and reported as exit 1, so a crash is not mistaken
+    for a usage error."""
+    out, err, exc_info = io.StringIO(), io.StringIO(), None
+    with mock.patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(err):
+        try:
+            main(args)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code or 0
+            exc_info = sys.exc_info() if code else None
+        except Exception:
+            code, exc_info = 1, sys.exc_info()
+    return Result(code, out.getvalue(), err.getvalue(), exc_info and exc_info[1], exc_info)
 
 
 def hourly(values, name="load", start=START):

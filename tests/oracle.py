@@ -23,6 +23,10 @@ alone, each value through ``parse_value``, then order, duplicates and the
 hourly grid checked on Python datetimes. ``voltgrid.timeseries`` converts
 whole columns to arrays and checks them there; the two share no conversion
 code.
+
+``write_csv_cells`` writes columns one cell at a time, each number through
+``fmt12`` and every row through ``csv.writer``; ``ioutil.write_csv`` fills
+whole blocks into a row template and must write the same bytes.
 """
 
 import csv
@@ -298,6 +302,17 @@ def grow_tree_bfs(X, y, *, rng=None, max_depth=None, min_child: int = 1,
 
 
 # --- CSV readers, one row at a time ------------------------------------------
+
+def write_csv_cells(path, header, columns):
+    """``ioutil.write_csv``'s output, one cell at a time."""
+    cells = [np.datetime_as_string(col, unit="s").tolist() if col.dtype.kind == "M"
+             else [fmt12(v) for v in col.tolist()] if col.dtype.kind in "fiu"
+             else col.tolist() for col in map(np.asarray, columns)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
+
 
 def read_rows(path):
     """Yield (1, header with stripped names), then (line number, cells) for

@@ -13,9 +13,7 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from voltgrid.cli import main
 from voltgrid.forecast.features import FeatureConfig, build_feature_matrix
 from voltgrid.forecast.metrics import compute_metrics
 from voltgrid.forecast.validation import block_cross_validate
@@ -23,7 +21,8 @@ from voltgrid.storage import StorageSpec, dispatch, sizing
 from voltgrid.timeseries import TimeSeries, align_hourly
 from voltgrid.volterra import Grid, forward_apply, kernel_from_config, solve_apf
 
-from conftest import ACCEPTANCE_LINES, hourly, identity_kernel, synthetic_load, two_band_kernel
+from conftest import (ACCEPTANCE_LINES, hourly, identity_kernel, invoke, synthetic_load,
+                      two_band_kernel)
 from oracle import estimate_order
 
 
@@ -224,7 +223,6 @@ class TestForecast:
 
 class TestPipeline:
     def run_pipeline(self, tmp_path, tag):
-        runner = CliRunner()
         root = tmp_path / tag
         root.mkdir()
         load = synthetic_load(1200)
@@ -248,7 +246,7 @@ class TestPipeline:
              "--out", str(root / "cmp")],
         ]
         for args in steps:
-            result = runner.invoke(main, args)
+            result = invoke(args)
             assert result.exit_code == 0, (args[0], result.output)
         artifacts = ["run/dataset.csv", "run/summary.json", "fc/forecast.csv",
                      "fc/metrics.json", "model.json", "disp/dispatch.csv",

@@ -1,6 +1,6 @@
 """The CLI contract under hostile input, for all four commands.
 
-Each command runs in-process through click's CliRunner on drawn CSV, kernel
+Each command runs in-process through ``conftest.invoke`` on drawn CSV, kernel
 and storage files of at most 60 data rows (forecast also gets a clean
 400-hour history ahead of its drawn rows, since its lags reach back a
 week). Every run must:
@@ -28,13 +28,13 @@ import traceback
 from pathlib import Path
 
 import numpy as np
-from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from voltgrid.cli import main
 from voltgrid.forecast.persist import load_model
 from voltgrid.storage import read_dispatch_csv
 from voltgrid.timeseries import read_frame_csv
+
+from conftest import invoke
 
 START = dt.datetime(2019, 1, 1)
 MAX_ROWS = 60
@@ -50,9 +50,15 @@ HOSTILE_CELLS = st.sampled_from([
 HOSTILE_STEPS = st.sampled_from([0, 3, -2, 0.5])
 
 
+@st.composite
 def rarely(draw, rare, common, odds=8):
     """A draw from ``rare`` one time in ``odds``, else from ``common``."""
     return draw(rare) if draw(st.integers(1, odds)) == 1 else draw(common)
+
+
+def sometimes(strategy):
+    """None or a draw from ``strategy``, for an input that may be left out."""
+    return st.none() | strategy
 
 
 def cells(draw, k, columns, level, hostile):
@@ -78,7 +84,7 @@ def rows(draw, columns, min_rows=1, start=START):
     hour, lines = 0, []
     for k in range(n):
         if k:
-            hour += rarely(draw, HOSTILE_STEPS, st.just(1)) if hostile_stamps else 1
+            hour += draw(rarely(HOSTILE_STEPS, st.just(1))) if hostile_stamps else 1
         stamp = (start + offset + dt.timedelta(hours=hour)).isoformat(sep=sep) + zone
         lines.append(",".join([stamp, *cells(draw, k, columns, level, hostile_cells)]))
     return lines
@@ -86,13 +92,14 @@ def rows(draw, columns, min_rows=1, start=START):
 
 @st.composite
 def series_text(draw, min_rows=1):
-    header = rarely(draw, st.sampled_from(["timestamp,value,value", "time,value"]),
-                    st.just("timestamp,value"), 20)
+    header = draw(rarely(st.sampled_from(["timestamp,value,value", "time,value"]),
+                         st.just("timestamp,value"), 20))
     return "\n".join([header, *draw(rows(1, min_rows))]) + "\n"
 
 
+UNIT_KERNEL = {"n": 1, "K": [{"type": "const", "value": 1.0}], "G": [{"type": "linear"}]}
 KERNELS = st.sampled_from([
-    {"n": 1, "K": [{"type": "const", "value": 1.0}], "G": [{"type": "linear"}]},
+    UNIT_KERNEL,
     {"n": 1, "K": [{"type": "exp_decay", "value": 0.92, "rate": 0.05}],
      "G": [{"type": "cubic", "a": 1.0, "b": 0.1}]},
     {"n": 2, "alphas": {"type": "proportional", "c": [0.5]},
@@ -117,10 +124,10 @@ BROKEN_STORAGES = st.sampled_from([
 ]).map(json.dumps) | st.just("[")
 
 
-def invoke(args, out: Path) -> bool:
+def run(args, out: Path) -> bool:
     """Run one command into ``out`` (which does not exist yet), check the
     exit-code contract, and say whether it succeeded."""
-    result = CliRunner().invoke(main, [*args, "--out", str(out)])
+    result = invoke([*args, "--out", str(out)])
     if result.exception is not None and not isinstance(result.exception, SystemExit):
         raise AssertionError("".join(traceback.format_exception(*result.exc_info)))
     assert result.exit_code in (0, 2, 3), result.output
@@ -153,21 +160,48 @@ def write(path: Path, text: str) -> str:
     return str(path)
 
 
+def pinned_loads(**others):
+    """Run the test on each of PINNED_LOADS as its load file, with ``others``
+    as its other arguments, whatever the derandomized draw reaches."""
+    def pin(test):
+        for load in PINNED_LOADS:
+            test = example(load=load, **others)(test)
+        return test
+    return pin
+
+
+def series_file(*cells, stamps=range(4)):
+    """A series CSV with one row per cell, at ``stamps`` hours from START."""
+    return "".join(["timestamp,value\n", *(
+        f"{(START + dt.timedelta(hours=h)).isoformat()},{cell}\n" for h, cell in zip(stamps, cells))])
+
+
+# one load file per hostile class, run every time: cells that overflow the
+# arithmetic, quoted cells (numbers, then one holding a comma), an off-grid
+# stamp and an infinite cell
+PINNED_LOADS = [
+    series_file("1.7e308", "-1.7e308", "1.7e308", "1"),
+    series_file('"12"', '"1.5e1"', '" 4 "', '"-3"'),
+    series_file("1", '"1,5"', "3", "4"),
+    series_file("1", "2", "3", "4", stamps=(0, 1, 1.5, 2.5)),
+    series_file("1", "inf", "3", "4"),
+]
+
+
 @CONTRACT
-@given(data=st.data())
-def test_ingest(data):
+@given(load=series_text(), gen=sometimes(series_text()), res=sometimes(series_text()),
+       temp=sometimes(series_text()),
+       holidays=sometimes(st.sampled_from(["2019-01-01\n", "# none\n\n", "2019-13-01\n"])))
+@pinned_loads(gen=None, res=None, temp=None, holidays=None)
+def test_ingest(load, gen, res, temp, holidays):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        args = ["ingest", "--load", write(tmp / "load.csv", data.draw(series_text()))]
-        for name in ("gen", "res"):
-            if data.draw(st.booleans()):
-                args += [f"--{name}", write(tmp / f"{name}.csv", data.draw(series_text()))]
-        for k in range(data.draw(st.integers(0, 1))):
-            args += ["--temp", write(tmp / f"t{k}.csv", data.draw(series_text()))]
-        if data.draw(st.booleans()):
-            days = data.draw(st.sampled_from(["2019-01-01\n", "# none\n\n", "2019-13-01\n"]))
-            args += ["--holidays", write(tmp / "holidays.txt", days)]
-        if not invoke(args, tmp / "out"):
+        args = ["ingest", "--load", write(tmp / "load.csv", load)]
+        for flag, name, text in (("--gen", "gen.csv", gen), ("--res", "res.csv", res),
+                                 ("--temp", "t0.csv", temp), ("--holidays", "holidays.txt", holidays)):
+            if text is not None:
+                args += [flag, write(tmp / name, text)]
+        if not run(args, tmp / "out"):
             return
         frame = read_frame_csv(tmp / "out" / "dataset.csv")
         summary = json.loads((tmp / "out" / "summary.json").read_text())
@@ -196,9 +230,9 @@ def test_forecast(data):
             args += ["--trees", "2"]
         model_path = None
         if data.draw(st.booleans()):  # one time in four into a missing directory
-            model_path = tmp / rarely(data.draw, st.just("missing"), st.just("."), 4) / "model.json"
+            model_path = tmp / data.draw(rarely(st.just("missing"), st.just("."), 4)) / "model.json"
             args += ["--save-model", str(model_path)]
-        if not invoke(args, tmp / "out"):
+        if not run(args, tmp / "out"):
             return
         if model_path:
             load_model(model_path)
@@ -212,24 +246,26 @@ def test_forecast(data):
 
 
 @CONTRACT
-@given(data=st.data())
-def test_dispatch(data):
+@given(load=series_text(3), kernel=rarely(BROKEN_KERNELS, KERNELS, 4),
+       gen=sometimes(series_text(3)), res=sometimes(series_text(3)),
+       storage=sometimes(rarely(BROKEN_STORAGES, STORAGES, 4)),
+       grid_n=sometimes(st.integers(1, MAX_ROWS)), soc_efficiency=st.booleans())
+@pinned_loads(kernel=json.dumps(UNIT_KERNEL), gen=None, res=None, storage=None, grid_n=None,
+              soc_efficiency=False)
+def test_dispatch(load, kernel, gen, res, storage, grid_n, soc_efficiency):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        kernel = rarely(data.draw, BROKEN_KERNELS, KERNELS, 4)
-        args = ["dispatch", "--load", write(tmp / "load.csv", data.draw(series_text(3))),
+        args = ["dispatch", "--load", write(tmp / "load.csv", load),
                 "--kernel", write(tmp / "kernel.json", kernel)]
-        for name in ("gen", "res"):
-            if data.draw(st.booleans()):
-                args += [f"--{name}", write(tmp / f"{name}.csv", data.draw(series_text(3)))]
-        if data.draw(st.booleans()):
-            storage = rarely(data.draw, BROKEN_STORAGES, STORAGES, 4)
-            args += ["--storage", write(tmp / "storage.json", storage)]
-        if data.draw(st.booleans()):
-            args += ["--grid-n", str(data.draw(st.integers(1, MAX_ROWS)))]
-        if data.draw(st.booleans()):
+        for flag, name, text in (("--gen", "gen.csv", gen), ("--res", "res.csv", res),
+                                 ("--storage", "storage.json", storage)):
+            if text is not None:
+                args += [flag, write(tmp / name, text)]
+        if grid_n is not None:
+            args += ["--grid-n", str(grid_n)]
+        if soc_efficiency:
             args.append("--soc-efficiency")
-        if not invoke(args, tmp / "out"):
+        if not run(args, tmp / "out"):
             return
         t, _, _, _ = read_dispatch_csv(tmp / "out" / "dispatch.csv")
         report = json.loads((tmp / "out" / "report.json").read_text())
@@ -247,13 +283,13 @@ def test_report(data):
         args = ["report"]
         for k in range(data.draw(st.integers(1, 3))):
             # most runs share one grid; one in four draws its own length
-            length = rarely(data.draw, st.integers(1, MAX_ROWS), st.just(n), 4)
+            length = data.draw(rarely(st.integers(1, MAX_ROWS), st.just(n), 4))
             level = data.draw(st.floats(-1e3, 1e3))
             hostile = data.draw(st.integers(1, 5)) == 1
             lines = [",".join([str(float(i)), *cells(data.draw, i, 3, level, hostile)])
                      for i in range(length)]
             args += ["--dispatch", write(tmp / f"run{k}.csv", "\n".join(["t,x,v,E", *lines]) + "\n")]
-        if not invoke(args, tmp / "out"):
+        if not run(args, tmp / "out"):
             return
         comparison = json.loads((tmp / "out" / "comparison.json").read_text())
         assert_numbers(comparison)

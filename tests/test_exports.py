@@ -19,15 +19,20 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CLI = ["voltgrid", "voltgrid.cli", "voltgrid.errors"]
 
 
-def loaded_modules(code, *args):
-    """Run ``code`` in a fresh interpreter with ``args`` as its arguments;
-    return its exit code and the numpy and voltgrid modules loaded by then."""
-    report = ("import atexit, sys; atexit.register(lambda: print(*sorted(m for m in "
-              "sys.modules if m.split('.')[0] in ('numpy', 'voltgrid')))); ")
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports voltgrid from ``src``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", report + code, *args], env=env,
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def loaded_modules(code, *args):
+    """Run ``code`` in a fresh interpreter with ``args`` as its arguments;
+    return its exit code and the click, numpy and voltgrid modules loaded by then."""
+    report = ("import atexit, sys; atexit.register(lambda: print(*sorted(m for m in "
+              "sys.modules if m.split('.')[0] in ('click', 'numpy', 'voltgrid')))); ")
+    proc = run_python(report + code, *args)
     return proc.returncode, proc.stdout.splitlines()[-1].split()
 
 
@@ -41,6 +46,12 @@ def test_package_import_loads_no_other_module():
 
 def test_cli_import_loads_no_numpy():
     assert loaded_modules("import voltgrid.cli") == (0, CLI)
+
+
+def test_cli_import_loads_only_the_stdlib():
+    code = ("import sys; before = set(sys.modules); import voltgrid.cli; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    assert set(run_python(code).stdout.split()) - sys.stdlib_module_names == {"voltgrid"}
 
 
 @pytest.mark.parametrize("args, code", [

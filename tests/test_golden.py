@@ -17,9 +17,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from click.testing import CliRunner
 
-from voltgrid.cli import main
+from conftest import invoke as invoke_cli
 
 N_HOURS = 600
 SEED = 11
@@ -107,10 +106,9 @@ def write_inputs(root: Path) -> None:
 def run_pipeline(root: Path) -> dict[str, str]:
     """Run every stage under ``root``; return {artifact: sha256}."""
     write_inputs(root)
-    runner = CliRunner()
 
     def invoke(*args):
-        result = runner.invoke(main, [str(a) for a in args])
+        result = invoke_cli([str(a) for a in args])
         assert result.exit_code == 0, (args, result.output)
 
     invoke("ingest", "--load", root / "load.csv", "--gen", root / "gen.csv",

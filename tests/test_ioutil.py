@@ -1,6 +1,7 @@
 """The shared file formats: CSV reading and writing, cells, JSON."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -122,6 +123,38 @@ def test_writer_formats_columns(tmp_path, monkeypatch, block):
     assert path.read_bytes() == (b"timestamp,name,value\r\n"
                                  b"2019-01-01T00:00:00,a,0.333333333333\r\n"
                                  b"2019-01-01T01:00:00,b,\r\n")
+
+
+_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 5e-324, 1 / 3,
+                           0.1 + 0.2, 1.7e308, -2.5]) | st.floats()
+_TEXTS = st.sampled_from(["", "a", "a,b", 'say "hi"', "two\nlines", "cr\r", "\r\n", " x "]) \
+    | st.text(alphabet='ab ,"\r\n\té', max_size=4)
+_COLUMNS = {
+    "float": lambda n: st.lists(_FLOATS, min_size=n, max_size=n).map(np.array),
+    "int": lambda n: st.lists(st.integers(-2**62, 2**62), min_size=n, max_size=n).map(np.array),
+    "text": lambda n: st.lists(_TEXTS, min_size=n, max_size=n).map(lambda v: np.array(v, str)),
+    "stamp": lambda n: st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n).map(
+        lambda h: np.datetime64("2019-01-01T00", "h") + np.array(h)),
+    # csv.writer writes None as an empty cell, the template as "None"
+    "object": lambda n: st.lists(st.none() | _TEXTS | st.booleans(), min_size=n, max_size=n).map(
+        lambda v: np.array(v, object)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_writer_template_matches_cell_by_cell(tmp_path_factory, data):
+    # blocks with a NaN or a quoted text cell go cell by cell, the others
+    # through the row template; either way the bytes are the reference's
+    n = data.draw(st.integers(1, 9))
+    kinds = data.draw(st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=1, max_size=4))
+    columns = [data.draw(_COLUMNS[kind](n)) for kind in kinds]
+    header = [f"c{k}" for k in range(len(columns))]
+    folder = tmp_path_factory.getbasetemp()
+    with mock.patch.object(ioutil, "WRITE_BLOCK", data.draw(st.sampled_from([1, 2, 4096]))):
+        write_csv(folder / "template.csv", header, columns)
+    oracle.write_csv_cells(folder / "cells.csv", header, columns)
+    assert (folder / "template.csv").read_bytes() == (folder / "cells.csv").read_bytes()
 
 
 @pytest.mark.parametrize("value, text", [
