@@ -224,7 +224,7 @@ def main(argv=None):
         """A subcommand that calls ``fn`` with its options; returns its add_argument."""
         sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__,
                                   allow_abbrev=False)
-        sub.set_defaults(command=fn)
+        sub.set_defaults(command=fn, parser=sub)
         return sub.add_argument
 
     option = command("ingest", cmd_ingest)
@@ -251,10 +251,8 @@ def main(argv=None):
     option("--tail", required=True, type=int,
            help="Held-out validation rows at the end of the frame.")
     option("--trees", type=int, help="Override the ensemble size (rf: 500, gbdt: 100).")
-    # a string default goes through _seed too, so a bad VOLTGRID_SEED exits 2
-    option("--seed", default=os.environ.get("VOLTGRID_SEED") or 0, type=_seed,
-           help="Master seed, a non-negative integer; VOLTGRID_SEED is used unless "
-                "--seed is given. " + SHOW_DEFAULT)
+    option("--seed", type=_seed,
+           help="Master seed, a non-negative integer (default: VOLTGRID_SEED, else 0).")
     option("--holidays", dest="holidays_path", **INPUT_FILE,
            help="Holiday calendar for the working-day feature.")
     option("--save-model", dest="model_path",
@@ -288,8 +286,16 @@ def main(argv=None):
     option("--out", dest="out_dir", required=True, type=Path,
            help="Output directory for comparison.json and comparison.csv.")
 
-    options = vars(parser.parse_args(argv))
-    run = options.pop("command")
+    namespace, unknown = parser.parse_known_args(argv)
+    options = vars(namespace)
+    run, usage = options.pop("command"), options.pop("parser")
+    if unknown:  # reported by the command's own parser, with its usage line
+        usage.error(f"unrecognized arguments: {' '.join(unknown)}")
+    if options.get("seed", 0) is None:  # forecast without --seed
+        try:
+            options["seed"] = _seed(os.environ.get("VOLTGRID_SEED") or "0")
+        except argparse.ArgumentTypeError as exc:
+            usage.error(f"VOLTGRID_SEED: {exc}")
     try:
         run(**options)
     except (DataError, OSError) as exc:

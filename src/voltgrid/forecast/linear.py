@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from .trees import _check_training_arrays, _params
+from .trees import _check_training_arrays, _params, _predict_input
 
 RIDGE = 1e-8  # the L2 penalty on the weights, there only for conditioning
 
@@ -36,9 +36,4 @@ class RidgeRegression:
         return self
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if not hasattr(self, "weights_"):
-            raise DataError("model is not fitted")
-        if X.shape[1] != self.n_features_:
-            raise DataError(f"expected {self.n_features_} features, got {X.shape[1]}")
-        return X @ self.weights_ + self.intercept_
+        return _predict_input(self, X) @ self.weights_ + self.intercept_

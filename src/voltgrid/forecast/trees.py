@@ -264,13 +264,19 @@ def _check_training_arrays(X, y):
     return X, y
 
 
-def _sum_trees(model, X) -> np.ndarray:
-    """Summed outputs of a fitted ensemble's trees over the rows of X."""
+def _predict_input(model, X) -> np.ndarray:
+    """X as floats, checked against a model that fit sets ``n_features_`` on last."""
     X = np.asarray(X, dtype=float)
-    if not hasattr(model, "trees_"):
+    if not hasattr(model, "n_features_"):
         raise DataError("model is not fitted")
     if X.shape[1] != model.n_features_:
         raise DataError(f"expected {model.n_features_} features, got {X.shape[1]}")
+    return X
+
+
+def _sum_trees(model, X) -> np.ndarray:
+    """Summed outputs of a fitted ensemble's trees over the rows of X."""
+    X = _predict_input(model, X)
     total = np.zeros(len(X))
     for tree in model.trees_:
         total += tree.predict(X)

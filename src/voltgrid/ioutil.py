@@ -7,6 +7,7 @@ import csv
 import json
 import math
 import numbers
+import re
 from datetime import datetime, timedelta, timezone
 from itertools import islice, repeat
 from operator import attrgetter, floordiv, itemgetter, sub
@@ -21,13 +22,15 @@ WRITE_BLOCK = 4096  # rows formatted at once by write_csv
 READ_BLOCK = 1024  # data rows tokenized and converted at once by read_columns
 _EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
+_QUOTED = re.compile('[,"\r\n]')  # the characters that make csv.writer quote a cell
 
 
 def fmt12(x: float) -> str:
     """Render a float with 12 significant digits.
 
-    Reruns must be byte-identical, so every number the package writes goes
-    through here. NaN renders as the empty string (the CSV missing marker).
+    Every number the package writes follows this rule, so reruns are
+    byte-identical: here, or as the ``%.12g`` of write_csv's row template and
+    of _json_values. NaN renders as the empty string (the CSV missing marker).
     """
     v = float(x)
     return "" if math.isnan(v) else f"{v:.12g}"
@@ -47,14 +50,11 @@ def naive_utc(ts: datetime) -> datetime:
 
 def _number(cell: str) -> float:
     try:
-        value = float(cell)
+        return float(cell)
     except ValueError:
         if cell.strip().lower() in NA_STRINGS:
             return math.nan
         raise
-    if math.isinf(value):  # inf, Infinity, or a number too large for a float
-        raise ValueError(f"infinite number {cell!r}")
-    return value
 
 
 def _stamp_column(cells: list, fmt: str | None) -> np.ndarray:
@@ -80,8 +80,8 @@ def _number_column(cells: list) -> np.ndarray:
     try:
         column = np.fromiter(map(float, cells), float, len(cells))
     except ValueError:  # an NA marker, or a bad cell
-        return np.fromiter(map(_number, cells), float, len(cells))
-    if np.isinf(column).any():
+        column = np.fromiter(map(_number, cells), float, len(cells))
+    if np.isinf(column).any():  # inf, Infinity, or a number too large for a float
         raise ValueError("infinite number")
     return column
 
@@ -100,22 +100,33 @@ def read_columns(path, pick, *, fmt=None, exact=False, finite=False):
     Returns the stamps (or None), the numeric columns by name and the line
     each data row starts on, in file order. An empty file, text that is not
     UTF-8 or a bad row raises the DataError of the first fault in the file:
-    should a block fail to convert, its rows are checked one at a time. A
+    should a block fail to convert, its rows are converted one at a time. A
     file with no data rows is a DataError too.
     """
-    def raise_first_bad_row(rows, lines):
-        for lineno, row in zip(lines, rows):
-            if len(row) != len(header) if exact else len(row) <= top:
-                raise DataError(f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}")
-            for name, column in index.items():  # the timestamp first
-                cell = row[column]
-                try:
-                    _stamp_column([cell], fmt) if name == stamp else _number(cell)
-                except (ValueError, OverflowError) as exc:
-                    fault = f"bad timestamp {cell!r}: {exc}" if name == stamp else f"bad value {cell!r}"
-                    raise DataError(f"{path}: line {lineno}: {fault}") from None
-            if finite and not all(math.isfinite(_number(row[index[name]])) for name in names):
-                raise DataError(f"{path}: line {lineno}: non-finite number in {row!r}")
+    def convert(rows):
+        """The rows' stamps, if picked, then their numeric columns. The width
+        rule, then each cell (the timestamp first), then the finiteness rule:
+        the first that fails raises a ValueError naming the fault, exactly so
+        for a single row."""
+        for width in set(map(len, rows)):
+            if width != len(header) if exact else width <= top:
+                raise ValueError(f"expected {len(header)} columns, got {width}")
+        columns = []
+        if stamp is not None:
+            cells = list(map(itemgetter(index[stamp]), rows))
+            try:
+                columns.append(_stamp_column(cells, fmt))
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"bad timestamp {cells[0]!r}: {exc}") from None
+        for name in names:
+            cells = list(map(itemgetter(index[name]), rows))
+            try:
+                columns.append(_number_column(cells))
+            except ValueError:
+                raise ValueError(f"bad value {cells[0]!r}") from None
+        if finite and not all(np.isfinite(column).all() for column in columns[stamp is not None:]):
+            raise ValueError(f"non-finite number in {rows[0]!r}")
+        return columns
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -131,7 +142,7 @@ def read_columns(path, pick, *, fmt=None, exact=False, finite=False):
             if header.count(name) > 1:
                 raise DataError(f"{path}: column {name!r} appears more than once in {header}")
         top = max(index.values())
-        stamps, values, lines, last = [], {name: [] for name in names}, [], -1
+        blocks, lines, last = [], [], -1
         while reader.line_num > last:  # until a block reads no line; the first always runs
             rows, at, last, unreadable = [], [], reader.line_num, None
             try:
@@ -145,66 +156,56 @@ def read_columns(path, pick, *, fmt=None, exact=False, finite=False):
                 # the rows read before the fault are checked first
                 unreadable = DataError(f"{path}: unreadable CSV: {exc}")
             try:
-                widths = set(map(len, rows))
-                if widths and (widths != {len(header)} if exact else min(widths) <= top):
-                    raise ValueError("row width")
-                if stamp is not None:
-                    stamps.append(_stamp_column(list(map(itemgetter(index[stamp]), rows)), fmt))
-                for name in names:
-                    values[name].append(_number_column(list(map(itemgetter(index[name]), rows))))
-                    if finite and not np.isfinite(values[name][-1]).all():
-                        raise ValueError("non-finite number")
-            except (ValueError, OverflowError):
-                raise_first_bad_row(rows, at)
-                raise  # should the row check find nothing, the block still fails
+                blocks.append(convert(rows))
+            except ValueError:
+                for lineno, row in zip(at, rows):
+                    try:
+                        convert([row])
+                    except ValueError as exc:
+                        raise DataError(f"{path}: line {lineno}: {exc}") from None
+                raise  # should no row fail alone, the block still fails
             if unreadable is not None:
                 raise unreadable
             lines.append(np.array(at, np.int64))
     lines = np.concatenate(lines)
     if not len(lines):
         raise DataError(f"{path}: no data rows")
-    return (None if stamp is None else np.concatenate(stamps),
-            {name: np.concatenate(parts) for name, parts in values.items()}, lines)
+    columns = [np.concatenate(parts) for parts in zip(*blocks)]
+    return columns.pop(0) if stamp is not None else None, dict(zip(names, columns)), lines
 
 
-def _fits_template(block: list, cells: list) -> bool:
-    """Whether the row template writes this block's cells as fmt12 and
-    csv.writer would: no NaN (fmt12's empty cell), no text cell that
-    csv.writer quotes, and no column but numbers, datetimes and str."""
-    for col, column in zip(block, cells):
-        kind = col.dtype.kind
-        if kind == "f" and np.isnan(col).any():
-            return False
-        if kind == "U":
-            joined = "".join(column)
-            if any(c in joined for c in ',"\r\n') or (len(block) == 1 and "" in column):
-                return False
-        elif kind not in "fiuM":
-            return False
-    return True
+def _csv_text(cells: list, lone: bool) -> list:
+    """Text cells as csv.writer writes them: a cell that holds ``,``, ``"``,
+    ``\\r`` or ``\\n`` goes in quotes with its quotes doubled, and so does an
+    empty cell when ``lone``, the one field of its row."""
+    if not (_QUOTED.search("".join(cells)) or lone and "" in cells):
+        return cells
+    return ['"' + cell.replace('"', '""') + '"' if _QUOTED.search(cell) or lone and not cell
+            else cell for cell in cells]
+
+
+def _block(col, lone: bool):
+    """A column block's field in the row template and the cells that fill it."""
+    kind = col.dtype.kind
+    if kind in "fiu" and not np.isnan(col).any():
+        return "%.12g", col.tolist()
+    if kind == "M":
+        return "%s", iso_seconds(col)
+    return "%s", _csv_text(list(map(fmt12, col.tolist())) if kind == "f" else col.tolist(), lone)
 
 
 def write_csv(path, header, columns) -> None:
-    """Write equal-length columns under ``header``: datetime64 columns as
-    ISO seconds, numeric columns through fmt12, others as text. Rows are
-    formatted a block at a time, so memory does not grow with the file.
-    A block fills one row template, ``%.12g`` per numeric column and ``%s``
-    per other, unless _fits_template says otherwise; then each of its cells
-    goes through fmt12 and csv.writer."""
+    """Write equal-length columns of numbers, datetimes or str under
+    ``header``. Each block of rows fills one row template, ``%.12g`` per numeric
+    column and ``%s`` per other: datetimes as ISO seconds, text quoted as
+    csv.writer quotes it, a float block with a NaN (the empty cell) via fmt12."""
     columns = [np.asarray(col) for col in columns]
-    numeric = [col.dtype.kind in "fiu" for col in columns]
-    row = ",".join("%.12g" if number else "%s" for number in numeric) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(_csv_text(list(header), len(header) == 1)) + "\r\n")
         for lo in range(0, len(columns[0]), WRITE_BLOCK):
-            block = [col[lo:lo + WRITE_BLOCK] for col in columns]
-            cells = [iso_seconds(col) if col.dtype.kind == "M" else col.tolist() for col in block]
-            if _fits_template(block, cells):
-                fh.write("".join(map(row.__mod__, zip(*cells))))
-            else:
-                writer.writerows(zip(*(list(map(fmt12, column)) if number else column
-                                       for column, number in zip(cells, numeric))))
+            specs, cells = zip(*(_block(col[lo:lo + WRITE_BLOCK], len(columns) == 1)
+                                 for col in columns))
+            fh.write("".join(map((",".join(specs) + "\r\n").__mod__, zip(*cells))))
 
 
 def read_json(path, what: str):

@@ -399,7 +399,7 @@ def solve_apf(kernel: KernelSpec, grid: Grid, f) -> SolveResult:
     # p*q > 0: x = 2*sqrt(q/3p)*sinh(asinh((3r/2q)*sqrt(3p/q))/3), the real
     # root without cancellation, then one Newton step
     polish = (p != 0.0) & (q != 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         span = np.where(polish, 2.0 * np.sqrt(q / (3.0 * p)), 0.0)
         gain = np.where(polish, 3.0 / (q * span), 0.0)
 
@@ -417,8 +417,11 @@ def solve_apf(kernel: KernelSpec, grid: Grid, f) -> SolveResult:
     # a lone infinite x_N would make the residual and its tolerance both inf
     if not np.all(np.isfinite(x)):
         raise SolverError("the march overflowed: x is not finite")
-    # forward_apply(x) - f from the same running sums
-    terms = march.own(x)
+    # forward_apply(x) - f from the same running sums; a finite x may overflow G
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = march.own(x)
+    if not np.all(np.isfinite(terms)):
+        raise SolverError("the march overflowed: G(x) is not finite")
     residual = float(np.max(np.abs(known + terms - f[1:])))
     # the residual is a difference of sums that grow with x, so rounding
     # scales with the largest own-cell term as well as with f

@@ -152,6 +152,37 @@ class TestIngest:
         assert f"error: {temp}: --temp file stem '{stem}' is reserved" in all_output(result)
         assert not (tmp_path / "run").exists()
 
+    def test_value_column_naming_the_timestamp_exit_2(self, tmp_path):
+        # the stamps read as numbers failed the block but no one-row check,
+        # so a bare ValueError escaped with exit 1
+        load = tmp_path / "load.csv"
+        write_series_csv(load, np.arange(24.0))
+        result = invoke(["ingest", "--load", str(load), "--value-column", "timestamp",
+                         "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2, all_output(result)
+        assert result.stderr == f"error: {load}: line 2: bad value '2019-01-01 00:00:00'\n"
+
+    def test_station_names_that_need_quotes_reach_forecast(self, tmp_path):
+        # the stems become header names that the writer must quote
+        write_series_csv(tmp_path / "load.csv", 100 + np.sin(np.arange(600.0)))
+        temps = [tmp_path / "a,b.csv", tmp_path / 'q"x.csv']
+        for k, temp in enumerate(temps):
+            write_series_csv(temp, k + np.cos(np.arange(600.0)))
+        runs = {"run": [arg for temp in temps for arg in ("--temp", str(temp))], "plain": []}
+        for out, stations in runs.items():
+            assert invoke(["ingest", "--load", str(tmp_path / "load.csv"), *stations,
+                           "--out", str(tmp_path / out)]).exit_code == 0
+            result = invoke(["forecast", "--data", str(tmp_path / out / "dataset.csv"),
+                             "--model", "lm", "--blocks", "2", "--tail", "48",
+                             "--save-model", str(tmp_path / f"{out}.json"),
+                             "--out", str(tmp_path / out / "fc")])
+            assert result.exit_code == 0, all_output(result)
+        with open(tmp_path / "run" / "dataset.csv", "rb") as fh:
+            assert fh.readline() == b'timestamp,load,"a,b","q""x"\r\n'
+        run, plain = (json.loads((tmp_path / f"{out}.json").read_text()) for out in ("run", "plain"))
+        assert run["feature_names"] == plain["feature_names"] + ["a,b", 'q"x']
+        assert run["n_features"] == plain["n_features"] + 2
+
     def test_file_for_several_series_is_read_once(self, tmp_path, opened):
         for name in ("data", "copy_a", "copy_b"):
             write_series_csv(tmp_path / f"{name}.csv", np.arange(24.0) + 1)
@@ -239,6 +270,11 @@ class TestForecast:
                        env={"VOLTGRID_SEED": "3"})
         assert r_mix.exit_code == 0, r_mix.output
         assert json.loads((tmp_path / "mix" / "metrics.json").read_text())["seed"] == 7
+        # the flag wins over a bad variable too, and an empty variable means 0
+        for out, env, seed in (("bad", "-3", ["--seed", "7"]), ("empty", "", [])):
+            result = invoke(base + [*seed, "--out", str(tmp_path / out)], env={"VOLTGRID_SEED": env})
+            assert result.exit_code == 0, all_output(result)
+        assert json.loads((tmp_path / "empty" / "metrics.json").read_text())["seed"] == 0
 
     @pytest.mark.parametrize("model", ["lm", "rf", "gbdt"])
     @pytest.mark.parametrize("flag, env", [(["--seed", "-1"], {}), ([], {"VOLTGRID_SEED": "-3"})])
@@ -249,7 +285,8 @@ class TestForecast:
             "--tail", "60", *flag, "--out", str(tmp_path / "fc"),
         ], env=env)
         assert result.exit_code == 2, all_output(result)
-        assert "argument --seed: " in all_output(result)
+        # the message names what the user set: the flag, or else the variable
+        assert f"error: {'argument --seed' if flag else 'VOLTGRID_SEED'}: " in all_output(result)
         assert "is not in the range x>=0" in all_output(result)
         assert not (tmp_path / "fc").exists()
 
@@ -732,7 +769,7 @@ USAGE_ERRORS = [
     (["ingest", "--out", "{out}"], {},
      "voltgrid ingest: error: the following arguments are required: --load"),
     (["ingest", "--load", "{load}", "--out", "{out}", "--bogus"], {},
-     "voltgrid: error: unrecognized arguments: --bogus"),
+     "voltgrid ingest: error: unrecognized arguments: --bogus"),
     (["forecast", "--data", "{load}", "--model", "xgb", "--tail", "1", "--out", "{out}"], {},
      "voltgrid forecast: error: argument --model: invalid choice: 'xgb'"),
     (["forecast", "--data", "{load}", "--model", "lm", "--tail", "abc", "--out", "{out}"], {},
@@ -746,10 +783,10 @@ USAGE_ERRORS = [
      "voltgrid forecast: error: argument --seed: -1 is not in the range x>=0"),
     (["forecast", "--data", "{load}", "--model", "lm", "--tail", "1", "--out", "{out}"],
      {"VOLTGRID_SEED": "-3"},
-     "voltgrid forecast: error: argument --seed: -3 is not in the range x>=0"),
+     "voltgrid forecast: error: VOLTGRID_SEED: -3 is not in the range x>=0"),
     (["forecast", "--data", "{load}", "--model", "lm", "--tail", "1", "--out", "{out}"],
      {"VOLTGRID_SEED": "abc"},
-     "voltgrid forecast: error: argument --seed: invalid int value: 'abc'"),
+     "voltgrid forecast: error: VOLTGRID_SEED: invalid int value: 'abc'"),
 ]
 
 

@@ -369,6 +369,25 @@ class TestSolveGates:
         with pytest.raises(SolverError, match="not finite"):
             solve_apf(kernel, grid, f)
 
+    @pytest.mark.parametrize("c, K, b, message", [
+        # x stays finite, but its cube does not
+        (0.78125, [{"type": "const", "value": 0.0}, {"type": "exp_decay", "value": 1.0, "rate": 1.0},
+          {"type": "const", "value": 0.00390625}], 1.0, r"G\(x\) is not finite"),
+        # q / 3p overflows for a subnormal cubic coefficient
+        (0.75, [{"type": "const", "value": 0.0}, {"type": "const", "value": 1.0},
+          {"type": "const", "value": -1.0}], -2.225073858507e-311, "x is not finite"),
+    ], ids=["cube-overflows", "subnormal-cubic"])
+    def test_overflow_in_a_cubic_band_is_solver_error(self, c, K, b, message):
+        # both escaped as numpy's overflow warning; the first then reported a
+        # residual of NaN
+        kernel = kernel_from_config({
+            "n": 3, "alphas": {"type": "proportional", "c": [0.5, c]}, "K": K,
+            "G": [{"type": "linear", "a": 0.0}, {"type": "cubic", "a": 0.0, "b": b},
+                  {"type": "linear", "a": 0.0}]})
+        grid = Grid(2.0, 8)
+        with pytest.raises(SolverError, match=message):
+            solve_apf(kernel, grid, grid.nodes())
+
     def test_cubic_residual_is_gated(self, monkeypatch):
         # the cubic step is gated too: a negative tolerance, which no
         # residual can meet, must fail the solve
