@@ -251,8 +251,8 @@ def main(argv=None):
     option("--tail", required=True, type=int,
            help="Held-out validation rows at the end of the frame.")
     option("--trees", type=int, help="Override the ensemble size (rf: 500, gbdt: 100).")
-    option("--seed", type=_seed,
-           help="Master seed, a non-negative integer (default: VOLTGRID_SEED, else 0).")
+    option("--seed", default=0, type=_seed,
+           help="Master seed, a non-negative integer. " + SHOW_DEFAULT)
     option("--holidays", dest="holidays_path", **INPUT_FILE,
            help="Holiday calendar for the working-day feature.")
     option("--save-model", dest="model_path",
@@ -291,11 +291,6 @@ def main(argv=None):
     run, usage = options.pop("command"), options.pop("parser")
     if unknown:  # reported by the command's own parser, with its usage line
         usage.error(f"unrecognized arguments: {' '.join(unknown)}")
-    if options.get("seed", 0) is None:  # forecast without --seed
-        try:
-            options["seed"] = _seed(os.environ.get("VOLTGRID_SEED") or "0")
-        except argparse.ArgumentTypeError as exc:
-            usage.error(f"VOLTGRID_SEED: {exc}")
     try:
         run(**options)
     except (DataError, OSError) as exc:

@@ -116,18 +116,15 @@ def _score_level(values, targets, weights, orders, starts, counts, cand, min_chi
     # within-node SSE drop, up to the constant total**2/w
     gain[at] = s_left * s_left / w_l + s_right * s_right / (w_node[at] - w_l)
 
-    # per node the best gain, then the lowest feature, then the lowest
-    # threshold
-    block_best = np.maximum.reduceat(gain, first)
+    # each node's cut is its first cell, feature-major, with the node's best
+    # gain: the lowest feature, then the lowest threshold
     by_feature = np.full(cand.shape, -np.inf)
-    by_feature[bf, bn] = block_best
+    by_feature[bf, bn] = np.maximum.reduceat(gain, first)
     best = by_feature.max(axis=0)
     split = best > -np.inf
-    best_f = np.argmax(by_feature == best, axis=0)
-    chosen = (bf == best_f[bn]) & split[bn]
-    hits = np.flatnonzero((gain == block_best[blk]) & chosen[blk])
-    # a node's hits all lie in its chosen block: its first hit is the cut
-    cut = hits[np.unique(bn[blk[hits]], return_index=True)[1]]
+    node = bn[blk]
+    hits = np.flatnonzero((gain == best[node]) & split[node])
+    cut = hits[np.unique(node[hits], return_index=True)[1]]
     lo, hi = v[cut], v[cut + 1]
     # the midpoint, unless it rounds onto hi (adjacent floats) or overflows
     with np.errstate(over="ignore"):
@@ -174,30 +171,14 @@ def _restrict(order, keep) -> np.ndarray:
     return rank[order[keep[order]].reshape(len(order), -1)]
 
 
-def grow_tree(X, y, *, rng=None, max_depth=None, min_child: int = 1,
-              mtry=None) -> RegressionTree:
-    """Greedy variance-reduction tree, grown one depth level at a time.
-
-    ``min_child`` is the smallest sample count allowed in a child node;
-    ``mtry`` draws that many feature candidates per node without replacement
-    (all features when None). Nodes are numbered in level order.
-    """
-    n, p = X.shape
-    if n < 1:
-        raise DataError("cannot grow a tree on zero rows")
-    if mtry is not None and not 1 <= mtry <= p:
-        raise DataError(f"mtry must be in [1, {p}], got {mtry}")
-    if min_child < 1:
-        raise DataError(f"min_child must be >= 1, got {min_child}")
-    return _grow(X, _presort(X), y, None, rng, max_depth, min_child, mtry)
-
-
 def _grow(X, order, y, weight, rng, max_depth, min_child, mtry) -> RegressionTree:
-    """``grow_tree`` on checked arguments, with X's presort ``order``.
-
-    ``weight`` gives each row a positive integer count, or is None for unit
-    weights: a row of weight w grows the same tree as w copies of it, and
-    ``min_child`` counts weight.
+    """Greedy variance-reduction tree on X (presorted as ``order``), grown a
+    depth level at a time to ``max_depth`` (None: no cap); nodes are numbered
+    in level order. ``weight`` gives each row a positive integer count (None:
+    unit weights); a row of weight w grows the same tree as w copies of it.
+    ``min_child`` >= 1 is the least weight a child may hold; ``mtry`` draws
+    that many of the p features per node from ``rng`` without replacement,
+    all p when None.
     """
     n, p = X.shape
     depth_cap = _NO_DEPTH_CAP if max_depth is None else max_depth

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import signal
@@ -42,8 +43,10 @@ def mae_by_group(predicted, actual, groups, n_groups: int) -> list:
 
 
 def _available_cores() -> int:
-    """CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
+    """CPUs this process may run on; 1 (fit serially) where fork or CPU
+    affinity is missing, as on macOS and Windows."""
+    needs = ("fork", "sched_getaffinity", "sched_setaffinity")
+    return len(os.sched_getaffinity(0)) if all(hasattr(os, n) for n in needs) else 1
 
 
 def _fit_and_predict(X, y, model_name, params, seed, train_mask, test_mask):
@@ -67,15 +70,19 @@ def _deal(jobs: list, workers: int) -> list:
     return shares
 
 
-def _child(X, y, jobs: list, write_end: int, inherited: tuple):
-    """A forked worker's whole life: close the ``inherited`` read ends, run
-    its jobs, pickle the results (or the exception that stopped them) into
-    ``write_end``, exit."""
+def _child(X, y, jobs: list, worker: int, write_end: int, inherited: tuple):
+    """A forked worker's whole life: close the ``inherited`` read ends, pin
+    itself to one CPU, run its jobs, pickle the results (or the exception
+    that stopped them) into ``write_end``, exit."""
     status = 1
     try:
         # no read end stays open here, so once the parent is gone the write fails
         for fd in inherited:
             os.close(fd)
+        # best effort: worker k takes the k-th CPU, so no two fits share one
+        with contextlib.suppress(OSError):
+            cpus = sorted(os.sched_getaffinity(0))
+            os.sched_setaffinity(0, [cpus[worker % len(cpus)]])
         try:
             outcome = [_fit_and_predict(X, y, *job) for job in jobs]
         except Exception as exc:  # the parent raises it
@@ -107,7 +114,7 @@ def _run_jobs(X, y, jobs: list, workers: int) -> list:
     results = [None] * len(jobs)
     children = []  # (pid, read end of its pipe, its share), not yet reaped
     try:
-        for share in _deal(jobs, workers):
+        for worker, share in enumerate(_deal(jobs, workers)):
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -116,7 +123,7 @@ def _run_jobs(X, y, jobs: list, workers: int) -> list:
                 os.close(write_end)
                 raise
             if pid == 0:
-                _child(X, y, [jobs[i] for i in share], write_end,
+                _child(X, y, [jobs[i] for i in share], worker, write_end,
                        (read_end, *(pipe.fileno() for _, pipe, _ in children)))
             os.close(write_end)
             children.append((pid, open(read_end, "rb"), share))

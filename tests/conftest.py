@@ -2,20 +2,24 @@
 
 import datetime as dt
 import io
-import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from voltgrid import ioutil
 from voltgrid.cli import main
 from voltgrid.timeseries import TimeSeries, align_hourly
 from voltgrid.volterra import kernel_from_config
+
+# every property test draws the same examples on every run, and none are
+# saved to replay, so a tier-1 run depends on the code alone
+settings.register_profile("voltgrid", derandomize=True, database=None)
+settings.load_profile("voltgrid")
 
 # One line per acceptance criterion, echoed after the normal pytest summary
 # so the pass/fail verdicts are visible without -s.
@@ -44,13 +48,12 @@ class Result:
     exc_info: tuple | None
 
 
-def invoke(args, env=None) -> Result:
+def invoke(args) -> Result:
     """Run ``voltgrid.cli.main(args)`` in-process with stdout and stderr
-    captured and ``env`` added to the environment. An exception other than
-    SystemExit is recorded and reported as exit 1, so a crash is not mistaken
-    for a usage error."""
+    captured. An exception other than SystemExit is recorded and reported as
+    exit 1, so a crash is not mistaken for a usage error."""
     out, err, exc_info = io.StringIO(), io.StringIO(), None
-    with mock.patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err):
         try:
             main(args)
             code = 0

@@ -254,40 +254,15 @@ class TestForecast:
             b = (tmp_path / "fc2" / name).read_bytes()
             assert a == b
 
-    def test_seed_env_var_and_flag(self, tmp_path):
-        rng = np.random.default_rng(2)
-        data = make_dataset(tmp_path, 100 + rng.normal(0, 5, 1200))
-        base = ["forecast", "--data", str(data), "--model", "rf", "--trees", "3",
-                "--blocks", "2", "--tail", "60"]
-        r_env = invoke(base + ["--out", str(tmp_path / "env")], env={"VOLTGRID_SEED": "7"})
-        assert r_env.exit_code == 0, r_env.output
-        r_flag = invoke(base + ["--seed", "7", "--out", str(tmp_path / "flag")])
-        assert r_flag.exit_code == 0, r_flag.output
-        assert ((tmp_path / "env" / "forecast.csv").read_bytes()
-                == (tmp_path / "flag" / "forecast.csv").read_bytes())
-        # explicit flag beats the environment
-        r_mix = invoke(base + ["--seed", "7", "--out", str(tmp_path / "mix")],
-                       env={"VOLTGRID_SEED": "3"})
-        assert r_mix.exit_code == 0, r_mix.output
-        assert json.loads((tmp_path / "mix" / "metrics.json").read_text())["seed"] == 7
-        # the flag wins over a bad variable too, and an empty variable means 0
-        for out, env, seed in (("bad", "-3", ["--seed", "7"]), ("empty", "", [])):
-            result = invoke(base + [*seed, "--out", str(tmp_path / out)], env={"VOLTGRID_SEED": env})
-            assert result.exit_code == 0, all_output(result)
-        assert json.loads((tmp_path / "empty" / "metrics.json").read_text())["seed"] == 0
-
     @pytest.mark.parametrize("model", ["lm", "rf", "gbdt"])
-    @pytest.mark.parametrize("flag, env", [(["--seed", "-1"], {}), ([], {"VOLTGRID_SEED": "-3"})])
-    def test_negative_seed_exit_2(self, tmp_path, model, flag, env):
+    def test_negative_seed_exit_2(self, tmp_path, model):
         data = make_dataset(tmp_path, np.full(1200, 100.0))
         result = invoke([
             "forecast", "--data", str(data), "--model", model, "--blocks", "2",
-            "--tail", "60", *flag, "--out", str(tmp_path / "fc"),
-        ], env=env)
+            "--tail", "60", "--seed", "-1", "--out", str(tmp_path / "fc"),
+        ])
         assert result.exit_code == 2, all_output(result)
-        # the message names what the user set: the flag, or else the variable
-        assert f"error: {'argument --seed' if flag else 'VOLTGRID_SEED'}: " in all_output(result)
-        assert "is not in the range x>=0" in all_output(result)
+        assert "error: argument --seed: -1 is not in the range x>=0" in all_output(result)
         assert not (tmp_path / "fc").exists()
 
     def test_trees_flag_rejected_for_lm(self, tmp_path):
@@ -765,38 +740,32 @@ class TestExitCodes:
 
 
 USAGE_ERRORS = [
-    (["unknown"], {}, "voltgrid: error: argument COMMAND: invalid choice: 'unknown'"),
-    (["ingest", "--out", "{out}"], {},
+    (["unknown"], "voltgrid: error: argument COMMAND: invalid choice: 'unknown'"),
+    (["ingest", "--out", "{out}"],
      "voltgrid ingest: error: the following arguments are required: --load"),
-    (["ingest", "--load", "{load}", "--out", "{out}", "--bogus"], {},
+    (["ingest", "--load", "{load}", "--out", "{out}", "--bogus"],
      "voltgrid ingest: error: unrecognized arguments: --bogus"),
-    (["forecast", "--data", "{load}", "--model", "xgb", "--tail", "1", "--out", "{out}"], {},
+    (["forecast", "--data", "{load}", "--model", "xgb", "--tail", "1", "--out", "{out}"],
      "voltgrid forecast: error: argument --model: invalid choice: 'xgb'"),
-    (["forecast", "--data", "{load}", "--model", "lm", "--tail", "abc", "--out", "{out}"], {},
+    (["forecast", "--data", "{load}", "--model", "lm", "--tail", "abc", "--out", "{out}"],
      "voltgrid forecast: error: argument --tail: invalid int value: 'abc'"),
-    (["ingest", "--load", "{tmp}/missing.csv", "--out", "{out}"], {},
+    (["ingest", "--load", "{tmp}/missing.csv", "--out", "{out}"],
      "voltgrid ingest: error: argument --load: file '{tmp}/missing.csv' does not exist"),
-    (["dispatch", "--load", "{load}", "--kernel", "{tmp}", "--out", "{out}"], {},
+    (["dispatch", "--load", "{load}", "--kernel", "{tmp}", "--out", "{out}"],
      "voltgrid dispatch: error: argument --kernel: file '{tmp}' is a directory"),
     (["forecast", "--data", "{load}", "--model", "lm", "--tail", "1", "--seed", "-1",
-      "--out", "{out}"], {},
+      "--out", "{out}"],
      "voltgrid forecast: error: argument --seed: -1 is not in the range x>=0"),
-    (["forecast", "--data", "{load}", "--model", "lm", "--tail", "1", "--out", "{out}"],
-     {"VOLTGRID_SEED": "-3"},
-     "voltgrid forecast: error: VOLTGRID_SEED: -3 is not in the range x>=0"),
-    (["forecast", "--data", "{load}", "--model", "lm", "--tail", "1", "--out", "{out}"],
-     {"VOLTGRID_SEED": "abc"},
-     "voltgrid forecast: error: VOLTGRID_SEED: invalid int value: 'abc'"),
 ]
 
 
-@pytest.mark.parametrize("args, env, message", USAGE_ERRORS, ids=[
+@pytest.mark.parametrize("args, message", USAGE_ERRORS, ids=[
     "unknown-command", "missing-load", "unknown-option", "model-xgb", "tail-abc",
-    "missing-file", "directory-kernel", "seed-negative", "env-seed-negative", "env-seed-abc"])
-def test_usage_error_exit_2(tmp_path, args, env, message):
+    "missing-file", "directory-kernel", "seed-negative"])
+def test_usage_error_exit_2(tmp_path, args, message):
     write_series_csv(tmp_path / "load.csv", np.arange(24.0))
     paths = {"tmp": tmp_path, "load": tmp_path / "load.csv", "out": tmp_path / "out"}
-    result = invoke([arg.format(**paths) for arg in args], env=env)
+    result = invoke([arg.format(**paths) for arg in args])
     assert result.exit_code == 2, all_output(result)
     assert result.stderr.startswith("usage: voltgrid")
     assert message.format(**paths) in result.stderr.splitlines()[-1]

@@ -39,7 +39,7 @@ from conftest import invoke
 START = dt.datetime(2019, 1, 1)
 MAX_ROWS = 60
 HISTORY = 400  # forecast's clean hours: lags reach back a week, and block 0 needs rows
-CONTRACT = settings(derandomize=True, deadline=None, max_examples=80)
+CONTRACT = settings(deadline=None, max_examples=80)
 
 # half the draws spell an infinity, so a run that lets one through is likely
 # to end in a successful ingest that the dataset check catches

@@ -12,10 +12,15 @@ from voltgrid.errors import DataError
 from voltgrid.forecast.linear import RidgeRegression
 from voltgrid.forecast.persist import FORMAT, load_model, model_from_dict, model_to_dict, save_model
 from voltgrid.forecast.trees import (GradientBoostedTrees, RandomForest, RegressionTree, _grow,
-                                     _presort, _restrict, grow_tree)
+                                     _presort, _restrict)
 from voltgrid.forecast.validation import make_model
 
 from oracle import grow_tree_bfs, grow_tree_dfs
+
+
+def grow(X, y, *, rng=None, max_depth=None, min_child=1, mtry=None) -> RegressionTree:
+    """One unit-weight tree through ``_grow``, as the ensembles grow theirs."""
+    return _grow(X, _presort(X), y, None, rng, max_depth, min_child, mtry)
 
 
 def linear_data(n=200, p=5, noise=0.0, seed=1):
@@ -52,13 +57,13 @@ class TestSingleTree:
     def test_fits_step_function_exactly(self):
         X = np.linspace(0.0, 1.0, 64).reshape(-1, 1)
         y = np.where(X[:, 0] < 0.5, -1.0, 2.0)
-        tree = grow_tree(X, y, min_child=1)
+        tree = grow(X, y, min_child=1)
         np.testing.assert_array_equal(tree.predict(X), y)
         assert tree.n_leaves == 2
 
     def test_constant_target_is_single_leaf(self):
         X = np.random.default_rng(2).normal(size=(40, 3))
-        tree = grow_tree(X, np.full(40, 5.0))
+        tree = grow(X, np.full(40, 5.0))
         assert tree.n_nodes == 1
         np.testing.assert_array_equal(tree.predict(X), np.full(40, 5.0))
 
@@ -66,7 +71,7 @@ class TestSingleTree:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(50, 2))
         y = rng.normal(size=50)
-        tree = grow_tree(X, y, min_child=10)
+        tree = grow(X, y, min_child=10)
         # count samples reaching each leaf
         node = np.zeros(len(X), dtype=np.int64)
         active = tree.feature[node] >= 0
@@ -83,17 +88,8 @@ class TestSingleTree:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(200, 1))
         y = rng.normal(size=200)
-        tree = grow_tree(X, y, max_depth=1, min_child=1)
+        tree = grow(X, y, max_depth=1, min_child=1)
         assert tree.n_leaves <= 2
-
-    def test_zero_rows_rejected(self):
-        with pytest.raises(DataError, match="zero rows"):
-            grow_tree(np.zeros((0, 3)), np.zeros(0))
-
-    def test_min_child_must_be_positive(self):
-        # a zero min_child admitted the empty right side at a node's end
-        with pytest.raises(DataError, match="min_child"):
-            grow_tree(np.arange(4.0).reshape(-1, 1), np.arange(4.0), min_child=0)
 
     @pytest.mark.parametrize("lo, hi", [
         (1 + 2**-52, 1 + 2**-51),  # the midpoint rounds onto hi
@@ -105,7 +101,7 @@ class TestSingleTree:
         y = np.array([0.0, 0.0, 10.0, 10.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tree = grow_tree(X, y)
+            tree = grow(X, y)
         assert lo <= tree.threshold[0] < hi
         np.testing.assert_array_equal(tree.predict(X), y)
         # a non-finite threshold made a model document that load_model rejects
@@ -119,7 +115,7 @@ class TestSingleTree:
         base = np.array([0.0, 0.0, 1.0, 1.0])
         X = np.column_stack([base, base])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        tree = grow_tree(X, y, min_child=1)
+        tree = grow(X, y, min_child=1)
         assert tree.feature[0] == 0
 
     def test_mirrored_column_ties_exactly(self):
@@ -129,13 +125,13 @@ class TestSingleTree:
             rng = np.random.default_rng(seed)
             x = rng.permutation(64).astype(float)
             y = rng.normal(0.0, 1000.0, 64)
-            tree = grow_tree(np.column_stack([x, -x]), y, max_depth=1)
+            tree = grow(np.column_stack([x, -x]), y, max_depth=1)
             assert tree.feature[0] == 0, seed
 
     def test_dict_roundtrip(self):
         X = np.linspace(0.0, 1.0, 32).reshape(-1, 1)
         y = np.sin(6 * X[:, 0])
-        tree = grow_tree(X, y, min_child=4)
+        tree = grow(X, y, min_child=4)
         clone = RegressionTree(**tree.to_dict())
         np.testing.assert_array_equal(clone.predict(X), tree.predict(X))
 
@@ -171,7 +167,7 @@ class TestLevelWiseGrowth:
     @given(tree_problems())
     def test_matches_depth_first_oracle(self, problem):
         X, y, max_depth, min_child, _ = problem
-        new = grow_tree(X, y, max_depth=max_depth, min_child=min_child)
+        new = grow(X, y, max_depth=max_depth, min_child=min_child)
         old = grow_tree_dfs(X, y, max_depth=max_depth, min_child=min_child)
         assert new.n_nodes == old.n_nodes
         assert splits(new) == splits(old)
@@ -182,8 +178,8 @@ class TestLevelWiseGrowth:
     @given(tree_problems(), st.integers(0, 2**32 - 1))
     def test_matches_level_order_oracle_with_sampled_features(self, problem, seed):
         X, y, max_depth, min_child, mtry = problem
-        new = grow_tree(X, y, rng=np.random.default_rng(seed), max_depth=max_depth,
-                        min_child=min_child, mtry=mtry)
+        new = grow(X, y, rng=np.random.default_rng(seed), max_depth=max_depth,
+                   min_child=min_child, mtry=mtry)
         ref = grow_tree_bfs(X, y, rng=np.random.default_rng(seed), max_depth=max_depth,
                             min_child=min_child, mtry=mtry)
         assert new.to_dict() == ref.to_dict()
@@ -198,8 +194,8 @@ class TestLevelWiseGrowth:
         sample = np.random.default_rng(seed).integers(0, n, size=n)
         count = np.bincount(sample, minlength=n)
         seen = count > 0
-        copies = grow_tree(X[sample], y[sample], rng=np.random.default_rng(seed),
-                           max_depth=max_depth, min_child=min_child, mtry=mtry)
+        copies = grow(X[sample], y[sample], rng=np.random.default_rng(seed),
+                      max_depth=max_depth, min_child=min_child, mtry=mtry)
         weighted = _grow(X[seen], _presort(X[seen]), y[seen], count[seen],
                          np.random.default_rng(seed), max_depth, min_child, mtry)
         assert weighted.to_dict() == copies.to_dict()
@@ -347,7 +343,7 @@ class TestPersistence:
         X = rng.integers(0, 6, size=(200, 4)).astype(float)
         y = rng.integers(-50, 51, size=200).astype(float)
         old = grow_tree_dfs(X, y, min_child=3)
-        new = grow_tree(X, y, min_child=3)
+        new = grow(X, y, min_child=3)
         assert old.to_dict() != new.to_dict()
         doc = {"format": FORMAT, "kind": "rf", "params": RandomForest(n_trees=1).get_params(),
                "trees": [old.to_dict()], "n_features": 4}

@@ -154,6 +154,37 @@ class TestSchedule:
                                  params={"n_trees": 2})
         assert_no_children()
 
+    def test_each_worker_runs_on_a_cpu_of_its_own(self, monkeypatch):
+        mine = os.sched_getaffinity(0)
+        if len(mine) < 2:
+            pytest.skip("needs two CPUs")
+        monkeypatch.setattr(validation, "_fit_and_predict", lambda *job: os.sched_getaffinity(0))
+        jobs = [(None, None, 0, np.ones(4, dtype=bool), None)] * 2
+        first, second = validation._run_jobs(np.zeros((4, 1)), np.zeros(4), jobs, 2)
+        assert len(first) == len(second) == 1 and first != second
+        assert first | second <= mine
+        assert os.sched_getaffinity(0) == mine  # only the children are pinned
+        assert_no_children()
+
+    def test_without_cpu_affinity_the_fits_run_serially(self, frame, monkeypatch):
+        def report():
+            return block_cross_validate("rf", frame, n_blocks=3, validation_tail=100,
+                                        params={"n_trees": 3}, seed=5)
+
+        monkeypatch.setattr(validation, "_available_cores", lambda: 2)
+        forked = report()
+        monkeypatch.undo()
+        workers = []
+        run_jobs = validation._run_jobs
+        monkeypatch.setattr(validation, "_run_jobs",
+                            lambda X, y, jobs, n: workers.append(n) or run_jobs(X, y, jobs, n))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        serial = report()
+        assert workers == [1]
+        assert serial.as_dict() == forked.as_dict()
+        np.testing.assert_array_equal(serial.predicted, forked.predicted)
+        assert model_to_dict(serial.final_model) == model_to_dict(forked.final_model)
+
     def test_workers_never_exceed_the_cores(self, frame, monkeypatch):
         seen = []
         run_jobs = validation._run_jobs
