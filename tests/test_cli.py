@@ -254,6 +254,40 @@ class TestForecast:
             b = (tmp_path / "fc2" / name).read_bytes()
             assert a == b
 
+    @pytest.mark.parametrize("value", ["7", "-3", "abc"])
+    def test_seed_env_var_is_ignored(self, tmp_path, monkeypatch, value):
+        # --seed is the seed's only source: a set VOLTGRID_SEED, valid or not,
+        # neither seeds a run nor fails one
+        rng = np.random.default_rng(2)
+        data = make_dataset(tmp_path, 100 + rng.normal(0, 5, 1200))
+        base = ["forecast", "--data", str(data), "--model", "rf", "--trees", "3",
+                "--blocks", "2", "--tail", "60"]
+        plain = invoke(base + ["--out", str(tmp_path / "plain")])
+        assert plain.exit_code == 0, all_output(plain)
+        monkeypatch.setenv("VOLTGRID_SEED", value)
+        for out, flag, seed in (("env", [], 0), ("flag", ["--seed", "7"], 7)):
+            result = invoke(base + [*flag, "--out", str(tmp_path / out)])
+            assert result.exit_code == 0, all_output(result)
+            assert json.loads((tmp_path / out / "metrics.json").read_text())["seed"] == seed
+        assert ((tmp_path / "env" / "forecast.csv").read_bytes()
+                == (tmp_path / "plain" / "forecast.csv").read_bytes())
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity", "sched_setaffinity"])
+    def test_fits_serially_without_fork_or_cpu_affinity(self, tmp_path, monkeypatch, missing):
+        # as on macOS and Windows: the forest fits in-process, with the same bytes
+        data = make_dataset(tmp_path, 100 + np.random.default_rng(3).normal(0, 5, 1200))
+        base = ["forecast", "--data", str(data), "--model", "rf", "--trees", "3",
+                "--blocks", "2", "--tail", "60", "--seed", "4"]
+        forked = invoke(base + ["--out", str(tmp_path / "forked")])
+        assert forked.exit_code == 0, all_output(forked)
+        monkeypatch.delattr(os, missing)
+        serial = invoke(base + ["--out", str(tmp_path / "serial")])
+        assert serial.exit_code == 0, all_output(serial)
+        assert "Traceback" not in all_output(serial)
+        for name in ("forecast.csv", "metrics.json"):
+            assert ((tmp_path / "serial" / name).read_bytes()
+                    == (tmp_path / "forked" / name).read_bytes())
+
     @pytest.mark.parametrize("model", ["lm", "rf", "gbdt"])
     def test_negative_seed_exit_2(self, tmp_path, model):
         data = make_dataset(tmp_path, np.full(1200, 100.0))

@@ -290,6 +290,11 @@ class TestTrainingInput:
         with pytest.raises(DataError, match="non-finite"):
             make_model(name).fit(X, y)
 
+    @pytest.mark.parametrize("name", ["lm", "rf", "gbdt"])
+    def test_zero_rows_rejected(self, name):
+        with pytest.raises(DataError, match="need at least .* got 0"):
+            make_model(name).fit(np.zeros((0, 5)), np.zeros(0))
+
 
 # a root split on feature 0 with two leaves
 STUMP = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
