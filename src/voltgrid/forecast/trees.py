@@ -171,14 +171,16 @@ def _restrict(order, keep) -> np.ndarray:
     return rank[order[keep[order]].reshape(len(order), -1)]
 
 
-def _grow(X, order, y, weight, rng, max_depth, min_child, mtry) -> RegressionTree:
+def _grow(X, order, y, weight, rng, max_depth, min_child, mtry) -> tuple:
     """Greedy variance-reduction tree on X (presorted as ``order``), grown a
     depth level at a time to ``max_depth`` (None: no cap); nodes are numbered
     in level order. ``weight`` gives each row a positive integer count (None:
     unit weights); a row of weight w grows the same tree as w copies of it.
     ``min_child`` >= 1 is the least weight a child may hold; ``mtry`` draws
     that many of the p features per node from ``rng`` without replacement,
-    all p when None.
+    all p when None. Returns the tree and the leaf each row of X ended in,
+    which is the leaf the tree routes that row to, as every threshold lies
+    between the two values it separates.
     """
     n, p = X.shape
     depth_cap = _NO_DEPTH_CAP if max_depth is None else max_depth
@@ -195,12 +197,14 @@ def _grow(X, order, y, weight, rng, max_depth, min_child, mtry) -> RegressionTre
         targets, weights = np.tile(q * weight, p), np.tile(weight, p)
     starts, counts = np.zeros(1, dtype=np.int64), np.array([n])
     levels = []
+    leaf = np.empty(n, dtype=np.int64)
     n_nodes = 0
     for depth in range(depth_cap + 1):
         n_live = len(counts)
-        n_nodes += n_live
         seg = np.repeat(np.arange(n_live), counts)
         rows = orders[0]  # feature 0's flat indices are the row numbers
+        leaf[rows] = n_nodes + seg  # until a deeper level splits the node
+        n_nodes += n_live
         y0 = q[rows]
         mass = counts if weight is None else np.add.reduceat(weight[rows], starts)
         feature, left = np.full((2, n_live), -1, dtype=np.int64)
@@ -226,7 +230,7 @@ def _grow(X, order, y, weight, rng, max_depth, min_child, mtry) -> RegressionTre
         left[split] = n_nodes + 2 * np.arange(len(f))
         orders, starts, counts = _partition(orders, seg, counts, split, f, n_left, n)
     feature, threshold, left, value = (np.concatenate(c) for c in zip(*levels))
-    return RegressionTree(feature, threshold, left, np.where(left < 0, -1, left + 1), value)
+    return RegressionTree(feature, threshold, left, np.where(left < 0, -1, left + 1), value), leaf
 
 
 def _params(model) -> dict:
@@ -310,7 +314,7 @@ class RandomForest:
             count = np.bincount(rng.integers(0, n, size=n), minlength=n)
             seen = count > 0
             tree = _grow(X[seen], _restrict(order, seen), y[seen], count[seen], rng,
-                         None, RF_MIN_LEAF, RF_MTRY)
+                         None, RF_MIN_LEAF, RF_MTRY)[0]
             self.trees_.append(tree)
             outside = ~seen
             if outside.any():
@@ -366,10 +370,12 @@ class GradientBoostedTrees:
             keep = np.zeros(n, dtype=bool)
             keep[rng.choice(n, size=m, replace=False)] = True
             residual = y - current
-            tree = _grow(X[keep], _restrict(order, keep), residual[keep], None, rng,
-                         GBDT_MAX_DEPTH, GBDT_MIN_NODE, None)
+            tree, leaf = _grow(X[keep], _restrict(order, keep), residual[keep], None, rng,
+                               GBDT_MAX_DEPTH, GBDT_MIN_NODE, None)
             self.trees_.append(tree)
-            current += GBDT_SHRINKAGE * tree.predict(X)
+            # growth routed the sampled rows already; only the rest descend
+            current[keep] += GBDT_SHRINKAGE * tree.value[leaf]
+            current[~keep] += GBDT_SHRINKAGE * tree.predict(X[~keep])
         self.n_features_ = p
         return self
 

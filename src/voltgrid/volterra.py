@@ -25,7 +25,8 @@ Per band, node j needs the sum over the cells before its own. For the
 separable decaying factors the kernel takes, that sum is a window of a
 decaying running sum plus at most two boundary fragments (fast convolution,
 Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), so a solve
-costs O(N) time and memory.
+costs O(N) time and memory; ``_March`` states the recurrence. Every fragment,
+the own cell's included, comes from one cut rule, ``_cut``.
 """
 
 from __future__ import annotations
@@ -71,18 +72,18 @@ class Grid:
 class BandPartition:
     """Moving boundaries that split [0, t] into ordered bands.
 
-    ``boundaries`` holds the n-1 interior curves as vectorized callables of t;
-    the outer pair (0 and t itself) is implicit. For every grid node t > 0 the
-    values must satisfy 0 < b_1(t) < ... < b_{n-1}(t) < t, and every boundary
-    must pass through the origin.
+    The n-1 interior boundaries are data: ``fractions`` c_i (boundary c_i*t)
+    or ``knots`` and ``rows`` (row i interpolated linearly); the outer pair (0
+    and t itself) is implicit. For every grid node t > 0 the values must
+    satisfy 0 < b_1(t) < ... < b_{n-1}(t) < t, and pass through the origin.
     """
 
-    def __init__(self, boundaries=()):
-        self.boundaries = tuple(boundaries)
+    def __init__(self, fractions=(), knots=None, rows=()):
+        self.fractions, self.knots, self.rows = tuple(fractions), knots, tuple(rows)
 
     @property
     def n_bands(self) -> int:
-        return len(self.boundaries) + 1
+        return len(self.fractions) + len(self.rows) + 1
 
     @classmethod
     def proportional(cls, fractions) -> "BandPartition":
@@ -92,7 +93,7 @@ class BandPartition:
             raise DataError(f"proportional fractions must lie in (0,1), got {cs}")
         if any(a >= b for a, b in zip(cs, cs[1:])):
             raise DataError(f"proportional fractions must be strictly increasing, got {cs}")
-        return cls(tuple((lambda t, c=c: c * np.asarray(t, dtype=float)) for c in cs))
+        return cls(fractions=cs)
 
     @classmethod
     def from_table(cls, t_knots, boundary_rows) -> "BandPartition":
@@ -106,10 +107,7 @@ class BandPartition:
         for r in rows:
             if r.shape != knots.shape:
                 raise DataError("each boundary row must match the t knots in length")
-        return cls(tuple(
-            (lambda t, r=r: np.interp(np.asarray(t, dtype=float), knots, r))
-            for r in rows
-        ))
+        return cls(knots=knots, rows=rows)
 
     def boundary_values(self, t) -> np.ndarray:
         """Stacked boundary positions at times t: shape (n_bands+1, len(t)).
@@ -117,11 +115,8 @@ class BandPartition:
         Row 0 is the zero curve, row n_bands is t itself.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        rows = [np.zeros_like(t)]
-        for b in self.boundaries:
-            rows.append(np.broadcast_to(np.asarray(b(t), dtype=float), t.shape).copy())
-        rows.append(t.copy())
-        return np.vstack(rows)
+        return np.vstack([np.zeros_like(t), *(c * t for c in self.fractions),
+                          *(np.interp(t, self.knots, r) for r in self.rows), t])
 
     def validate_on(self, grid: Grid) -> np.ndarray:
         """Check the ordering invariant on every node; return boundary matrix
@@ -234,109 +229,99 @@ def _node_values(x, n_cells: int) -> np.ndarray:
     raise DataError(f"expected {n_cells} or {n_cells + 1} node values, got {len(x)}")
 
 
-class _WindowHistory:
-    """History sum of one band.
-
-    ``Q_m = e^{-rate*h} * Q_{m-1} + w_m * G(x_m)`` runs over finished
-    cells; at node j the band's whole cells a+1..b add ``K(t_j, t_b) * (Q_b -
-    e^{-rate*(t_b - t_a)} * Q_a)`` and the cells a, b+1 its boundaries cut one
-    fragment each. Only decaying exponentials are formed (prefix sums of
-    e^{rate*s} overflow once rate*T passes ~700)."""
-
-    def __init__(self, factor, g, nodes, lo, hi):
-        self.factor, self.g, self.nodes, self.lo, self.hi = factor, g, nodes, lo, hi
-        self.decay = math.exp(-factor.rate * nodes[-1] / (len(nodes) - 1))
-
-    def rows(self, sl):
-        """Per node of the slice: window and fragment terms, as Python scalars."""
-        nodes, factor = self.nodes, self.factor
-        lo, hi = self.lo[sl], self.hi[sl]
-        j = np.arange(sl.start + 1, sl.stop + 1)
-        t = nodes[j]
-        p = np.searchsorted(nodes, lo, side="left")       # nodes[p-1] < lo <= nodes[p]
-        r = np.searchsorted(nodes, hi, side="right") - 1  # nodes[r] <= hi < nodes[r+1]
-        b = np.minimum(r, j - 1)                           # the unknown's cell is not history
-        whole = b > p
-        a = np.where(whole, p, 0)
-        b = np.where(whole, b, 0)
-        scale = np.where(whole, factor(t, nodes[b]), 0.0)
-        drop = np.exp(-factor.rate * (nodes[b] - nodes[a]))
-        # cell p when lo cuts it; it also holds hi when both cut the same cell
-        left = (lo < nodes[p]) & (p < j)
-        s_left = np.minimum(nodes[p], hi)
-        c_left = np.where(left, (s_left - lo) * factor(t, s_left), 0.0)
-        # cell r+1 when hi cuts it and lo does not
-        right = (nodes[r] < hi) & (r + 1 < j) & (nodes[r] >= lo)
-        c_right = np.where(right, (hi - nodes[r]) * factor(t, hi), 0.0)
-        fields = (scale, drop, a, b, c_left, np.where(left, p, 0),
-                  c_right, np.where(right, r + 1, 0))
-        return zip(*(f.tolist() for f in fields))
-
-    def known(self, row, x, q):
-        scale, drop, a, b, c_left, k_left, c_right, k_right = row
-        total = scale * (q[b] - drop * q[a])
-        g = self.g
-        if g is None:
-            return total + c_left * x[k_left] + c_right * x[k_right]
-        if c_left:
-            total += c_left * g(x[k_left])
-        if c_right:
-            total += c_right * g(x[k_right])
-        return total
-
-    def push(self, q, j, xj, w_j):
-        g = self.g
-        q[j] = self.decay * q[j - 1] + w_j * (xj if g is None else g(xj))
+def _cut(t, left, right, lo, hi, factor):
+    """Band [lo, hi] at node t cut down to the cell [left, right]: the
+    fragment's width (0 if none) and width * K(t, end), end its right end."""
+    end = np.minimum(right, hi)
+    width = np.clip(end - np.maximum(left, lo), 0.0, None)
+    return width, width * factor(t, np.maximum(end, lo))
 
 
 class _March:
     """One kernel on one grid: the geometry of every node and the causal
-    march over it, shared by the solve and the direct problem."""
+    march over it, shared by the solve and the direct problem.
+
+    Each band is a ``(factor, G, decay)`` record with a history sum
+    ``Q_m = decay * Q_{m-1} + w_m * G(x_m)`` over finished cells, decay =
+    e^{-rate*h}. At node j the band's whole cells a+1..b add ``K(t_j, t_b) *
+    (Q_b - e^{-rate*(t_b - t_a)} * Q_a)`` and the cells a, b+1 its
+    boundaries cut one fragment each. Only decaying exponentials are formed
+    (prefix sums of e^{rate*s} overflow once rate*T passes ~700).
+    """
 
     def __init__(self, kernel: KernelSpec, grid: Grid):
-        self.n = grid.n_cells
+        self.n = n = grid.n_cells
         self.nodes = nodes = grid.nodes()
-        self.G = kernel.G
-        bm = kernel.partition.validate_on(grid)
-        t = nodes[1:]
+        self.bm = bm = kernel.partition.validate_on(grid)
         # the unknown's cell [t_{j-1}, t_j], cut by the bands at t_j
-        right = np.minimum(t, bm[1:])
-        width = np.clip(right - np.maximum(nodes[:-1], bm[:-1]), 0.0, None)
-        points = np.maximum(right, bm[:-1])
-        self.coefs = np.array([width[i] * np.asarray(K(t, points[i]), dtype=float)
-                               for i, K in enumerate(kernel.K)])
-        self.histories = [_WindowHistory(K, g, nodes, bm[i], bm[i + 1])
-                          for i, (K, g) in enumerate(zip(kernel.K, kernel.G))]
+        self.coefs = np.array([_cut(nodes[1:], nodes[:-1], nodes[1:], lo, hi, K)[1]
+                               for K, lo, hi in zip(kernel.K, bm[:-1], bm[1:])])
+        self.bands = [(K, g, math.exp(-K.rate * nodes[-1] / n))
+                      for K, g in zip(kernel.K, kernel.G)]
+
+    def windows(self, sl):
+        """Per band, per node of the slice: the window and fragment terms
+        ``(scale, drop, a, b, c_left, k_left, c_right, k_right)`` as scalars."""
+        nodes = self.nodes
+        j = np.arange(sl.start + 1, sl.stop + 1)
+        t = nodes[j]
+        for (factor, _, _), lo, hi in zip(self.bands, self.bm[:-1, sl], self.bm[1:, sl]):
+            p = np.searchsorted(nodes, lo, side="left")  # nodes[p-1] < lo <= nodes[p]
+            # hi's cell, capped at the unknown's, which is not history
+            k = np.minimum(np.searchsorted(nodes, hi, side="right"), j)
+            whole = k - 1 > p
+            a = np.where(whole, p, 0)
+            b = np.where(whole, k - 1, 0)
+            scale = np.where(whole, factor(t, nodes[b]), 0.0)
+            drop = np.exp(-factor.rate * (nodes[b] - nodes[a]))
+            # cell p when lo cuts it; it also holds hi when both cut the same cell
+            w_left, c_left = _cut(t, nodes[p - 1], nodes[p], lo, hi, factor)
+            left = (p < j) & (w_left > 0.0)
+            # cell k when hi cuts it and lo does not
+            w_right, c_right = _cut(t, nodes[k - 1], nodes[k], lo, hi, factor)
+            right = (p < k) & (k < j) & (w_right > 0.0)
+            fields = (scale, drop, a, b, np.where(left, c_left, 0.0), np.where(left, p, 0),
+                      np.where(right, c_right, 0.0), np.where(right, k, 0))
+            yield zip(*(f.tolist() for f in fields))
 
     def run(self, step, *given) -> tuple:
         """x_j = step(known_j, *given_j) for j = 1..N, where known_j sums the
         cells before node j's own and given_j holds entry j-1 of each array in
         ``given``. Returns x over nodes 0..N (x_0 = 0) and known over 1..N."""
-        n, nodes, hs = self.n, self.nodes, self.histories
+        n, nodes, bands = self.n, self.nodes, self.bands
         x = [0.0] * (n + 1)
         knowns = []
-        qs = [[0.0] * (n + 1) for _ in hs]
+        qs = [[0.0] * (n + 1) for _ in bands]
         for start in range(1, n + 1, _CHUNK):
             stop = min(start + _CHUNK, n + 1)
             sl = slice(start - 1, stop - 1)
             per_node = zip(
                 range(start, stop), np.diff(nodes[start - 1:stop]).tolist(),
-                zip(*(h.rows(sl) for h in hs)), zip(*(g[sl].tolist() for g in given)),
+                zip(*self.windows(sl)), zip(*(g[sl].tolist() for g in given)),
             )
             for j, w_j, rows, given_j in per_node:
                 known = 0.0
-                for h, row, q in zip(hs, rows, qs):
-                    known += h.known(row, x, q)
+                for (_, g, _), row, q in zip(bands, rows, qs):
+                    scale, drop, a, b, c_left, k_left, c_right, k_right = row
+                    total = scale * (q[b] - drop * q[a])
+                    if g is None:
+                        known += total + c_left * x[k_left] + c_right * x[k_right]
+                        continue
+                    if c_left:
+                        total += c_left * g(x[k_left])
+                    if c_right:
+                        total += c_right * g(x[k_right])
+                    known += total
                 knowns.append(known)
                 xj = x[j] = step(known, *given_j)
-                for h, q in zip(hs, qs):
-                    h.push(q, j, xj, w_j)
+                for (_, g, decay), q in zip(bands, qs):
+                    q[j] = decay * q[j - 1] + w_j * (xj if g is None else g(xj))
         return x, np.array(knowns)
 
     def own(self, x) -> np.ndarray:
         """Each node's own-cell sum, sum_i c_i*G_i(x_j), for x at nodes 1..N."""
         total = np.zeros(self.n)
-        for c, g in zip(self.coefs, self.G):
+        for c, (_, g, _) in zip(self.coefs, self.bands):
             total += c * (x if g is None else g(x))
         return total
 

@@ -1,5 +1,6 @@
 """Benchmark drift guard: every name the benchmark scripts import from
-voltgrid still resolves, and the traced pass still runs.
+voltgrid still resolves, the traced pass still runs, and the solver still
+meets the benchmark's dispatch gates on its dispatch_year inputs.
 
 This suite does not run ``benchmarks/test_smoke.py``, so a renamed or removed
 name that only the traced pass of ``benchmarks/traced.py`` imports, or a
@@ -9,14 +10,33 @@ changed signature it calls, would otherwise pass here and break
 
 import ast
 import importlib
+import importlib.util
 import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from voltgrid.volterra import Grid, kernel_from_config, solve_apf
+
+from oracle import dense_solve
+
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARKS = ROOT / "benchmarks"
+
+
+def benchmark_module(name):
+    """A module of ``benchmarks/`` by file name, which is no package."""
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+INPUTS, CHECKS = benchmark_module("inputs"), benchmark_module("checks")
 
 
 def voltgrid_imports(path):
@@ -54,3 +74,20 @@ def test_traced_pass_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0, proc.stdout
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("name", sorted(INPUTS.KERNELS))
+def test_dispatch_year_solve_meets_the_dispatch_gates(name, seed):
+    # dispatch_year solves the first 5041 hours of the year's imbalance; a
+    # solve that misses either gate fails that run as outputs_incorrect
+    series = INPUTS.series(8760, seed)
+    raw = (series["res"] + series["gen"] - series["load"])[:5041]
+    f = raw - raw[0]
+    kernel = kernel_from_config(INPUTS.KERNELS[name])
+    result = solve_apf(kernel, Grid(5040.0, 5040), f)
+    assert result.residual <= CHECKS.RESIDUAL_TOL * max(1.0, float(np.max(np.abs(f))))
+    m = CHECKS.PREFIX_NODES
+    ref = dense_solve(kernel, Grid(float(m), m), f[:m + 1])
+    np.testing.assert_allclose(result.x[1:m + 1], ref, rtol=0,
+                               atol=CHECKS.X_RTOL * max(1.0, float(np.max(np.abs(ref)))))

@@ -313,12 +313,28 @@ def _stamp_cells(draw, utc):
     return draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", "  "]))
 
 
+_LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+def _cell(draw, text):
+    """A cell as a file may hold it: mostly bare, else quoted (its quotes
+    doubled), with a quoted line break, or with a NUL."""
+    kind = draw(st.sampled_from(["bare"] * 16 + ["quoted", "break", "nul"]))
+    if kind == "nul":
+        return text + "\x00"
+    if kind == "break":
+        text += draw(st.sampled_from(_LINE_ENDS))
+    return text if kind == "bare" else '"' + text.replace('"', '""') + '"'
+
+
 def _body(draw, header, rows):
-    """CSV text: the header, the rows and a few blank lines."""
-    lines = [",".join(header)] + [",".join(row) for row in rows]
+    """CSV text: the header, the rows and a few blank lines, every line
+    ended by \\n, \\r\\n or a lone \\r, one kind per file or mixed."""
+    lines = [",".join(_cell(draw, text) for text in row) for row in [header, *rows]]
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " , "])))
-    return "\n".join(lines) + "\n"
+    ends = draw(st.sampled_from([[end] for end in _LINE_ENDS] + [_LINE_ENDS]))
+    return "".join(line + draw(st.sampled_from(ends)) for line in lines)
 
 
 @st.composite

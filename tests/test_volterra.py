@@ -26,7 +26,7 @@ from voltgrid.volterra import (
 )
 
 from conftest import identity_kernel, two_band_kernel
-from oracle import dense_forward, dense_solve, estimate_order, segment_cells
+from oracle import band_matrices, dense_forward, dense_solve, estimate_order, segment_cells
 
 README_KERNEL = {
     "n": 2,
@@ -609,6 +609,37 @@ class TestMarch:
         well_conditioned(kernel, grid, x, tol)
         back = solve_apf(kernel, grid, forward_apply(kernel, grid, x)).x[1:]
         np.testing.assert_allclose(back, x, rtol=0, atol=tol * np.max(np.abs(x)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(config_problems())
+    def test_cut_rule_matches_dense_fragments(self, problem):
+        # the own cell and both boundary fragments come from one cut rule;
+        # the dense oracle cuts every cell of every row
+        config, grid, _, _ = problem
+        kernel = kernel_from_config(config)
+        march = volterra._March(kernel, grid)
+        n = grid.n_cells
+        for mat, coefs, rows in zip(band_matrices(kernel, grid), march.coefs,
+                                    march.windows(slice(0, n))):
+            np.testing.assert_array_max_ulp(coefs, mat[np.arange(n), np.arange(n)], maxulp=2)
+            got, want = [], []
+            for j, (_, _, a, b, c_left, k_left, c_right, k_right) in enumerate(rows, start=1):
+                cells = list(range(a + 1, b + 1))
+                for c, k in ((c_left, k_left), (c_right, k_right)):
+                    if c:
+                        cells.append(k)
+                        got.append(c)
+                        want.append(mat[j - 1, k - 1])
+                # the window's whole cells and the fragments tile the history
+                assert sorted(cells) == (np.flatnonzero(mat[j - 1, :j - 1]) + 1).tolist()
+            np.testing.assert_array_max_ulp(np.array(got), np.array(want), maxulp=2)
+
+        t = grid.nodes()
+        bv = kernel.partition.boundary_values(t)
+        alphas = config.get("alphas", {"type": "proportional", "c": []})
+        interior = ([c * t for c in alphas["c"]] if alphas["type"] == "proportional"
+                    else [np.interp(t, alphas["t"], row) for row in alphas["alpha"]])
+        np.testing.assert_array_equal(bv, np.vstack([np.zeros_like(t), *interior, t]))
 
     def test_long_exp_decay_stays_finite(self):
         # rate * horizon = 876: prefix sums of e^{rate*s} would overflow
