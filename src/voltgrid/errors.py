@@ -8,15 +8,11 @@ solve itself failed. The CLI maps them to exit codes 2 and 3.
 from contextlib import contextmanager
 
 
-class VoltgridError(Exception):
-    """Base class for all package errors."""
-
-
-class DataError(VoltgridError):
+class DataError(Exception):
     """Bad or inconsistent input data or configuration."""
 
 
-class SolverError(VoltgridError):
+class SolverError(Exception):
     """Numerical failure inside the integral-equation solver."""
 
 

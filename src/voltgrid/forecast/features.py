@@ -119,8 +119,7 @@ def build_feature_matrix(frame: AlignedFrame, config: FeatureConfig = FeatureCon
 
     n = frame.n_rows
     n_targets = max(0, n - horizon)
-    X = np.column_stack([vals for _, vals in columns])[:n_targets] if n_targets else \
-        np.empty((0, len(columns)))
+    X = np.column_stack([vals for _, vals in columns])[:n_targets]
     y = load[horizon:]
     stamps = stamps[horizon:]
     target_rows = np.arange(horizon, n)

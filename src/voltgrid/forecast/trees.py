@@ -45,10 +45,6 @@ class RegressionTree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    @property
-    def n_leaves(self) -> int:
-        return int((self.feature < 0).sum())
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         node = np.zeros(len(X), dtype=np.int64)
         active = self.feature[node] >= 0

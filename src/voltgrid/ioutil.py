@@ -98,8 +98,9 @@ def read_columns(path, pick, *, fmt=None, exact=False, finite=False):
     skipped. Rows must hold every header column when ``exact``, else the
     picked ones; ``finite`` rejects NaN too.
     Returns the stamps (or None), the numeric columns by name and the line
-    each data row starts on, in file order. An empty file, text that is not
-    UTF-8 or a bad row raises the DataError of the first fault in the file:
+    each data row starts on, in file order. A leading byte-order mark is
+    dropped. An empty file, text that is not UTF-8 or a bad row raises the
+    DataError of the first fault in the file:
     should a block fail to convert, its rows are converted one at a time. A
     file with no data rows is a DataError too.
     """
@@ -128,7 +129,7 @@ def read_columns(path, pick, *, fmt=None, exact=False, finite=False):
             raise ValueError(f"non-finite number in {rows[0]!r}")
         return columns
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [name.strip() for name in next(reader)]
@@ -210,7 +211,7 @@ def write_csv(path, header, columns) -> None:
 
 def read_json(path, what: str):
     """Parse a JSON file; malformed text raises DataError naming ``what``."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
@@ -227,8 +228,6 @@ def json_ready(obj):
         return {str(k): json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [json_ready(v) for v in obj.tolist()]
     if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
@@ -236,8 +235,6 @@ def json_ready(obj):
         if math.isnan(v) or math.isinf(v):
             return None
         return float(fmt12(v))
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     return obj
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, overflow_as_data_error
 from .ioutil import config_number, read_columns, write_csv, write_json
-from .timeseries import SECONDS_PER_HOUR, TimeSeries
+from .timeseries import TimeSeries
 
 if TYPE_CHECKING:  # the solver loads only when dispatch runs
     from .volterra import Grid, KernelSpec, SolveResult
@@ -113,12 +113,10 @@ def imbalance(f_res: TimeSeries, f_gen: TimeSeries, f_load: TimeSeries):
     """
     series = [f_res, f_gen, f_load]
     starts = {s.start for s in series}
-    steps = {s.step for s in series}
     lengths = {len(s) for s in series}
-    if len(starts) > 1 or len(steps) > 1 or len(lengths) > 1:
+    if len(starts) > 1 or len(lengths) > 1:
         raise DataError(
-            "imbalance inputs are misaligned: "
-            f"starts {sorted(starts)}, steps {sorted(steps)}, lengths {sorted(lengths)}"
+            f"imbalance inputs are misaligned: starts {sorted(starts)}, lengths {sorted(lengths)}"
         )
     for s in series:
         if not np.all(np.isfinite(s.values)):
@@ -217,9 +215,8 @@ def dispatch(f_res: TimeSeries, f_gen: TimeSeries, f_load: TimeSeries,
     from .volterra import solve_apf
 
     f, shift = imbalance(f_res, f_gen, f_load)  # the three series share one time base
-    step_hours = f_load.step / SECONDS_PER_HOUR
-    if abs(step_hours - grid.step) > 1e-9 * max(1.0, grid.step):
-        raise DataError(f"imbalance step {step_hours:g}h does not match grid step {grid.step:g}h")
+    if abs(grid.step - 1.0) > 1e-9:
+        raise DataError(f"grid step {grid.step:g}h is not the series' 1h step")
     if len(f) != grid.n_cells + 1:
         raise DataError(f"imbalance has {len(f)} samples, grid needs {grid.n_cells + 1}")
 

@@ -22,7 +22,8 @@ GRID_SERIES = ("load", "gen", "res")
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Uniformly spaced samples: value k sits at ``start + k*step``."""
+    """Hourly samples: value k sits at ``start`` plus k hours; ``step`` is
+    always SECONDS_PER_HOUR."""
 
     start: datetime
     values: np.ndarray
@@ -30,8 +31,8 @@ class TimeSeries:
     name: str = "value"
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise DataError(f"series {self.name!r}: step must be positive, got {self.step}")
+        if self.step != SECONDS_PER_HOUR:
+            raise DataError(f"series {self.name!r} is not hourly: step {self.step:g}s")
         object.__setattr__(self, "start", naive_utc(self.start))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.ndim != 1:
@@ -43,7 +44,7 @@ class TimeSeries:
     @property
     def end(self) -> datetime:
         """Timestamp of the last sample."""
-        return self.start + timedelta(seconds=self.step * (len(self.values) - 1))
+        return self.start + timedelta(hours=len(self.values) - 1)
 
 
 @dataclass(frozen=True)
@@ -76,24 +77,18 @@ class AlignedFrame:
 
 @dataclass(frozen=True)
 class CsvSpec:
-    """Column mapping for :func:`parse_timeseries_csv`.
+    """The value column :func:`parse_timeseries_csv` reads, and the series
+    name (the column's when None)."""
 
-    ``timestamp_format`` is a ``strptime`` pattern; None accepts ISO 8601
-    (including the ``YYYY-MM-DD HH:MM`` variant).
-    """
-
-    timestamp_column: str = "timestamp"
     value_column: str = "value"
-    timestamp_format: str | None = None
     name: str | None = None
 
 
 def parse_timeseries_csv(path, spec: CsvSpec = CsvSpec()) -> TimeSeries:
-    """Read one value column out of a headered CSV file into an hourly
-    TimeSeries, as read_series does."""
+    """Read one value column beside a ``timestamp`` column of ISO 8601
+    stamps into an hourly TimeSeries, as read_series does."""
     name = spec.name if spec.name is not None else spec.value_column
-    return read_series([(name, path)], lambda _: (spec.value_column,),
-                       spec.timestamp_column, spec.timestamp_format)[0]
+    return read_series([(name, path)], lambda _: (spec.value_column,))[0]
 
 
 def read_series(sources, candidates, timestamp_column: str = "timestamp",
@@ -105,7 +100,8 @@ def read_series(sources, candidates, timestamp_column: str = "timestamp",
 
     Rows are sorted by timestamp, duplicates are rejected, and any gaps that
     are whole hours are filled with NaN. Spacing off the hourly grid is an
-    alignment error. ``timestamp_format`` is as in CsvSpec.
+    alignment error. ``timestamp_format`` is a ``strptime`` pattern; None
+    accepts ISO 8601 (including the ``YYYY-MM-DD HH:MM`` variant).
     """
     files = {}
     for name, path in sources:
@@ -148,7 +144,7 @@ def read_series(sources, candidates, timestamp_column: str = "timestamp",
         for column, name in chosen:
             filled = np.full(slots[-1] + 1, np.nan)
             filled[slots] = values[column][order]
-            series.append(TimeSeries(start=start, values=filled, step=SECONDS_PER_HOUR, name=name))
+            series.append(TimeSeries(start=start, values=filled, name=name))
         read[path] = iter(series)
     return [next(read[path]) for _, path in sources]
 
@@ -157,7 +153,7 @@ def load_holidays(path) -> frozenset[date]:
     """Text file, one YYYY-MM-DD per line; blank lines and # comments skipped."""
     days = set()
     # a byte that is not UTF-8 becomes U+FFFD and fails as a bad date
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -180,14 +176,12 @@ def align_hourly(series: list[TimeSeries], policy: str = "intersect",
     if not series:
         raise DataError("nothing to align")
     for s in series:
-        if s.step != SECONDS_PER_HOUR:
-            raise DataError(f"step mismatch: series {s.name!r} has step {s.step:g}s, need 3600s")
         if len(s) == 0:
             raise DataError(f"series {s.name!r} is empty")
     anchor = series[0].start
     for s in series:
         off = (s.start - anchor).total_seconds()
-        if abs(off - round(off / s.step) * s.step) > 1e-6:
+        if abs(off - round(off / SECONDS_PER_HOUR) * SECONDS_PER_HOUR) > 1e-6:
             raise DataError(f"series {s.name!r} is offset from the shared hourly grid")
     names = [s.name for s in series]
     if len(set(names)) != len(names):

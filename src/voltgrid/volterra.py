@@ -216,19 +216,6 @@ class SolveResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _node_values(x, n_cells: int) -> np.ndarray:
-    """Accept values at nodes 1..N either bare (length N) or with a node-0
-    companion (length N+1, first entry ignored)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DataError("node values must be one-dimensional")
-    if len(x) == n_cells + 1:
-        return x[1:]
-    if len(x) == n_cells:
-        return x
-    raise DataError(f"expected {n_cells} or {n_cells + 1} node values, got {len(x)}")
-
-
 def _cut(t, left, right, lo, hi, factor):
     """Band [lo, hi] at node t cut down to the cell [left, right]: the
     fragment's width (0 if none) and width * K(t, end), end its right end."""
@@ -329,8 +316,12 @@ class _March:
 def forward_apply(kernel: KernelSpec, grid: Grid, x) -> np.ndarray:
     """Direct problem: quadrature of the kernel against known node values,
     by the solver's own march, so ``solve_apf(forward_apply(x)) == x`` up to
-    rounding."""
-    x = _node_values(x, grid.n_cells)
+    rounding. ``x`` and the result span nodes 0..N, as in solve_apf; x_0 is
+    not read, and f_0 is 0."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (grid.n_cells + 1,):
+        raise DataError(f"expected {grid.n_cells + 1} node values, got {x.shape}")
+    x = x[1:]
     march = _March(kernel, grid)
     _, known = march.run(lambda known, xj: xj, x)
     return np.concatenate([[0.0], known + march.own(x)])

@@ -317,7 +317,7 @@ def write_csv_cells(path, header, columns):
 def read_rows(path):
     """Yield (1, header with stripped names), then (line number, cells) for
     every row of a CSV file that is not all blank."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -364,15 +364,15 @@ def parse_timeseries_csv_rows(path, spec=CsvSpec()):
     """``voltgrid.timeseries.parse_timeseries_csv`` row by row."""
     lines = read_rows(path)
     _, header = next(lines)
-    for role, column in (("timestamp", spec.timestamp_column), ("value", spec.value_column)):
+    for role, column in (("timestamp", "timestamp"), ("value", spec.value_column)):
         if column not in header:
             raise DataError(f"{path}: {role} column {column!r} not in header {header}")
-    ts_idx, val_idx = header.index(spec.timestamp_column), header.index(spec.value_column)
+    ts_idx, val_idx = header.index("timestamp"), header.index(spec.value_column)
     rows = []
     for lineno, row in lines:
         if len(row) <= max(ts_idx, val_idx):
             raise DataError(f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}")
-        stamp = parse_stamp(row[ts_idx], spec.timestamp_format, path, lineno)
+        stamp = parse_stamp(row[ts_idx], None, path, lineno)
         rows.append((stamp, parse_value(row[val_idx], path, lineno), lineno))
 
     if not rows:
@@ -397,7 +397,7 @@ def parse_timeseries_csv_rows(path, spec=CsvSpec()):
     values = np.full(length, np.nan)
     values[rounded.astype(int)] = [v for _, v, _ in rows]
     name = spec.name if spec.name is not None else spec.value_column
-    return TimeSeries(start=start, values=values, step=SECONDS_PER_HOUR, name=name)
+    return TimeSeries(start=start, values=values, name=name)
 
 
 def read_frame_csv_rows(path):

@@ -241,6 +241,26 @@ class TestForecast:
         assert f"{data}: line 3: bad value 'abc'" in all_output(result)
         assert "Traceback" not in all_output(result)
 
+    @pytest.mark.parametrize("hours, tail, message", [
+        (1200, "-1", "validation_tail must be >= 0, got -1"),
+        (100, "10", "no usable training rows: frame too short for the configured lags"),
+    ])
+    def test_unusable_split_exit_2(self, tmp_path, hours, tail, message):
+        data = make_dataset(tmp_path, np.full(hours, 100.0))
+        result = invoke(["forecast", "--data", str(data), "--model", "lm", "--tail", tail,
+                         "--out", str(tmp_path / "fc")])
+        assert result.exit_code == 2, all_output(result)
+        assert result.stderr == f"error: {message}\n"
+        assert not (tmp_path / "fc").exists()
+
+    def test_dataset_without_value_columns_exit_2(self, tmp_path):
+        data = tmp_path / "dataset.csv"
+        data.write_text("timestamp\n2019-01-01T00:00:00\n")
+        result = invoke(["forecast", "--data", str(data), "--model", "lm", "--tail", "1",
+                         "--out", str(tmp_path / "fc")])
+        assert result.exit_code == 2, all_output(result)
+        assert result.stderr == f"error: {data}: no value columns\n"
+
     def test_rerun_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(1)
         data = make_dataset(tmp_path, 100 + rng.normal(0, 5, 1200))
@@ -470,6 +490,43 @@ class TestDispatch:
         assert result.exit_code == 2
         assert "--grid-n" in all_output(result)
 
+    def test_two_aligned_rows_exit_2(self, tmp_path):
+        write_series_csv(tmp_path / "load.csv", np.zeros(2))
+        write_kernel(tmp_path / "kernel.json")
+        result = invoke(["dispatch", "--load", str(tmp_path / "load.csv"),
+                         "--kernel", str(tmp_path / "kernel.json"), "--out", str(tmp_path / "disp")])
+        assert result.exit_code == 2, all_output(result)
+        assert result.stderr == "error: need at least 3 aligned samples, got 2\n"
+
+    @pytest.mark.parametrize("config, message", [
+        ({"n": 0}, "band count must be >= 1, got 0"),
+        ({"n": 1, "alphas": {"type": "proportional", "c": [0.5]}},
+         "a single-band kernel takes no interior boundaries"),
+        ({"n": 2, "alphas": {"type": "proportional", "c": [0.3, 0.6]}},
+         "'alphas.c' must list 1 fractions"),
+        ({"n": 2, "alphas": {"type": "table", "t": [0, 5], "alpha": []}},
+         "'alphas.alpha' must list 1 boundary rows"),
+        ({"n": 2, "alphas": {"type": "table", "t": 5, "alpha": [[0, 1]]}},
+         "alphas.t must be a list of numbers, got 5"),
+        ({"n": 1, "K": [{"type": "exp_decay", "value": 1.0}], "G": [{"type": "linear"}]},
+         "K[0]: exp_decay factor needs a 'rate'"),
+        ({"n": 2, "alphas": {"type": "table", "t": [0, 5, 3], "alpha": [[0, 1, 2]]},
+          "K": [{"type": "const", "value": 1.0}] * 2, "G": [{"type": "linear"}] * 2},
+         "boundary table needs strictly increasing t knots"),
+        ({"n": 2, "alphas": {"type": "table", "t": [0, 5], "alpha": [[0]]},
+          "K": [{"type": "const", "value": 1.0}] * 2, "G": [{"type": "linear"}] * 2},
+         "each boundary row must match the t knots in length"),
+    ], ids=["no-bands", "single-band-c", "c-length", "alpha-length", "t-not-list",
+            "decay-without-rate", "knots-unsorted", "row-short"])
+    def test_bad_kernel_config_exit_2(self, tmp_path, config, message):
+        write_series_csv(tmp_path / "load.csv", np.arange(5.0))
+        (tmp_path / "kernel.json").write_text(json.dumps(config))
+        result = invoke(["dispatch", "--load", str(tmp_path / "load.csv"),
+                         "--kernel", str(tmp_path / "kernel.json"), "--out", str(tmp_path / "disp")])
+        assert result.exit_code == 2, all_output(result)
+        assert result.stderr == f"error: {message}\n"
+        assert not (tmp_path / "disp").exists()
+
     def test_bad_kernel_json_exit_2(self, tmp_path):
         write_series_csv(tmp_path / "load.csv", np.zeros(5))
         (tmp_path / "kernel.json").write_text("{not json")
@@ -648,6 +705,18 @@ class TestReport:
         assert rows[0] == ["t", "series", "x", "E"]
         assert {row[1] for row in rows[1:]} == {"a", "b"}
 
+    def test_same_directory_name_gets_a_numbered_label(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first = self.run_dispatch(tmp_path / "a", "run", np.sin(np.arange(12.0)))
+        second = self.run_dispatch(tmp_path / "b", "run", np.cos(np.arange(12.0)))
+        result = invoke(["report", "--dispatch", str(first), "--dispatch", str(second),
+                         "--out", str(tmp_path / "cmp")])
+        assert result.exit_code == 0, all_output(result)
+        doc = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
+        assert [run["series"] for run in doc["runs"]] == ["run", "run#2"]
+        assert [(pair["a"], pair["b"]) for pair in doc["pairwise"]] == [("run", "run#2")]
+
     def test_mismatched_grids_exit_2(self, tmp_path):
         a = self.run_dispatch(tmp_path, "a", np.sin(np.arange(12.0)))
         b = self.run_dispatch(tmp_path, "b", np.sin(np.arange(8.0)))
@@ -670,6 +739,59 @@ class TestReport:
         ])
         assert result.exit_code == 2
         assert message in all_output(result)
+
+
+class TestByteOrderMark:
+    def test_inputs_with_a_bom_give_the_same_artifacts(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a UTF-8 byte-order mark
+        src = tmp_path / "src"
+        src.mkdir()
+        hours = np.arange(1200.0)
+        write_series_csv(src / "load.csv", 100 + 10 * np.sin(2 * np.pi * hours / 24))
+        write_series_csv(src / "gen.csv", 60 + np.cos(hours))
+        write_series_csv(src / "res.csv", 40 + np.sin(hours / 7))
+        write_series_csv(src / "berlin.csv", 5 + np.sin(hours / 24))
+        (src / "holidays.txt").write_text("# new year\n2019-01-01\n2019-02-01\n")
+        (src / "kernel.json").write_text(json.dumps({
+            "n": 2, "alphas": {"type": "proportional", "c": [0.5]},
+            "K": [{"type": "const", "value": 0.9}, {"type": "exp_decay", "value": 1.0, "rate": 0.01}],
+            "G": [{"type": "linear"}, {"type": "cubic", "a": 1.0, "b": 0.001}]}))
+        (src / "storage.json").write_text('{"e_max": 50.0, "v_max": 20.0}')
+
+        artifacts = {}
+        for variant in ("plain", "bom"):
+            run = tmp_path / variant
+
+            def given(path):
+                """A copy of ``path`` under the run; the bom run's starts with the mark."""
+                copy = run / "in" / path.parent.name / path.name
+                copy.parent.mkdir(parents=True, exist_ok=True)
+                copy.write_bytes(b"\xef\xbb\xbf" * (variant == "bom") + path.read_bytes())
+                return str(copy)
+
+            holidays = given(src / "holidays.txt")
+            steps = [
+                ["ingest", "--load", given(src / "load.csv"), "--gen", given(src / "gen.csv"),
+                 "--res", given(src / "res.csv"), "--temp", given(src / "berlin.csv"),
+                 "--holidays", holidays, "--out", str(run / "ingest")],
+                lambda: ["forecast", "--data", given(run / "ingest" / "dataset.csv"),
+                         "--model", "lm", "--blocks", "3", "--tail", "120",
+                         "--holidays", holidays, "--out", str(run / "fc")],
+                lambda: ["dispatch", "--load", given(run / "fc" / "forecast.csv"),
+                         "--gen", given(run / "ingest" / "dataset.csv"),
+                         "--res", given(run / "ingest" / "dataset.csv"),
+                         "--kernel", given(src / "kernel.json"),
+                         "--storage", given(src / "storage.json"), "--out", str(run / "disp")],
+                lambda: ["report", "--dispatch", given(run / "disp" / "dispatch.csv"),
+                         "--out", str(run / "cmp")],
+            ]
+            for args in steps:
+                result = invoke(args() if callable(args) else args)
+                assert result.exit_code == 0, all_output(result)
+            artifacts[variant] = {path.relative_to(run): path.read_bytes()
+                                  for path in sorted(run.glob("*/*")) if path.parent.name != "in"}
+        assert len(artifacts["plain"]) == 8
+        assert artifacts["bom"] == artifacts["plain"]
 
 
 def failing_run(command, tmp_path):
@@ -790,12 +912,15 @@ USAGE_ERRORS = [
     (["forecast", "--data", "{load}", "--model", "lm", "--tail", "1", "--seed", "-1",
       "--out", "{out}"],
      "voltgrid forecast: error: argument --seed: -1 is not in the range x>=0"),
+    (["forecast", "--data", "{load}", "--model", "lm", "--tail", "1", "--seed", "abc",
+      "--out", "{out}"],
+     "voltgrid forecast: error: argument --seed: invalid int value: 'abc'"),
 ]
 
 
 @pytest.mark.parametrize("args, message", USAGE_ERRORS, ids=[
     "unknown-command", "missing-load", "unknown-option", "model-xgb", "tail-abc",
-    "missing-file", "directory-kernel", "seed-negative"])
+    "missing-file", "directory-kernel", "seed-negative", "seed-abc"])
 def test_usage_error_exit_2(tmp_path, args, message):
     write_series_csv(tmp_path / "load.csv", np.arange(24.0))
     paths = {"tmp": tmp_path, "load": tmp_path / "load.csv", "out": tmp_path / "out"}

@@ -60,7 +60,7 @@ class TestSingleTree:
         y = np.where(X[:, 0] < 0.5, -1.0, 2.0)
         tree = grow(X, y, min_child=1)
         np.testing.assert_array_equal(tree.predict(X), y)
-        assert tree.n_leaves == 2
+        assert (tree.feature < 0).sum() == 2
 
     def test_constant_target_is_single_leaf(self):
         X = np.random.default_rng(2).normal(size=(40, 3))
@@ -90,7 +90,7 @@ class TestSingleTree:
         X = rng.normal(size=(200, 1))
         y = rng.normal(size=200)
         tree = grow(X, y, max_depth=1, min_child=1)
-        assert tree.n_leaves <= 2
+        assert (tree.feature < 0).sum() <= 2
 
     @pytest.mark.parametrize("lo, hi", [
         (1 + 2**-52, 1 + 2**-51),  # the midpoint rounds onto hi
@@ -316,6 +316,12 @@ class TestTrainingInput:
         X[7, 2] = np.nan
         with pytest.raises(DataError, match="non-finite"):
             make_model(name).fit(X, y)
+
+    @pytest.mark.parametrize("name", ["rf", "gbdt"])
+    def test_all_zero_targets_predict_zero(self, name):
+        X, _, _ = linear_data(n=60)
+        model = make_model(name, {"n_trees": 3}).fit(X, np.zeros(60))
+        assert model.predict(X).tolist() == [0.0] * 60
 
     @pytest.mark.parametrize("name", ["lm", "rf", "gbdt"])
     def test_zero_rows_rejected(self, name):

@@ -28,7 +28,6 @@ from voltgrid.storage import (
     write_dispatch_csv,
     write_report_json,
 )
-from voltgrid.timeseries import TimeSeries
 from voltgrid.volterra import Grid, forward_apply
 
 from conftest import START, hourly, identity_kernel, two_band_kernel
@@ -55,8 +54,10 @@ class TestImbalance:
     def test_misaligned_series_rejected(self):
         a = hourly([1, 2], name="res")
         b = hourly([1, 2], name="gen", start=START + dt.timedelta(hours=1))
-        with pytest.raises(DataError, match="misaligned"):
+        with pytest.raises(DataError) as err:
             imbalance(a, b, hourly([1, 2], name="load"))
+        assert str(err.value) == ("imbalance inputs are misaligned: starts "
+                                  f"{[START, START + dt.timedelta(hours=1)]}, lengths [2]")
 
     def test_nan_rejected(self):
         bad = hourly([1.0, np.nan], name="gen")
@@ -298,16 +299,16 @@ class TestDispatch:
         res, gen, load, grid = self.make_inputs(surplus)
         kernel = two_band_kernel()
         report = dispatch(res, gen, load, kernel, StorageSpec(), grid)
-        f = forward_apply(kernel, grid, report.x[1:])
+        f = forward_apply(kernel, grid, report.x)
         np.testing.assert_allclose(f, surplus, rtol=0, atol=1e-9 * max(1, np.abs(surplus).max()))
 
     def test_grid_mismatch_rejected(self):
         res, gen, load, _ = self.make_inputs(np.zeros(5))
         with pytest.raises(DataError, match="^imbalance has 5 samples, grid needs 4$"):
             dispatch(res, gen, load, identity_kernel(), StorageSpec(), Grid(3.0, 3))
-        half_hourly = [TimeSeries(START, np.zeros(4), 1800.0, name) for name in ("res", "gen", "load")]
-        with pytest.raises(DataError, match="^imbalance step 0.5h does not match grid step 1h$"):
-            dispatch(*half_hourly, identity_kernel(), StorageSpec(), Grid(3.0, 3))
+        res, gen, load, _ = self.make_inputs(np.zeros(4))
+        with pytest.raises(DataError, match="^grid step 0.5h is not the series' 1h step$"):
+            dispatch(res, gen, load, identity_kernel(), StorageSpec(), Grid(1.5, 3))
 
     def test_misalignment_reported_before_grid_mismatch(self):
         _, gen, load, _ = self.make_inputs(np.zeros(5))

@@ -20,6 +20,7 @@ from voltgrid.timeseries import (
     load_holidays,
     parse_timeseries_csv,
     read_frame_csv,
+    read_series,
     split_indices,
     write_frame_csv,
 )
@@ -124,19 +125,22 @@ class TestParseCsv:
             parse_timeseries_csv(csv_stream("timestamp,value\n"))
 
     def test_custom_columns_and_format(self):
-        spec = CsvSpec(timestamp_column="t", value_column="mw",
-                       timestamp_format="%d.%m.%Y %H:%M", name="load")
-        ts = parse_timeseries_csv(csv_stream(
-            "t,mw\n01.01.2019 00:00,41.0\n01.01.2019 01:00,42.0\n"
-        ), spec)
+        path = csv_stream("t,mw\n01.01.2019 00:00,41.0\n01.01.2019 01:00,42.0\n")
+        ts, = read_series([("load", path)], lambda _: ("mw",), "t", "%d.%m.%Y %H:%M")
         assert ts.name == "load"
         assert ts.values.tolist() == [41.0, 42.0]
 
+    def test_spec_names_the_value_column_and_the_series(self):
+        path = csv_stream("timestamp,mw\n2019-01-01 00:00,41.0\n")
+        ts = parse_timeseries_csv(path, CsvSpec(value_column="mw", name="load"))
+        assert (ts.name, ts.values.tolist()) == ("load", [41.0])
+        assert parse_timeseries_csv(path, CsvSpec(value_column="mw")).name == "mw"
+
     @pytest.mark.parametrize("fmt", [None, "%Y-%m-%d %H:%M"])
     def test_padded_stamp_parses_with_or_without_format(self, fmt):
-        ts = parse_timeseries_csv(csv_stream(
+        ts, = read_series([("value", csv_stream(
             "timestamp,value\n 2019-01-01 00:00 ,1\n2019-01-01 01:00\t,2\n"
-        ), CsvSpec(timestamp_format=fmt))
+        ))], lambda _: ("value",), timestamp_format=fmt)
         assert ts.start == dt.datetime(2019, 1, 1)
         assert ts.values.tolist() == [1.0, 2.0]
 
@@ -191,10 +195,17 @@ class TestAlign:
         with pytest.raises(DataError, match="offset"):
             align_hourly([hourly([1, 2, 3]), shifted])
 
-    def test_non_hourly_step_rejected(self):
-        quarter = TimeSeries(START, np.ones(3), step=900.0, name="b")
-        with pytest.raises(DataError, match="step"):
-            align_hourly([hourly([1, 2, 3]), quarter])
+    def test_nothing_to_align(self):
+        with pytest.raises(DataError, match="^nothing to align$"):
+            align_hourly([])
+
+
+class TestSeries:
+    @pytest.mark.parametrize("step", [900.0, 1800.0, 7200.0, 0.0, -3600.0])
+    def test_non_hourly_step_rejected(self, step):
+        with pytest.raises(DataError) as err:
+            TimeSeries(START, np.ones(3), step=step, name="b")
+        assert str(err.value) == f"series 'b' is not hourly: step {step:g}s"
 
 
 class TestTransforms:
@@ -329,12 +340,14 @@ def _cell(draw, text):
 
 def _body(draw, header, rows):
     """CSV text: the header, the rows and a few blank lines, every line
-    ended by \\n, \\r\\n or a lone \\r, one kind per file or mixed."""
+    ended by \\n, \\r\\n or a lone \\r, one kind per file or mixed; one
+    file in four starts with a byte-order mark."""
     lines = [",".join(_cell(draw, text) for text in row) for row in [header, *rows]]
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " , "])))
     ends = draw(st.sampled_from([[end] for end in _LINE_ENDS] + [_LINE_ENDS]))
-    return "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    bom = draw(st.sampled_from(["", "", "", "\ufeff"]))
+    return bom + "".join(line + draw(st.sampled_from(ends)) for line in lines)
 
 
 @st.composite

@@ -121,23 +121,29 @@ class TestSegmentCells:
 class TestForwardApply:
     def test_constant_kernel_is_cumulative_sum(self):
         grid = Grid(1.0, 10)
-        x = np.arange(1.0, 11.0)
+        x = np.arange(0.0, 11.0)
         f = forward_apply(identity_kernel(), grid, x)
-        np.testing.assert_allclose(f, np.concatenate([[0.0], np.cumsum(0.1 * x)]),
+        np.testing.assert_allclose(f, np.concatenate([[0.0], np.cumsum(0.1 * x[1:])]),
                                    rtol=0, atol=1e-14)
 
     def test_two_band_constant(self):
         # K1=1 on [0, t/2), K2=2 on [t/2, t), x==1 -> f(t) = t/2 + 2*(t/2)
         grid = Grid(1.0, 10)
-        f = forward_apply(two_band_kernel(), grid, np.ones(10))
+        f = forward_apply(two_band_kernel(), grid, np.ones(11))
         np.testing.assert_allclose(f, 1.5 * grid.nodes(), rtol=0, atol=1e-14)
 
-    def test_accepts_full_node_vector(self):
+    def test_node_zero_is_not_read(self):
         grid = Grid(1.0, 10)
-        x = np.linspace(1.0, 2.0, 10)
-        with_ghost = np.concatenate([[99.0], x])  # node-0 value must be ignored
+        x = np.linspace(1.0, 2.0, 11)
+        ghost = np.concatenate([[99.0], x[1:]])
         np.testing.assert_array_equal(forward_apply(identity_kernel(), grid, x),
-                                      forward_apply(identity_kernel(), grid, with_ghost))
+                                      forward_apply(identity_kernel(), grid, ghost))
+
+    @pytest.mark.parametrize("x", [np.ones(10), np.ones(12), np.ones((11, 1))])
+    def test_takes_node_values_0_to_n(self, x):
+        with pytest.raises(DataError) as err:
+            forward_apply(identity_kernel(), Grid(1.0, 10), x)
+        assert str(err.value) == f"expected 11 node values, got {x.shape}"
 
 
 class TestSolveLinear:
@@ -146,6 +152,13 @@ class TestSolveLinear:
         result = solve_apf(identity_kernel(), grid, grid.nodes())
         np.testing.assert_allclose(result.x, 1.0, rtol=0, atol=1e-12)
         assert result.residual <= 1e-10
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_right_hand_side_rejected(self, bad):
+        f = Grid(1.0, 10).nodes()
+        f[4] = bad
+        with pytest.raises(DataError, match="^right-hand side contains non-finite values$"):
+            solve_apf(identity_kernel(), Grid(1.0, 10), f)
 
     def test_node_zero_is_extrapolated(self):
         grid = Grid(1.0, 10)
@@ -164,10 +177,10 @@ class TestSolveLinear:
                       for i in range(len(fractions) + 1)],
                 "G": [{"type": "linear"}] * (len(fractions) + 1),
             })
-            x = rng.normal(size=128)
+            x = rng.normal(size=129)
             f = forward_apply(kernel, grid, x)
             back = solve_apf(kernel, grid, f)
-            np.testing.assert_allclose(back.x[1:], x, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(back.x[1:], x[1:], rtol=0, atol=1e-10)
 
     def test_manufactured_sine_two_bands(self):
         # x(s) = sin s, alpha_1 = t/2, K1=1, K2=2:
@@ -258,7 +271,8 @@ class TestSolveNonlinear:
         grid = Grid(6.0, 60)
         x = np.sin(np.linspace(0.1, 5.0, 60))
         f = dense_forward(kernel, grid, x)
-        np.testing.assert_allclose(forward_apply(kernel, grid, x), f, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(forward_apply(kernel, grid, np.r_[0.0, x]), f,
+                                   rtol=0, atol=1e-13)
         result = solve_apf(kernel, grid, f)
         np.testing.assert_allclose(result.x[1:], dense_solve(kernel, grid, f), rtol=0, atol=1e-10)
         assert not result.diagnostics["newton_iterations"].any()
@@ -272,10 +286,10 @@ class TestSolveNonlinear:
             "G": [{"type": "linear"}, {"type": "cubic", "a": 1.0, "b": 0.2}],
         })
         grid = Grid(1.5, 96)
-        x = 0.5 + 0.4 * np.sin(np.linspace(0.0, 6.0, 96))
+        x = 0.5 + 0.4 * np.sin(np.linspace(0.0, 6.0, 97))
         f = forward_apply(kernel, grid, x)
         back = solve_apf(kernel, grid, f)
-        np.testing.assert_allclose(back.x[1:], x, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(back.x[1:], x[1:], rtol=0, atol=1e-9)
 
     def test_non_monotone_response_rejected(self):
         # a*b < 0 is decided by the config, when the kernel is built
@@ -477,10 +491,10 @@ class TestKernelConfig:
             "G": [{"type": "linear"}] * 2,
         })
         grid = Grid(1.0, 16)
-        x = np.linspace(0.5, 1.5, 16)
+        x = np.linspace(0.5, 1.5, 17)
         f = forward_apply(kernel, grid, x)
         back = solve_apf(kernel, grid, f)
-        np.testing.assert_allclose(back.x[1:], x, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(back.x[1:], x[1:], rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("patch", [
@@ -597,7 +611,8 @@ class TestMarch:
         kernel = kernel_from_config(config)
         f, ref = well_conditioned(kernel, grid, x, tol)
         scale = max(1.0, float(np.max(np.abs(f))))
-        np.testing.assert_allclose(forward_apply(kernel, grid, x), f, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(forward_apply(kernel, grid, np.r_[0.0, x]), f,
+                                   rtol=0, atol=1e-13 * scale)
         got = solve_apf(kernel, grid, f).x[1:]
         np.testing.assert_allclose(got, ref, rtol=0, atol=tol * np.max(np.abs(ref)))
 
@@ -607,7 +622,7 @@ class TestMarch:
         config, grid, x, tol = problem
         kernel = kernel_from_config(config)
         well_conditioned(kernel, grid, x, tol)
-        back = solve_apf(kernel, grid, forward_apply(kernel, grid, x)).x[1:]
+        back = solve_apf(kernel, grid, forward_apply(kernel, grid, np.r_[0.0, x])).x[1:]
         np.testing.assert_allclose(back, x, rtol=0, atol=tol * np.max(np.abs(x)))
 
     @settings(max_examples=150, deadline=None)
