@@ -166,7 +166,7 @@ def soc_trajectory(x, h: float, spec: StorageSpec) -> np.ndarray:
     return out
 
 
-def check_constraints(x, v, E, spec: StorageSpec) -> Violations:
+def check_constraints(v, E, spec: StorageSpec) -> Violations:
     """Post-hoc scan for v_max and stored-energy band violations.
 
     Violations are data, not errors; magnitudes measure how far past the
@@ -228,7 +228,7 @@ def dispatch(f_res: TimeSeries, f_gen: TimeSeries, f_load: TimeSeries,
         v = integrate_cumulative(x, h)
         E = soc_trajectory(x, h, soc_spec)
         sizes = sizing(x, E)
-        violations = check_constraints(x, v, E, spec)
+        violations = check_constraints(v, E, spec)
     # linear cycle-budget extrapolation in horizons; infinite when nothing was used
     cycles = sizes["equivalent_cycles"]
     return DispatchReport(

@@ -204,10 +204,6 @@ class KernelSpec:
                 f"{self.kernel_floor:g}; the marching solve would divide by it"
             )
 
-    @property
-    def n_bands(self) -> int:
-        return self.partition.n_bands
-
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -218,41 +214,44 @@ class SolveResult:
 
 def _cut(t, left, right, lo, hi, factor):
     """Band [lo, hi] at node t cut down to the cell [left, right]: the
-    fragment's width (0 if none) and width * K(t, end), end its right end."""
+    fragment's width * K(t, end), end its right end (0 if no fragment)."""
     end = np.minimum(right, hi)
     width = np.clip(end - np.maximum(left, lo), 0.0, None)
-    return width, width * factor(t, np.maximum(end, lo))
+    return width * factor(t, np.maximum(end, lo))
 
 
 class _March:
     """One kernel on one grid: the geometry of every node and the causal
     march over it, shared by the solve and the direct problem.
 
-    Each band is a ``(factor, G, decay)`` record with a history sum
-    ``Q_m = decay * Q_{m-1} + w_m * G(x_m)`` over finished cells, decay =
-    e^{-rate*h}. At node j the band's whole cells a+1..b add ``K(t_j, t_b) *
-    (Q_b - e^{-rate*(t_b - t_a)} * Q_a)`` and the cells a, b+1 its
-    boundaries cut one fragment each. Only decaying exponentials are formed
-    (prefix sums of e^{rate*s} overflow once rate*T passes ~700).
+    Each band keeps G(x_k) of every node found so far (an identity band
+    keeps x itself) and a history sum ``Q_m = decay * Q_{m-1} + w_m *
+    G(x_m)`` over finished cells, decay = e^{-rate*h}. At node j the band's
+    whole cells a+1..b add ``K(t_j, t_b) * (Q_b - e^{-rate*(t_b - t_a)} *
+    Q_a)`` and the cells a, b+1 its boundaries cut one fragment each. Only
+    decaying exponentials are formed (prefix sums of e^{rate*s} overflow once
+    rate*T passes ~700).
     """
 
     def __init__(self, kernel: KernelSpec, grid: Grid):
         self.n = n = grid.n_cells
         self.nodes = nodes = grid.nodes()
         self.bm = bm = kernel.partition.validate_on(grid)
+        self.K, self.G = kernel.K, kernel.G
         # the unknown's cell [t_{j-1}, t_j], cut by the bands at t_j
-        self.coefs = np.array([_cut(nodes[1:], nodes[:-1], nodes[1:], lo, hi, K)[1]
-                               for K, lo, hi in zip(kernel.K, bm[:-1], bm[1:])])
-        self.bands = [(K, g, math.exp(-K.rate * nodes[-1] / n))
-                      for K, g in zip(kernel.K, kernel.G)]
+        self.coefs = np.array([_cut(nodes[1:], nodes[:-1], nodes[1:], lo, hi, K)
+                               for K, lo, hi in zip(self.K, bm[:-1], bm[1:])])
+        self.decays = [math.exp(-K.rate * nodes[-1] / n) for K in self.K]
 
     def windows(self, sl):
         """Per band, per node of the slice: the window and fragment terms
-        ``(scale, drop, a, b, c_left, k_left, c_right, k_right)`` as scalars."""
+        ``(scale, drop, a, b, c_left, k_left, c_right, k_right)`` as scalars.
+        A fragment whose coefficient is 0 is left out (c 0, k 0), so it reads
+        no G(x), which may have overflowed."""
         nodes = self.nodes
         j = np.arange(sl.start + 1, sl.stop + 1)
         t = nodes[j]
-        for (factor, _, _), lo, hi in zip(self.bands, self.bm[:-1, sl], self.bm[1:, sl]):
+        for factor, lo, hi in zip(self.K, self.bm[:-1, sl], self.bm[1:, sl]):
             p = np.searchsorted(nodes, lo, side="left")  # nodes[p-1] < lo <= nodes[p]
             # hi's cell, capped at the unknown's, which is not history
             k = np.minimum(np.searchsorted(nodes, hi, side="right"), j)
@@ -262,11 +261,11 @@ class _March:
             scale = np.where(whole, factor(t, nodes[b]), 0.0)
             drop = np.exp(-factor.rate * (nodes[b] - nodes[a]))
             # cell p when lo cuts it; it also holds hi when both cut the same cell
-            w_left, c_left = _cut(t, nodes[p - 1], nodes[p], lo, hi, factor)
-            left = (p < j) & (w_left > 0.0)
+            c_left = _cut(t, nodes[p - 1], nodes[p], lo, hi, factor)
+            left = (p < j) & (c_left != 0.0)
             # cell k when hi cuts it and lo does not
-            w_right, c_right = _cut(t, nodes[k - 1], nodes[k], lo, hi, factor)
-            right = (p < k) & (k < j) & (w_right > 0.0)
+            c_right = _cut(t, nodes[k - 1], nodes[k], lo, hi, factor)
+            right = (p < k) & (k < j) & (c_right != 0.0)
             fields = (scale, drop, a, b, np.where(left, c_left, 0.0), np.where(left, p, 0),
                       np.where(right, c_right, 0.0), np.where(right, k, 0))
             yield zip(*(f.tolist() for f in fields))
@@ -274,11 +273,14 @@ class _March:
     def run(self, step, *given) -> tuple:
         """x_j = step(known_j, *given_j) for j = 1..N, where known_j sums the
         cells before node j's own and given_j holds entry j-1 of each array in
-        ``given``. Returns x over nodes 0..N (x_0 = 0) and known over 1..N."""
-        n, nodes, bands = self.n, self.nodes, self.bands
+        ``given``. Returns x over nodes 0..N (x_0 = 0), and over nodes 1..N
+        known and the own cells' sum_i c_i*G_i(x_j)."""
+        n, nodes, decays = self.n, self.nodes, self.decays
         x = [0.0] * (n + 1)
         knowns = []
-        qs = [[0.0] * (n + 1) for _ in bands]
+        qs = [[0.0] * (n + 1) for _ in self.G]
+        gxs = [x if g is None else [0.0] * (n + 1) for g in self.G]
+        cubics = [(g, gx) for g, gx in zip(self.G, gxs) if g is not None]
         for start in range(1, n + 1, _CHUNK):
             stop = min(start + _CHUNK, n + 1)
             sl = slice(start - 1, stop - 1)
@@ -288,29 +290,20 @@ class _March:
             )
             for j, w_j, rows, given_j in per_node:
                 known = 0.0
-                for (_, g, _), row, q in zip(bands, rows, qs):
+                for row, q, gx in zip(rows, qs, gxs):
                     scale, drop, a, b, c_left, k_left, c_right, k_right = row
-                    total = scale * (q[b] - drop * q[a])
-                    if g is None:
-                        known += total + c_left * x[k_left] + c_right * x[k_right]
-                        continue
-                    if c_left:
-                        total += c_left * g(x[k_left])
-                    if c_right:
-                        total += c_right * g(x[k_right])
-                    known += total
+                    known += (scale * (q[b] - drop * q[a])
+                              + c_left * gx[k_left] + c_right * gx[k_right])
                 knowns.append(known)
                 xj = x[j] = step(known, *given_j)
-                for (_, g, decay), q in zip(bands, qs):
-                    q[j] = decay * q[j - 1] + w_j * (xj if g is None else g(xj))
-        return x, np.array(knowns)
-
-    def own(self, x) -> np.ndarray:
-        """Each node's own-cell sum, sum_i c_i*G_i(x_j), for x at nodes 1..N."""
-        total = np.zeros(self.n)
-        for c, (_, g, _) in zip(self.coefs, self.bands):
-            total += c * (x if g is None else g(x))
-        return total
+                for g, gx in cubics:
+                    gx[j] = g(xj)
+                for decay, q, gx in zip(decays, qs, gxs):
+                    q[j] = decay * q[j - 1] + w_j * gx[j]
+        own = np.zeros(n)
+        for c, gx in zip(self.coefs, gxs):
+            own += c * np.array(gx[1:])
+        return x, np.array(knowns), own
 
 
 def forward_apply(kernel: KernelSpec, grid: Grid, x) -> np.ndarray:
@@ -321,10 +314,8 @@ def forward_apply(kernel: KernelSpec, grid: Grid, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (grid.n_cells + 1,):
         raise DataError(f"expected {grid.n_cells + 1} node values, got {x.shape}")
-    x = x[1:]
-    march = _March(kernel, grid)
-    _, known = march.run(lambda known, xj: xj, x)
-    return np.concatenate([[0.0], known + march.own(x)])
+    _, known, own = _March(kernel, grid).run(lambda known, xj: xj, x[1:])
+    return np.concatenate([[0.0], known + own])
 
 
 def solve_apf(kernel: KernelSpec, grid: Grid, f) -> SolveResult:
@@ -388,14 +379,14 @@ def solve_apf(kernel: KernelSpec, grid: Grid, f) -> SolveResult:
         x = span_j * math.sinh(math.asinh(r * gain_j) / 3.0)
         return x - (x * (p_j * x * x + q_j) - r) / (3.0 * p_j * x * x + q_j)
 
-    x, known = march.run(step, f[1:], p, q, span, gain)
+    # a finite x may overflow G, and then the own cells' sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, known, terms = march.run(step, f[1:], p, q, span, gain)
     x = np.array(x[1:])
     # a lone infinite x_N would make the residual and its tolerance both inf
     if not np.all(np.isfinite(x)):
         raise SolverError("the march overflowed: x is not finite")
-    # forward_apply(x) - f from the same running sums; a finite x may overflow G
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = march.own(x)
+    # forward_apply(x) - f from the same running sums
     if not np.all(np.isfinite(terms)):
         raise SolverError("the march overflowed: G(x) is not finite")
     residual = float(np.max(np.abs(known + terms - f[1:])))

@@ -89,7 +89,7 @@ def band_matrices(kernel, grid):
     t_left = nodes[None, :-1]
     t_right = nodes[None, 1:]
     out = []
-    for i in range(kernel.n_bands):
+    for i in range(kernel.partition.n_bands):
         lo = bm[i][:, None]
         hi = bm[i + 1][:, None]
         right = np.minimum(t_right, hi)

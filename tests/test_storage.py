@@ -182,14 +182,14 @@ class TestConstraints:
         x = np.array([1.0, -1.0])
         v = integrate_cumulative(x, 1.0)
         E = soc_trajectory(x, 1.0, StorageSpec(efficiency=1.0, interpretation="power"))
-        assert len(check_constraints(x, v, E, spec)) == 0
+        assert len(check_constraints(v, E, spec)) == 0
 
     def test_violations_located_and_measured(self):
         spec = StorageSpec(v_max=1.5, e_min=-0.5, e_max=0.75,
                            interpretation="power")
         v = np.array([0.0, 1.0, 2.0])
         E = np.array([0.0, 1.0, -1.0])
-        out = check_constraints(np.zeros(2), v, E, spec)
+        out = check_constraints(v, E, spec)
         assert list(zip(out.constraint.tolist(), out.node.tolist())) == [
             ("E_max", 1), ("E_min", 2), ("v_max", 2)]
         np.testing.assert_allclose(out.magnitude, [0.25, 0.5, 0.5])
@@ -197,7 +197,7 @@ class TestConstraints:
     def test_tolerance_scales_with_e_max(self):
         spec = StorageSpec(e_max=1e6)
         E = np.array([0.0, 1e6 + 1e-4])  # inside 1e-9 * 1e6 = 1e-3
-        assert len(check_constraints(np.zeros(1), np.zeros(2), E, spec)) == 0
+        assert len(check_constraints(np.zeros(2), E, spec)) == 0
 
 
 class TestCapacityAndCycles:

@@ -199,6 +199,21 @@ class TestAlign:
         with pytest.raises(DataError, match="^nothing to align$"):
             align_hourly([])
 
+    def test_column_is_an_hourly_series_on_the_shared_start(self):
+        later = START + dt.timedelta(hours=1)
+        frame = align_hourly([hourly([1, 2, 3], name="a"),
+                              hourly([10, 20, 30, 40], name="b", start=later)])
+        series = frame.column("b")
+        assert isinstance(series, TimeSeries)
+        assert (series.name, series.start, series.step) == ("b", later, 3600.0)
+        assert series.values.tolist() == [10.0, 20.0]
+
+    def test_column_unknown_name_rejected(self):
+        frame = align_hourly([hourly([1, 2], name="b"), hourly([3, 4], name="a")])
+        with pytest.raises(DataError) as err:
+            frame.column("load")
+        assert str(err.value) == "no column named 'load' (have ['a', 'b'])"
+
 
 class TestSeries:
     @pytest.mark.parametrize("step", [900.0, 1800.0, 7200.0, 0.0, -3600.0])

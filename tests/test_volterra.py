@@ -6,9 +6,11 @@ random data. The quadrature is first order, so convergence tests check the
 observed order from grid refinement rather than absolute error.
 """
 
+import collections
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,6 +266,26 @@ class TestSolveNonlinear:
         assert (np.flatnonzero(iters) + 1).tolist() == polished
         assert set(iters.tolist()) <= {0, 1}
 
+    def test_each_cubic_response_runs_once_per_node(self):
+        # the march keeps each band's G(x_k): one call per solved node, none
+        # for the history, the boundary fragments or the residual
+        calls = collections.Counter()
+
+        class CountingCubic(volterra.Cubic):
+            def __call__(self, x):
+                calls[self] += 1
+                return super().__call__(x)
+
+        kernel = kernel_from_config({
+            **README_KERNEL, "n": 3, "alphas": {"type": "proportional", "c": [0.3, 0.6]},
+            "K": [{"type": "const", "value": 0.9}, *README_KERNEL["K"]],
+            "G": [{"type": "cubic", "a": 1.0, "b": 0.2}, {"type": "linear"},
+                  {"type": "cubic", "a": 0.5, "b": 0.1}]})
+        kernel = replace(kernel, G=[g and CountingCubic(*g) for g in kernel.G])
+        grid = Grid(30.0, 60)
+        solve_apf(kernel, grid, 100.0 * np.sin(2 * np.pi * grid.nodes() / 24.0))
+        assert calls == {kernel.G[0]: 60, kernel.G[2]: 60}
+
     def test_pure_cubic_matches_dense_oracle(self):
         # a = 0: the own cell is p*x^3 = r, a cube root with no polish
         kernel = kernel_from_config({**README_KERNEL, "G": [
@@ -431,7 +453,7 @@ class TestKernelConfig:
         kernel = kernel_from_config({
             "n": 1, "K": [{"type": "const", "value": 0.92}], "G": [{"type": "linear"}],
         })
-        assert kernel.n_bands == 1
+        assert kernel.partition.n_bands == 1
         assert all(g is None for g in kernel.G)
 
     def test_lengths_must_match_n(self):
@@ -448,7 +470,7 @@ class TestKernelConfig:
             kernel_from_config({**README_KERNEL, "n": n})
 
     def test_integral_float_band_count_accepted(self):
-        assert kernel_from_config({**README_KERNEL, "n": 2.0}).n_bands == 2
+        assert kernel_from_config({**README_KERNEL, "n": 2.0}).partition.n_bands == 2
 
     def test_multiband_requires_alphas(self):
         with pytest.raises(DataError, match="alphas"):
@@ -559,16 +581,21 @@ _responses = st.one_of(
 
 
 @st.composite
-def config_problems(draw):
+def config_problems(draw, zero_factors=False):
     """A random 1-3 band config kernel (as its JSON form) on a grid of at
     most 96 cells, a solution x and the tolerance relative to max|x|.
 
-    K values stay in [0.5, 2], well clear of the floor.
+    K values stay in [0.5, 2], well clear of the floor; with
+    ``zero_factors`` each non-final band's value may be 0 instead.
     """
     n = draw(st.integers(1, 3))
     horizon = draw(st.floats(1.0, 50.0))
     config = {"n": n, "K": [draw(_factors) for _ in range(n)],
               "G": [draw(_responses) for _ in range(n)]}
+    if zero_factors:
+        for factor in config["K"][:-1]:
+            if draw(st.booleans()):
+                factor["value"] = 0.0
     if n > 1:
         def fractions():
             cs = sorted(draw(st.lists(_fractions, min_size=n - 1, max_size=n - 1)))
@@ -605,14 +632,18 @@ def well_conditioned(kernel, grid, x, tol):
 
 class TestMarch:
     @settings(max_examples=150, deadline=None)
-    @given(config_problems())
+    @given(config_problems(zero_factors=True))
     def test_matches_dense_oracle(self, problem):
         config, grid, x, tol = problem
         kernel = kernel_from_config(config)
         f, ref = well_conditioned(kernel, grid, x, tol)
         scale = max(1.0, float(np.max(np.abs(f))))
-        np.testing.assert_allclose(forward_apply(kernel, grid, np.r_[0.0, x]), f,
-                                   rtol=0, atol=1e-13 * scale)
+        forward = forward_apply(kernel, grid, np.r_[0.0, x])
+        np.testing.assert_allclose(forward, f, rtol=0, atol=1e-13 * scale)
+        # a band whose factor is 0 adds nothing, whatever its response
+        silent = [None if k.value == 0.0 else g for k, g in zip(kernel.K, kernel.G)]
+        np.testing.assert_array_equal(
+            forward_apply(replace(kernel, G=silent), grid, np.r_[0.0, x]), forward)
         got = solve_apf(kernel, grid, f).x[1:]
         np.testing.assert_allclose(got, ref, rtol=0, atol=tol * np.max(np.abs(ref)))
 
