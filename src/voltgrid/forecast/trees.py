@@ -2,14 +2,15 @@
 
 Trees live in flat parallel arrays (feature, threshold, children, value) so
 prediction is a vectorized descent and serialization is plain lists. Trees
-grow one depth level at a time over presorted orders: each feature's rows are
-sorted once per ensemble fit and every tree filters that presort, a level
-scores every (node, candidate feature) boundary in one pass of segmented
-prefix sums, and a stable partition keeps each child's rows sorted. A split's
-threshold is the midpoint of the two values it separates, or the lower value
-where that midpoint would round onto the upper one or overflow. Rows may
-carry integer weights; a row of weight w grows the same tree as w copies of
-it, which is how a bootstrap sample is grown.
+grow a depth level at a time over presorted orders of row numbers: each
+feature's rows are sorted once per ensemble fit and every tree filters that
+presort. A level takes prefix sums over each (node, candidate feature) block
+and scores only the boundaries between distinct values that leave enough
+weight on both sides; a stable partition keeps each child's rows sorted. A
+split's threshold is the midpoint of the two values it separates, or the
+lower value where that midpoint would round onto the upper one or overflow.
+Rows may carry integer weights; a row of weight w grows the same tree as w
+copies of it, which is how a bootstrap sample is grown.
 
 A tree's targets are quantized once to int64 fixed point (``_quantize``), so
 every prefix sum is exact and independent of summation order. A gain is a
@@ -26,8 +27,6 @@ import math
 import numpy as np
 
 from ..errors import DataError
-
-_NO_DEPTH_CAP = 1 << 30
 
 
 class RegressionTree:
@@ -77,81 +76,83 @@ def _score_level(values, targets, weights, orders, starts, counts, cand, min_chi
     Returns (split mask, feature, threshold, left row count); the last three
     list only the split nodes, in node order.
     """
-    # gather each (candidate feature, node) block of sorted rows into one
-    # flat array, feature-major; only these cells are scored
+    # each (candidate feature, node) block of sorted row numbers, feature-major,
+    # gathered by an index that steps by one and jumps at each block's start
     bf, bn = np.nonzero(cand)
     lengths = counts[bn]
     first = np.cumsum(lengths) - lengths
-    k = int(lengths.sum())
-    blk = np.repeat(np.arange(len(bn)), lengths)
-    cells = orders.ravel()[np.arange(k)
-                           + np.repeat(bf * orders.shape[1] + starts[bn] - first, lengths)]
-    v = values[cells]
-    cum = np.cumsum(targets[cells])
-    before = np.where(first > 0, cum[first - 1], 0)
-    total = cum[first + lengths - 1] - before
-    n_left = np.arange(k) - first[blk] + 1
-    # weight left of each boundary and in its node; unit weights (None)
-    # count rows, which keeps boosting clear of the weighted sums' cost
+    last = first + lengths - 1
+    rows = np.ones(last[-1] + 1, dtype=np.int64)
+    rows[first] = 1 + np.diff(bf * orders.shape[1] + starts[bn] - first, prepend=1)
+    rows = orders.ravel()[np.cumsum(rows, out=rows)]
+    # row-major X holds a cell's value at row * p + feature
+    v = values[rows * orders.shape[0] + np.repeat(bf, lengths)]
+    # a cut after a cell in [lo, hi] leaves min_child weight on each side;
+    # unit weights (None) count rows and keep boosting off weighted sums
     if weights is None:
-        w_left, w_node = n_left, lengths[blk]
+        lo, hi, w_total = first + min_child - 1, last - min_child, lengths
     else:
-        w_cum = np.cumsum(weights[cells])
+        w_cum = np.cumsum(weights[rows])
         w_before = np.where(first > 0, w_cum[first - 1], 0)
-        w_left = w_cum - w_before[blk]
-        w_node = (w_cum[first + lengths - 1] - w_before)[blk]
-    # a boundary between distinct values, leaving min_child weight on each side
-    ok = (np.append(v[1:] > v[:-1], False)
-          & (w_left >= min_child) & (w_node - w_left >= min_child))
-    at = np.flatnonzero(ok)
-    b, w_l = blk[at], w_left[at]
-    s_left = cum[at] - before[b]
-    s_right = (total[b] - s_left).astype(float)
-    s_left = s_left.astype(float)
-    gain = np.full(k, -np.inf)
+        w_total = w_cum[last] - w_before
+        lo = np.searchsorted(w_cum, w_before + min_child)
+        hi = np.searchsorted(w_cum, w_cum[last] - min_child, side="right") - 1
+    cum = np.cumsum(targets[rows], out=rows)  # exact, in the row numbers' place
+    before = np.where(first > 0, cum[first - 1], 0)
+    inside = np.zeros(len(v), dtype=bool)
+    ranged = lo <= hi
+    inside[lo[ranged]] = inside[hi[ranged] + 1] = True
+    np.logical_xor.accumulate(inside, out=inside)
+    # only the boundaries between distinct values in those ranges are scored
+    at = np.flatnonzero(np.logical_and(inside[:-1], v[1:] > v[:-1], out=inside[:-1]))
+    heads = np.searchsorted(at, first)  # each block's first boundary
+    per_block = np.diff(heads, append=len(at))
+    s_left = cum[at] - np.repeat(before, per_block)
+    w_left = (at - np.repeat(first - 1, per_block) if weights is None
+              else w_cum[at] - np.repeat(w_before, per_block))
     # within-node SSE drop, up to the constant total**2/w
-    gain[at] = s_left * s_left / w_l + s_right * s_right / (w_node[at] - w_l)
+    gain = (s_left.astype(float) ** 2 / w_left
+            + (np.repeat(cum[last] - before, per_block) - s_left).astype(float) ** 2
+            / (np.repeat(w_total, per_block) - w_left))
 
-    # each node's cut is its first cell, feature-major, with the node's best
-    # gain: the lowest feature, then the lowest threshold
+    # each node's cut is its first boundary, feature-major, with the node's
+    # best gain: the lowest feature, then the lowest threshold
     by_feature = np.full(cand.shape, -np.inf)
-    by_feature[bf, bn] = np.maximum.reduceat(gain, first)
+    scored = per_block > 0
+    by_feature[bf[scored], bn[scored]] = np.maximum.reduceat(gain, heads[scored])
     best = by_feature.max(axis=0)
-    split = best > -np.inf
-    node = bn[blk]
-    hits = np.flatnonzero((gain == best[node]) & split[node])
-    cut = hits[np.unique(node[hits], return_index=True)[1]]
+    node = np.repeat(bn, per_block)
+    hits = np.flatnonzero(gain == best[node])
+    cut = at[hits[np.unique(node[hits], return_index=True)[1]]]
     lo, hi = v[cut], v[cut + 1]
     # the midpoint, unless it rounds onto hi (adjacent floats) or overflows
     with np.errstate(over="ignore"):
         mid = 0.5 * (lo + hi)
-    return split, bf[blk[cut]], np.where((lo <= mid) & (mid < hi), mid, lo), n_left[cut]
+    b = np.searchsorted(first, cut, side="right") - 1
+    return best > -np.inf, bf[b], np.where((lo <= mid) & (mid < hi), mid, lo), cut - first[b] + 1
 
 
 def _partition(orders, seg, counts, split, feature, n_left, n):
     """Stable partition of every feature order into the split nodes' children,
     which keep their rows in parent order; ``feature`` and ``n_left`` list the
-    split nodes only."""
-    orders = orders[:, split[seg]]
-    p, m = orders.shape
+    split nodes only. Rows of the nodes that did not split are dropped."""
     sizes = counts[split]
-    n_right = sizes - n_left
-    parent = np.repeat(np.arange(len(sizes)), sizes)
-    rank = np.arange(m) - (np.cumsum(sizes) - sizes)[parent]
-    f = feature[parent]
-    row_left = np.zeros(n, dtype=bool)
-    row_left[orders[f, np.arange(m)] - n * f] = rank < n_left[parent]
-    left = np.tile(row_left, p)[orders].ravel()
-    # every feature sends the same number of rows left in each node, so one
-    # column permutation interleaves the nodes' left and right blocks
-    flat = orders.ravel()
-    both = np.concatenate([np.compress(left, flat).reshape(p, -1),
-                           np.compress(~left, flat).reshape(p, -1)], axis=1)
-    counts = np.column_stack([n_left, n_right]).ravel()
+    cols = np.flatnonzero(split[seg])
+    # each split node sends the first n_left rows of its cut feature's order
+    # left (1), and the rest right (2)
+    side = np.zeros(n, dtype=np.int8)
+    side[orders[np.repeat(feature, sizes), cols]] = np.where(
+        np.arange(len(cols)) < np.repeat(np.cumsum(sizes) - sizes + n_left, sizes), 1, 2)
+    side = side[orders]
+    counts = np.column_stack([n_left, sizes - n_left]).ravel()
     starts = np.cumsum(counts) - counts
-    src = np.column_stack([np.cumsum(n_left) - n_left,
-                           n_left.sum() + np.cumsum(n_right) - n_right]).ravel()
-    return both[:, np.repeat(src - starts, counts) + np.arange(m)], starts, counts
+    # every feature sends the same rows each way: its left rows fill the
+    # left children's columns in node order, its right rows the rest
+    to_left = np.repeat(np.arange(len(counts)) % 2 == 0, counts)
+    both = np.empty((len(orders), len(cols)), dtype=orders.dtype)
+    both[:, to_left] = orders[side == 1].reshape(len(orders), -1)
+    both[:, ~to_left] = orders[side == 2].reshape(len(orders), -1)
+    return both, starts, counts
 
 
 def _presort(X) -> np.ndarray:
@@ -167,30 +168,23 @@ def _restrict(order, keep) -> np.ndarray:
     return rank[order[keep[order]].reshape(len(order), -1)]
 
 
-def _grow(X, order, y, weight, rng, max_depth, min_child, mtry) -> tuple:
-    """Greedy variance-reduction tree on X (presorted as ``order``), grown a
-    depth level at a time to ``max_depth`` (None: no cap); nodes are numbered
-    in level order. ``weight`` gives each row a positive integer count (None:
-    unit weights); a row of weight w grows the same tree as w copies of it.
-    ``min_child`` >= 1 is the least weight a child may hold; ``mtry`` draws
-    that many of the p features per node from ``rng`` without replacement,
-    all p when None. Returns the tree and the leaf each row of X ended in,
-    which is the leaf the tree routes that row to, as every threshold lies
-    between the two values it separates.
+def _grow(X, orders, y, weight, rng, max_depth, min_child, mtry) -> tuple:
+    """Greedy variance-reduction tree on X, grown a depth level at a time to
+    ``max_depth`` (None: no cap); nodes are numbered in level order. ``orders``
+    is X's stable presort, the row numbers sorted per feature. ``weight`` gives
+    each row a positive integer count (None: unit weights); a row of weight w
+    grows the same tree as w copies of it. ``min_child`` >= 1 is the least
+    weight a child may hold; ``mtry`` draws that many of the p features per
+    node from ``rng`` without replacement, all p when None. Returns the tree
+    and the leaf each row of X ended in, which is the leaf the tree routes
+    that row to, as every threshold lies between the two values it separates.
     """
     n, p = X.shape
-    depth_cap = _NO_DEPTH_CAP if max_depth is None else max_depth
-    # orders[f] lists the live rows node by node, each node's rows sorted by
-    # feature f (ties keep row order), as flat indices f*n + row into the
-    # feature-major ``values``, ``targets`` and ``weights``
-    orders = order + n * np.arange(p)[:, None]
-    values = np.ascontiguousarray(X.T).ravel()
-    if weight is None:
-        q, shift = _quantize(y, n)
-        targets, weights = np.tile(q, p), None
-    else:
-        q, shift = _quantize(y, int(weight.sum()))
-        targets, weights = np.tile(q * weight, p), np.tile(weight, p)
+    depth_cap = n if max_depth is None else max_depth  # no tree is n levels deep
+    # orders[f] keeps the live rows' numbers node by node, each node's sorted
+    # by feature f (ties keep row order); they index X, q and weight as is
+    q, shift = _quantize(y, n if weight is None else int(weight.sum()))
+    targets = q if weight is None else q * weight
     starts, counts = np.zeros(1, dtype=np.int64), np.array([n])
     levels = []
     leaf = np.empty(n, dtype=np.int64)
@@ -198,7 +192,7 @@ def _grow(X, order, y, weight, rng, max_depth, min_child, mtry) -> tuple:
     for depth in range(depth_cap + 1):
         n_live = len(counts)
         seg = np.repeat(np.arange(n_live), counts)
-        rows = orders[0]  # feature 0's flat indices are the row numbers
+        rows = orders[0]
         leaf[rows] = n_nodes + seg  # until a deeper level splits the node
         n_nodes += n_live
         y0 = q[rows]
@@ -217,7 +211,7 @@ def _grow(X, order, y, weight, rng, max_depth, min_child, mtry) -> tuple:
             picks = np.argsort(rng.random((len(nodes), p)), axis=1)[:, :mtry]
             cand = np.zeros((p, n_live), dtype=bool)
             cand[picks, nodes[:, None]] = True
-        split, f, thr, n_left = _score_level(values, targets, weights, orders, starts,
+        split, f, thr, n_left = _score_level(X.ravel(), targets, weight, orders, starts,
                                              counts, cand, min_child)
         if not split.any():
             break

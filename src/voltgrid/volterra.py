@@ -310,10 +310,15 @@ def forward_apply(kernel: KernelSpec, grid: Grid, x) -> np.ndarray:
     """Direct problem: quadrature of the kernel against known node values,
     by the solver's own march, so ``solve_apf(forward_apply(x)) == x`` up to
     rounding. ``x`` and the result span nodes 0..N, as in solve_apf; x_0 is
-    not read, and f_0 is 0."""
+    not read, and f_0 is 0. Every other x_j and each G(x_j) must be finite."""
     x = np.asarray(x, dtype=float)
     if x.shape != (grid.n_cells + 1,):
         raise DataError(f"expected {grid.n_cells + 1} node values, got {x.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite([x[1:]] + [g(x[1:]) for g in kernel.G if g is not None]).all(axis=0)
+    if not finite.all():
+        j = int(np.argmin(finite)) + 1
+        raise DataError(f"node {j}: x = {float(x[j])!r} is not finite or overflows G(x)")
     _, known, own = _March(kernel, grid).run(lambda known, xj: xj, x[1:])
     return np.concatenate([[0.0], known + own])
 

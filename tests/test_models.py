@@ -2,6 +2,7 @@
 
 import functools
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -246,6 +247,10 @@ class TestRandomForest:
         with pytest.raises(DataError, match="mtry"):
             RandomForest(n_trees=2).fit(self.X[:, :3], self.y)
 
+    def test_n_trees_validated(self):
+        with pytest.raises(DataError, match="^n_trees must be >= 1, got 0$"):
+            RandomForest(n_trees=0).fit(self.X, self.y)
+
     def test_predict_requires_fit(self):
         with pytest.raises(DataError, match="not fitted"):
             RandomForest().predict(self.X)
@@ -254,6 +259,33 @@ class TestRandomForest:
         model = RandomForest(n_trees=3, seed=0).fit(self.X, self.y)
         with pytest.raises(DataError, match="features"):
             model.predict(self.X[:, :4])
+
+
+@pytest.mark.parametrize("model", [RandomForest, GradientBoostedTrees])
+def test_training_lengths_must_match(model):
+    X, y, _ = linear_data()
+    with pytest.raises(DataError, match=r"^bad training shapes \(200, 5\) / \(199,\)$"):
+        model(n_trees=1).fit(X, y[:-1])
+
+
+@pytest.mark.parametrize("model, n_trees, bound_mb", [
+    (GradientBoostedTrees, 2, 6.5), (RandomForest, 1, 5.5)])
+def test_fit_memory_is_bounded(model, n_trees, bound_mb):
+    # the forecast matrix of one hourly year (8400 rows, 13 features, three
+    # of them hour-like integers). These fits peak at 4.7 MB (gbdt) and 3.8
+    # MB (rf); growth over tiled flat indices with per-cell score arrays
+    # peaked at 8.9 and 7.5 MB, and each bound sits between the two
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(8400, 13))
+    X[:, :3] = rng.integers(0, 24, size=(8400, 3))
+    y = X @ rng.normal(size=13) + rng.normal(size=8400)
+    tracemalloc.start()
+    try:
+        model(n_trees=n_trees, seed=0).fit(X, y)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < bound_mb
 
 
 class TestGradientBoosting:

@@ -147,6 +147,25 @@ class TestForwardApply:
             forward_apply(identity_kernel(), Grid(1.0, 10), x)
         assert str(err.value) == f"expected 11 node values, got {x.shape}"
 
+    @pytest.mark.parametrize("G, value", [
+        ([{"type": "linear"}] * 2, math.inf),
+        ([{"type": "linear"}] * 2, -math.inf),
+        ([{"type": "linear"}] * 2, math.nan),
+        # finite, but its cube overflows
+        (README_KERNEL["G"], 1e110),
+        # the cubic first band misses node 4's own cell: its zero coefficient
+        # met G(x) = inf there as numpy's invalid-value warning
+        ([{"type": "cubic", "a": 1.0, "b": 0.1}, {"type": "linear"}], 1e110),
+    ], ids=["inf", "-inf", "nan", "cube-overflows", "zero-own-coefficient"])
+    def test_non_finite_x_or_response_rejected(self, G, value):
+        # each returned an f holding NaN with no error
+        kernel = kernel_from_config({**README_KERNEL, "G": G})
+        x = np.ones(11)
+        x[4] = value
+        with pytest.raises(DataError) as err:
+            forward_apply(kernel, Grid(10.0, 10), x)
+        assert str(err.value) == f"node 4: x = {value!r} is not finite or overflows G(x)"
+
 
 class TestSolveLinear:
     def test_identity_problem_is_exact(self):
