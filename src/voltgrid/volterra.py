@@ -55,8 +55,8 @@ class Grid:
     n_cells: int
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise DataError(f"grid horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise DataError(f"grid horizon must be positive and finite, got {self.horizon}")
         if self.n_cells < 2:
             raise DataError(f"grid needs at least 2 cells, got {self.n_cells}")
 
@@ -310,17 +310,21 @@ def forward_apply(kernel: KernelSpec, grid: Grid, x) -> np.ndarray:
     """Direct problem: quadrature of the kernel against known node values,
     by the solver's own march, so ``solve_apf(forward_apply(x)) == x`` up to
     rounding. ``x`` and the result span nodes 0..N, as in solve_apf; x_0 is
-    not read, and f_0 is 0. Every other x_j and each G(x_j) must be finite."""
+    not read, and f_0 is 0. Every other x_j, G(x_j) and f_j must be finite."""
     x = np.asarray(x, dtype=float)
     if x.shape != (grid.n_cells + 1,):
         raise DataError(f"expected {grid.n_cells + 1} node values, got {x.shape}")
+    # a finite x may overflow G(x), and finite terms their sums
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite([x[1:]] + [g(x[1:]) for g in kernel.G if g is not None]).all(axis=0)
+        terms = np.isfinite([x] + [g(x) for g in kernel.G if g is not None]).all(axis=0)
+        _, known, own = _March(kernel, grid).run(lambda known, xj: xj, x[1:])
+        f = np.concatenate([[0.0], known + own])
+    finite = np.isfinite(f)
     if not finite.all():
-        j = int(np.argmin(finite)) + 1
-        raise DataError(f"node {j}: x = {float(x[j])!r} is not finite or overflows G(x)")
-    _, known, own = _March(kernel, grid).run(lambda known, xj: xj, x[1:])
-    return np.concatenate([[0.0], known + own])
+        j = int(np.argmin(finite))
+        raise DataError(f"node {j}: f is not finite; the quadrature sums of x overflow" if terms[j]
+                        else f"node {j}: x = {float(x[j])!r} is not finite or overflows G(x)")
+    return f
 
 
 def solve_apf(kernel: KernelSpec, grid: Grid, f) -> SolveResult:

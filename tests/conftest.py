@@ -1,7 +1,9 @@
-"""Shared fixtures, the in-process CLI runner and the acceptance-summary hook."""
+"""Shared fixtures, the in-process CLI runner, the model-document check and
+the acceptance-summary hook."""
 
 import datetime as dt
 import io
+import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
@@ -13,6 +15,9 @@ from hypothesis import settings
 
 from voltgrid import ioutil
 from voltgrid.cli import main
+from voltgrid.forecast.persist import FORMAT
+from voltgrid.forecast.trees import RegressionTree
+from voltgrid.forecast.validation import MODELS
 from voltgrid.timeseries import TimeSeries, align_hourly
 from voltgrid.volterra import kernel_from_config
 
@@ -63,6 +68,41 @@ def invoke(args) -> Result:
         except Exception:
             code, exc_info = 1, sys.exc_info()
     return Result(code, out.getvalue(), err.getvalue(), exc_info and exc_info[1], exc_info)
+
+
+def strict_json(path):
+    """The file parsed as standard JSON: ``NaN`` and ``Infinity``, which
+    Python's json module writes and reads by default, are errors."""
+    def reject(name):
+        raise ValueError(f"{path}: {name} is not standard JSON")
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=reject)
+
+
+def assert_document_holds(doc, model):
+    """``doc``, a parsed model document, states ``model``'s kind and params,
+    and every tree array, weight, intercept, base score and feature name of
+    the fitted model, bit for bit."""
+    def same(values, array):
+        array = np.asarray(array)
+        assert np.asarray(values, dtype=array.dtype).tobytes() == array.tobytes()
+
+    assert doc["format"] == FORMAT
+    assert MODELS[doc["kind"]] is type(model)
+    assert doc["params"] == model.get_params()
+    assert doc["n_features"] == model.n_features_
+    names = getattr(model, "feature_names_", None)
+    assert doc.get("feature_names") == (None if names is None else list(names))
+    if doc["kind"] == "lm":
+        same(doc["weights"], model.weights_)
+        same(doc["intercept"], float(model.intercept_))
+    else:
+        assert len(doc["trees"]) == len(model.trees_)
+        for tree_doc, tree in zip(doc["trees"], model.trees_):
+            assert tree_doc.keys() == RegressionTree.FIELDS.keys()
+            for key in RegressionTree.FIELDS:
+                same(tree_doc[key], getattr(tree, key))
+    if doc["kind"] == "gbdt":
+        same(doc["base_score"], float(model.base_score_))
 
 
 def hourly(values, name="load", start=START):

@@ -26,15 +26,16 @@ import re
 import tempfile
 import traceback
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from voltgrid.forecast.persist import load_model
+from voltgrid.forecast import persist
 from voltgrid.storage import read_dispatch_csv
 from voltgrid.timeseries import read_frame_csv
 
-from conftest import invoke
+from conftest import assert_document_holds, invoke, strict_json
 
 START = dt.datetime(2019, 1, 1)
 MAX_ROWS = 60
@@ -232,10 +233,12 @@ def test_forecast(data):
         if data.draw(st.booleans()):  # one time in four into a missing directory
             model_path = tmp / data.draw(rarely(st.just("missing"), st.just("."), 4)) / "model.json"
             args += ["--save-model", str(model_path)]
-        if not run(args, tmp / "out"):
-            return
+        with mock.patch.object(persist, "save_model", wraps=persist.save_model) as save:
+            if not run(args, tmp / "out"):
+                return
         if model_path:
-            load_model(model_path)
+            (model, _), _ = save.call_args
+            assert_document_holds(strict_json(model_path), model)
         forecast = (tmp / "out" / "forecast.csv").read_text().splitlines()
         assert forecast[0] == "timestamp,predicted,actual"
         for line in forecast[1:]:

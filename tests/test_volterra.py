@@ -54,6 +54,9 @@ class TestGrid:
             Grid(1.0, 1)
         with pytest.raises(DataError, match="positive"):
             Grid(0.0, 4)
+        for horizon in (math.nan, math.inf):
+            with pytest.raises(DataError, match=f"positive and finite, got {horizon}"):
+                Grid(horizon, 4)
 
 
 class TestBandPartition:
@@ -165,6 +168,12 @@ class TestForwardApply:
         with pytest.raises(DataError) as err:
             forward_apply(kernel, Grid(10.0, 10), x)
         assert str(err.value) == f"node 4: x = {value!r} is not finite or overflows G(x)"
+
+    def test_overflowing_quadrature_sum_rejected(self):
+        # x and G(x) are finite, but node 2's sum of them is not
+        with pytest.raises(DataError) as err:
+            forward_apply(identity_kernel(), Grid(10.0, 10), np.full(11, 1e308))
+        assert str(err.value) == "node 2: f is not finite; the quadrature sums of x overflow"
 
 
 class TestSolveLinear:
