@@ -17,7 +17,7 @@ every prefix sum is exact and independent of summation order. A gain is a
 fixed function of exact sums, so two features that cut a node into the same
 row sets tie bitwise, and ties go to the lowest feature index, then the
 lowest threshold. Node values come from the same exact sums. Nodes are
-numbered in level order; depth-first trees load the same.
+numbered in level order.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ from voltgrid.errors import DataError
 from voltgrid.forecast.linear import RidgeRegression
 from voltgrid.forecast.persist import model_to_dict, save_model
 from voltgrid.forecast.trees import (GBDT_MAX_DEPTH, GBDT_MIN_NODE, GBDT_SHRINKAGE,
-                                     GBDT_SUBSAMPLE, GradientBoostedTrees, RandomForest,
-                                     RegressionTree, _grow, _presort, _restrict)
+                                     GBDT_SUBSAMPLE, RF_MIN_LEAF, GradientBoostedTrees,
+                                     RandomForest, RegressionTree, _grow, _presort, _restrict)
 from voltgrid.forecast.validation import make_model
 
 from conftest import assert_document_holds, strict_json
@@ -377,6 +377,30 @@ class TestPersistence:
             path = tmp_path / f"model{i}.json"
             save_model(model, path)
             assert_document_holds(strict_json(path), model)
+
+    @pytest.mark.parametrize("kind", ["lm", "rf", "gbdt"])
+    @pytest.mark.parametrize("regime", ["constant-target", "huge-features", "fewest-rows"])
+    def test_every_fit_saves_a_standard_json_document(self, kind, regime, tmp_path):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(60, 5))
+        y = X @ np.array([1.0, -2.0, 0.5, 0.0, 3.0])
+        model = make_model(kind, {} if kind == "lm" else {"n_trees": 3})
+        if regime == "constant-target":  # every tree is a single leaf
+            y[:] = 7.25
+        elif regime == "huge-features":  # split midpoints overflow
+            X = np.sign(X) * np.finfo(float).max * np.minimum(0.5 + np.abs(X) / 10, 1.0)
+        else:
+            n = {"lm": 6, "rf": 2 * RF_MIN_LEAF, "gbdt": 2 * GBDT_MIN_NODE}[kind]
+            with pytest.raises(DataError, match="need at least"):
+                model.fit(X[:n - 1], y[:n - 1])
+            X, y = X[:n], y[:n]
+        model.fit(X, y)
+        save_model(model, tmp_path / "model.json")
+        assert_document_holds(strict_json(tmp_path / "model.json"), model)
+
+    def test_only_the_forecasters_serialize(self):
+        with pytest.raises(DataError, match="cannot serialize model of type RegressionTree"):
+            model_to_dict(grow(np.zeros((4, 1)), np.zeros(4)))
 
     def test_save_is_byte_deterministic(self, tmp_path):
         X, y, models = self.fitted_models()

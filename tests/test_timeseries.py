@@ -144,6 +144,15 @@ class TestParseCsv:
         assert ts.start == dt.datetime(2019, 1, 1)
         assert ts.values.tolist() == [1.0, 2.0]
 
+    @pytest.mark.parametrize("stamp", [
+        "20190101T0000", "2019-01-01T00:00:00.0", "2019-01-01T00:00:00.0000001",
+        "2019-01-01T01:00:00+0100", "2019-W01-2T00:00",
+    ], ids=["basic", "one-digit-fraction", "seven-digit-fraction", "colonless-offset", "week-date"])
+    def test_iso_forms_that_need_python_3_11(self, stamp):
+        # CPython 3.10's datetime.fromisoformat rejects each of these
+        ts = parse_timeseries_csv(csv_stream(f"timestamp,value\n{stamp},1\n"))
+        assert (ts.start, ts.values.tolist()) == (dt.datetime(2019, 1, 1), [1.0])
+
     def test_stamp_out_of_range_in_utc_is_data_error(self):
         # 00:00 at +01:00 on 0001-01-01 falls before year 1 in UTC
         with pytest.raises(DataError, match="line 2: bad timestamp .*out of range"):

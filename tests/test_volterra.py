@@ -52,11 +52,14 @@ class TestGrid:
     def test_validation(self):
         with pytest.raises(DataError, match="at least 2"):
             Grid(1.0, 1)
-        with pytest.raises(DataError, match="positive"):
-            Grid(0.0, 4)
-        for horizon in (math.nan, math.inf):
-            with pytest.raises(DataError, match=f"positive and finite, got {horizon}"):
-                Grid(horizon, 4)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        # nan met the band order check with an empty t; inf gave a NaN f or
+        # a SolverError
+        with pytest.raises(DataError) as err:
+            Grid(horizon, 4)
+        assert str(err.value) == f"grid horizon must be positive and finite, got {horizon}"
 
 
 class TestBandPartition:
@@ -169,11 +172,17 @@ class TestForwardApply:
             forward_apply(kernel, Grid(10.0, 10), x)
         assert str(err.value) == f"node 4: x = {value!r} is not finite or overflows G(x)"
 
-    def test_overflowing_quadrature_sum_rejected(self):
-        # x and G(x) are finite, but node 2's sum of them is not
+    @pytest.mark.parametrize("kernel, value, node", [
+        (identity_kernel(), 1e308, 2),
+        (identity_kernel(), -1e308, 2),
+        (identity_kernel(), 3e307, 6),
+        (two_band_kernel(), 3e307, 4),
+    ], ids=["max", "-max", "later-node", "two-band"])
+    def test_overflowing_quadrature_sum_rejected(self, kernel, value, node):
+        # x and G(x) are finite, but the sum of them at ``node`` is not
         with pytest.raises(DataError) as err:
-            forward_apply(identity_kernel(), Grid(10.0, 10), np.full(11, 1e308))
-        assert str(err.value) == "node 2: f is not finite; the quadrature sums of x overflow"
+            forward_apply(kernel, Grid(10.0, 10), np.full(11, value))
+        assert str(err.value) == f"node {node}: f is not finite; the quadrature sums of x overflow"
 
 
 class TestSolveLinear:
