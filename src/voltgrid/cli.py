@@ -59,7 +59,7 @@ def cmd_forecast(data_path, model_name, horizon, blocks, tail, trees, seed,
                  holidays_path, model_path, out_dir):
     """Cross-validate one model and forecast the held-out tail."""
     from .forecast.features import FeatureConfig
-    from .forecast.persist import save_model
+    from .forecast.models import save_model
     from .forecast.validation import block_cross_validate
     from .ioutil import write_csv, write_json
     from .timeseries import load_holidays, read_frame_csv
@@ -217,6 +217,10 @@ SHOW_DEFAULT = "(default: %(default)s)"
 
 def main(argv=None):
     """Storage dispatch from load imbalances, plus the forecasting harness."""
+    # one BLAS thread unless the caller sets one, before a command imports numpy:
+    # the forecast forks its fits, which no BLAS thread may run beside
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     parser = argparse.ArgumentParser(prog="voltgrid", description=main.__doc__)
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
 

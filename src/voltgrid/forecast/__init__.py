@@ -1,4 +1,4 @@
 # the names benchmarks/traced.py imports from the package; gone once it imports each from its module
 from .features import FeatureConfig, build_feature_matrix
-from .persist import save_model
+from .models import save_model
 from .validation import block_cross_validate

@@ -1,4 +1,5 @@
-"""Regression trees and the two ensembles built on them.
+"""The three forecasters (ridge regression, a random forest and gradient
+boosting), their shared checks, and the model document they are saved as.
 
 Trees live in flat parallel arrays (feature, threshold, children, value) so
 prediction is a vectorized descent and serialization is plain lists. Trees
@@ -22,6 +23,7 @@ numbered in level order.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -239,11 +241,25 @@ def _check_training_arrays(X, y):
     return X, y
 
 
-def _predict_input(model, X) -> np.ndarray:
-    """X as floats, checked against a model that fit sets ``n_features_`` on last."""
-    X = np.asarray(X, dtype=float)
+def _check_fitted(model) -> None:
+    """Fit sets ``n_features_`` on a model last; before that it has no state."""
     if not hasattr(model, "n_features_"):
         raise DataError("model is not fitted")
+
+
+def _check_n_trees(n_trees) -> None:
+    if not isinstance(n_trees, int):
+        raise DataError(f"n_trees must be an integer, got {n_trees!r}")
+    if n_trees < 1:
+        raise DataError(f"n_trees must be >= 1, got {n_trees}")
+
+
+def _predict_input(model, X) -> np.ndarray:
+    """X as a float matrix, checked against a fitted model."""
+    X = np.asarray(X, dtype=float)
+    _check_fitted(model)
+    if X.ndim != 2:
+        raise DataError(f"bad prediction shape {X.shape}")
     if X.shape[1] != model.n_features_:
         raise DataError(f"expected {model.n_features_} features, got {X.shape[1]}")
     return X
@@ -256,6 +272,38 @@ def _sum_trees(model, X) -> np.ndarray:
     for tree in model.trees_:
         total += tree.predict(X)
     return total
+
+
+RIDGE = 1e-8  # the L2 penalty on the weights, there only for conditioning
+
+
+class RidgeRegression:
+    """Least squares with the L2 penalty ``RIDGE`` on the weights (not the
+    intercept), solved through one QR/SVD pass over the design augmented with
+    the penalty rows rather than the normal equations, so near-collinear
+    features stay stable. The penalty rows give the design full rank.
+    """
+
+    get_params = _params
+
+    def fit(self, X, y) -> "RidgeRegression":
+        X, y = _check_training_arrays(X, y)
+        n, p = X.shape
+        if n < p + 1:
+            raise DataError(f"need at least {p + 1} rows to fit {p} features, got {n}")
+        # penalty rows: sqrt(RIDGE) on each weight, none on the intercept
+        design = np.block([[X, np.ones((n, 1))],
+                           [np.sqrt(RIDGE) * np.eye(p), np.zeros((p, 1))]])
+        solution = np.linalg.lstsq(design, np.concatenate([y, np.zeros(p)]), rcond=None)[0]
+        if not np.all(np.isfinite(solution)):
+            raise DataError("linear fit produced non-finite weights")
+        self.weights_ = solution[:p]
+        self.intercept_ = float(solution[p])
+        self.n_features_ = p
+        return self
+
+    def predict(self, X) -> np.ndarray:
+        return _predict_input(self, X) @ self.weights_ + self.intercept_
 
 
 # rf: feature candidates per split, smallest leaf weight; gbdt: depth cap,
@@ -286,8 +334,7 @@ class RandomForest:
     def fit(self, X, y) -> "RandomForest":
         X, y = _check_training_arrays(X, y)
         n, p = X.shape
-        if self.n_trees < 1:
-            raise DataError(f"n_trees must be >= 1, got {self.n_trees}")
+        _check_n_trees(self.n_trees)
         if RF_MTRY > p:
             raise DataError(f"mtry {RF_MTRY} exceeds the feature count {p}")
         if n < 2 * RF_MIN_LEAF:
@@ -344,8 +391,7 @@ class GradientBoostedTrees:
     def fit(self, X, y) -> "GradientBoostedTrees":
         X, y = _check_training_arrays(X, y)
         n, p = X.shape
-        if self.n_trees < 1:
-            raise DataError(f"n_trees must be >= 1, got {self.n_trees}")
+        _check_n_trees(self.n_trees)
         if n < 2 * GBDT_MIN_NODE:
             raise DataError(f"need at least {2 * GBDT_MIN_NODE} rows, got {n}")
 
@@ -371,3 +417,49 @@ class GradientBoostedTrees:
 
     def predict(self, X) -> np.ndarray:
         return self.base_score_ + GBDT_SHRINKAGE * _sum_trees(self, X)
+
+
+# the forecasters by short name; rf and gbdt take the harness seed
+MODELS = {"lm": RidgeRegression, "rf": RandomForest, "gbdt": GradientBoostedTrees}
+
+
+def make_model(name: str, params: dict | None = None, seed: int = 0):
+    """Instantiate one of the three forecasters by its short name."""
+    if name not in MODELS:
+        raise DataError(f"unknown model {name!r} (choose from {tuple(MODELS)})")
+    params = dict(params or {})
+    if name != "lm":
+        params.setdefault("seed", seed)
+    return MODELS[name](**params)
+
+
+FORMAT = "voltgrid-model/2"
+
+
+def model_to_dict(model) -> dict:
+    kind = next((kind for kind, cls in MODELS.items() if isinstance(model, cls)), None)
+    if kind is None:
+        raise DataError(f"cannot serialize model of type {type(model).__name__}")
+    _check_fitted(model)
+    doc = {"format": FORMAT, "kind": kind, "params": model.get_params(),
+           "n_features": model.n_features_}
+    names = getattr(model, "feature_names_", None)
+    if names is not None:
+        doc["feature_names"] = list(names)
+    if kind == "lm":
+        doc.update(weights=model.weights_.tolist(), intercept=model.intercept_)
+    else:
+        doc["trees"] = [t.to_dict() for t in model.trees_]
+    if kind == "gbdt":
+        doc["base_score"] = model.base_score_
+    return doc
+
+
+def save_model(model, path) -> None:
+    # not ioutil.write_json: its json_ready rounds floats to 12 digits, and a
+    # model's floats are written exactly; compact separators keep forest
+    # documents from ballooning. json.dumps, not json.dump: only dumps uses
+    # the C encoder
+    text = json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")

@@ -1,4 +1,4 @@
-"""Model wiring, chronological cross-validation, and error breakdowns."""
+"""Chronological cross-validation, forecast error metrics and breakdowns."""
 
 from __future__ import annotations
 
@@ -13,22 +13,40 @@ import numpy as np
 from ..errors import DataError, overflow_as_data_error
 from ..timeseries import AlignedFrame, calendar_arrays, split_indices
 from .features import FeatureConfig, build_feature_matrix
-from .linear import RidgeRegression
-from .metrics import Metrics, compute_metrics
-from .trees import GradientBoostedTrees, RandomForest
-
-# the forecasters by short name; rf and gbdt take the harness seed
-MODELS = {"lm": RidgeRegression, "rf": RandomForest, "gbdt": GradientBoostedTrees}
+from .models import make_model
 
 
-def make_model(name: str, params: dict | None = None, seed: int = 0):
-    """Instantiate one of the three forecasters by its short name."""
-    if name not in MODELS:
-        raise DataError(f"unknown model {name!r} (choose from {tuple(MODELS)})")
-    params = dict(params or {})
-    if name != "lm":
-        params.setdefault("seed", seed)
-    return MODELS[name](**params)
+@dataclass(frozen=True)
+class Metrics:
+    """rmse/mae in target units; mape_percent is None when any actual value
+    is not strictly positive (the percentage is undefined there)."""
+
+    rmse: float
+    mae: float
+    mape_percent: float | None
+
+
+def compute_metrics(predicted, actual) -> Metrics:
+    """RMSE, MAE, and MAPE of predictions against real values.
+
+    MAPE averages |error| * 100 / actual per sample, so integer-friendly
+    inputs stay exact (the (110,190) vs (100,200) oracle is 7.5 on the nose).
+    """
+    predicted = np.asarray(predicted, dtype=float)
+    actual = np.asarray(actual, dtype=float)
+    if predicted.shape != actual.shape or predicted.ndim != 1:
+        raise DataError(f"metric inputs must be equal-length vectors, got "
+                        f"{predicted.shape} vs {actual.shape}")
+    if len(predicted) == 0:
+        raise DataError("cannot compute metrics of an empty sample")
+    err = predicted - actual
+    rmse = float(np.sqrt(np.mean(err ** 2)))
+    mae = float(np.mean(np.abs(err)))
+    if np.all(actual > 0.0):
+        mape = float(np.mean(np.abs(err) * 100.0 / actual))
+    else:
+        mape = None
+    return Metrics(rmse=rmse, mae=mae, mape_percent=mape)
 
 
 def mae_by_group(predicted, actual, groups, n_groups: int) -> list:

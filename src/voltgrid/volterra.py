@@ -57,8 +57,12 @@ class Grid:
     def __post_init__(self):
         if not 0.0 < self.horizon < math.inf:
             raise DataError(f"grid horizon must be positive and finite, got {self.horizon}")
+        if not isinstance(self.n_cells, (int, np.integer)):
+            raise DataError(f"grid cell count must be an integer, got {self.n_cells!r}")
         if self.n_cells < 2:
             raise DataError(f"grid needs at least 2 cells, got {self.n_cells}")
+        if self.n_cells >= np.iinfo(np.intp).max // 8:  # numpy's cap on a float array
+            raise DataError(f"grid of {self.n_cells} cells has more nodes than an array holds")
 
     @property
     def step(self) -> float:

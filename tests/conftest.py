@@ -15,9 +15,7 @@ from hypothesis import settings
 
 from voltgrid import ioutil
 from voltgrid.cli import main
-from voltgrid.forecast.persist import FORMAT
-from voltgrid.forecast.trees import RegressionTree
-from voltgrid.forecast.validation import MODELS
+from voltgrid.forecast.models import FORMAT, MODELS, RegressionTree
 from voltgrid.timeseries import TimeSeries, align_hourly
 from voltgrid.volterra import kernel_from_config
 

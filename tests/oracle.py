@@ -11,11 +11,11 @@ from columns.
 ``grow_tree_dfs`` grows a regression tree depth first, sorting each node's
 rows again for every feature. ``grow_tree_bfs`` visits the nodes of each
 level in order with the same per-node search and draws each level's feature
-candidates the way ``voltgrid.forecast.trees`` does, so it also checks the
-sampled-feature path. ``voltgrid.forecast.trees`` grows the same trees level
+candidates the way ``voltgrid.forecast.models`` does, so it also checks the
+sampled-feature path. ``voltgrid.forecast.models`` grows the same trees level
 by level over presorted orders. Both tree oracles score splits and take node
 values from exact integer sums of the targets in the fixed point of
-``trees._quantize``.
+``models._quantize``.
 
 ``parse_timeseries_csv_rows`` and ``read_frame_csv_rows`` read a CSV file one
 row at a time through ``read_rows``: each timestamp through ``datetime``
@@ -36,7 +36,7 @@ from datetime import datetime
 import numpy as np
 
 from voltgrid.errors import DataError, SolverError
-from voltgrid.forecast.trees import RegressionTree, _quantize
+from voltgrid.forecast.models import RegressionTree, _quantize
 from voltgrid.ioutil import NA_STRINGS, fmt12, naive_utc
 from voltgrid.timeseries import SECONDS_PER_HOUR, AlignedFrame, CsvSpec, TimeSeries
 from voltgrid.volterra import Grid, solve_apf

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from voltgrid.forecast.features import FeatureConfig, build_feature_matrix
-from voltgrid.forecast.metrics import compute_metrics
-from voltgrid.forecast.validation import block_cross_validate
+from voltgrid.forecast.validation import block_cross_validate, compute_metrics
 from voltgrid.storage import StorageSpec, dispatch, sizing
 from voltgrid.timeseries import TimeSeries, align_hourly
 from voltgrid.volterra import Grid, forward_apply, kernel_from_config, solve_apf

@@ -15,9 +15,12 @@ import pytest
 import voltgrid.cli
 import voltgrid.timeseries
 from voltgrid.errors import DataError, SolverError
-from voltgrid.forecast import validation
+from voltgrid.forecast import models, validation
+from voltgrid.ioutil import fmt12
+from voltgrid.storage import StorageSpec, dispatch
+from voltgrid.volterra import Grid, load_kernel
 
-from conftest import START, invoke
+from conftest import START, hourly, invoke
 
 
 def write_series_csv(path, values, start=START, stamp_format=None):
@@ -346,7 +349,7 @@ class TestForecast:
         # the CLI lists the names itself: the table's module imports numpy
         result = invoke(["forecast", "--model", "svm"])
         choices = re.search(r"\(choose from (.*)\)", result.stderr).group(1)
-        assert [name.strip(" '") for name in choices.split(",")] == list(validation.MODELS)
+        assert [name.strip(" '") for name in choices.split(",")] == list(models.MODELS)
 
     def test_unknown_model_exit_2(self, tmp_path):
         data = make_dataset(tmp_path, np.full(400, 100.0))
@@ -463,6 +466,33 @@ class TestDispatch:
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "disp" / "report.json").read_text())
         assert any(v["constraint"] == "E_max" for v in report["violations"])
+
+    def test_soc_efficiency_matches_the_library(self, tmp_path):
+        # surplus and deficit hours: with the flag, E scales charging and
+        # discharging by the spec's efficiency, as dispatch(soc_efficiency=True)
+        gen, load = np.array([0, 3, 7, 8, 6, 2, 1, 4, 9, 5, 0, 2.0]), np.full(12, 4.0)
+        write_series_csv(tmp_path / "gen.csv", gen)
+        write_series_csv(tmp_path / "load.csv", load)
+        write_kernel(tmp_path / "kernel.json", value=0.92)
+        (tmp_path / "storage.json").write_text('{"interpretation": "power"}')
+        columns = {}
+        for soc_efficiency, flag in ((False, []), (True, ["--soc-efficiency"])):
+            out = tmp_path / f"disp-{soc_efficiency}"
+            result = invoke([
+                "dispatch", "--load", str(tmp_path / "load.csv"),
+                "--gen", str(tmp_path / "gen.csv"),
+                "--kernel", str(tmp_path / "kernel.json"),
+                "--storage", str(tmp_path / "storage.json"), *flag,
+                "--out", str(out),
+            ])
+            assert result.exit_code == 0, all_output(result)
+            columns[soc_efficiency] = [row[3] for row in read_rows(out / "dispatch.csv")[1:]]
+            report = dispatch(hourly(np.zeros(12), "res"), hourly(gen, "gen"), hourly(load),
+                              load_kernel(tmp_path / "kernel.json"),
+                              StorageSpec(interpretation="power"), Grid(11.0, 11),
+                              soc_efficiency=soc_efficiency)
+            assert columns[soc_efficiency] == [fmt12(e) for e in report.E]
+        assert columns[True] != columns[False]
 
     def test_grid_n_truncates(self, tmp_path):
         write_series_csv(tmp_path / "gen.csv", np.arange(10.0))
@@ -933,14 +963,20 @@ def test_usage_error_exit_2(tmp_path, args, message):
     assert not (tmp_path / "out").exists()
 
 
+def fresh_env():
+    """This environment, with the source tree of the voltgrid under test first
+    on PYTHONPATH, for a fresh interpreter."""
+    src = str(Path(voltgrid.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def modules_after_cli_import(names, *args):
     """Which of ``names`` and their submodules a fresh interpreter holds after
     ``import voltgrid.cli`` and, given ``args``, after running that command
     with two forecast workers (this one may have imported them for other
     tests)."""
-    src = str(Path(voltgrid.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = fresh_env()
     run = ("from voltgrid.forecast import validation; validation._available_cores = lambda: 2; "
            f"voltgrid.cli.main({list(args)!r}); ") if args else ""
     code = (f"import sys, voltgrid.cli; {run}print(*[m for m in sys.modules if any("
@@ -970,3 +1006,19 @@ class TestImport:
             "forecast", "--data", str(data), "--model", "rf", "--trees", "2",
             "--blocks", "2", "--tail", "60", "--out", str(tmp_path / "fc")) == []
         assert (tmp_path / "fc" / "metrics.json").is_file()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's thread list")
+def test_commands_run_numpy_on_one_thread(tmp_path):
+    # with these unset, numpy's OpenBLAS started a thread pool at import,
+    # beside which the forked forecast fits then ran
+    env = fresh_env()
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(name, None)
+    write_series_csv(tmp_path / "load.csv", np.arange(24.0))
+    code = ("import os, sys, voltgrid.cli; voltgrid.cli.main(sys.argv[1:]); "
+            "print(len(os.listdir('/proc/self/task')))")
+    args = ["ingest", "--load", str(tmp_path / "load.csv"), "--out", str(tmp_path / "run")]
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "1"

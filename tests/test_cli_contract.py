@@ -31,7 +31,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from voltgrid.forecast import persist
+from voltgrid.forecast import models
 from voltgrid.storage import read_dispatch_csv
 from voltgrid.timeseries import read_frame_csv
 
@@ -233,7 +233,7 @@ def test_forecast(data):
         if data.draw(st.booleans()):  # one time in four into a missing directory
             model_path = tmp / data.draw(rarely(st.just("missing"), st.just("."), 4)) / "model.json"
             args += ["--save-model", str(model_path)]
-        with mock.patch.object(persist, "save_model", wraps=persist.save_model) as save:
+        with mock.patch.object(models, "save_model", wraps=models.save_model) as save:
             if not run(args, tmp / "out"):
                 return
         if model_path:

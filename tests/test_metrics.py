@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from voltgrid.errors import DataError
-from voltgrid.forecast.metrics import compute_metrics
+from voltgrid.forecast.validation import compute_metrics
 
 
 def test_worked_example_is_exact():

@@ -1,5 +1,6 @@
 """The three forecasters: exactness oracles, determinism, the model document."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -8,12 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voltgrid.errors import DataError
-from voltgrid.forecast.linear import RidgeRegression
-from voltgrid.forecast.persist import model_to_dict, save_model
-from voltgrid.forecast.trees import (GBDT_MAX_DEPTH, GBDT_MIN_NODE, GBDT_SHRINKAGE,
-                                     GBDT_SUBSAMPLE, RF_MIN_LEAF, GradientBoostedTrees,
-                                     RandomForest, RegressionTree, _grow, _presort, _restrict)
-from voltgrid.forecast.validation import make_model
+from voltgrid.forecast.models import (GBDT_MAX_DEPTH, GBDT_MIN_NODE, GBDT_SHRINKAGE,
+                                      GBDT_SUBSAMPLE, RF_MIN_LEAF, GradientBoostedTrees,
+                                      RandomForest, RegressionTree, RidgeRegression, _grow,
+                                      _presort, _restrict, make_model, model_to_dict,
+                                      save_model)
 
 from conftest import assert_document_holds, strict_json
 from oracle import grow_tree_bfs, grow_tree_dfs
@@ -267,6 +267,24 @@ def test_training_lengths_must_match(model):
         model(n_trees=1).fit(X, y[:-1])
 
 
+@pytest.mark.parametrize("model", [RandomForest, GradientBoostedTrees])
+def test_n_trees_must_be_an_integer(model):
+    # range() raised a TypeError
+    X, y, _ = linear_data()
+    with pytest.raises(DataError, match=r"^n_trees must be an integer, got 2\.5$"):
+        model(n_trees=2.5).fit(X, y)
+
+
+@pytest.mark.parametrize("name", ["lm", "rf", "gbdt"])
+@pytest.mark.parametrize("shape", [(5,), (2, 40, 5)])
+def test_prediction_input_must_be_a_matrix(name, shape):
+    # a vector raised an IndexError; a 3-D array was read as 40 features
+    X, y, _ = linear_data()
+    model = make_model(name, {} if name == "lm" else {"n_trees": 2}).fit(X, y)
+    with pytest.raises(DataError, match=f"^{re.escape(f'bad prediction shape {shape}')}$"):
+        model.predict(np.ones(shape))
+
+
 @pytest.mark.parametrize("model, n_trees, bound_mb", [
     (GradientBoostedTrees, 2, 6.5), (RandomForest, 1, 5.5)])
 def test_fit_memory_is_bounded(model, n_trees, bound_mb):
@@ -401,6 +419,12 @@ class TestPersistence:
     def test_only_the_forecasters_serialize(self):
         with pytest.raises(DataError, match="cannot serialize model of type RegressionTree"):
             model_to_dict(grow(np.zeros((4, 1)), np.zeros(4)))
+
+    @pytest.mark.parametrize("name", ["lm", "rf", "gbdt"])
+    def test_an_unfitted_model_does_not_serialize(self, name):
+        # the document read n_features_ and raised an AttributeError
+        with pytest.raises(DataError, match="^model is not fitted$"):
+            model_to_dict(make_model(name))
 
     def test_save_is_byte_deterministic(self, tmp_path):
         X, y, models = self.fitted_models()

@@ -8,8 +8,8 @@ import pytest
 from voltgrid.errors import DataError
 from voltgrid.forecast import validation
 from voltgrid.forecast.features import build_feature_matrix
-from voltgrid.forecast.persist import model_to_dict
-from voltgrid.forecast.validation import block_cross_validate, make_model
+from voltgrid.forecast.models import make_model, model_to_dict
+from voltgrid.forecast.validation import block_cross_validate
 from voltgrid.timeseries import align_hourly
 
 from conftest import synthetic_load

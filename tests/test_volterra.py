@@ -53,6 +53,20 @@ class TestGrid:
         with pytest.raises(DataError, match="at least 2"):
             Grid(1.0, 1)
 
+    @pytest.mark.parametrize("n_cells", [2.5, 1e20, 10.0])
+    def test_cell_count_must_be_an_integer(self, n_cells):
+        # 2.5 and 1e20 built a grid whose nodes() raised a TypeError
+        with pytest.raises(DataError) as err:
+            Grid(10.0, n_cells)
+        assert str(err.value) == f"grid cell count must be an integer, got {n_cells!r}"
+
+    def test_cell_count_must_fit_an_array(self):
+        # nodes() raised numpy's ValueError: Maximum allowed size exceeded
+        with pytest.raises(DataError) as err:
+            Grid(10.0, 10**20)
+        assert str(err.value) == f"grid of {10**20} cells has more nodes than an array holds"
+        assert len(Grid(2.0, np.int64(8)).nodes()) == 9
+
     @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_horizon_must_be_positive_and_finite(self, horizon):
         # nan met the band order check with an empty t; inf gave a NaN f or
