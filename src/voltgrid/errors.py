@@ -19,9 +19,15 @@ class SolverError(Exception):
 @contextmanager
 def overflow_as_data_error(what: str):
     """Raise numpy's overflow, invalid-value and divide-by-zero faults in the
-    block as a DataError: ``what``, then numpy's name for the fault."""
+    block as a DataError: ``what``, then numpy's name for the fault. Inside a
+    block that already raises them, such as an enclosing one, it leaves the
+    fault to that block, so the outermost block names it."""
     import numpy as np  # at entry, so importing this module loads no numpy
 
+    err = np.geterr()
+    if err["over"] == err["invalid"] == err["divide"] == "raise":
+        yield
+        return
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             yield

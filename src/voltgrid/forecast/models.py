@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, overflow_as_data_error
 
 
 class RegressionTree:
@@ -170,16 +170,14 @@ def _restrict(order, keep) -> np.ndarray:
     return rank[order[keep[order]].reshape(len(order), -1)]
 
 
-def _grow(X, orders, y, weight, rng, max_depth, min_child, mtry) -> tuple:
+def _grow(X, orders, y, weight, rng, max_depth, min_child, mtry) -> RegressionTree:
     """Greedy variance-reduction tree on X, grown a depth level at a time to
     ``max_depth`` (None: no cap); nodes are numbered in level order. ``orders``
     is X's stable presort, the row numbers sorted per feature. ``weight`` gives
     each row a positive integer count (None: unit weights); a row of weight w
     grows the same tree as w copies of it. ``min_child`` >= 1 is the least
     weight a child may hold; ``mtry`` draws that many of the p features per
-    node from ``rng`` without replacement, all p when None. Returns the tree
-    and the leaf each row of X ended in, which is the leaf the tree routes
-    that row to, as every threshold lies between the two values it separates.
+    node from ``rng`` without replacement, all p when None.
     """
     n, p = X.shape
     depth_cap = n if max_depth is None else max_depth  # no tree is n levels deep
@@ -189,13 +187,11 @@ def _grow(X, orders, y, weight, rng, max_depth, min_child, mtry) -> tuple:
     targets = q if weight is None else q * weight
     starts, counts = np.zeros(1, dtype=np.int64), np.array([n])
     levels = []
-    leaf = np.empty(n, dtype=np.int64)
     n_nodes = 0
     for depth in range(depth_cap + 1):
         n_live = len(counts)
         seg = np.repeat(np.arange(n_live), counts)
         rows = orders[0]
-        leaf[rows] = n_nodes + seg  # until a deeper level splits the node
         n_nodes += n_live
         y0 = q[rows]
         mass = counts if weight is None else np.add.reduceat(weight[rows], starts)
@@ -222,23 +218,18 @@ def _grow(X, orders, y, weight, rng, max_depth, min_child, mtry) -> tuple:
         left[split] = n_nodes + 2 * np.arange(len(f))
         orders, starts, counts = _partition(orders, seg, counts, split, f, n_left, n)
     feature, threshold, left, value = (np.concatenate(c) for c in zip(*levels))
-    return RegressionTree(feature, threshold, left, np.where(left < 0, -1, left + 1), value), leaf
+    return RegressionTree(feature, threshold, left, np.where(left < 0, -1, left + 1), value)
 
 
-def _params(model) -> dict:
-    """A model's constructor arguments: its attributes whose names do not end
-    in ``_``, as fitted state's always do."""
-    return {name: value for name, value in vars(model).items() if not name.endswith("_")}
-
-
-def _check_training_arrays(X, y):
+def _finite_matrix(X, use: str) -> np.ndarray:
+    """X as a float matrix of finite values with at least one feature;
+    ``use`` ("training" or "prediction") names it in the errors."""
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
-        raise DataError(f"bad training shapes {X.shape} / {y.shape}")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise DataError("training data contains non-finite values")
-    return X, y
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise DataError(f"bad {use} shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise DataError(f"{use} data contains non-finite values")
+    return X
 
 
 def _check_fitted(model) -> None:
@@ -247,47 +238,49 @@ def _check_fitted(model) -> None:
         raise DataError("model is not fitted")
 
 
-def _check_n_trees(n_trees) -> None:
-    if not isinstance(n_trees, int):
-        raise DataError(f"n_trees must be an integer, got {n_trees!r}")
-    if n_trees < 1:
-        raise DataError(f"n_trees must be >= 1, got {n_trees}")
+class _Forecaster:
+    """``fit`` and ``predict`` of every forecaster: each checks its input
+    once, then runs the model's ``_fit`` or ``_predict`` on finite floats
+    with numpy's overflow, invalid-value and divide-by-zero faults raised as
+    DataError."""
 
+    def get_params(self) -> dict:
+        """The constructor arguments: the attributes whose names do not end
+        in ``_``, as fitted state's always do."""
+        return {name: value for name, value in vars(self).items() if not name.endswith("_")}
 
-def _predict_input(model, X) -> np.ndarray:
-    """X as a float matrix, checked against a fitted model."""
-    X = np.asarray(X, dtype=float)
-    _check_fitted(model)
-    if X.ndim != 2:
-        raise DataError(f"bad prediction shape {X.shape}")
-    if X.shape[1] != model.n_features_:
-        raise DataError(f"expected {model.n_features_} features, got {X.shape[1]}")
-    return X
+    @overflow_as_data_error("the training data overflow the fit")
+    def fit(self, X, y):
+        X = _finite_matrix(X, "training")
+        y = np.asarray(y, dtype=float)
+        if y.shape != (len(X),):
+            raise DataError(f"bad training shapes {X.shape} / {y.shape}")
+        if not np.all(np.isfinite(y)):
+            raise DataError("training data contains non-finite values")
+        self._fit(X, y)
+        self.n_features_ = X.shape[1]
+        return self
 
-
-def _sum_trees(model, X) -> np.ndarray:
-    """Summed outputs of a fitted ensemble's trees over the rows of X."""
-    X = _predict_input(model, X)
-    total = np.zeros(len(X))
-    for tree in model.trees_:
-        total += tree.predict(X)
-    return total
+    @overflow_as_data_error("the prediction input overflows the forecast")
+    def predict(self, X) -> np.ndarray:
+        _check_fitted(self)
+        X = _finite_matrix(X, "prediction")
+        if X.shape[1] != self.n_features_:
+            raise DataError(f"expected {self.n_features_} features, got {X.shape[1]}")
+        return self._predict(X)
 
 
 RIDGE = 1e-8  # the L2 penalty on the weights, there only for conditioning
 
 
-class RidgeRegression:
+class RidgeRegression(_Forecaster):
     """Least squares with the L2 penalty ``RIDGE`` on the weights (not the
     intercept), solved through one QR/SVD pass over the design augmented with
     the penalty rows rather than the normal equations, so near-collinear
     features stay stable. The penalty rows give the design full rank.
     """
 
-    get_params = _params
-
-    def fit(self, X, y) -> "RidgeRegression":
-        X, y = _check_training_arrays(X, y)
+    def _fit(self, X, y) -> None:
         n, p = X.shape
         if n < p + 1:
             raise DataError(f"need at least {p + 1} rows to fit {p} features, got {n}")
@@ -299,11 +292,9 @@ class RidgeRegression:
             raise DataError("linear fit produced non-finite weights")
         self.weights_ = solution[:p]
         self.intercept_ = float(solution[p])
-        self.n_features_ = p
-        return self
 
-    def predict(self, X) -> np.ndarray:
-        return _predict_input(self, X) @ self.weights_ + self.intercept_
+    def _predict(self, X) -> np.ndarray:
+        return X @ self.weights_ + self.intercept_
 
 
 # rf: feature candidates per split, smallest leaf weight; gbdt: depth cap,
@@ -312,7 +303,27 @@ RF_MTRY, RF_MIN_LEAF = 4, 5
 GBDT_MAX_DEPTH, GBDT_SHRINKAGE, GBDT_MIN_NODE, GBDT_SUBSAMPLE = 9, 0.1, 10, 0.5
 
 
-class RandomForest:
+class _Ensemble(_Forecaster):
+    """A sum of seeded trees, behind one constructor gate: ``n_trees`` and
+    ``seed`` are Python ints, not bools, with n_trees >= 1 and seed >= 0."""
+
+    def __init__(self, n_trees: int, seed: int):
+        for name, value, least in (("n_trees", n_trees, 1), ("seed", seed, 0)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DataError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise DataError(f"{name} must be >= {least}, got {value}")
+        self.n_trees = n_trees
+        self.seed = seed
+
+    def _sum_trees(self, X) -> np.ndarray:
+        total = np.zeros(len(X))
+        for tree in self.trees_:
+            total += tree.predict(X)
+        return total
+
+
+class RandomForest(_Ensemble):
     """Bagged variance-reduction trees with per-node feature sampling.
 
     Each tree sees a bootstrap resample (with replacement, original size),
@@ -324,17 +335,10 @@ class RandomForest:
     """
 
     def __init__(self, n_trees: int = 500, seed: int = 0):
-        if seed < 0:
-            raise DataError(f"seed must be >= 0, got {seed}")
-        self.n_trees = n_trees
-        self.seed = seed
+        super().__init__(n_trees, seed)
 
-    get_params = _params
-
-    def fit(self, X, y) -> "RandomForest":
-        X, y = _check_training_arrays(X, y)
+    def _fit(self, X, y) -> None:
         n, p = X.shape
-        _check_n_trees(self.n_trees)
         if RF_MTRY > p:
             raise DataError(f"mtry {RF_MTRY} exceeds the feature count {p}")
         if n < 2 * RF_MIN_LEAF:
@@ -351,7 +355,7 @@ class RandomForest:
             count = np.bincount(rng.integers(0, n, size=n), minlength=n)
             seen = count > 0
             tree = _grow(X[seen], _restrict(order, seen), y[seen], count[seen], rng,
-                         None, RF_MIN_LEAF, RF_MTRY)[0]
+                         None, RF_MIN_LEAF, RF_MTRY)
             self.trees_.append(tree)
             outside = ~seen
             if outside.any():
@@ -364,14 +368,12 @@ class RandomForest:
             self.oob_rmse_ = float(np.sqrt(np.mean(err ** 2)))
         else:
             self.oob_rmse_ = float("nan")
-        self.n_features_ = p
-        return self
 
-    def predict(self, X) -> np.ndarray:
-        return _sum_trees(self, X) / len(self.trees_)
+    def _predict(self, X) -> np.ndarray:
+        return self._sum_trees(X) / len(self.trees_)
 
 
-class GradientBoostedTrees:
+class GradientBoostedTrees(_Ensemble):
     """Stagewise least-squares boosting with depth-capped trees.
 
     Starts from the target mean, fits each stage to the current residuals on
@@ -381,17 +383,10 @@ class GradientBoostedTrees:
     """
 
     def __init__(self, n_trees: int = 100, seed: int = 0):
-        if seed < 0:
-            raise DataError(f"seed must be >= 0, got {seed}")
-        self.n_trees = n_trees
-        self.seed = seed
+        super().__init__(n_trees, seed)
 
-    get_params = _params
-
-    def fit(self, X, y) -> "GradientBoostedTrees":
-        X, y = _check_training_arrays(X, y)
-        n, p = X.shape
-        _check_n_trees(self.n_trees)
+    def _fit(self, X, y) -> None:
+        n = len(X)
         if n < 2 * GBDT_MIN_NODE:
             raise DataError(f"need at least {2 * GBDT_MIN_NODE} rows, got {n}")
 
@@ -406,17 +401,13 @@ class GradientBoostedTrees:
             keep = np.zeros(n, dtype=bool)
             keep[rng.choice(n, size=m, replace=False)] = True
             residual = y - current
-            tree, leaf = _grow(X[keep], _restrict(order, keep), residual[keep], None, rng,
-                               GBDT_MAX_DEPTH, GBDT_MIN_NODE, None)
+            tree = _grow(X[keep], _restrict(order, keep), residual[keep], None, rng,
+                         GBDT_MAX_DEPTH, GBDT_MIN_NODE, None)
             self.trees_.append(tree)
-            # growth routed the sampled rows already; only the rest descend
-            current[keep] += GBDT_SHRINKAGE * tree.value[leaf]
-            current[~keep] += GBDT_SHRINKAGE * tree.predict(X[~keep])
-        self.n_features_ = p
-        return self
+            current += GBDT_SHRINKAGE * tree.predict(X)
 
-    def predict(self, X) -> np.ndarray:
-        return self.base_score_ + GBDT_SHRINKAGE * _sum_trees(self, X)
+    def _predict(self, X) -> np.ndarray:
+        return self.base_score_ + GBDT_SHRINKAGE * self._sum_trees(X)
 
 
 # the forecasters by short name; rf and gbdt take the harness seed

@@ -67,13 +67,15 @@ def _available_cores() -> int:
     return len(os.sched_getaffinity(0)) if all(hasattr(os, n) for n in needs) else 1
 
 
-def _fit_and_predict(X, y, model_name, params, seed, train_mask, test_mask):
+def _fit_and_predict(X, y, model_name, params, seed, train_mask, test_mask, keep_model):
     """One cross-validation job: fit on the masked training rows of X and y,
-    predict the masked test rows. The rows are sliced here, so a caller holds
-    one job's copies at a time."""
+    predict the masked test rows. Returns the model, or None unless
+    ``keep_model`` (a fold's model never leaves its worker), and the
+    predictions. The rows are sliced here, so a caller holds one job's
+    copies at a time."""
     model = make_model(model_name, params, seed=seed)
     model.fit(X[train_mask], y[train_mask])
-    return model, model.predict(X[test_mask])
+    return model if keep_model else None, model.predict(X[test_mask])
 
 
 def _deal(jobs: list, workers: int) -> list:
@@ -225,13 +227,13 @@ def block_cross_validate(model_name: str, frame: AlignedFrame, n_blocks: int,
         train_mask = (rows < tail.start) & ~test_mask
         if not test_mask.any() or not train_mask.any():
             raise DataError(f"block {b} has no usable rows after feature assembly")
-        jobs.append((model_name, params, seed, train_mask, test_mask))
+        jobs.append((model_name, params, seed, train_mask, test_mask, False))
 
     train_mask = rows < tail.start
     val_mask = rows >= tail.start
     if not val_mask.any():
         raise DataError("validation tail has no usable rows after feature assembly")
-    jobs.append((model_name, params, seed, train_mask, val_mask))
+    jobs.append((model_name, params, seed, train_mask, val_mask, True))
     # a linear fit takes about a millisecond, less than starting a worker
     workers = 1 if model_name == "lm" else min(len(jobs), _available_cores())
     *folds, (model, predicted) = _run_jobs(X, y, jobs, workers)

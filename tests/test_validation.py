@@ -199,3 +199,18 @@ class TestSchedule:
                                  params={} if name == "lm" else {"n_trees": 2})
         cores = len(os.sched_getaffinity(0))
         assert seen == [(5, 1), (5, min(5, cores))]
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_only_the_final_job_returns_its_model(self, frame, monkeypatch, cores):
+        # every fold's model was pickled back from its worker and then dropped
+        results = []
+        run_jobs = validation._run_jobs
+        monkeypatch.setattr(validation, "_available_cores", lambda: cores)
+        monkeypatch.setattr(validation, "_run_jobs",
+                            lambda *args: results.append(run_jobs(*args)) or results[-1])
+        report = block_cross_validate("rf", frame, n_blocks=3, validation_tail=100,
+                                      params={"n_trees": 2}, seed=1)
+        [(*folds, (final, _))] = results  # one call, the final job last
+        assert [model for model, _ in folds] == [None] * 3
+        assert final is report.final_model and final.n_trees == 2
+        assert_no_children()
