@@ -1,8 +1,9 @@
 """The three forecasters (ridge regression, a random forest and gradient
 boosting), their shared checks, and the model document they are saved as.
 
-Trees live in flat parallel arrays (feature, threshold, children, value) so
-prediction is a vectorized descent and serialization is plain lists. Trees
+Trees live in flat parallel arrays (feature, threshold, value) with nodes in
+level order, so a node's children follow from the order, prediction is a
+vectorized descent and serialization is plain lists. Trees
 grow a depth level at a time over presorted orders of row numbers: each
 feature's rows are sorted once per ensemble fit and every tree filters that
 presort. A level takes prefix sums over each (node, candidate feature) block
@@ -17,12 +18,12 @@ A tree's targets are quantized once to int64 fixed point (``_quantize``), so
 every prefix sum is exact and independent of summation order. A gain is a
 fixed function of exact sums, so two features that cut a node into the same
 row sets tie bitwise, and ties go to the lowest feature index, then the
-lowest threshold. Node values come from the same exact sums. Nodes are
-numbered in level order.
+lowest threshold. Node values come from the same exact sums.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -32,33 +33,38 @@ from ..errors import DataError, overflow_as_data_error
 
 
 class RegressionTree:
-    """Binary tree over one float matrix; rows with x <= threshold go left."""
+    """Binary tree over one float matrix, its nodes in level order: node 0 is
+    the root, a leaf has feature -1, and rows with x <= threshold go left."""
 
-    FIELDS = {"feature": np.int64, "threshold": float, "left": np.int64,
-              "right": np.int64, "value": float}  # the node arrays and their dtypes
+    FIELDS = {"feature": np.int64, "threshold": float, "value": float}  # the node arrays
     __slots__ = tuple(FIELDS)
 
-    def __init__(self, feature, threshold, left, right, value):
-        for (name, dtype), array in zip(self.FIELDS.items(), (feature, threshold, left, right, value)):
+    def __init__(self, feature, threshold, value):
+        for (name, dtype), array in zip(self.FIELDS.items(), (feature, threshold, value)):
             setattr(self, name, np.asarray(array, dtype=dtype))
 
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
 
+    def _left(self) -> np.ndarray:  # the k-th split node's children are 2k - 1 and 2k
+        return 2 * np.cumsum(self.feature >= 0) - 1
+
     def predict(self, X: np.ndarray) -> np.ndarray:
+        left = self._left()
         node = np.zeros(len(X), dtype=np.int64)
         active = self.feature[node] >= 0
         while active.any():
             rows = np.flatnonzero(active)
             at = node[rows]
-            go_left = X[rows, self.feature[at]] <= self.threshold[at]
-            node[rows] = np.where(go_left, self.left[at], self.right[at])
+            node[rows] = left[at] + ~(X[rows, self.feature[at]] <= self.threshold[at])
             active = self.feature[node] >= 0
         return self.value[node]
 
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name).tolist() for name in self.FIELDS}
+    def to_dict(self) -> dict:  # the node arrays and each node's children, -1 on a leaf
+        left = np.where(self.feature >= 0, self._left(), -1)
+        return {**{name: getattr(self, name).tolist() for name in self.FIELDS},
+                "left": left.tolist(), "right": (left + (left >= 0)).tolist()}
 
 
 def _quantize(y, total_weight: int):
@@ -134,12 +140,12 @@ def _score_level(values, targets, weights, orders, starts, counts, cand, min_chi
     return best > -np.inf, bf[b], np.where((lo <= mid) & (mid < hi), mid, lo), cut - first[b] + 1
 
 
-def _partition(orders, seg, counts, split, feature, n_left, n):
+def _partition(orders, counts, split, feature, n_left, n):
     """Stable partition of every feature order into the split nodes' children,
     which keep their rows in parent order; ``feature`` and ``n_left`` list the
     split nodes only. Rows of the nodes that did not split are dropped."""
     sizes = counts[split]
-    cols = np.flatnonzero(split[seg])
+    cols = np.flatnonzero(np.repeat(split, counts))
     # each split node sends the first n_left rows of its cut feature's order
     # left (1), and the rest right (2)
     side = np.zeros(n, dtype=np.int8)
@@ -187,18 +193,14 @@ def _grow(X, orders, y, weight, rng, max_depth, min_child, mtry) -> RegressionTr
     targets = q if weight is None else q * weight
     starts, counts = np.zeros(1, dtype=np.int64), np.array([n])
     levels = []
-    n_nodes = 0
     for depth in range(depth_cap + 1):
         n_live = len(counts)
-        seg = np.repeat(np.arange(n_live), counts)
         rows = orders[0]
-        n_nodes += n_live
         y0 = q[rows]
         mass = counts if weight is None else np.add.reduceat(weight[rows], starts)
-        feature, left = np.full((2, n_live), -1, dtype=np.int64)
-        threshold = np.zeros(n_live)
+        feature, threshold = np.full(n_live, -1), np.zeros(n_live)
         value = np.ldexp(np.add.reduceat(targets[rows], starts).astype(float), -shift) / mass
-        levels.append((feature, threshold, left, value))
+        levels.append((feature, threshold, value))
         splittable = ((mass >= 2 * min_child) & (depth < depth_cap)
                       & (np.minimum.reduceat(y0, starts) < np.maximum.reduceat(y0, starts)))
         if not splittable.any():
@@ -215,10 +217,8 @@ def _grow(X, orders, y, weight, rng, max_depth, min_child, mtry) -> RegressionTr
             break
         feature[split] = f
         threshold[split] = thr
-        left[split] = n_nodes + 2 * np.arange(len(f))
-        orders, starts, counts = _partition(orders, seg, counts, split, f, n_left, n)
-    feature, threshold, left, value = (np.concatenate(c) for c in zip(*levels))
-    return RegressionTree(feature, threshold, left, np.where(left < 0, -1, left + 1), value)
+        orders, starts, counts = _partition(orders, counts, split, f, n_left, n)
+    return RegressionTree(*(np.concatenate(c) for c in zip(*levels)))
 
 
 def _finite_matrix(X, use: str) -> np.ndarray:
@@ -427,7 +427,8 @@ def make_model(name: str, params: dict | None = None, seed: int = 0):
 FORMAT = "voltgrid-model/2"
 
 
-def model_to_dict(model) -> dict:
+def _document(model) -> tuple:
+    """The model document without its trees, and the trees (lm: None)."""
     kind = next((kind for kind, cls in MODELS.items() if isinstance(model, cls)), None)
     if kind is None:
         raise DataError(f"cannot serialize model of type {type(model).__name__}")
@@ -439,18 +440,31 @@ def model_to_dict(model) -> dict:
         doc["feature_names"] = list(names)
     if kind == "lm":
         doc.update(weights=model.weights_.tolist(), intercept=model.intercept_)
-    else:
-        doc["trees"] = [t.to_dict() for t in model.trees_]
     if kind == "gbdt":
         doc["base_score"] = model.base_score_
+    return doc, getattr(model, "trees_", None)
+
+
+def model_to_dict(model) -> dict:
+    doc, trees = _document(model)
+    if trees is not None:
+        doc["trees"] = [t.to_dict() for t in trees]
     return doc
 
 
 def save_model(model, path) -> None:
+    """``model_to_dict(model)`` as compact JSON with sorted keys, written a
+    tree at a time, so a forest's document is never whole in memory."""
     # not ioutil.write_json: its json_ready rounds floats to 12 digits, and a
-    # model's floats are written exactly; compact separators keep forest
-    # documents from ballooning. json.dumps, not json.dump: only dumps uses
-    # the C encoder
-    text = json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
+    # model's floats are written exactly. json.dumps, not json.dump: only
+    # dumps uses the C encoder
+    dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    doc, trees = _document(model)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        if trees is None:
+            fh.write(dumps(doc) + "\n")
+        else:  # "trees" sorts after every other key, so it ends the document
+            fh.write(dumps(doc)[:-1] + ',"trees":[')
+            for k, tree in enumerate(trees):
+                fh.write("," * (k > 0) + dumps(tree.to_dict()))
+            fh.write("]}\n")

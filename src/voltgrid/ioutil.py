@@ -270,6 +270,14 @@ def write_json(path, obj, records=None) -> None:
         fh.write(text + "\n")
 
 
+def config_keys(entry: dict, known, where: str) -> None:
+    """Raise DataError naming the keys of a JSON config object that it does
+    not take, and the ``known`` keys it does."""
+    unknown = set(entry) - set(known)
+    if unknown:
+        raise DataError(f"unknown {where} keys: {sorted(unknown, key=str)} (known: {sorted(known)})")
+
+
 def config_number(value, where: str, *, allow_inf: bool = False, integer: bool = False):
     """A numeric field of a JSON config, as a float (an int if ``integer``).
 

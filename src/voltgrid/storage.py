@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DataError, overflow_as_data_error
-from .ioutil import config_number, read_columns, write_csv, write_json
+from .ioutil import config_keys, config_number, read_columns, write_csv, write_json
 from .timeseries import TimeSeries
 
 if TYPE_CHECKING:  # the solver loads only when dispatch runs
@@ -248,11 +248,8 @@ def storage_spec_from_config(config: dict) -> StorageSpec:
     """Build a StorageSpec from its JSON form (constant bounds only)."""
     if not isinstance(config, dict):
         raise DataError("storage config must be a JSON object")
-    known = {"v_max", "e_min", "e_max", "efficiency", "rated_cycles", "e_init",
-             "interpretation"}
-    unknown = set(config) - known
-    if unknown:
-        raise DataError(f"unknown storage config keys: {sorted(unknown)} (known: {sorted(known)})")
+    config_keys(config, ("v_max", "e_min", "e_max", "efficiency", "rated_cycles", "e_init",
+                         "interpretation"), "storage config")
     kwargs = {}
     for key in ("v_max", "e_min", "e_max", "efficiency", "e_init", "rated_cycles"):
         if config.get(key) is not None:  # explicit null keeps the default

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, SolverError
-from .ioutil import config_number, fmt12, read_json
+from .ioutil import config_keys, config_number, fmt12, read_json
 
 DEFAULT_KERNEL_FLOOR = 1e-6
 DEFAULT_CELL_FLOOR = 1e-8
@@ -69,8 +69,10 @@ class Grid:
         return self.horizon / self.n_cells
 
     def nodes(self) -> np.ndarray:
-        # linspace pins the endpoints, so nodes[-1] == horizon exactly
-        return np.linspace(0.0, self.horizon, self.n_cells + 1)
+        # linspace pins the endpoints, so nodes[-1] == horizon exactly, even
+        # where n * step rounds past the float maximum
+        with np.errstate(over="ignore"):
+            return np.linspace(0.0, self.horizon, self.n_cells + 1)
 
 
 class BandPartition:
@@ -150,7 +152,8 @@ class _ExpFactor(NamedTuple):
     rate: float = 0.0
 
     def __call__(self, t, s):
-        return self.value * np.exp(-self.rate * (np.asarray(t) - np.asarray(s)))
+        with np.errstate(over="ignore"):  # a rate * age past the float maximum decays to 0
+            return self.value * np.exp(-self.rate * (np.asarray(t) - np.asarray(s)))
 
 
 class Cubic(NamedTuple):
@@ -243,9 +246,13 @@ class _March:
         self.bm = bm = kernel.partition.validate_on(grid)
         self.K, self.G = kernel.K, kernel.G
         # the unknown's cell [t_{j-1}, t_j], cut by the bands at t_j
-        self.coefs = np.array([_cut(nodes[1:], nodes[:-1], nodes[1:], lo, hi, K)
-                               for K, lo, hi in zip(self.K, bm[:-1], bm[1:])])
-        self.decays = [math.exp(-K.rate * nodes[-1] / n) for K in self.K]
+        with np.errstate(over="ignore"):
+            self.coefs = np.array([_cut(nodes[1:], nodes[:-1], nodes[1:], lo, hi, K)
+                                   for K, lo, hi in zip(self.K, bm[:-1], bm[1:])])
+        if not np.all(np.isfinite(self.coefs)):
+            raise DataError("an own cell's width * K overflows: the kernel is too large for the grid")
+        # Python floats: a rate * horizon past the float maximum is -inf, not a warning
+        self.decays = [math.exp(-K.rate * float(nodes[-1]) / n) for K in self.K]
 
     def windows(self, sl):
         """Per band, per node of the slice: the window and fragment terms
@@ -356,8 +363,15 @@ def solve_apf(kernel: KernelSpec, grid: Grid, f) -> SolveResult:
     # node j's own cell gives p_j*x^3 + q_j*x = f_j - known_j
     a = np.array([[1.0 if g is None else g.a] for g in kernel.G])
     b = np.array([[0.0 if g is None else g.b] for g in kernel.G])
-    q = (march.coefs * a).sum(axis=0)
-    p = (march.coefs * b).sum(axis=0)
+    # a coefficient times a or b may pass the float maximum, and inf - inf in
+    # a sum is NaN: both are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = (march.coefs * a).sum(axis=0)
+        p = (march.coefs * b).sum(axis=0)
+    huge = ~(np.isfinite(p) & np.isfinite(q))
+    if np.any(huge):
+        raise DataError(f"own-cell response at node {int(np.argmax(huge)) + 1} overflows: "
+                        "a cell's width * K * G's coefficient passes the float maximum")
     mixed = np.sign(p) * np.sign(q) < 0.0
     if np.any(mixed):
         j = int(np.argmax(mixed)) + 1
@@ -402,7 +416,8 @@ def solve_apf(kernel: KernelSpec, grid: Grid, f) -> SolveResult:
     # forward_apply(x) - f from the same running sums
     if not np.all(np.isfinite(terms)):
         raise SolverError("the march overflowed: G(x) is not finite")
-    residual = float(np.max(np.abs(known + terms - f[1:])))
+    with np.errstate(over="ignore"):  # known + terms may round past the float maximum
+        residual = float(np.max(np.abs(known + terms - f[1:])))
     # the residual is a difference of sums that grow with x, so rounding
     # scales with the largest own-cell term as well as with f
     tol = DEFAULT_RESIDUAL_TOL * max(f_scale, float(np.max(np.abs(terms))))
@@ -428,6 +443,7 @@ def _build_efficiency(entry, idx):
     if kind not in ("const", "exp_decay"):  # a JSON list or object is no key
         raise DataError(f"K[{idx}]: unknown efficiency type {kind!r} (try 'const' or 'exp_decay')")
     keys = ("value",) if kind == "const" else ("value", "rate")
+    config_keys(entry, ("type", *keys), f"K[{idx}] {kind}")
     for key in keys:
         if key not in entry:
             raise DataError(f"K[{idx}]: {kind} factor needs a {key!r}")
@@ -438,8 +454,10 @@ def _build_response(entry, idx):
     """None for the identity, otherwise a Cubic."""
     kind = entry.get("type") if isinstance(entry, dict) else None
     if kind == "linear":
+        config_keys(entry, ("type",), f"G[{idx}] linear")
         return None
     if kind == "cubic":
+        config_keys(entry, ("type", "a", "b"), f"G[{idx}] cubic")
         a = config_number(entry.get("a", 1.0), f"G[{idx}].a")
         b = config_number(entry.get("b", 0.0), f"G[{idx}].b")
         return None if (a, b) == (1.0, 0.0) else Cubic(a, b)
@@ -458,10 +476,12 @@ def kernel_from_config(config: dict) -> KernelSpec:
          "G": [{"type": "linear"} | {"type": "cubic", "a": 1.0, "b": 0.1}, ...],
          "kernel_floor": 1e-6}
 
-    "alphas" may be omitted for a single band (n=1). Numbers must be finite.
+    "alphas" may be omitted for a single band (n=1). Numbers must be finite,
+    and a key that its object does not take is an error.
     """
     if not isinstance(config, dict):
         raise DataError("kernel config must be a JSON object")
+    config_keys(config, ("n", "alphas", "K", "G", "kernel_floor"), "kernel config")
     n = config_number(config.get("n"), "kernel config band count 'n'", integer=True)
     if n < 1:
         raise DataError(f"band count must be >= 1, got {n}")
@@ -470,17 +490,21 @@ def kernel_from_config(config: dict) -> KernelSpec:
     if n == 1:
         if spec and (not isinstance(spec, dict) or spec.get("c") or spec.get("alpha")):
             raise DataError("a single-band kernel takes no interior boundaries")
+        if spec:
+            config_keys(spec, ("type", "c", "t", "alpha"), "alphas")
         partition = BandPartition()
     else:
         if not isinstance(spec, dict):
             raise DataError("kernel config needs an 'alphas' object for n > 1")
         kind = spec.get("type")
         if kind == "proportional":
+            config_keys(spec, ("type", "c"), "alphas proportional")
             cs = spec.get("c")
             if not isinstance(cs, list) or len(cs) != n - 1:
                 raise DataError(f"'alphas.c' must list {n - 1} fractions")
             partition = BandPartition.proportional(_numbers(cs, "alphas.c"))
         elif kind == "table":
+            config_keys(spec, ("type", "t", "alpha"), "alphas table")
             rows = spec.get("alpha")
             if not isinstance(rows, list) or len(rows) != n - 1:
                 raise DataError(f"'alphas.alpha' must list {n - 1} boundary rows")

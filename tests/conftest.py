@@ -79,7 +79,7 @@ def strict_json(path):
 def assert_document_holds(doc, model):
     """``doc``, a parsed model document, states ``model``'s kind and params,
     and every tree array, weight, intercept, base score and feature name of
-    the fitted model, bit for bit."""
+    the fitted model, bit for bit, and each tree node's children."""
     def same(values, array):
         array = np.asarray(array)
         assert np.asarray(values, dtype=array.dtype).tobytes() == array.tobytes()
@@ -96,9 +96,15 @@ def assert_document_holds(doc, model):
     else:
         assert len(doc["trees"]) == len(model.trees_)
         for tree_doc, tree in zip(doc["trees"], model.trees_):
-            assert tree_doc.keys() == RegressionTree.FIELDS.keys()
+            assert tree_doc.keys() == {*RegressionTree.FIELDS, "left", "right"}
             for key in RegressionTree.FIELDS:
                 same(tree_doc[key], getattr(tree, key))
+            # level order: the split nodes' children are nodes 1, 2, 3, ... in pairs
+            split = tree.feature >= 0
+            left = np.full(tree.n_nodes, -1)
+            left[split] = 1 + 2 * np.arange(split.sum())
+            same(tree_doc["left"], left)
+            same(tree_doc["right"], np.where(split, left + 1, -1))
     if doc["kind"] == "gbdt":
         same(doc["base_score"], float(model.base_score_))
 

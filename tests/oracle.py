@@ -9,11 +9,13 @@ march's convergence order against manufactured solutions, and
 from columns.
 
 ``grow_tree_dfs`` grows a regression tree depth first, sorting each node's
-rows again for every feature. ``grow_tree_bfs`` visits the nodes of each
-level in order with the same per-node search and draws each level's feature
-candidates the way ``voltgrid.forecast.models`` does, so it also checks the
-sampled-feature path. ``voltgrid.forecast.models`` grows the same trees level
-by level over presorted orders. Both tree oracles score splits and take node
+rows again for every feature, and relabels its nodes into level order from
+the children it recorded; ``descend`` predicts through those children one row
+at a time. ``grow_tree_bfs`` visits the nodes of each level in order with the
+same per-node search and draws each level's feature candidates the way
+``voltgrid.forecast.models`` does, so it also checks the sampled-feature
+path. ``voltgrid.forecast.models`` grows the same trees level by level over
+presorted orders. Both tree oracles score splits and take node
 values from exact integer sums of the targets in the fixed point of
 ``models._quantize``.
 
@@ -225,8 +227,10 @@ def _node_value(q, shift, idx):
     return float(np.ldexp(float(q[idx].sum()), -shift) / len(idx))
 
 
-def grow_tree_dfs(X, y, *, max_depth=None, min_child: int = 1) -> RegressionTree:
-    """Greedy variance-reduction tree over all features, grown depth first.
+def grow_tree_dfs(X, y, *, max_depth=None, min_child: int = 1) -> dict:
+    """Greedy variance-reduction tree over all features, grown depth first,
+    as a model document's tree: its node lists relabelled into level order
+    by a breadth-first walk of the children the growth recorded.
 
     ``min_child`` is the smallest sample count allowed in a child node.
     """
@@ -265,20 +269,41 @@ def grow_tree_dfs(X, y, *, max_depth=None, min_child: int = 1) -> RegressionTree
         right[nid] = rid
         stack.append((rid, right_idx, depth + 1))
         stack.append((lid, left_idx, depth + 1))
-    return RegressionTree(feature, threshold, left, right, value)
+
+    order = [root]
+    for nid in order:  # the walk appends each split node's children as it goes
+        if feature[nid] >= 0:
+            order += [left[nid], right[nid]]
+    label = {nid: k for k, nid in enumerate(order)} | {-1: -1}
+    return {"feature": [feature[i] for i in order], "threshold": [threshold[i] for i in order],
+            "left": [label[left[i]] for i in order], "right": [label[right[i]] for i in order],
+            "value": [value[i] for i in order]}
+
+
+def descend(tree_doc, X) -> np.ndarray:
+    """The leaf value of every row of X, walked one row at a time through a
+    tree document's ``left`` and ``right`` children."""
+    out = []
+    for row in np.asarray(X, dtype=float).tolist():
+        node = 0
+        while tree_doc["feature"][node] >= 0:
+            below = row[tree_doc["feature"][node]] <= tree_doc["threshold"][node]
+            node = tree_doc["left" if below else "right"][node]
+        out.append(tree_doc["value"][node])
+    return np.array(out)
 
 
 def grow_tree_bfs(X, y, *, rng=None, max_depth=None, min_child: int = 1,
                   mtry=None) -> RegressionTree:
-    """Level-order tree from ``_best_split`` per node, nodes numbered in level
-    order; a level's ``mtry`` candidates come from one ``rng.random`` call."""
+    """Level-order tree from ``_best_split`` per node, each level's nodes in
+    the order of their parents; a level's ``mtry`` candidates come from one
+    ``rng.random`` call."""
     n, p = X.shape
     depth_cap = 1 << 30 if max_depth is None else max_depth
-    feature, threshold, left, value = [], [], [], []
+    feature, threshold, value = [], [], []
     q, shift = _quantize(y, n)
     level, depth = [np.arange(n)], 0
     while level:
-        base = len(feature) + len(level)
         splittable = [depth < depth_cap and len(idx) >= 2 * min_child
                       and q[idx].min() < q[idx].max() for idx in level]
         draws = iter([range(p)] * len(level))
@@ -289,16 +314,13 @@ def grow_tree_bfs(X, y, *, rng=None, max_depth=None, min_child: int = 1,
         for idx, ok in zip(level, splittable):
             feature.append(-1)
             threshold.append(0.0)
-            left.append(-1)
             value.append(_node_value(q, shift, idx))
             split = _best_split(X, q[idx], idx, next(draws), min_child) if ok else None
             if split is not None:
                 feature[-1], threshold[-1] = int(split[0]), float(split[1])
-                left[-1] = base + len(children)
                 children += split[2:]
         level, depth = children, depth + 1
-    right = [c + 1 if c >= 0 else -1 for c in left]
-    return RegressionTree(feature, threshold, left, right, value)
+    return RegressionTree(feature, threshold, value)
 
 
 # --- CSV readers, one row at a time ------------------------------------------

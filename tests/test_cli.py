@@ -394,6 +394,23 @@ class TestDispatch:
         assert report["min_capacity"] == 0.0
         assert report["violations"] == []
 
+    def test_a_kernel_key_it_does_not_take_is_a_usage_error(self, tmp_path):
+        values = 50.0 + np.sin(np.arange(24.0))
+        write_series_csv(tmp_path / "load.csv", values)
+        write_series_csv(tmp_path / "gen.csv", values)
+        (tmp_path / "kernel.json").write_text(json.dumps({
+            "n": 1, "K": [{"type": "const", "value": 1.0}], "G": [{"type": "linear"}],
+            "kernal_floor": 1e-3}))
+        result = invoke([
+            "dispatch", "--load", str(tmp_path / "load.csv"),
+            "--gen", str(tmp_path / "gen.csv"),
+            "--kernel", str(tmp_path / "kernel.json"),
+            "--out", str(tmp_path / "disp"),
+        ])
+        assert result.exit_code == 2, all_output(result)
+        assert "unknown kernel config keys: ['kernal_floor']" in result.stderr
+        assert not (tmp_path / "disp").exists()
+
     def test_hand_solved_ramp_gives_unit_power(self, tmp_path):
         # surplus t against a unit kernel: x(t) = 1, exact in binary
         write_series_csv(tmp_path / "gen.csv", np.arange(5.0))

@@ -266,14 +266,18 @@ def _kernel_docs(draw):
             st.just({"type": "table", "t": [0.0, field(st.just(2.0))],
                      "alpha": [[0.0, field(st.just(2.0 * c))] for c in cs]}),
         ))
+    # each entry holds the keys of its own type: a key its type does not
+    # take would fail every document that drew it before the numbers count
     doc["K"] = field(st.just([
-        {"type": field(st.sampled_from(["const", "exp_decay"])),
-         "value": field(st.floats(-2.0, 2.0)), "rate": field(st.floats(-0.2, 2.0))}
-        for _ in range(n)]))
+        {"type": field(st.just(kind)), "value": field(st.floats(-2.0, 2.0)),
+         **({"rate": field(st.floats(-0.2, 2.0))} if kind == "exp_decay" else {})}
+        for kind in draw(st.lists(st.sampled_from(["const", "exp_decay"]),
+                                  min_size=n, max_size=n))]))
     doc["G"] = field(st.just([
-        {"type": field(st.sampled_from(["linear", "cubic"])),
-         "a": field(st.floats(-0.5, 2.0)), "b": field(st.floats(-0.2, 1.0))}
-        for _ in range(n)]))
+        {"type": field(st.just(kind)),
+         **({"a": field(st.floats(-0.5, 2.0)), "b": field(st.floats(-0.2, 1.0))}
+            if kind == "cubic" else {})}
+        for kind in draw(st.lists(st.sampled_from(["linear", "cubic"]), min_size=n, max_size=n))]))
     if draw(st.booleans()):
         doc["kernel_floor"] = field(st.floats(0.0, 1.0))
     return doc

@@ -1,10 +1,16 @@
-"""The forecasters' library contract, drawn at random.
+"""The library contract of the forecasters and the solver, drawn at random.
 
 ``make_model``, ``fit``, ``predict`` and ``model_to_dict`` of lm, rf and
 gbdt take any value of their documented types: a model name, integer
 ``n_trees`` and ``seed``, float matrices and vectors of any shape and any
 float values. Each call either raises ``DataError`` or returns a finite
 result, and no numpy warning escapes.
+
+``Grid``, ``kernel_from_config``, ``solve_apf`` and ``forward_apply`` take
+any horizon and cell count, any kernel document whose objects hold the keys
+they take with any numbers, and node values of any shape and any float
+values. Each call raises ``DataError`` or ``SolverError`` or returns a
+finite result, and no numpy warning escapes.
 """
 
 import warnings
@@ -14,8 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from voltgrid.errors import DataError
+from voltgrid.errors import DataError, SolverError
 from voltgrid.forecast.models import MODELS, make_model, model_to_dict
+from voltgrid.volterra import Grid, forward_apply, kernel_from_config, solve_apf
 
 KINDS = sorted(MODELS)
 BIG = float(np.finfo(float).max)
@@ -69,14 +76,14 @@ def document_is_finite(doc) -> bool:
     return not isinstance(doc, float) or np.isfinite(doc)
 
 
-def outcome(call, *args):
+def outcome(call, *args, errors=DataError):
     """``call(*args)`` with every warning an error: its result, or the
-    DataError it raised."""
+    exception of ``errors`` it raised."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             return call(*args)
-        except DataError as exc:
+        except errors as exc:
             return exc
 
 
@@ -152,3 +159,91 @@ def test_prediction_rejects_non_finite_input(fitted, kind, bad):
     X[1, 3] = bad
     with pytest.raises(DataError, match="^prediction data contains non-finite values$"):
         fitted[kind].predict(X)
+
+
+# --- the solver ---------------------------------------------------------------
+
+SOLVER_ERRORS = (DataError, SolverError)
+ANY_FLOAT = REGIMES["mixed"] | st.sampled_from(POISON)
+# cell counts a grid may take, and ones it must refuse; none allocates much
+CELL_COUNTS = st.integers(-3, 24) | st.sampled_from([True, False, np.int64(6), 2.0, 2**70])
+
+
+@settings(max_examples=150, deadline=None)
+@given(ANY_FLOAT | st.floats(1e-3, 1e3), CELL_COUNTS)
+def test_grid_builds_or_raises_data_error(horizon, n_cells):
+    grid = outcome(Grid, horizon, n_cells)
+    if not isinstance(grid, DataError):
+        nodes = outcome(grid.nodes)
+        assert nodes.shape == (grid.n_cells + 1,) and finite(nodes)
+        assert nodes[0] == 0.0 and nodes[-1] == horizon
+
+
+def fractions(n):
+    """n strictly increasing floats in (0, 1), some next to either end."""
+    inner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    edges = st.sampled_from([TINY, 1e-300, 2**-52, 0.5, 1 - 2**-53, 1 - 2**-52])
+    return st.lists(inner | edges, min_size=n, max_size=n, unique=True).map(sorted)
+
+
+def mostly(draw, plausible, hostile=ANY_FLOAT):
+    """A draw from ``plausible`` 7 times in 8, from ``hostile`` otherwise."""
+    return draw(hostile if draw(st.integers(0, 7)) == 0 else plausible)
+
+
+@st.composite
+def kernel_docs(draw):
+    """A well-typed kernel document: each object holds the keys it takes,
+    and any number may come from any regime, NaN and inf included."""
+    def number():
+        return mostly(draw, st.floats(0.0, 3.0))
+
+    n = draw(st.integers(1, 3))
+    doc = {"n": n}
+    if n > 1:
+        cs = draw(fractions(n - 1))
+        if draw(st.booleans()):
+            doc["alphas"] = {"type": "proportional", "c": cs}
+        else:
+            top = mostly(draw, st.floats(1.0, 1e3))
+            doc["alphas"] = {"type": "table", "t": [0.0, top],
+                             "alpha": [[0.0, c * top] for c in cs]}
+    doc["K"] = [{"type": "const", "value": number()} if draw(st.booleans())
+                else {"type": "exp_decay", "value": number(), "rate": number()}
+                for _ in range(n)]
+    doc["G"] = [{"type": "linear"} if draw(st.booleans())
+                else {"type": "cubic", "a": number(), "b": number()}
+                for _ in range(n)]
+    if draw(st.booleans()):
+        doc["kernel_floor"] = mostly(draw, st.floats(1e-12, 1e-3))
+    return doc
+
+
+def node_values(data, grid, f_zero: bool):
+    """Node values for ``grid`` of one regime, at times of a wrong length,
+    poisoned or (``f_zero``) not starting at zero."""
+    n = data.draw(st.sampled_from([grid.n_cells + 1] * 6 + [grid.n_cells, grid.n_cells + 2, 0]))
+    values = data.draw(arrays(float, n, elements=REGIMES[data.draw(st.sampled_from(list(REGIMES)))]))
+    if n and f_zero and data.draw(st.integers(0, 9)):
+        values[0] = 0.0
+    if n and not data.draw(st.integers(0, 4)):
+        values[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from(POISON))
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_docs(), st.integers(2, 12), st.data())
+def test_the_solver_is_finite_or_raises_a_package_error(doc, n_cells, data):
+    kernel = outcome(kernel_from_config, doc)
+    grid = outcome(Grid, mostly(data.draw, st.floats(1e-3, 1e3)), n_cells)
+    if isinstance(kernel, DataError) or isinstance(grid, DataError):
+        return
+    f = node_values(data, grid, f_zero=True)
+    solved = outcome(solve_apf, kernel, grid, f, errors=SOLVER_ERRORS)
+    if not isinstance(solved, SOLVER_ERRORS):
+        assert solved.x.shape == (n_cells + 1,) and finite(solved.x)
+        assert np.isfinite(solved.residual)
+    x = node_values(data, grid, f_zero=False)
+    applied = outcome(forward_apply, kernel, grid, x, errors=SOLVER_ERRORS)
+    if not isinstance(applied, SOLVER_ERRORS):
+        assert applied.shape == (n_cells + 1,) and finite(applied)

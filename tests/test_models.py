@@ -1,5 +1,6 @@
 """The three forecasters: exactness oracles, determinism, the model document."""
 
+import json
 import re
 import tracemalloc
 import warnings
@@ -15,7 +16,7 @@ from voltgrid.forecast.models import (GBDT_MIN_NODE, RF_MIN_LEAF, GradientBooste
                                       save_model)
 
 from conftest import assert_document_holds, strict_json
-from oracle import grow_tree_bfs, grow_tree_dfs
+from oracle import descend, grow_tree_bfs, grow_tree_dfs
 
 
 def grow(X, y, *, rng=None, max_depth=None, min_child=1, mtry=None) -> RegressionTree:
@@ -72,16 +73,11 @@ class TestSingleTree:
         X = rng.normal(size=(50, 2))
         y = rng.normal(size=50)
         tree = grow(X, y, min_child=10)
-        # count samples reaching each leaf
-        node = np.zeros(len(X), dtype=np.int64)
-        active = tree.feature[node] >= 0
-        while active.any():
-            rows = np.flatnonzero(active)
-            at = node[rows]
-            go_left = X[rows, tree.feature[at]] <= tree.threshold[at]
-            node[rows] = np.where(go_left, tree.left[at], tree.right[at])
-            active = tree.feature[node] >= 0
-        leaves, counts = np.unique(node, return_counts=True)
+        # count samples reaching each leaf, walking the document's children
+        doc = tree.to_dict()
+        doc["value"] = list(range(tree.n_nodes))
+        leaves, counts = np.unique(descend(doc, X), return_counts=True)
+        assert (tree.feature[leaves.astype(int)] < 0).all()
         assert counts.min() >= 10
 
     def test_depth_cap(self):
@@ -132,13 +128,10 @@ class TestSingleTree:
         X = np.linspace(0.0, 1.0, 32).reshape(-1, 1)
         y = np.sin(6 * X[:, 0])
         tree = grow(X, y, min_child=4)
-        clone = RegressionTree(**tree.to_dict())
+        doc = tree.to_dict()
+        clone = RegressionTree(*(doc[name] for name in RegressionTree.FIELDS))
         np.testing.assert_array_equal(clone.predict(X), tree.predict(X))
-
-
-def splits(tree):
-    inner = tree.feature >= 0
-    return sorted(zip(tree.feature[inner].tolist(), tree.threshold[inner].tolist()))
+        assert clone.to_dict() == doc
 
 
 @st.composite
@@ -169,10 +162,10 @@ class TestLevelWiseGrowth:
         X, y, max_depth, min_child, _ = problem
         new = grow(X, y, max_depth=max_depth, min_child=min_child)
         old = grow_tree_dfs(X, y, max_depth=max_depth, min_child=min_child)
-        assert new.n_nodes == old.n_nodes
-        assert splits(new) == splits(old)
+        # the same nodes in the same order, and children the oracle recorded
+        assert new.to_dict() == old
         probe = np.vstack([X, X - 0.5, X + 0.5])
-        np.testing.assert_array_equal(new.predict(probe), old.predict(probe))
+        np.testing.assert_array_equal(new.predict(probe), descend(old, probe))
 
     @settings(max_examples=200, deadline=None)
     @given(tree_problems(), st.integers(0, 2**32 - 1))
@@ -404,6 +397,17 @@ class TestPersistence:
         save_model(models[1], tmp_path / "a.json")
         save_model(models[1], tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("named", [False, True])
+    def test_the_written_document_is_the_dict_form_as_compact_json(self, named, tmp_path):
+        # save_model writes its head, then each tree; the bytes are one dumps
+        _, _, models = self.fitted_models()
+        for i, model in enumerate(models):
+            if named:
+                model.feature_names_ = ("a", "b", "c", "d", "e")
+            save_model(model, tmp_path / f"model{i}.json")
+            text = json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
+            assert (tmp_path / f"model{i}.json").read_text(encoding="utf-8") == text + "\n"
 
     def test_feature_names_preserved(self, tmp_path):
         X, y, models = self.fitted_models()

@@ -2,13 +2,15 @@
 
 One seeded matrix with hour-, weekday- and flag-like integer columns (ties)
 and gridded continuous ones is fitted by a 40-stage boosting and an 8-tree
-forest. For each node field, one digest covers that array of every tree in
-fit order; the fits' scalars are held as exact hex floats. A rewrite of tree
-growth that keeps the models keeps every digest. A change that alters the
-trees on purpose updates ``DIGESTS`` (printed by ``python
-tests/test_tree_bits.py``) and says why in CHANGES.md.
+forest. For each of the five node fields of a tree in the model document,
+one digest covers that array of every tree in fit order; the fits' scalars
+are held as exact hex floats. A rewrite of tree growth that keeps the models
+keeps every digest. A change that alters the trees on purpose updates
+``DIGESTS`` (printed by ``python tests/test_tree_bits.py``) and says why in
+CHANGES.md. The trees store three of the five arrays, 24 bytes a node.
 """
 
+import functools
 import hashlib
 import json
 import sys
@@ -63,30 +65,50 @@ def training_matrix(n=1200):
     return X, y
 
 
-def current_digests() -> dict:
-    """The digests of the two seeded fits on ``training_matrix``."""
+# the node fields of a tree in the model document, and the dtype each is hashed as
+NODE_FIELDS = {"feature": np.int64, "threshold": float, "left": np.int64,
+               "right": np.int64, "value": float}
+
+
+@functools.cache
+def fits() -> dict:
+    """The two seeded fits on ``training_matrix``."""
     X, y = training_matrix()
-    gbdt = GradientBoostedTrees(n_trees=40, seed=5).fit(X, y)
-    rf = RandomForest(n_trees=8, seed=5).fit(X, y)
-    return {"gbdt": digests(gbdt, "base_score"), "rf": digests(rf, "oob_rmse")}
+    return {"gbdt": GradientBoostedTrees(n_trees=40, seed=5).fit(X, y),
+            "rf": RandomForest(n_trees=8, seed=5).fit(X, y)}
+
+
+def current_digests() -> dict:
+    """The digests of the two seeded fits."""
+    return {"gbdt": digests(fits()["gbdt"], "base_score"), "rf": digests(fits()["rf"], "oob_rmse")}
 
 
 def digests(model, scalar: str) -> dict:
     """The fitted scalar ``<scalar>_`` as a hex float, and per node field one
-    sha256 over every tree's array (length, then little-endian bytes)."""
+    sha256 over every tree's array (length, then little-endian bytes), each
+    taken from the tree's document."""
     out = {scalar: float(getattr(model, scalar + "_")).hex()}
-    for name, dtype in RegressionTree.FIELDS.items():
+    docs = [tree.to_dict() for tree in model.trees_]
+    for name, dtype in NODE_FIELDS.items():
         h = hashlib.sha256()
-        for tree in model.trees_:
-            array = getattr(tree, name)
+        for doc in docs:
+            array = np.asarray(doc[name], dtype=np.dtype(dtype).newbyteorder("<"))
             h.update(len(array).to_bytes(8, "little"))
-            h.update(array.astype(np.dtype(dtype).newbyteorder("<"), copy=False).tobytes())
+            h.update(array.tobytes())
         out[name] = h.hexdigest()
     return out
 
 
 def test_tree_arrays_hold_their_recorded_bits():
     assert current_digests() == DIGESTS
+
+
+def test_a_stored_node_takes_24_bytes():
+    # feature, threshold and value; the children follow from the level order
+    for model in fits().values():
+        for tree in model.trees_:
+            stored = sum(getattr(tree, name).nbytes for name in RegressionTree.__slots__)
+            assert stored == 24 * tree.n_nodes
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ observed order from grid refinement rather than absolute error.
 import collections
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -74,6 +75,11 @@ class TestGrid:
         with pytest.raises(DataError) as err:
             Grid(horizon, 4)
         assert str(err.value) == f"grid horizon must be positive and finite, got {horizon}"
+
+    def test_a_horizon_near_the_float_maximum_has_finite_nodes(self):
+        # linspace's n * step overflowed before it pinned the last node
+        nodes = Grid(np.finfo(float).max, 3).nodes()
+        assert np.all(np.isfinite(nodes)) and nodes[-1] == np.finfo(float).max
 
 
 class TestBandPartition:
@@ -469,11 +475,44 @@ class TestSolveGates:
         # residual of NaN
         kernel = kernel_from_config({
             "n": 3, "alphas": {"type": "proportional", "c": [0.5, c]}, "K": K,
-            "G": [{"type": "linear", "a": 0.0}, {"type": "cubic", "a": 0.0, "b": b},
-                  {"type": "linear", "a": 0.0}]})
+            "G": [{"type": "linear"}, {"type": "cubic", "a": 0.0, "b": b}, {"type": "linear"}]})
         grid = Grid(2.0, 8)
         with pytest.raises(SolverError, match=message):
             solve_apf(kernel, grid, grid.nodes())
+
+    def test_a_rate_past_the_float_maximum_decays_at_once(self):
+        # rate * h and rate * age overflowed as numpy warnings
+        kernel = kernel_from_config({"n": 1, "K": [{"type": "exp_decay", "value": 1.0,
+                                                    "rate": 8.98846567431158e307}],
+                                     "G": [{"type": "linear"}]})
+        grid = Grid(2.0, 2)
+        np.testing.assert_array_equal(solve_apf(kernel, grid, [0.0, 1.0, 2.0]).x, [1.0, 1.0, 2.0])
+        np.testing.assert_array_equal(forward_apply(kernel, grid, [0.0, 1.0, 2.0]), [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("call", [solve_apf, forward_apply])
+    def test_an_own_cell_coefficient_past_the_float_maximum_is_data_error(self, call):
+        # solve_apf let numpy's overflow warning out; forward_apply blamed x
+        kernel = kernel_from_config({"n": 1, "K": [{"type": "const", "value": 1e308}],
+                                     "G": [{"type": "linear"}]})
+        with pytest.raises(DataError, match=r"^an own cell's width \* K overflows"):
+            call(kernel, Grid(4.0, 2), np.zeros(3))
+
+    @pytest.mark.parametrize("G", [{"type": "cubic", "a": 1e306, "b": 0.0},
+                                   {"type": "cubic", "a": 0.0, "b": 1e306}])
+    def test_an_own_cell_response_past_the_float_maximum_is_data_error(self, G):
+        # width * K * a (or b) overflowed as a numpy warning
+        kernel = kernel_from_config({"n": 1, "K": [{"type": "const", "value": 2.0}], "G": [G]})
+        with pytest.raises(DataError, match="^own-cell response at node 1 overflows"):
+            solve_apf(kernel, Grid(180.0, 2), np.zeros(3))
+
+    def test_a_residual_past_the_float_maximum_is_solver_error(self):
+        # known + terms rounded past the float maximum as a numpy warning
+        kernel = kernel_from_config({"n": 1, "K": [{"type": "const", "value": 3.0}],
+                                     "G": [{"type": "cubic", "a": 0.0, "b": 1.0}]})
+        f = np.full(12, -4.29345194e307)
+        f[0], f[-1] = 0.0, -np.finfo(float).max
+        with pytest.raises(SolverError, match="^the march left residual inf above"):
+            solve_apf(kernel, Grid(4.0, 11), f)
 
     def test_cubic_residual_is_gated(self, monkeypatch):
         # the cubic step is gated too: a negative tolerance, which no
@@ -536,6 +575,38 @@ class TestKernelConfig:
         with pytest.raises(DataError, match="K"):
             kernel_from_config({"n": 1, "K": [{"type": "banana"}],
                                 "G": [{"type": "linear"}]})
+
+    @pytest.mark.parametrize("where, key, value, known", [
+        # each was dropped without a word: a misspelt floor kept the default
+        ((), "kernal_floor", 1e-3, "['G', 'K', 'alphas', 'kernel_floor', 'n']"),
+        (("K", 0), "rate", 0.05, "['type', 'value']"),
+        (("K", 1), "decay", 0.05, "['rate', 'type', 'value']"),
+        (("G", 0), "a", 2.0, "['type']"),
+        (("G", 0), "b", 0.1, "['type']"),
+        (("G", 1), "c", 0.1, "['a', 'b', 'type']"),
+        (("alphas",), "t", [0.0, 1.0], "['c', 'type']"),
+    ], ids=["kernal_floor", "const-rate", "exp_decay-decay", "linear-a", "linear-b",
+            "cubic-c", "proportional-t"])
+    def test_a_key_its_object_does_not_take_is_rejected(self, where, key, value, known):
+        config = json.loads(json.dumps(README_KERNEL))
+        entry = config
+        for step in where:
+            entry = entry[step]
+        entry[key] = value
+        with pytest.raises(DataError, match=re.escape(f"keys: ['{key}'] (known: {known})")):
+            kernel_from_config(config)
+
+    @pytest.mark.parametrize("alphas, known", [
+        ({"type": "table", "t": [0.0, 1.0], "alpha": [[0.0, 0.5]], "c": [0.5]},
+         "['alpha', 't', 'type']"),
+        ({"type": "proportional", "c": [], "rows": []}, "['alpha', 'c', 't', 'type']"),
+    ], ids=["table-c", "single-band-rows"])
+    def test_a_boundary_key_its_type_does_not_take_is_rejected(self, alphas, known):
+        config = {**README_KERNEL, "alphas": alphas}
+        if "rows" in alphas:  # a single band takes an empty boundary object
+            config.update(n=1, K=config["K"][:1], G=config["G"][:1])
+        with pytest.raises(DataError, match=re.escape(f"(known: {known})")):
+            kernel_from_config(config)
 
     def test_growing_factor_rejected(self):
         with pytest.raises(DataError, match="rate must be >= 0"):
