@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError
+from ..ioutil import config_number
 from ..timeseries import GRID_SERIES, AlignedFrame, calendar_arrays
 
 
@@ -28,6 +29,8 @@ class FeatureConfig:
     horizon: int = 24
 
     def __post_init__(self):
+        object.__setattr__(self, "horizon", config_number(self.horizon, "forecast horizon",
+                                                          integer=True))
         if self.horizon < 1:
             raise DataError(f"forecast horizon must be >= 1 hour, got {self.horizon}")
 
@@ -102,7 +105,9 @@ def build_feature_matrix(frame: AlignedFrame, config: FeatureConfig = FeatureCon
             "complete history, fill or trim them first"
         )
 
-    horizon = config.horizon
+    # row t targets row t + horizon; a horizon of n rows or more leaves none
+    n = frame.n_rows
+    horizon = min(config.horizon, n)
     stamps = frame.timestamps()
     target_stamps = stamps + np.timedelta64(horizon, "h")
     calendar = calendar_arrays(target_stamps, frame.holiday_calendar)
@@ -117,9 +122,7 @@ def build_feature_matrix(frame: AlignedFrame, config: FeatureConfig = FeatureCon
         *((name, values) for name, values in frame.columns.items() if name not in GRID_SERIES),
     ]
 
-    n = frame.n_rows
-    n_targets = max(0, n - horizon)
-    X = np.column_stack([vals for _, vals in columns])[:n_targets]
+    X = np.column_stack([vals for _, vals in columns])[:n - horizon]
     y = load[horizon:]
     stamps = stamps[horizon:]
     target_rows = np.arange(horizon, n)
@@ -131,5 +134,5 @@ def build_feature_matrix(frame: AlignedFrame, config: FeatureConfig = FeatureCon
         timestamps=stamps[keep],
         target_rows=target_rows[keep],
         feature_names=tuple(name for name, _ in columns),
-        horizon=horizon,
+        horizon=config.horizon,
     )

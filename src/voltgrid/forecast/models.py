@@ -30,6 +30,7 @@ import math
 import numpy as np
 
 from ..errors import DataError, overflow_as_data_error
+from ..ioutil import config_keys
 
 
 class RegressionTree:
@@ -199,7 +200,8 @@ def _grow(X, orders, y, weight, rng, max_depth, min_child, mtry) -> RegressionTr
         y0 = q[rows]
         mass = counts if weight is None else np.add.reduceat(weight[rows], starts)
         feature, threshold = np.full(n_live, -1), np.zeros(n_live)
-        value = np.ldexp(np.add.reduceat(targets[rows], starts).astype(float), -shift) / mass
+        # the mean before the scaling, so no sum passes the float maximum
+        value = np.ldexp(np.add.reduceat(targets[rows], starts).astype(float) / mass, -shift)
         levels.append((feature, threshold, value))
         splittable = ((mass >= 2 * min_child) & (depth < depth_cap)
                       & (np.minimum.reduceat(y0, starts) < np.maximum.reduceat(y0, starts)))
@@ -219,6 +221,15 @@ def _grow(X, orders, y, weight, rng, max_depth, min_child, mtry) -> RegressionTr
         threshold[split] = thr
         orders, starts, counts = _partition(orders, counts, split, f, n_left, n)
     return RegressionTree(*(np.concatenate(c) for c in zip(*levels)))
+
+
+def rms(values) -> float:
+    """The root mean square of finite values, taken of them scaled by 2**-top
+    (2**top > their largest magnitude), so no square overflows, nor the
+    largest underflows. The scaling is exact: above the subnormals the
+    result is sqrt(mean(values ** 2)) bit for bit."""
+    top = math.frexp(float(np.max(np.abs(values))))[1]
+    return float(np.ldexp(np.sqrt(np.mean(np.ldexp(values, -top) ** 2)), top))
 
 
 def _finite_matrix(X, use: str) -> np.ndarray:
@@ -316,10 +327,17 @@ class _Ensemble(_Forecaster):
         self.n_trees = n_trees
         self.seed = seed
 
+    @property
+    def _shift(self) -> int:
+        """2**_shift > n_trees, so a sum of n_trees finite values scaled by
+        2**-_shift stays finite; the scaling is exact above the subnormals."""
+        return self.n_trees.bit_length()
+
     def _sum_trees(self, X) -> np.ndarray:
+        """The sum of the trees' predictions, scaled by 2**-_shift."""
         total = np.zeros(len(X))
         for tree in self.trees_:
-            total += tree.predict(X)
+            total += np.ldexp(tree.predict(X), -self._shift)
         return total
 
 
@@ -359,18 +377,18 @@ class RandomForest(_Ensemble):
             self.trees_.append(tree)
             outside = ~seen
             if outside.any():
-                oob_sum[outside] += tree.predict(X[outside])
+                oob_sum[outside] += np.ldexp(tree.predict(X[outside]), -self._shift)
                 oob_count[outside] += 1
 
         covered = oob_count > 0
-        if covered.any():
-            err = oob_sum[covered] / oob_count[covered] - y[covered]
-            self.oob_rmse_ = float(np.sqrt(np.mean(err ** 2)))
+        if covered.any():  # scaled by 2**-_shift
+            err = oob_sum[covered] / oob_count[covered] - np.ldexp(y[covered], -self._shift)
+            self.oob_rmse_ = float(np.ldexp(rms(err), self._shift))
         else:
             self.oob_rmse_ = float("nan")
 
     def _predict(self, X) -> np.ndarray:
-        return self._sum_trees(X) / len(self.trees_)
+        return np.ldexp(self._sum_trees(X) / len(self.trees_), self._shift)
 
 
 class GradientBoostedTrees(_Ensemble):
@@ -390,7 +408,8 @@ class GradientBoostedTrees(_Ensemble):
         if n < 2 * GBDT_MIN_NODE:
             raise DataError(f"need at least {2 * GBDT_MIN_NODE} rows, got {n}")
 
-        self.base_score_ = float(y.mean())
+        shift = n.bit_length()  # 2**shift > n: the scaled sum stays finite
+        self.base_score_ = float(np.ldexp(np.mean(np.ldexp(y, -shift)), shift))
         self.trees_ = []
         current = np.full(n, self.base_score_)
         # 0 < m < n, as n >= 2 * GBDT_MIN_NODE
@@ -407,7 +426,7 @@ class GradientBoostedTrees(_Ensemble):
             current += GBDT_SHRINKAGE * tree.predict(X)
 
     def _predict(self, X) -> np.ndarray:
-        return self.base_score_ + GBDT_SHRINKAGE * self._sum_trees(X)
+        return self.base_score_ + np.ldexp(GBDT_SHRINKAGE * self._sum_trees(X), self._shift)
 
 
 # the forecasters by short name; rf and gbdt take the harness seed
@@ -419,6 +438,7 @@ def make_model(name: str, params: dict | None = None, seed: int = 0):
     if name not in MODELS:
         raise DataError(f"unknown model {name!r} (choose from {tuple(MODELS)})")
     params = dict(params or {})
+    config_keys(params, MODELS[name]().get_params(), f"{name} model parameter")
     if name != "lm":
         params.setdefault("seed", seed)
     return MODELS[name](**params)
@@ -427,8 +447,11 @@ def make_model(name: str, params: dict | None = None, seed: int = 0):
 FORMAT = "voltgrid-model/2"
 
 
-def _document(model) -> tuple:
-    """The model document without its trees, and the trees (lm: None)."""
+def save_model(model, path) -> None:
+    """A fitted forecaster's document as compact JSON with sorted keys,
+    written a tree at a time, so a forest's document is never whole in
+    memory. Anything but a fitted forecaster is refused before the file is
+    opened."""
     kind = next((kind for kind, cls in MODELS.items() if isinstance(model, cls)), None)
     if kind is None:
         raise DataError(f"cannot serialize model of type {type(model).__name__}")
@@ -442,29 +465,15 @@ def _document(model) -> tuple:
         doc.update(weights=model.weights_.tolist(), intercept=model.intercept_)
     if kind == "gbdt":
         doc["base_score"] = model.base_score_
-    return doc, getattr(model, "trees_", None)
-
-
-def model_to_dict(model) -> dict:
-    doc, trees = _document(model)
-    if trees is not None:
-        doc["trees"] = [t.to_dict() for t in trees]
-    return doc
-
-
-def save_model(model, path) -> None:
-    """``model_to_dict(model)`` as compact JSON with sorted keys, written a
-    tree at a time, so a forest's document is never whole in memory."""
     # not ioutil.write_json: its json_ready rounds floats to 12 digits, and a
     # model's floats are written exactly. json.dumps, not json.dump: only
     # dumps uses the C encoder
     dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
-    doc, trees = _document(model)
     with open(path, "w", encoding="utf-8") as fh:
-        if trees is None:
+        if kind == "lm":
             fh.write(dumps(doc) + "\n")
         else:  # "trees" sorts after every other key, so it ends the document
             fh.write(dumps(doc)[:-1] + ',"trees":[')
-            for k, tree in enumerate(trees):
+            for k, tree in enumerate(model.trees_):
                 fh.write("," * (k > 0) + dumps(tree.to_dict()))
             fh.write("]}\n")

@@ -11,9 +11,10 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from ..errors import DataError, overflow_as_data_error
+from ..ioutil import config_number
 from ..timeseries import AlignedFrame, calendar_arrays, split_indices
 from .features import FeatureConfig, build_feature_matrix
-from .models import make_model
+from .models import make_model, rms
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ def compute_metrics(predicted, actual) -> Metrics:
     if len(predicted) == 0:
         raise DataError("cannot compute metrics of an empty sample")
     err = predicted - actual
-    rmse = float(np.sqrt(np.mean(err ** 2)))
+    rmse = rms(err)
     mae = float(np.mean(np.abs(err)))
     if np.all(actual > 0.0):
         mape = float(np.mean(np.abs(err) * 100.0 / actual))
@@ -212,6 +213,8 @@ def block_cross_validate(model_name: str, frame: AlignedFrame, n_blocks: int,
     available core; each is a pure function of its rows, params and seed, so
     the report does not depend on the worker count.
     """
+    n_blocks = config_number(n_blocks, "n_blocks", integer=True)
+    validation_tail = config_number(validation_tail, "validation_tail", integer=True)
     if n_blocks < 2:
         raise DataError(f"need >= 2 blocks for cross-validation, got {n_blocks}")
     blocks, tail = split_indices(frame.n_rows, validation_tail, n_blocks)

@@ -9,7 +9,7 @@ of getting a clipped schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,6 +44,13 @@ class StorageSpec:
     interpretation: str = "literal"
 
     def __post_init__(self):
+        # NaN would silently disable a bound check; the limits may be
+        # infinite, the starting energy and the efficiency may not
+        for key in ("v_max", "e_min", "e_max", "efficiency", "e_init", "rated_cycles"):
+            object.__setattr__(self, key, config_number(
+                getattr(self, key), f"storage config {key}",
+                allow_inf=key in ("v_max", "e_min", "e_max"), integer=key == "rated_cycles"))
+        object.__setattr__(self, "interpretation", str(self.interpretation))
         if not 0.0 < self.efficiency <= 1.0:
             raise DataError(f"efficiency must be in (0, 1], got {self.efficiency}")
         if not self.v_max > 0.0:
@@ -245,22 +252,12 @@ def dispatch(f_res: TimeSeries, f_gen: TimeSeries, f_load: TimeSeries,
 
 
 def storage_spec_from_config(config: dict) -> StorageSpec:
-    """Build a StorageSpec from its JSON form (constant bounds only)."""
+    """Build a StorageSpec from its JSON form (constant bounds only); an
+    explicit null keeps a field's default."""
     if not isinstance(config, dict):
         raise DataError("storage config must be a JSON object")
-    config_keys(config, ("v_max", "e_min", "e_max", "efficiency", "rated_cycles", "e_init",
-                         "interpretation"), "storage config")
-    kwargs = {}
-    for key in ("v_max", "e_min", "e_max", "efficiency", "e_init", "rated_cycles"):
-        if config.get(key) is not None:  # explicit null keeps the default
-            # NaN would silently disable a bound check; the limits may be
-            # infinite, the starting energy and the efficiency may not
-            kwargs[key] = config_number(config[key], f"storage config {key}",
-                                        allow_inf=key in ("v_max", "e_min", "e_max"),
-                                        integer=key == "rated_cycles")
-    if config.get("interpretation") is not None:
-        kwargs["interpretation"] = str(config["interpretation"])
-    return StorageSpec(**kwargs)
+    config_keys(config, [f.name for f in fields(StorageSpec)], "storage config")
+    return StorageSpec(**{key: value for key, value in config.items() if value is not None})
 
 
 def write_dispatch_csv(path, report: DispatchReport) -> None:

@@ -33,10 +33,14 @@ class TimeSeries:
     def __post_init__(self):
         if self.step != SECONDS_PER_HOUR:
             raise DataError(f"series {self.name!r} is not hourly: step {self.step:g}s")
-        object.__setattr__(self, "start", naive_utc(self.start))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.ndim != 1:
             raise DataError(f"series {self.name!r}: values must be one-dimensional")
+        try:  # its start in UTC and its end are datetimes
+            object.__setattr__(self, "start", naive_utc(self.start))
+            self.end
+        except OverflowError:
+            raise DataError(f"series {self.name!r} runs outside the datetime range") from None
 
     def __len__(self) -> int:
         return len(self.values)

@@ -27,6 +27,9 @@ decaying running sum plus at most two boundary fragments (fast convolution,
 Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), so a solve
 costs O(N) time and memory; ``_March`` states the recurrence. Every fragment,
 the own cell's included, comes from one cut rule, ``_cut``.
+
+``solve_apf`` and ``forward_apply`` silence numpy's float faults; each checks
+what may overflow for finiteness and raises DataError or SolverError.
 """
 
 from __future__ import annotations
@@ -151,9 +154,8 @@ class _ExpFactor(NamedTuple):
     value: float
     rate: float = 0.0
 
-    def __call__(self, t, s):
-        with np.errstate(over="ignore"):  # a rate * age past the float maximum decays to 0
-            return self.value * np.exp(-self.rate * (np.asarray(t) - np.asarray(s)))
+    def __call__(self, t, s):  # a rate * age past the float maximum decays to 0
+        return self.value * np.exp(-self.rate * (np.asarray(t) - np.asarray(s)))
 
 
 class Cubic(NamedTuple):
@@ -246,9 +248,8 @@ class _March:
         self.bm = bm = kernel.partition.validate_on(grid)
         self.K, self.G = kernel.K, kernel.G
         # the unknown's cell [t_{j-1}, t_j], cut by the bands at t_j
-        with np.errstate(over="ignore"):
-            self.coefs = np.array([_cut(nodes[1:], nodes[:-1], nodes[1:], lo, hi, K)
-                                   for K, lo, hi in zip(self.K, bm[:-1], bm[1:])])
+        self.coefs = np.array([_cut(nodes[1:], nodes[:-1], nodes[1:], lo, hi, K)
+                               for K, lo, hi in zip(self.K, bm[:-1], bm[1:])])
         if not np.all(np.isfinite(self.coefs)):
             raise DataError("an own cell's width * K overflows: the kernel is too large for the grid")
         # Python floats: a rate * horizon past the float maximum is -inf, not a warning
@@ -322,20 +323,20 @@ def forward_apply(kernel: KernelSpec, grid: Grid, x) -> np.ndarray:
     by the solver's own march, so ``solve_apf(forward_apply(x)) == x`` up to
     rounding. ``x`` and the result span nodes 0..N, as in solve_apf; x_0 is
     not read, and f_0 is 0. Every other x_j, G(x_j) and f_j must be finite."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (grid.n_cells + 1,):
-        raise DataError(f"expected {grid.n_cells + 1} node values, got {x.shape}")
-    # a finite x may overflow G(x), and finite terms their sums
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (grid.n_cells + 1,):
+            raise DataError(f"expected {grid.n_cells + 1} node values, got {x.shape}")
+        # a finite x may overflow G(x), and finite terms their sums
         terms = np.isfinite([x] + [g(x) for g in kernel.G if g is not None]).all(axis=0)
         _, known, own = _March(kernel, grid).run(lambda known, xj: xj, x[1:])
         f = np.concatenate([[0.0], known + own])
-    finite = np.isfinite(f)
-    if not finite.all():
-        j = int(np.argmin(finite))
-        raise DataError(f"node {j}: f is not finite; the quadrature sums of x overflow" if terms[j]
-                        else f"node {j}: x = {float(x[j])!r} is not finite or overflows G(x)")
-    return f
+        finite = np.isfinite(f)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise DataError(f"node {j}: f is not finite; the quadrature sums of x overflow" if terms[j]
+                            else f"node {j}: x = {float(x[j])!r} is not finite or overflows G(x)")
+        return f
 
 
 def solve_apf(kernel: KernelSpec, grid: Grid, f) -> SolveResult:
@@ -346,88 +347,86 @@ def solve_apf(kernel: KernelSpec, grid: Grid, f) -> SolveResult:
     nodes 0..N, with x_0 copied from x_1: the quadrature never touches node 0,
     so the first entry is a plotting convenience, not a solved value.
     """
-    n = grid.n_cells
-    f = np.asarray(f, dtype=float)
-    if f.shape != (n + 1,):
-        raise DataError(f"expected {n + 1} right-hand-side node values, got {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise DataError("right-hand side contains non-finite values")
-    f_scale = max(1.0, float(np.max(np.abs(f))))
-    if abs(f[0]) > 1e-12 * f_scale:
-        raise DataError(
-            f"right-hand side must vanish at t=0 (got {fmt12(f[0])}); "
-            "subtract the initial imbalance first"
-        )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        n = grid.n_cells
+        f = np.asarray(f, dtype=float)
+        if f.shape != (n + 1,):
+            raise DataError(f"expected {n + 1} right-hand-side node values, got {f.shape}")
+        if not np.all(np.isfinite(f)):
+            raise DataError("right-hand side contains non-finite values")
+        f_scale = max(1.0, float(np.max(np.abs(f))))
+        if abs(f[0]) > 1e-12 * f_scale:
+            raise DataError(
+                f"right-hand side must vanish at t=0 (got {fmt12(f[0])}); "
+                "subtract the initial imbalance first"
+            )
 
-    march = _March(kernel, grid)
-    # node j's own cell gives p_j*x^3 + q_j*x = f_j - known_j
-    a = np.array([[1.0 if g is None else g.a] for g in kernel.G])
-    b = np.array([[0.0 if g is None else g.b] for g in kernel.G])
-    # a coefficient times a or b may pass the float maximum, and inf - inf in
-    # a sum is NaN: both are refused below
-    with np.errstate(over="ignore", invalid="ignore"):
+        march = _March(kernel, grid)
+        # node j's own cell gives p_j*x^3 + q_j*x = f_j - known_j
+        a = np.array([[1.0 if g is None else g.a] for g in kernel.G])
+        b = np.array([[0.0 if g is None else g.b] for g in kernel.G])
+        # a coefficient times a or b may pass the float maximum, and inf - inf in
+        # a sum is NaN: both are refused below
         q = (march.coefs * a).sum(axis=0)
         p = (march.coefs * b).sum(axis=0)
-    huge = ~(np.isfinite(p) & np.isfinite(q))
-    if np.any(huge):
-        raise DataError(f"own-cell response at node {int(np.argmax(huge)) + 1} overflows: "
-                        "a cell's width * K * G's coefficient passes the float maximum")
-    mixed = np.sign(p) * np.sign(q) < 0.0
-    if np.any(mixed):
-        j = int(np.argmax(mixed)) + 1
-        raise DataError(
-            f"own-cell response at node {j} is not monotone: its cubic and linear "
-            f"coefficients {fmt12(p[j - 1])} and {fmt12(q[j - 1])} differ in sign"
-        )
-    scale = np.abs(p) + np.abs(q)
-    # reduces to "fragment width < floor*h" when one band owns the cell
-    thresh = DEFAULT_CELL_FLOOR * grid.step * abs(kernel.K[-1].value)
-    tiny = (scale == 0.0) | (scale < thresh)
-    if np.any(tiny):
-        j = int(np.argmax(tiny)) + 1
-        raise SolverError(
-            f"degenerate last cell at node {j}: unknown coefficient "
-            f"{fmt12(scale[j - 1])} is below {fmt12(thresh)}"
-        )
+        huge = ~(np.isfinite(p) & np.isfinite(q))
+        if np.any(huge):
+            raise DataError(f"own-cell response at node {int(np.argmax(huge)) + 1} overflows: "
+                            "a cell's width * K * G's coefficient passes the float maximum")
+        mixed = np.sign(p) * np.sign(q) < 0.0
+        if np.any(mixed):
+            j = int(np.argmax(mixed)) + 1
+            raise DataError(
+                f"own-cell response at node {j} is not monotone: its cubic and linear "
+                f"coefficients {fmt12(p[j - 1])} and {fmt12(q[j - 1])} differ in sign"
+            )
+        scale = np.abs(p) + np.abs(q)
+        # reduces to "fragment width < floor*h" when one band owns the cell
+        thresh = DEFAULT_CELL_FLOOR * grid.step * abs(kernel.K[-1].value)
+        tiny = (scale == 0.0) | (scale < thresh)
+        if np.any(tiny):
+            j = int(np.argmax(tiny)) + 1
+            raise SolverError(
+                f"degenerate last cell at node {j}: unknown coefficient "
+                f"{fmt12(scale[j - 1])} is below {fmt12(thresh)}"
+            )
 
-    # p*q > 0: x = 2*sqrt(q/3p)*sinh(asinh((3r/2q)*sqrt(3p/q))/3), the real
-    # root without cancellation, then one Newton step
-    polish = (p != 0.0) & (q != 0.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # p*q > 0: x = 2*sqrt(q/3p)*sinh(asinh((3r/2q)*sqrt(3p/q))/3), the real
+        # root without cancellation, then one Newton step
+        polish = (p != 0.0) & (q != 0.0)
         span = np.where(polish, 2.0 * np.sqrt(q / (3.0 * p)), 0.0)
         gain = np.where(polish, 3.0 / (q * span), 0.0)
 
-    def step(known, f_j, p_j, q_j, span_j, gain_j):
-        r = f_j - known
-        if not p_j:
-            return r / q_j
-        if not q_j:
-            return float(np.cbrt(r / p_j))
-        x = span_j * math.sinh(math.asinh(r * gain_j) / 3.0)
-        return x - (x * (p_j * x * x + q_j) - r) / (3.0 * p_j * x * x + q_j)
+        def step(known, f_j, p_j, q_j, span_j, gain_j):
+            r = f_j - known
+            if not p_j:
+                return r / q_j
+            if not q_j:
+                return float(np.cbrt(r / p_j))
+            x = span_j * math.sinh(math.asinh(r * gain_j) / 3.0)
+            return x - (x * (p_j * x * x + q_j) - r) / (3.0 * p_j * x * x + q_j)
 
-    # a finite x may overflow G, and then the own cells' sum
-    with np.errstate(over="ignore", invalid="ignore"):
+        # a finite x may overflow G, and then the own cells' sum
         x, known, terms = march.run(step, f[1:], p, q, span, gain)
-    x = np.array(x[1:])
-    # a lone infinite x_N would make the residual and its tolerance both inf
-    if not np.all(np.isfinite(x)):
-        raise SolverError("the march overflowed: x is not finite")
-    # forward_apply(x) - f from the same running sums
-    if not np.all(np.isfinite(terms)):
-        raise SolverError("the march overflowed: G(x) is not finite")
-    with np.errstate(over="ignore"):  # known + terms may round past the float maximum
+        x = np.array(x[1:])
+        # a lone infinite x_N would make the residual and its tolerance both inf
+        if not np.all(np.isfinite(x)):
+            raise SolverError("the march overflowed: x is not finite")
+        if not np.all(np.isfinite(terms)):
+            raise SolverError("the march overflowed: G(x) is not finite")
+        # forward_apply(x) - f from the same running sums; known + terms may
+        # round past the float maximum, which the gate below refuses
         residual = float(np.max(np.abs(known + terms - f[1:])))
-    # the residual is a difference of sums that grow with x, so rounding
-    # scales with the largest own-cell term as well as with f
-    tol = DEFAULT_RESIDUAL_TOL * max(f_scale, float(np.max(np.abs(terms))))
-    if not residual <= tol:
-        raise SolverError(f"the march left residual {fmt12(residual)} above {fmt12(tol)}")
-    return SolveResult(
-        x=np.concatenate([x[:1], x]),
-        residual=residual,
-        diagnostics={"newton_iterations": polish.astype(int)},
-    )
+        # the residual is a difference of sums that grow with x, so rounding
+        # scales with the largest own-cell term as well as with f
+        tol = DEFAULT_RESIDUAL_TOL * max(f_scale, float(np.max(np.abs(terms))))
+        if not residual <= tol:
+            raise SolverError(f"the march left residual {fmt12(residual)} above {fmt12(tol)}")
+        return SolveResult(
+            x=np.concatenate([x[:1], x]),
+            residual=residual,
+            diagnostics={"newton_iterations": polish.astype(int)},
+        )
 
 
 # --- kernel configuration ---------------------------------------------------

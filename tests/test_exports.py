@@ -1,8 +1,11 @@
 """Re-export and layering guard: every library name is imported from the
 module that defines it, so the packages export only what the benchmark
-scripts still import from them, and each CLI command loads only its layer."""
+scripts still import from them, each CLI command loads only its layer, and
+no module imports another's ``_``-prefixed names."""
 
+import ast
 import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -81,6 +84,48 @@ def test_report_loads_no_solver(tmp_path):
     assert code == 0
     assert [m for m in modules if m.startswith("voltgrid")] == [
         *CLI, "voltgrid.ioutil", "voltgrid.storage", "voltgrid.timeseries"]
+
+
+def private_imports(source: str, module: str) -> list:
+    """The ``_``-prefixed names that ``source``, the text of voltgrid module
+    ``module``, imports from another voltgrid module, as "line: module.name"."""
+    package = (module.removesuffix(".__init__") if module.endswith(".__init__")
+               else module.rpartition(".")[0])
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            origin = importlib.util.resolve_name("." * node.level + (node.module or ""), package)
+            names = [f"{origin}.{alias.name}" for alias in node.names
+                     if alias.name.startswith("_")]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names
+                     if any(part.startswith("_") for part in alias.name.split("."))]
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names
+                  if name.split(".")[0] == "voltgrid" and name.rpartition(".")[0] != module]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "voltgrid").rglob("*.py")),
+                         ids=lambda path: str(path.relative_to(SRC)))
+def test_no_module_imports_another_modules_private_names(path):
+    module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+    assert private_imports(path.read_text(encoding="utf-8"), module) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from ..errors import DataError, _x\n", ["1: voltgrid.errors._x"]),
+    ("from . import features\nfrom .features import _lag as lag\n",
+     ["2: voltgrid.forecast.features._lag"]),
+    ("import voltgrid.forecast._hidden\n", ["1: voltgrid.forecast._hidden"]),
+    ("from voltgrid.ioutil import _number\n", ["1: voltgrid.ioutil._number"]),
+    ("from __future__ import annotations\nfrom numpy import _core\n", []),
+    ("from .validation import _deal\n", ["1: voltgrid.forecast.validation._deal"]),
+    ("from .models import _grow\n", []),  # its own name
+])
+def test_the_private_import_walk_finds_each_form(source, found):
+    assert private_imports(source, "voltgrid.forecast.models") == found
 
 
 @pytest.mark.parametrize("package", ["voltgrid", "voltgrid.forecast"])

@@ -98,6 +98,27 @@ class TestMatrixShape:
         matrix = build_feature_matrix(frame)
         assert matrix.n_rows == 0
 
+    @pytest.mark.parametrize("horizon", [400, 2**62, 2**70])
+    def test_a_horizon_past_the_frame_yields_no_rows(self, horizon):
+        # a horizon past numpy's datetime64 offsets raised OverflowError
+        matrix = build_feature_matrix(align_hourly([hourly(np.ones(400), name="load")]),
+                                      FeatureConfig(horizon))
+        assert (matrix.n_rows, matrix.horizon) == (0, horizon)
+
+    @pytest.mark.parametrize("horizon, message", [
+        (2.5, "forecast horizon must be an integer, got 2.5"),
+        (True, "forecast horizon must be an integer, got True"),
+        ("24", "forecast horizon must be an integer, got '24'"),
+        (0, r"forecast horizon must be >= 1 hour, got 0"),
+    ])
+    def test_horizon_is_a_positive_integer(self, horizon, message):
+        # a fractional horizon ended in numpy's ValueError
+        with pytest.raises(DataError, match=f"^{message}$"):
+            FeatureConfig(horizon)
+
+    def test_an_integral_float_horizon_is_an_int(self):
+        assert FeatureConfig(24.0) == FeatureConfig(24) and type(FeatureConfig(24.0).horizon) is int
+
 
 class TestColumnContent:
     def test_target_is_load_at_target_row(self, load_frame):

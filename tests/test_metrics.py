@@ -42,3 +42,16 @@ def test_shape_validation():
         compute_metrics([1.0, 2.0], [1.0])
     with pytest.raises(DataError, match="empty"):
         compute_metrics([], [])
+
+
+@pytest.mark.parametrize("e", [700, -530])
+def test_rmse_scales_with_its_errors_by_a_power_of_two(e):
+    # the squares of errors past 2**512 overflowed, and those of errors
+    # below 2**-537 underflowed to an RMSE of 0 with a positive MAE
+    rng = np.random.default_rng(3)
+    actual = rng.uniform(1.0, 100.0, 50)
+    predicted = actual + rng.normal(0.0, 5.0, 50)
+    plain = compute_metrics(predicted, actual)
+    scaled = compute_metrics(np.ldexp(predicted, e), np.ldexp(actual, e))
+    assert (scaled.rmse, scaled.mae) == (np.ldexp(plain.rmse, e), np.ldexp(plain.mae, e))
+    assert scaled.mape_percent == plain.mape_percent

@@ -1,6 +1,7 @@
 """The three forecasters: exactness oracles, determinism, the model document."""
 
 import json
+import math
 import re
 import tracemalloc
 import warnings
@@ -12,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 from voltgrid.errors import DataError
 from voltgrid.forecast.models import (GBDT_MIN_NODE, RF_MIN_LEAF, GradientBoostedTrees,
                                       RandomForest, RegressionTree, RidgeRegression, _grow,
-                                      _presort, _restrict, make_model, model_to_dict,
-                                      save_model)
+                                      _presort, _restrict, make_model, save_model)
 
 from conftest import assert_document_holds, strict_json
 from oracle import descend, grow_tree_bfs, grow_tree_dfs
@@ -344,6 +344,20 @@ class TestTrainingInput:
             make_model(name).fit(np.zeros((0, 5)), np.zeros(0))
 
 
+    @pytest.mark.parametrize("name, e", [("rf", 1024), ("rf", 664), ("gbdt", 1023)])
+    def test_targets_scaled_by_a_power_of_two_scale_the_fit(self, name, e):
+        # near the float maximum the node sums, rf's out-of-bag sums and
+        # squared errors and gbdt's target mean overflowed, where every mean
+        # was finite; scaling by 2**e is exact, so the fit scales bit for bit
+        rng = np.random.default_rng(2)
+        X, u = rng.normal(size=(60, 5)), rng.random(60)
+        plain = make_model(name, {"n_trees": 2}).fit(X, u)
+        scaled = make_model(name, {"n_trees": 2}).fit(X, np.ldexp(u, e))
+        np.testing.assert_array_equal(scaled.predict(X), np.ldexp(plain.predict(X), e))
+        stat = "oob_rmse_" if name == "rf" else "base_score_"
+        assert getattr(scaled, stat) == math.ldexp(getattr(plain, stat), e)
+
+
 class TestPersistence:
     def fitted_models(self):
         rng = np.random.default_rng(8)
@@ -382,15 +396,17 @@ class TestPersistence:
         save_model(model, tmp_path / "model.json")
         assert_document_holds(strict_json(tmp_path / "model.json"), model)
 
-    def test_only_the_forecasters_serialize(self):
+    def test_only_the_forecasters_serialize(self, tmp_path):
         with pytest.raises(DataError, match="cannot serialize model of type RegressionTree"):
-            model_to_dict(grow(np.zeros((4, 1)), np.zeros(4)))
+            save_model(grow(np.zeros((4, 1)), np.zeros(4)), tmp_path / "model.json")
+        assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize("name", ["lm", "rf", "gbdt"])
-    def test_an_unfitted_model_does_not_serialize(self, name):
+    def test_an_unfitted_model_does_not_serialize(self, name, tmp_path):
         # the document read n_features_ and raised an AttributeError
         with pytest.raises(DataError, match="^model is not fitted$"):
-            model_to_dict(make_model(name))
+            save_model(make_model(name), tmp_path / "model.json")
+        assert not (tmp_path / "model.json").exists()
 
     def test_save_is_byte_deterministic(self, tmp_path):
         X, y, models = self.fitted_models()
@@ -399,15 +415,19 @@ class TestPersistence:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     @pytest.mark.parametrize("named", [False, True])
-    def test_the_written_document_is_the_dict_form_as_compact_json(self, named, tmp_path):
+    def test_the_written_document_is_compact_json_with_sorted_keys(self, named, tmp_path):
         # save_model writes its head, then each tree; the bytes are one dumps
+        # of the document they parse to, which holds the fitted model
         _, _, models = self.fitted_models()
         for i, model in enumerate(models):
             if named:
                 model.feature_names_ = ("a", "b", "c", "d", "e")
-            save_model(model, tmp_path / f"model{i}.json")
-            text = json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
-            assert (tmp_path / f"model{i}.json").read_text(encoding="utf-8") == text + "\n"
+            path = tmp_path / f"model{i}.json"
+            save_model(model, path)
+            doc = strict_json(path)
+            assert_document_holds(doc, model)
+            text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            assert path.read_text(encoding="utf-8") == text + "\n"
 
     def test_feature_names_preserved(self, tmp_path):
         X, y, models = self.fitted_models()
@@ -417,9 +437,11 @@ class TestPersistence:
         save_model(model, path)
         assert_document_holds(strict_json(path), model)
 
-    def test_dict_form_tags_the_model_kind(self):
+    def test_the_document_tags_the_model_kind(self, tmp_path):
         _, _, models = self.fitted_models()
-        kinds = [model_to_dict(m)["kind"] for m in models]
-        assert kinds == ["lm", "rf", "gbdt"]
-        for m in models:
-            assert_document_holds(model_to_dict(m), m)
+        for i, m in enumerate(models):
+            save_model(m, tmp_path / f"model{i}.json")
+        docs = [strict_json(tmp_path / f"model{i}.json") for i in range(len(models))]
+        assert [doc["kind"] for doc in docs] == ["lm", "rf", "gbdt"]
+        for doc, m in zip(docs, models):
+            assert_document_holds(doc, m)

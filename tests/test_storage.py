@@ -116,6 +116,26 @@ class TestStorageSpecValidation:
         with pytest.raises(DataError, match="rated_cycles"):
             StorageSpec(rated_cycles=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("e_min", float("nan"), "^storage config e_min must not be NaN$"),
+        ("e_init", float("nan"), r"^storage config e_init must not be NaN \(finite numbers only\)$"),
+        ("rated_cycles", 2.5, "^storage config rated_cycles must be an integer, got 2.5$"),
+        ("efficiency", float("inf"), "^storage config efficiency must be finite, got inf$"),
+        ("v_max", True, "^storage config v_max must be a number, got True$"),
+    ])
+    def test_a_spec_built_in_code_is_checked_as_its_json_is(self, field, value, message):
+        # a NaN e_min passed, and a dispatch then reported no E_min violation
+        # where the energy fell below the bound
+        with pytest.raises(DataError, match=message):
+            StorageSpec(**{field: value})
+
+    def test_a_spec_holds_its_numbers_as_the_json_path_does(self):
+        spec = StorageSpec(efficiency=1, rated_cycles=2000.0, e_init=np.float32(0.5))
+        assert [type(v) for v in (spec.efficiency, spec.rated_cycles, spec.e_init)] == [
+            float, int, float]
+        assert spec == storage_spec_from_config({"efficiency": 1, "rated_cycles": 2000.0,
+                                                 "e_init": 0.5})
+
     def test_config_parsing(self):
         spec = storage_spec_from_config({"efficiency": 0.9, "e_min": -10,
                                          "e_max": 10, "interpretation": "power"})

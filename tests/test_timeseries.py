@@ -225,6 +225,24 @@ class TestAlign:
 
 
 class TestSeries:
+    @pytest.mark.parametrize("start, n", [
+        (dt.datetime.max, 2),
+        (dt.datetime.max.replace(tzinfo=dt.timezone(dt.timedelta(hours=-5))), 1),
+        (dt.datetime.min.replace(tzinfo=dt.timezone(dt.timedelta(hours=5))), 1),
+        (dt.datetime.min, 0),
+    ])
+    def test_a_series_outside_the_datetime_range_is_rejected(self, start, n):
+        # its end, and align_hourly, raised OverflowError
+        with pytest.raises(DataError, match="^series 'b' runs outside the datetime range$"):
+            TimeSeries(start, np.ones(n), name="b")
+
+    def test_a_series_that_ends_at_the_last_datetime_aligns(self):
+        last = dt.datetime.max.replace(minute=0, second=0, microsecond=0)
+        series = TimeSeries(last - dt.timedelta(hours=1), [1.0, 2.0], name="b")
+        assert series.end == last
+        frame = align_hourly([series, TimeSeries(last, [3.0], name="c")])
+        assert (frame.start, frame.n_rows) == (last, 1)
+
     @pytest.mark.parametrize("step", [900.0, 1800.0, 7200.0, 0.0, -3600.0])
     def test_non_hourly_step_rejected(self, step):
         with pytest.raises(DataError) as err:

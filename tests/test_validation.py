@@ -8,7 +8,7 @@ import pytest
 from voltgrid.errors import DataError
 from voltgrid.forecast import validation
 from voltgrid.forecast.features import build_feature_matrix
-from voltgrid.forecast.models import make_model, model_to_dict
+from voltgrid.forecast.models import make_model, save_model
 from voltgrid.forecast.validation import block_cross_validate
 from voltgrid.timeseries import align_hourly
 
@@ -19,6 +19,12 @@ def assert_no_children():
     """Every forked worker has been reaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def saved(model, path) -> bytes:
+    """The bytes ``save_model`` writes for ``model``."""
+    save_model(model, path)
+    return path.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +100,20 @@ class TestBlockCrossValidate:
                                  params={"n_trees": 5}, seed=4)
         assert not np.array_equal(a.predicted, b.predicted)
 
+    @pytest.mark.parametrize("key, value", [("n_blocks", 2.5), ("n_blocks", "3"),
+                                            ("validation_tail", 2.5), ("validation_tail", None)])
+    def test_counts_are_integers(self, frame, key, value):
+        # a fractional block count raised a TypeError in the block split
+        kwargs = {"n_blocks": 2, "validation_tail": 100, key: value}
+        with pytest.raises(DataError, match=f"^{key} must be an integer, got {value!r}$"):
+            block_cross_validate("lm", frame, **kwargs)
+
+    @pytest.mark.parametrize("name, params", [("lm", {"n_trees": 2}), ("rf", {"depth": 3})])
+    def test_a_parameter_the_model_does_not_take(self, frame, name, params):
+        # the model's constructor raised a TypeError
+        with pytest.raises(DataError, match=f"^unknown {name} model parameter keys: "):
+            block_cross_validate(name, frame, n_blocks=2, validation_tail=100, params=params)
+
     def test_needs_two_blocks(self, frame):
         with pytest.raises(DataError, match=">= 2 blocks"):
             block_cross_validate("lm", frame, n_blocks=1, validation_tail=100)
@@ -121,7 +141,7 @@ class TestBlockCrossValidate:
 
 class TestSchedule:
     @pytest.mark.parametrize("name", ["rf", "gbdt"])
-    def test_report_does_not_depend_on_core_count(self, frame, monkeypatch, name):
+    def test_report_does_not_depend_on_core_count(self, frame, monkeypatch, name, tmp_path):
         reports = []
         for cores in (1, 2, 3):
             monkeypatch.setattr(validation, "_available_cores", lambda c=cores: c)
@@ -132,7 +152,8 @@ class TestSchedule:
         for report in forked:
             assert serial.as_dict() == report.as_dict()
             np.testing.assert_array_equal(serial.predicted, report.predicted)
-            assert model_to_dict(serial.final_model) == model_to_dict(report.final_model)
+            assert (saved(serial.final_model, tmp_path / "serial.json")
+                    == saved(report.final_model, tmp_path / "forked.json"))
 
     def test_deal_puts_the_largest_training_sets_first(self):
         jobs = [(None, None, 0, np.arange(10) < n, None) for n in (3, 9, 5, 8, 2)]
@@ -166,7 +187,7 @@ class TestSchedule:
         assert os.sched_getaffinity(0) == mine  # only the children are pinned
         assert_no_children()
 
-    def test_without_cpu_affinity_the_fits_run_serially(self, frame, monkeypatch):
+    def test_without_cpu_affinity_the_fits_run_serially(self, frame, monkeypatch, tmp_path):
         def report():
             return block_cross_validate("rf", frame, n_blocks=3, validation_tail=100,
                                         params={"n_trees": 3}, seed=5)
@@ -183,7 +204,8 @@ class TestSchedule:
         assert workers == [1]
         assert serial.as_dict() == forked.as_dict()
         np.testing.assert_array_equal(serial.predicted, forked.predicted)
-        assert model_to_dict(serial.final_model) == model_to_dict(forked.final_model)
+        assert (saved(serial.final_model, tmp_path / "serial.json")
+                == saved(forked.final_model, tmp_path / "forked.json"))
 
     def test_workers_never_exceed_the_cores(self, frame, monkeypatch):
         seen = []
