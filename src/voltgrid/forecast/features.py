@@ -37,18 +37,13 @@ class FeatureConfig:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Design matrix rows aligned with their target time and frame row."""
+    """Design matrix rows and their targets; ``target_rows`` gives each
+    target's frame row, and the frame gives its time."""
 
     X: np.ndarray
     y: np.ndarray
-    timestamps: np.ndarray
     target_rows: np.ndarray
     feature_names: tuple
-    horizon: int
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.y)
 
 
 def _lag(v: np.ndarray, k: int) -> np.ndarray:
@@ -73,18 +68,15 @@ def _ema(v: np.ndarray, period: int) -> np.ndarray:
 
 
 def _previous_day_stats(v: np.ndarray, stamps: np.ndarray):
-    """(mean, min) over all of day D-1, stamped on every sample of day D."""
-    day_ids = stamps.astype("datetime64[D]").astype(np.int64)
-    uniq, first_idx = np.unique(day_ids, return_index=True)
-    counts = np.diff(np.append(first_idx, len(v)))
-    prev_pos = np.searchsorted(uniq, day_ids - 1)
-    have_prev = (prev_pos < len(uniq)) & (uniq[np.minimum(prev_pos, len(uniq) - 1)] == day_ids - 1)
-    stats = []
-    for per_day in (np.add.reduceat(v, first_idx) / counts, np.minimum.reduceat(v, first_idx)):
-        out = np.full(len(v), np.nan)
-        out[have_prev] = per_day[prev_pos[have_prev]]
-        stats.append(out)
-    return stats
+    """(mean, min) over all of day D-1, stamped on every sample of day D.
+    The stamps are consecutive hours, so day d - days[0] is the d-th run."""
+    day = stamps.astype("datetime64[D]").astype(np.int64)
+    day -= day[0]
+    starts = np.flatnonzero(np.diff(day, prepend=-1))
+    counts = np.diff(starts, append=len(v))
+    # day 0 has no previous day; day d takes the stats of run d - 1
+    return [np.append(np.nan, per_day)[day]
+            for per_day in (np.add.reduceat(v, starts) / counts, np.minimum.reduceat(v, starts))]
 
 
 def build_feature_matrix(frame: AlignedFrame, config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
@@ -124,15 +116,10 @@ def build_feature_matrix(frame: AlignedFrame, config: FeatureConfig = FeatureCon
 
     X = np.column_stack([vals for _, vals in columns])[:n - horizon]
     y = load[horizon:]
-    stamps = stamps[horizon:]
-    target_rows = np.arange(horizon, n)
-
     keep = np.all(np.isfinite(X), axis=1) & np.isfinite(y)
     return FeatureMatrix(
         X=np.ascontiguousarray(X[keep]),
         y=y[keep],
-        timestamps=stamps[keep],
-        target_rows=target_rows[keep],
+        target_rows=np.arange(horizon, n)[keep],
         feature_names=tuple(name for name, _ in columns),
-        horizon=config.horizon,
     )

@@ -74,9 +74,12 @@ def _quantize(y, total_weight: int):
     top = float(np.max(np.abs(y), initial=0.0))
     if top == 0.0:
         return np.zeros(len(y), dtype=np.int64), 0
-    # top < 2**e and total_weight < 2**b, so |q| <= 2**(e+k) = 2**(61-b)
-    k = 61 - int(total_weight).bit_length() - math.frexp(top)[1]
-    return np.rint(np.ldexp(y, k)).astype(np.int64), k
+    # top < 2**e and total_weight < 2**b, so |y * 2**k| < 2**(e+k) = 2**(61-b);
+    # rint may round onto that bound, and a mean of such q would be 2**e
+    b = int(total_weight).bit_length()
+    k = 61 - b - math.frexp(top)[1]
+    bound = 2 ** (61 - b) - 1
+    return np.clip(np.rint(np.ldexp(y, k)).astype(np.int64), -bound, bound), k
 
 
 def _score_level(values, targets, weights, orders, starts, counts, cand, min_child):
@@ -230,6 +233,14 @@ def rms(values) -> float:
     result is sqrt(mean(values ** 2)) bit for bit."""
     top = math.frexp(float(np.max(np.abs(values))))[1]
     return float(np.ldexp(np.sqrt(np.mean(np.ldexp(values, -top) ** 2)), top))
+
+
+def scaled_mean(values, e: int = 0) -> float:
+    """mean(values) * 2**e of finite values, taken of them scaled by
+    2**-shift (2**shift > their count), so no sum overflows; exact above
+    the subnormals."""
+    shift = len(values).bit_length()
+    return float(np.ldexp(np.mean(np.ldexp(values, -shift)), shift + e))
 
 
 def _finite_matrix(X, use: str) -> np.ndarray:
@@ -408,8 +419,7 @@ class GradientBoostedTrees(_Ensemble):
         if n < 2 * GBDT_MIN_NODE:
             raise DataError(f"need at least {2 * GBDT_MIN_NODE} rows, got {n}")
 
-        shift = n.bit_length()  # 2**shift > n: the scaled sum stays finite
-        self.base_score_ = float(np.ldexp(np.mean(np.ldexp(y, -shift)), shift))
+        self.base_score_ = scaled_mean(y)
         self.trees_ = []
         current = np.full(n, self.base_score_)
         # 0 < m < n, as n >= 2 * GBDT_MIN_NODE
@@ -419,9 +429,12 @@ class GradientBoostedTrees(_Ensemble):
             rng = np.random.default_rng([self.seed, stage])
             keep = np.zeros(n, dtype=bool)
             keep[rng.choice(n, size=m, replace=False)] = True
-            residual = y - current
-            tree = _grow(X[keep], _restrict(order, keep), residual[keep], None, rng,
+            # grown on half the residual, which stays finite where y - current
+            # would not, then doubled; both scalings are exact
+            half = np.ldexp(y, -1) - np.ldexp(current, -1)
+            tree = _grow(X[keep], _restrict(order, keep), half[keep], None, rng,
                          GBDT_MAX_DEPTH, GBDT_MIN_NODE, None)
+            tree.value = np.ldexp(tree.value, 1)
             self.trees_.append(tree)
             current += GBDT_SHRINKAGE * tree.predict(X)
 

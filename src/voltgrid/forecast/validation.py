@@ -14,7 +14,7 @@ from ..errors import DataError, overflow_as_data_error
 from ..ioutil import config_number
 from ..timeseries import AlignedFrame, calendar_arrays, split_indices
 from .features import FeatureConfig, build_feature_matrix
-from .models import make_model, rms
+from .models import make_model, rms, scaled_mean
 
 
 @dataclass(frozen=True)
@@ -27,11 +27,15 @@ class Metrics:
     mape_percent: float | None
 
 
+@overflow_as_data_error("the metrics overflow")
 def compute_metrics(predicted, actual) -> Metrics:
     """RMSE, MAE, and MAPE of predictions against real values.
 
     MAPE averages |error| * 100 / actual per sample, so integer-friendly
     inputs stay exact (the (110,190) vs (100,200) oracle is 7.5 on the nose).
+    Every error, sum and ratio is formed at a power of two of its size, so
+    only a metric past the float maximum overflows; the scalings are exact
+    above the subnormals.
     """
     predicted = np.asarray(predicted, dtype=float)
     actual = np.asarray(actual, dtype=float)
@@ -40,11 +44,12 @@ def compute_metrics(predicted, actual) -> Metrics:
                         f"{predicted.shape} vs {actual.shape}")
     if len(predicted) == 0:
         raise DataError("cannot compute metrics of an empty sample")
-    err = predicted - actual
-    rmse = rms(err)
-    mae = float(np.mean(np.abs(err)))
+    half = np.abs(np.ldexp(predicted, -1) - np.ldexp(actual, -1))  # |error| / 2
+    rmse = float(np.ldexp(rms(half), 1))
+    mae = scaled_mean(half, 1)
     if np.all(actual > 0.0):
-        mape = float(np.mean(np.abs(err) * 100.0 / actual))
+        # each |error| * 100 / actual formed at 2**-7 of its size
+        mape = scaled_mean(np.ldexp(half, -6) * 100.0 / actual, 7)
     else:
         mape = None
     return Metrics(rmse=rmse, mae=mae, mape_percent=mape)
@@ -52,13 +57,11 @@ def compute_metrics(predicted, actual) -> Metrics:
 
 def mae_by_group(predicted, actual, groups, n_groups: int) -> list:
     """MAE per integer group label; None where a group is empty."""
-    err = np.abs(np.asarray(predicted, dtype=float) - np.asarray(actual, dtype=float))
+    half = np.abs(np.ldexp(np.asarray(predicted, dtype=float), -1)
+                  - np.ldexp(np.asarray(actual, dtype=float), -1))  # |error| / 2
     groups = np.asarray(groups)
-    out = []
-    for g in range(n_groups):
-        mask = groups == g
-        out.append(float(err[mask].mean()) if mask.any() else None)
-    return out
+    return [scaled_mean(half[mask], 1) if mask.any() else None
+            for mask in (groups == g for g in range(n_groups))]
 
 
 def _available_cores() -> int:
@@ -219,7 +222,7 @@ def block_cross_validate(model_name: str, frame: AlignedFrame, n_blocks: int,
         raise DataError(f"need >= 2 blocks for cross-validation, got {n_blocks}")
     blocks, tail = split_indices(frame.n_rows, validation_tail, n_blocks)
     matrix = build_feature_matrix(frame, config)
-    if matrix.n_rows == 0:
+    if not len(matrix.y):
         raise DataError("no usable training rows: frame too short for the configured lags")
 
     rows = matrix.target_rows
@@ -243,12 +246,12 @@ def block_cross_validate(model_name: str, frame: AlignedFrame, n_blocks: int,
     fold_metrics = [compute_metrics(pred, y[job[4]]) for (_, pred), job in zip(folds, jobs)]
     model.feature_names_ = matrix.feature_names
     actual = y[val_mask]
-    stamps = matrix.timestamps[val_mask]
+    stamps = frame.timestamps()[rows[val_mask]]
     cal = calendar_arrays(stamps)
     return CrossValidationReport(
         model=model_name,
         params=dict(params or {}),
-        horizon=matrix.horizon,
+        horizon=config.horizon,
         n_blocks=n_blocks,
         frame_rows=frame.n_rows,
         train_rows=tail.start,

@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import json
+import math
 import os
 import re
 import subprocess
@@ -20,7 +21,7 @@ from voltgrid.ioutil import fmt12
 from voltgrid.storage import StorageSpec, dispatch
 from voltgrid.volterra import Grid, load_kernel
 
-from conftest import START, hourly, invoke
+from conftest import START, hourly, invoke, strict_json
 
 
 def write_series_csv(path, values, start=START, stamp_format=None):
@@ -233,6 +234,17 @@ class TestForecast:
         assert rows[0] == ["timestamp", "predicted", "actual"]
         assert len(rows) == 121
 
+    def test_a_training_load_next_to_the_maximum_has_finite_metrics(self, tmp_path):
+        # a fold's |error| * 100 overflowed, though its MAPE was finite
+        load = 100 + np.sin(np.arange(600.0))
+        load[500] = 1.7e308
+        result = invoke(["forecast", "--data", str(make_dataset(tmp_path, load)),
+                         "--model", "rf", "--trees", "2", "--blocks", "2", "--tail", "60",
+                         "--out", str(tmp_path / "fc")])
+        assert result.exit_code == 0, all_output(result)
+        metrics = strict_json(tmp_path / "fc" / "metrics.json")
+        assert all(math.isfinite(value) for fold in metrics["per_block"] for value in fold.values())
+
     def test_bad_dataset_cell_exit_2(self, tmp_path):
         data = tmp_path / "dataset.csv"
         data.write_text("timestamp,load\n2019-01-01T00:00:00,1\n2019-01-01T01:00:00,abc\n")
@@ -350,6 +362,14 @@ class TestForecast:
         result = invoke(["forecast", "--model", "svm"])
         choices = re.search(r"\(choose from (.*)\)", result.stderr).group(1)
         assert [name.strip(" '") for name in choices.split(",")] == list(models.MODELS)
+
+    def test_help_gives_the_ensembles_default_sizes(self):
+        # the CLI states them itself, for the same reason
+        result = invoke(["forecast", "--help"])
+        assert result.exit_code == 0
+        sizes = re.search(r"\(rf: (\d+), gbdt: (\d+)\)", result.output).groups()
+        assert tuple(map(int, sizes)) == (models.RandomForest().n_trees,
+                                          models.GradientBoostedTrees().n_trees)
 
     def test_unknown_model_exit_2(self, tmp_path):
         data = make_dataset(tmp_path, np.full(400, 100.0))
@@ -896,10 +916,11 @@ class TestFailedRun:
         # every input is finite; numpy's overflow warning must not leak
         write_kernel(tmp_path / "kernel.json")
         if case.startswith("forecast"):
-            # rf overflows inside its fit, whose own gate defers to this one
+            # the held-out MAPE, about 1e310 %, passes the float maximum; the
+            # metrics' own gate defers to this one
             model = case.partition(" ")[2] or "lm"
             load = 100 + np.sin(np.arange(600.0))
-            load[500] = 1.7e308
+            load[-60:] = 1e-306
             args = ["forecast", "--data", str(make_dataset(tmp_path, load)),
                     "--model", model, "--blocks", "2", "--tail", "60",
                     *(["--trees", "2"] if model == "rf" else [])]

@@ -10,6 +10,7 @@ import inspect
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -136,3 +137,23 @@ def test_package_exports_only_what_the_benchmark_imports(package):
     public = {name for name, value in vars(importlib.import_module(package)).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == imported
+
+
+def test_the_package_version_is_stated_once(tmp_path):
+    # pyproject.toml reads the version from voltgrid.__version__; a copy whose
+    # __init__ says another version builds that version
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    (tmp_path / "src" / "voltgrid").mkdir(parents=True)
+    (tmp_path / "pyproject.toml").write_text((SRC.parent / "pyproject.toml").read_text())
+    init = (SRC / "voltgrid" / "__init__.py").read_text()
+    versions = {}
+    for text in (init, init.replace('__version__ = "', '__version__ = "9.')):
+        (tmp_path / "src" / "voltgrid" / "__init__.py").write_text(text)
+        with warnings.catch_warnings():
+            # older setuptools call their [tool.setuptools] table beta
+            warnings.filterwarnings("ignore", message=r".*is still \*beta\*")
+            project = pyprojecttoml.read_configuration(tmp_path / "pyproject.toml")["project"]
+        assert "version" in project["dynamic"]
+        versions[text] = project["version"]
+    version = importlib.import_module("voltgrid").__version__
+    assert list(versions.values()) == [version, "9." + version]

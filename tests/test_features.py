@@ -1,8 +1,9 @@
 """Feature engineering: column content, row retention, and leakage.
 
 Row semantics: ``target_rows[i]`` is the frame row of the forecast target, so
-the forecast origin sits ``horizon`` rows earlier; origin-side features are
-checked against that offset throughout.
+the forecast origin sits ``horizon`` rows earlier and the target time is the
+frame's time at that row; origin-side features are checked against that
+offset throughout.
 """
 
 import datetime as dt
@@ -27,6 +28,7 @@ def ema_reference(values, period):
     return out
 
 
+HORIZON = FeatureConfig().horizon
 DEFAULT_NAMES = (
     "load", "day_of_week", "hour_of_day", "is_working_day",
     "load_lag_1", "load_lag_24", "load_lag_168",
@@ -63,7 +65,7 @@ class TestMatrixShape:
         assert matrix.X.shape[1] == 14
         # temperature enters at the forecast origin, not the target hour
         k = matrix.feature_names.index("t_station")
-        origins = matrix.target_rows - matrix.horizon
+        origins = matrix.target_rows - HORIZON
         np.testing.assert_array_equal(matrix.X[:, k],
                                       frame.columns["t_station"][origins])
 
@@ -96,14 +98,14 @@ class TestMatrixShape:
     def test_too_short_frame_yields_no_rows(self):
         frame = align_hourly([hourly(np.ones(100), name="load")])
         matrix = build_feature_matrix(frame)
-        assert matrix.n_rows == 0
+        assert matrix.X.shape == (0, 13) and len(matrix.y) == len(matrix.target_rows) == 0
 
     @pytest.mark.parametrize("horizon", [400, 2**62, 2**70])
     def test_a_horizon_past_the_frame_yields_no_rows(self, horizon):
         # a horizon past numpy's datetime64 offsets raised OverflowError
         matrix = build_feature_matrix(align_hourly([hourly(np.ones(400), name="load")]),
                                       FeatureConfig(horizon))
-        assert (matrix.n_rows, matrix.horizon) == (0, horizon)
+        assert matrix.X.shape == (0, 13) and len(matrix.y) == len(matrix.target_rows) == 0
 
     @pytest.mark.parametrize("horizon, message", [
         (2.5, "forecast horizon must be an integer, got 2.5"),
@@ -126,30 +128,24 @@ class TestColumnContent:
         load = load_frame.columns["load"]
         np.testing.assert_array_equal(matrix.y, load[matrix.target_rows])
 
-    def test_timestamps_are_target_times(self, load_frame):
-        matrix = build_feature_matrix(load_frame)
-        stamps = load_frame.timestamps()
-        np.testing.assert_array_equal(matrix.timestamps,
-                                      stamps[matrix.target_rows])
-
     def test_current_load_is_at_origin(self, load_frame):
         matrix = build_feature_matrix(load_frame)
         load = load_frame.columns["load"]
-        origins = matrix.target_rows - matrix.horizon
+        origins = matrix.target_rows - HORIZON
         k = matrix.feature_names.index("load")
         np.testing.assert_array_equal(matrix.X[:, k], load[origins])
 
     def test_lag_columns(self, load_frame):
         matrix = build_feature_matrix(load_frame)
         load = load_frame.columns["load"]
-        origins = matrix.target_rows - matrix.horizon
+        origins = matrix.target_rows - HORIZON
         for lag_hours in (1, 24, 168):
             k = matrix.feature_names.index(f"load_lag_{lag_hours}")
             np.testing.assert_array_equal(matrix.X[:, k], load[origins - lag_hours])
 
     def test_ema_columns_match_transform(self, load_frame):
         matrix = build_feature_matrix(load_frame)
-        origins = matrix.target_rows - matrix.horizon
+        origins = matrix.target_rows - HORIZON
         for period in (12, 24, 48, 168):
             k = matrix.feature_names.index(f"ema_{period}")
             expected = ema_reference(load_frame.columns["load"], period)[origins]
@@ -159,7 +155,7 @@ class TestColumnContent:
         matrix = build_feature_matrix(load_frame, FeatureConfig(horizon=24))
         k_hour = matrix.feature_names.index("hour_of_day")
         k_dow = matrix.feature_names.index("day_of_week")
-        stamps = matrix.timestamps
+        stamps = load_frame.timestamps()[matrix.target_rows]
         days = stamps.astype("datetime64[D]")
         np.testing.assert_array_equal(matrix.X[:, k_dow],
                                       (days.astype(np.int64) + 3) % 7)
@@ -175,7 +171,7 @@ class TestColumnContent:
         m_plain = build_feature_matrix(plain)
         m_hol = build_feature_matrix(with_holiday)
         # targets on 2019-01-09 flip from working to holiday
-        stamps = m_plain.timestamps.astype("datetime64[D]")
+        stamps = plain.timestamps()[m_plain.target_rows].astype("datetime64[D]")
         on_holiday = stamps == np.datetime64("2019-01-09")
         assert on_holiday.any()
         assert (m_plain.X[on_holiday, k] == 1.0).all()
@@ -207,6 +203,20 @@ class TestTransforms:
         np.testing.assert_array_equal(low[24:48], np.zeros(24))
         np.testing.assert_array_equal(low[48:], np.full(6, 100.0))
 
+    @pytest.mark.parametrize("start_hour, n", [(13, 5), (13, 11), (23, 60), (0, 24), (7, 100)])
+    def test_previous_day_stats_from_any_start_hour(self, start_hour, n):
+        # each day's stats against that day's hours picked by date
+        values = np.random.default_rng(start_hour + n).uniform(-50.0, 50.0, n)
+        stamps = align_hourly([hourly(values, start=START.replace(hour=start_hour))]).timestamps()
+        mean, low = _previous_day_stats(values, stamps)
+        days = stamps.astype("datetime64[D]")
+        for i, day in enumerate(days):
+            before = values[days == day - 1]
+            if before.size:
+                assert mean[i] == pytest.approx(before.mean(), rel=1e-12) and low[i] == before.min()
+            else:
+                assert np.isnan(mean[i]) and np.isnan(low[i])
+
 
 class TestSelectAndConfig:
     def test_horizon_one(self, load_frame):
@@ -230,7 +240,7 @@ class TestLeakage:
         rng = np.random.default_rng(0)
         targets = rng.choice(matrix.target_rows, size=25, replace=False)
         for r in targets:
-            origin = r - matrix.horizon
+            origin = r - HORIZON
             tampered = dict(load_frame.columns)
             load = tampered["load"].copy()
             load[origin + 1:] = rng.uniform(1.0, 2.0, len(load) - origin - 1)
@@ -241,4 +251,3 @@ class TestLeakage:
             i1 = int(np.flatnonzero(matrix.target_rows == r)[0])
             i2 = int(np.flatnonzero(matrix2.target_rows == r)[0])
             assert (matrix.X[i1] == matrix2.X[i2]).all()
-            assert matrix.timestamps[i1] == matrix2.timestamps[i2]

@@ -9,10 +9,11 @@ datetimes.
 ``make_model``, ``fit``, ``predict``, ``save_model`` and
 ``block_cross_validate`` take any value of their documented types: a model
 name, integer ``n_trees``, ``seed``, ``n_blocks``, ``validation_tail`` and
-horizon, float matrices and vectors of any shape and any float values.
-Each call either raises ``DataError`` or returns a finite result, and no
-numpy warning escapes; ``save_model`` writes a document only for a fitted
-forecaster.
+horizon, float matrices and vectors of any shape and any float values,
+targets next to the float maximum among them. ``compute_metrics`` takes
+any two finite vectors. Each call either raises ``DataError`` or returns a
+finite result, and no numpy warning escapes; ``save_model`` writes a
+document only for a fitted forecaster.
 
 ``Grid``, ``kernel_from_config``, ``solve_apf`` and ``forward_apply`` take
 any horizon and cell count, any kernel document whose objects hold the keys
@@ -38,7 +39,7 @@ from voltgrid.errors import DataError, SolverError
 from voltgrid.forecast import validation
 from voltgrid.forecast.features import FeatureConfig
 from voltgrid.forecast.models import MODELS, RegressionTree, make_model, save_model
-from voltgrid.forecast.validation import block_cross_validate
+from voltgrid.forecast.validation import block_cross_validate, compute_metrics
 from voltgrid.storage import StorageSpec, dispatch
 from voltgrid.timeseries import SECONDS_PER_HOUR, TimeSeries, align_hourly, read_series
 from voltgrid.volterra import Grid, forward_apply, kernel_from_config, solve_apf
@@ -57,6 +58,9 @@ REGIMES = {
     "huge": st.floats(1e306, BIG) | st.floats(-BIG, -1e306),
 }
 REGIMES["mixed"] = st.one_of(*REGIMES.values())
+# values of either sign within a few ulps of the float maximum
+NEAR_MAX = st.builds(lambda sign, k: sign * (BIG - k * 2.0**971),  # 2**971: an ulp there
+                     st.sampled_from([1.0, -1.0]), st.integers(0, 4))
 POISON = [np.nan, np.inf, -np.inf]
 # integer parameters of the wrong type or value, and right ones
 BAD_INTEGERS = [2.5, float("nan"), float("inf"), True, False, "3", None, -1, 0]
@@ -81,7 +85,7 @@ def matrices(draw, rows, cols):
 
 
 def vectors(n):
-    return arrays(float, n, elements=REGIMES["mixed"] | st.sampled_from(POISON))
+    return arrays(float, n, elements=REGIMES["mixed"] | NEAR_MAX | st.sampled_from(POISON))
 
 
 def finite(array) -> bool:
@@ -161,6 +165,42 @@ def test_fit_then_predict_is_finite_or_data_error(kind, X, data):
     predicted = outcome(model.predict, X)
     if not isinstance(predicted, DataError):
         assert predicted.shape == (len(X),) and finite(predicted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["rf", "gbdt"]), st.sampled_from([20, 61, 256, 300]),
+       st.sampled_from(["near", "mixed", "constant"]), st.data())
+def test_ensembles_fit_targets_next_to_the_maximum(kind, n, form, data):
+    # targets within a few ulps of +-max, at times among any others, or one
+    # such target on every row
+    X = np.random.default_rng(data.draw(st.integers(0, 9))).normal(size=(n, 5))
+    if form == "constant":
+        y = np.full(n, data.draw(NEAR_MAX))
+    else:
+        y = data.draw(arrays(float, n, elements=NEAR_MAX if form == "near"
+                             else NEAR_MAX | REGIMES["mixed"]))
+    model = make_model(kind, {"n_trees": 2}, seed=data.draw(st.integers(0, 2**32 - 1)))
+    fitted = outcome(model.fit, X, y)
+    if isinstance(fitted, DataError):
+        return
+    assert document_is_finite(saved_document(model))
+    predicted = outcome(model.predict, X)
+    if not isinstance(predicted, DataError):
+        assert predicted.shape == (n,) and finite(predicted)
+
+
+# metric inputs: any finite value, ones whose differences pass max/100 among them
+METRIC_VALUES = REGIMES["mixed"] | NEAR_MAX | st.floats(BIG / 100, BIG) | st.floats(-BIG, -BIG / 100)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(arrays(float, n, elements=METRIC_VALUES),
+                                                    arrays(float, n, elements=METRIC_VALUES))))
+def test_metrics_are_finite_or_data_error(pair):
+    metrics = outcome(compute_metrics, *pair)
+    if not isinstance(metrics, DataError):
+        assert finite([metrics.rmse, metrics.mae])
+        assert metrics.mape_percent is None or np.isfinite(metrics.mape_percent)
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from voltgrid.errors import DataError
-from voltgrid.forecast.validation import compute_metrics
+from voltgrid.forecast.validation import compute_metrics, mae_by_group
 
 
 def test_worked_example_is_exact():
@@ -55,3 +55,33 @@ def test_rmse_scales_with_its_errors_by_a_power_of_two(e):
     scaled = compute_metrics(np.ldexp(predicted, e), np.ldexp(actual, e))
     assert (scaled.rmse, scaled.mae) == (np.ldexp(plain.rmse, e), np.ldexp(plain.mae, e))
     assert scaled.mape_percent == plain.mape_percent
+
+
+@pytest.mark.parametrize("predicted, actual, expected", [
+    ([1.7e308], [1e307], (1.6e308, 1.6e308, 1600.0)),
+    # an error of -2e308, past the maximum, in finite metrics
+    ([-1e308, 1e308], [1e308, 2e307], (2.32 ** 0.5 * 1e308, 1.4e308, 300.0)),
+])
+def test_errors_past_a_hundredth_of_the_maximum_keep_finite_metrics(predicted, actual, expected):
+    # |error| * 100 overflowed before the division by the actual value, and
+    # an error itself where predicted and actual have opposite signs
+    m = compute_metrics(predicted, actual)
+    assert (m.rmse, m.mae, m.mape_percent) == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("predicted, actual", [
+    ([np.finfo(float).max], [-np.finfo(float).max]),  # the error is twice the maximum
+    ([1.0], [1e-308]),  # so is the percentage
+])
+def test_a_metric_past_the_maximum_is_a_data_error(predicted, actual):
+    with pytest.raises(DataError, match="^the metrics overflow: overflow encountered in ldexp$"):
+        compute_metrics(predicted, actual)
+
+
+def test_group_maes_are_the_groups_metrics():
+    rng = np.random.default_rng(5)
+    actual = rng.uniform(1.0, 100.0, 90)
+    predicted = actual + rng.normal(0.0, 5.0, 90)
+    groups = rng.integers(0, 4, 90)
+    expected = [compute_metrics(predicted[groups == g], actual[groups == g]).mae for g in range(4)]
+    assert mae_by_group(predicted, actual, groups, 5) == expected + [None]

@@ -357,6 +357,28 @@ class TestTrainingInput:
         stat = "oob_rmse_" if name == "rf" else "base_score_"
         assert getattr(scaled, stat) == math.ldexp(getattr(plain, stat), e)
 
+    def test_gbdt_fits_targets_of_both_signs_near_the_maximum(self):
+        # the residual y - current overflowed, though every mean was finite;
+        # each stage now grows on half of it, so the fit is that of y / 4
+        # scaled by 4 bit for bit
+        rng = np.random.default_rng(1)
+        X, u = rng.normal(size=(60, 5)), rng.random(60)
+        y = (2 * u - 1) * np.finfo(float).max
+        near = GradientBoostedTrees(n_trees=2).fit(X, y)
+        quarter = GradientBoostedTrees(n_trees=2).fit(X, np.ldexp(y, -2))
+        np.testing.assert_array_equal(near.predict(X), np.ldexp(quarter.predict(X), 2))
+
+    @pytest.mark.parametrize("name", ["rf", "gbdt"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_constant_target_at_the_maximum_predicts_it(self, name, sign):
+        # rf's fixed point rounded the maximum up onto its bound 2**(61 - b),
+        # b the bit length of the 300 rows, so a leaf's mean was 2**1024; it
+        # now keeps 61 - b = 52 of the maximum's 53 bits
+        X = np.random.default_rng(3).normal(size=(300, 5))
+        top = sign * np.finfo(float).max
+        predicted = make_model(name, {"n_trees": 2}).fit(X, np.full(300, top)).predict(X)
+        np.testing.assert_allclose(predicted, top, rtol=2.0**-51)
+
 
 class TestPersistence:
     def fitted_models(self):
