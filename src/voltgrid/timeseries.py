@@ -244,29 +244,3 @@ def read_frame_csv(path, holidays=frozenset()) -> AlignedFrame:
     if len(gaps):
         raise DataError(f"{path}: lines {lines[gaps[0]]}-{lines[gaps[0] + 1]} are not consecutive hours")
     return AlignedFrame(start=stamps[0].item(), columns=values, holiday_calendar=frozenset(holidays))
-
-
-def split_indices(n_rows: int, validation_tail: int, n_blocks: int):
-    """Chronological block split of ``n_rows`` rows: the last
-    ``validation_tail`` rows are held out, the rest cut into contiguous
-    blocks whose lengths differ by at most one (earliest blocks take the
-    remainder). Returns (block slices, tail slice)."""
-    if validation_tail < 0:
-        raise DataError(f"validation_tail must be >= 0, got {validation_tail}")
-    if validation_tail >= n_rows:
-        raise DataError(
-            f"validation_tail {validation_tail} must be smaller than the row count {n_rows}"
-        )
-    n_train = n_rows - validation_tail
-    if n_blocks < 1:
-        raise DataError(f"n_blocks must be >= 1, got {n_blocks}")
-    if n_blocks > n_train:
-        raise DataError(f"n_blocks {n_blocks} exceeds the training length {n_train}")
-    base, extra = divmod(n_train, n_blocks)
-    blocks = []
-    lo = 0
-    for b in range(n_blocks):
-        size = base + (1 if b < extra else 0)
-        blocks.append(slice(lo, lo + size))
-        lo += size
-    return blocks, slice(n_train, n_rows)

@@ -259,6 +259,8 @@ class TestForecast:
     @pytest.mark.parametrize("hours, tail, message", [
         (1200, "-1", "validation_tail must be >= 0, got -1"),
         (100, "10", "no usable training rows: frame too short for the configured lags"),
+        (100, "100", "validation_tail 100 must be smaller than the row count 100"),
+        (100, "96", "n_blocks 5 exceeds the training length 4"),
     ])
     def test_unusable_split_exit_2(self, tmp_path, hours, tail, message):
         data = make_dataset(tmp_path, np.full(hours, 100.0))

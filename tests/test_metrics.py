@@ -85,3 +85,21 @@ def test_group_maes_are_the_groups_metrics():
     groups = rng.integers(0, 4, 90)
     expected = [compute_metrics(predicted[groups == g], actual[groups == g]).mae for g in range(4)]
     assert mae_by_group(predicted, actual, groups, 5) == expected + [None]
+
+
+@pytest.mark.parametrize("predicted, actual", [
+    ([np.inf], [1.0]), ([np.nan], [1.0]), ([1.0, 2.0], [1.0, -np.inf]),
+])
+def test_non_finite_inputs_are_a_data_error(predicted, actual):
+    # they gave inf or NaN metrics
+    for metrics in (lambda: compute_metrics(predicted, actual),
+                    lambda: mae_by_group(predicted, actual, np.zeros(len(actual), int), 1)):
+        with pytest.raises(DataError, match="^metric inputs contain non-finite values$"):
+            metrics()
+
+
+def test_a_group_mae_past_the_maximum_is_a_data_error():
+    # it ended in numpy's overflow warning
+    top = np.finfo(float).max
+    with pytest.raises(DataError, match="^the metrics overflow: overflow encountered in ldexp$"):
+        mae_by_group([top, top], [-top, -top], [0, 0], 1)

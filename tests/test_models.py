@@ -234,6 +234,11 @@ class TestRandomForest:
         model = RandomForest(n_trees=40, seed=0).fit(self.X, self.y)
         assert model.oob_rmse_ < np.std(self.y)
 
+    def test_a_bootstrap_of_every_row_leaves_no_oob_error(self):
+        # seed 2073's one bootstrap of 10 rows draws each row once
+        model = RandomForest(n_trees=1, seed=2073).fit(self.X[:10], self.y[:10])
+        assert math.isnan(model.oob_rmse_)
+
     def test_mtry_validated(self):
         with pytest.raises(DataError, match="mtry"):
             RandomForest(n_trees=2).fit(self.X[:, :3], self.y)

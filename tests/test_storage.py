@@ -70,6 +70,11 @@ class TestTrajectories:
         v = integrate_cumulative([1.0, -2.0, 0.5], 0.5)
         np.testing.assert_allclose(v, [0.0, 0.5, -0.5, -0.25])
 
+    @pytest.mark.parametrize("h", [0.0, -0.5])
+    def test_integrate_cumulative_needs_a_positive_step(self, h):
+        with pytest.raises(DataError, match=f"^step must be positive, got {h}$"):
+            integrate_cumulative([1.0, 2.0], h)
+
     def test_soc_power_mode_efficiency(self):
         spec = StorageSpec(efficiency=0.8, interpretation="power")
         E = soc_trajectory([2.0, -2.0], 1.0, spec)

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from voltgrid import ioutil
 from voltgrid.errors import DataError
 from voltgrid.timeseries import (
+    AlignedFrame,
     CsvSpec,
     TimeSeries,
     align_hourly,
@@ -21,7 +22,6 @@ from voltgrid.timeseries import (
     parse_timeseries_csv,
     read_frame_csv,
     read_series,
-    split_indices,
     write_frame_csv,
 )
 
@@ -203,6 +203,10 @@ class TestAlign:
         shifted = TimeSeries(START + dt.timedelta(minutes=30), np.ones(3), name="b")
         with pytest.raises(DataError, match="offset"):
             align_hourly([hourly([1, 2, 3]), shifted])
+
+    def test_frame_columns_must_be_equally_long(self):
+        with pytest.raises(DataError, match=r"^column lengths differ: \{'a': 2, 'b': 3\}$"):
+            AlignedFrame(start=START, columns={"a": np.zeros(2), "b": np.zeros(3)})
 
     def test_nothing_to_align(self):
         with pytest.raises(DataError, match="^nothing to align$"):
@@ -486,24 +490,3 @@ class TestHolidays:
         with pytest.raises(DataError, match="line 2: bad date"):
             load_holidays(path)
 
-
-class TestSplits:
-    def test_eight_year_hourly_split(self):
-        blocks, tail = split_indices(69713, 8760, 5)
-        assert tail == slice(60953, 69713)
-        sizes = [b.stop - b.start for b in blocks]
-        assert sum(sizes) == 60953
-        assert max(sizes) - min(sizes) <= 1
-        # earliest blocks absorb the remainder
-        assert sizes == sorted(sizes, reverse=True)
-        assert blocks[0].start == 0
-        for left, right in zip(blocks, blocks[1:]):
-            assert left.stop == right.start
-
-    def test_tail_must_fit(self):
-        with pytest.raises(DataError, match="smaller than"):
-            split_indices(10, 10, 2)
-
-    def test_blocks_must_fit(self):
-        with pytest.raises(DataError, match="exceeds"):
-            split_indices(10, 6, 5)

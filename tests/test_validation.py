@@ -21,6 +21,11 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+def no_jobs(*args):
+    """A ``_run_jobs`` for runs that must fail before any fit."""
+    pytest.fail("the jobs ran")
+
+
 def saved(model, path) -> bytes:
     """The bytes ``save_model`` writes for ``model``."""
     save_model(model, path)
@@ -109,8 +114,10 @@ class TestBlockCrossValidate:
             block_cross_validate("lm", frame, **kwargs)
 
     @pytest.mark.parametrize("name, params", [("lm", {"n_trees": 2}), ("rf", {"depth": 3})])
-    def test_a_parameter_the_model_does_not_take(self, frame, name, params):
-        # the model's constructor raised a TypeError
+    def test_a_parameter_the_model_does_not_take(self, frame, monkeypatch, name, params):
+        # the model's constructor raised a TypeError; later each job made the
+        # model, so the key was refused only once the jobs ran
+        monkeypatch.setattr(validation, "_run_jobs", no_jobs)
         with pytest.raises(DataError, match=f"^unknown {name} model parameter keys: "):
             block_cross_validate(name, frame, n_blocks=2, validation_tail=100, params=params)
 
@@ -118,11 +125,23 @@ class TestBlockCrossValidate:
         with pytest.raises(DataError, match=">= 2 blocks"):
             block_cross_validate("lm", frame, n_blocks=1, validation_tail=100)
 
-    def test_negative_seed(self, frame):
-        with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+    def test_negative_seed(self, frame, monkeypatch):
+        monkeypatch.setattr(validation, "_run_jobs", no_jobs)
+        with pytest.raises(DataError, match="^seed must be >= 0, got -1$"):
             block_cross_validate("rf", frame, n_blocks=2, validation_tail=100,
                                  params={"n_trees": 1}, seed=-1)
-        assert_no_children()
+
+    @pytest.mark.parametrize("name", ["lm", "rf"])
+    def test_the_model_is_made_once(self, frame, monkeypatch, name):
+        made = []
+        make_model = validation.make_model
+        monkeypatch.setattr(validation, "_available_cores", lambda: 1)
+        monkeypatch.setattr(validation, "make_model",
+                            lambda *args, **kwargs: made.append(args) or make_model(*args, **kwargs))
+        report = block_cross_validate(name, frame, n_blocks=4, validation_tail=100,
+                                      params={} if name == "lm" else {"n_trees": 2})
+        assert made == [(name, report.params)]
+        assert report.final_model is not None
 
     def test_final_model_is_usable(self, frame):
         report = block_cross_validate("lm", frame, n_blocks=2,
@@ -137,6 +156,39 @@ class TestBlockCrossValidate:
                                       validation_tail=300, params={}, seed=0)
         assert report.validation.mape_percent is not None
         assert report.validation.mape_percent < 5.0
+
+
+class TestSplits:
+    def test_eight_year_hourly_split(self, monkeypatch):
+        frame = align_hourly([synthetic_load(69713)])
+        rows = build_feature_matrix(frame).target_rows
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def spy(model, X, y, jobs, workers):
+            seen.extend(jobs)
+            raise Stop  # no fit: only the jobs are checked
+
+        monkeypatch.setattr(validation, "_run_jobs", spy)
+        with pytest.raises(Stop):
+            block_cross_validate("lm", frame, n_blocks=5, validation_tail=8760)
+        *folds, (train, tail, keep) = seen
+        assert len(folds) == 5 and keep and not any(k for _, _, k in folds)
+        np.testing.assert_array_equal(rows[tail], np.arange(60953, 69713))
+        np.testing.assert_array_equal(train, rows < 60953)
+        ends = [int(rows[test].max()) + 1 for _, test, _ in folds]
+        sizes = np.diff([0, *ends])
+        assert ends[-1] == 60953
+        assert max(sizes) - min(sizes) <= 1
+        # earliest blocks absorb the remainder
+        assert list(sizes) == sorted(sizes, reverse=True)
+        for start, (fold_train, test, _) in zip([0, *ends], folds):
+            # contiguous: each block's rows run from the previous block's end
+            assert rows[test].min() == max(start, rows[0])
+            assert np.count_nonzero(test) == rows[test].max() + 1 - rows[test].min()
+            np.testing.assert_array_equal(fold_train, train & ~test)
 
 
 class TestSchedule:
@@ -156,7 +208,7 @@ class TestSchedule:
                     == saved(report.final_model, tmp_path / "forked.json"))
 
     def test_deal_puts_the_largest_training_sets_first(self):
-        jobs = [(None, None, 0, np.arange(10) < n, None) for n in (3, 9, 5, 8, 2)]
+        jobs = [(np.arange(10) < n, None, False) for n in (3, 9, 5, 8, 2)]
         assert validation._deal(jobs, 2) == [[1, 0, 4], [3, 2]]
         assert validation._deal(jobs, 5) == [[1], [3], [2], [0], [4]]
 
@@ -175,13 +227,25 @@ class TestSchedule:
                                  params={"n_trees": 2})
         assert_no_children()
 
+    def test_a_job_error_in_a_worker_reaches_the_caller(self, frame, monkeypatch):
+        def refuse(*job):
+            raise DataError(f"refused in {os.getpid()}")
+
+        monkeypatch.setattr(validation, "_available_cores", lambda: 2)
+        monkeypatch.setattr(validation, "_fit_and_predict", refuse)
+        with pytest.raises(DataError, match="^refused in ") as raised:
+            block_cross_validate("rf", frame, n_blocks=2, validation_tail=100,
+                                 params={"n_trees": 2})
+        assert str(raised.value) != f"refused in {os.getpid()}"  # raised in a worker
+        assert_no_children()
+
     def test_each_worker_runs_on_a_cpu_of_its_own(self, monkeypatch):
         mine = os.sched_getaffinity(0)
         if len(mine) < 2:
             pytest.skip("needs two CPUs")
         monkeypatch.setattr(validation, "_fit_and_predict", lambda *job: os.sched_getaffinity(0))
-        jobs = [(None, None, 0, np.ones(4, dtype=bool), None)] * 2
-        first, second = validation._run_jobs(np.zeros((4, 1)), np.zeros(4), jobs, 2)
+        jobs = [(np.ones(4, dtype=bool), None, False)] * 2
+        first, second = validation._run_jobs(None, np.zeros((4, 1)), np.zeros(4), jobs, 2)
         assert len(first) == len(second) == 1 and first != second
         assert first | second <= mine
         assert os.sched_getaffinity(0) == mine  # only the children are pinned
@@ -198,7 +262,8 @@ class TestSchedule:
         workers = []
         run_jobs = validation._run_jobs
         monkeypatch.setattr(validation, "_run_jobs",
-                            lambda X, y, jobs, n: workers.append(n) or run_jobs(X, y, jobs, n))
+                            lambda model, X, y, jobs, n: workers.append(n)
+                            or run_jobs(model, X, y, jobs, n))
         monkeypatch.delattr(os, "sched_getaffinity")
         serial = report()
         assert workers == [1]
@@ -211,9 +276,9 @@ class TestSchedule:
         seen = []
         run_jobs = validation._run_jobs
 
-        def spy(X, y, jobs, workers):
+        def spy(model, X, y, jobs, workers):
             seen.append((len(jobs), workers))
-            return run_jobs(X, y, jobs, workers)
+            return run_jobs(model, X, y, jobs, workers)
 
         monkeypatch.setattr(validation, "_run_jobs", spy)
         for name in ("lm", "rf"):

@@ -109,6 +109,19 @@ class TestBandPartition:
         with pytest.raises(DataError, match="out of order at node"):
             part.validate_on(Grid(1.0, 4))
 
+    @pytest.mark.parametrize("knots, row", [([0.0, 1.0], [0.0, np.nan]),
+                                            ([0.0, np.inf], [0.0, 0.5])])
+    def test_table_values_must_be_finite(self, knots, row):
+        with pytest.raises(DataError, match="^boundary table holds a non-finite value$"):
+            BandPartition.from_table(knots, [row])
+
+    @pytest.mark.parametrize("field, message", [("K", "expected 1 efficiency factors, got 2"),
+                                                ("G", "expected 1 response functions, got 2")])
+    def test_one_factor_and_response_per_band(self, field, message):
+        kernel = identity_kernel()
+        with pytest.raises(DataError, match=f"^{message}$"):
+            replace(kernel, **{field: getattr(kernel, field) * 2})
+
     def test_table_boundaries_interpolate(self):
         part = BandPartition.from_table([0.0, 2.0], [[0.0, 1.0]])
         np.testing.assert_allclose(part.boundary_values([0.5, 1.0])[1], [0.25, 0.5])
