@@ -52,14 +52,13 @@ class RegressionTree:
         return 2 * np.cumsum(self.feature >= 0) - 1
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        left = self._left()
+        left, split = self._left(), self.feature >= 0
         node = np.zeros(len(X), dtype=np.int64)
-        active = self.feature[node] >= 0
-        while active.any():
-            rows = np.flatnonzero(active)
+        rows, cells = np.arange(len(X)), X.ravel()  # row-major: X[r, f] is cells[r * p + f]
+        while len(rows := rows[split[node[rows]]]):  # the rows still on a split node
             at = node[rows]
-            node[rows] = left[at] + ~(X[rows, self.feature[at]] <= self.threshold[at])
-            active = self.feature[node] >= 0
+            x = cells[rows * X.shape[1] + self.feature[at]]
+            node[rows] = left[at] + ~(x <= self.threshold[at])
         return self.value[node]
 
     def to_dict(self) -> dict:  # the node arrays and each node's children, -1 on a leaf
@@ -88,15 +87,14 @@ def _score_level(values, targets, weights, orders, starts, counts, cand, min_chi
     Returns (split mask, feature, threshold, left row count); the last three
     list only the split nodes, in node order.
     """
-    # each (candidate feature, node) block of sorted row numbers, feature-major,
-    # gathered by an index that steps by one and jumps at each block's start
+    # each (candidate feature f, node k) block of sorted row numbers, feature-major:
+    # cell c of block b holds orders[f, starts[k] + c - first[b]]
     bf, bn = np.nonzero(cand)
     lengths = counts[bn]
     first = np.cumsum(lengths) - lengths
     last = first + lengths - 1
-    rows = np.ones(last[-1] + 1, dtype=np.int64)
-    rows[first] = 1 + np.diff(bf * orders.shape[1] + starts[bn] - first, prepend=1)
-    rows = orders.ravel()[np.cumsum(rows, out=rows)]
+    cell = np.arange(last[-1] + 1)
+    rows = orders.ravel()[np.repeat(bf * orders.shape[1] + starts[bn] - first, lengths) + cell]
     # row-major X holds a cell's value at row * p + feature
     v = values[rows * orders.shape[0] + np.repeat(bf, lengths)]
     # a cut after a cell in [lo, hi] leaves min_child weight on each side;
@@ -111,10 +109,8 @@ def _score_level(values, targets, weights, orders, starts, counts, cand, min_chi
         hi = np.searchsorted(w_cum, w_cum[last] - min_child, side="right") - 1
     cum = np.cumsum(targets[rows], out=rows)  # exact, in the row numbers' place
     before = np.where(first > 0, cum[first - 1], 0)
-    inside = np.zeros(len(v), dtype=bool)
-    ranged = lo <= hi
-    inside[lo[ranged]] = inside[hi[ranged] + 1] = True
-    np.logical_xor.accumulate(inside, out=inside)
+    inside = np.repeat(lo, lengths) <= cell  # each cell against its block's range
+    inside &= cell <= np.repeat(hi, lengths)
     # only the boundaries between distinct values in those ranges are scored
     at = np.flatnonzero(np.logical_and(inside[:-1], v[1:] > v[:-1], out=inside[:-1]))
     heads = np.searchsorted(at, first)  # each block's first boundary
@@ -387,9 +383,8 @@ class RandomForest(_Ensemble):
                          None, RF_MIN_LEAF, RF_MTRY)
             self.trees_.append(tree)
             outside = ~seen
-            if outside.any():
-                oob_sum[outside] += np.ldexp(tree.predict(X[outside]), -self._shift)
-                oob_count[outside] += 1
+            oob_sum[outside] += np.ldexp(tree.predict(X[outside]), -self._shift)
+            oob_count[outside] += 1
 
         covered = oob_count > 0
         if covered.any():  # scaled by 2**-_shift

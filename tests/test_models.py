@@ -135,6 +135,48 @@ class TestSingleTree:
 
 
 @st.composite
+def level_order_trees(draw):
+    """A tree drawn directly in level order, and rows to descend it.
+
+    The tree is a single leaf, a full tree up to depth 10, or a chain up to
+    40 levels deep with one split node a level. A chain's thresholds fall
+    (rising, for a chain that goes left) along it, so most rows leave it at
+    depth 1. Every value of a row is one of the tree's thresholds or the
+    float on either side of it; there may be no rows at all."""
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["leaf", "full", "chain"]))
+    if shape == "leaf":
+        split = np.zeros(1, dtype=bool)
+    elif shape == "full":
+        depth = draw(st.integers(1, 10))
+        split = np.arange(2 ** (depth + 1) - 1) < 2**depth - 1
+    else:
+        depth, goes_right = draw(st.integers(1, 40)), draw(st.booleans())
+        # level i >= 1 holds nodes 2i - 1 (left) and 2i (right); one goes on
+        split = np.concatenate([[True], np.tile([not goes_right, goes_right], depth - 1),
+                                [False, False]])
+    feature = np.where(split, rng.integers(0, p, size=len(split)), -1)
+    # rounded to a few decimals, so some nodes share a threshold
+    cuts = np.round(rng.normal(0.0, 8.0, split.sum()), draw(st.integers(0, 3)))
+    if shape == "chain":
+        cuts = np.sort(cuts)[::-1 if goes_right else 1]
+    threshold = np.zeros(len(split))
+    threshold[split] = cuts
+    tree = RegressionTree(feature, threshold, rng.normal(size=len(split)))
+    X = rng.choice(cuts if len(cuts) else np.zeros(1), size=(draw(st.integers(0, 60)), p))
+    # X + step lies below X, at it or above it, and nextafter moves X one float that way
+    return tree, np.nextafter(X, X + rng.integers(-1, 2, size=X.shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(level_order_trees())
+def test_predict_descends_as_the_oracle(drawn):
+    tree, X = drawn
+    np.testing.assert_array_equal(tree.predict(X), descend(tree.to_dict(), X))
+
+
+@st.composite
 def tree_problems(draw):
     """Small integer X with many repeated values, sometimes with a copied
     column (forced ties), and integer or float y: the growers sum fixed-point

@@ -1,13 +1,18 @@
-"""Forest and boosting bits: the sha256 of every tree array of two seeded fits.
+"""Forest and boosting bits: the sha256 of every tree array of two seeded fits,
+and of their predictions.
 
 One seeded matrix with hour-, weekday- and flag-like integer columns (ties)
 and gridded continuous ones is fitted by a 40-stage boosting and an 8-tree
 forest. For each of the five node fields of a tree in the model document,
 one digest covers that array of every tree in fit order; the fits' scalars
 are held as exact hex floats. A rewrite of tree growth that keeps the models
-keeps every digest. A change that alters the trees on purpose updates
-``DIGESTS`` (printed by ``python tests/test_tree_bits.py``) and says why in
-CHANGES.md. The trees store three of the five arrays, 24 bytes a node.
+keeps every digest. ``PREDICTIONS`` holds the digest of each fit's
+predictions on the matrix and on its rows shifted by -0.5 and +0.5, which
+moves the integer columns onto the midpoints their thresholds sit at, so a
+rewrite of the descent that keeps the predictions keeps those too. A change that alters
+the trees on purpose updates ``DIGESTS`` and ``PREDICTIONS`` (printed by
+``python tests/test_tree_bits.py``) and says why in CHANGES.md. The trees
+store three of the five arrays, 24 bytes a node.
 """
 
 import functools
@@ -45,6 +50,26 @@ DIGESTS = {
             "0fc554ed1c02e838ca0cba20b432e2858fd44eb1518682dac7003db877f575e9",
         "value":
             "24c2aede58064c146860b1473a7aad9fcf8a517e604d8d5366ca5312282b0dc8",
+    },
+}
+
+# the predictions' digests by input: the training matrix shifted by each amount
+PREDICTIONS = {
+    "gbdt": {
+        "-0.5":
+            "ebefd4ee8efc0238ce3dba33877a67aa3e390c0955109016f31b22ca9c75c44a",
+        "+0.0":
+            "69b8d6866f52e7e78de08a2270b69ae3437012d045a64acf271e9719b7580ef9",
+        "+0.5":
+            "789d12396e14ecc4f60e999dcbe486825e7dfc14e7b14a6b8e64b33a6dcc4741",
+    },
+    "rf": {
+        "-0.5":
+            "c52390b8ad7a18525098855caf31df77e071754d0ae02750f3d733471a066ec9",
+        "+0.0":
+            "ccefdffb4831c1ce4ee0bd22688f97db5e60f40c084566f92ddf5e410b2e665c",
+        "+0.5":
+            "9df8820694ca751ce80f39bb3e4dd7c2493996464b8d451eecca8df5cd88096c",
     },
 }
 
@@ -99,8 +124,22 @@ def digests(model, scalar: str) -> dict:
     return out
 
 
+def current_predictions() -> dict:
+    """Per fit and shift, the sha256 of the little-endian float64 predictions
+    on ``training_matrix`` shifted by that amount."""
+    X, _ = training_matrix()
+    return {name: {f"{shift:+}": hashlib.sha256(model.predict(X + shift).astype("<f8")
+                                                .tobytes()).hexdigest()
+                   for shift in (-0.5, 0.0, 0.5)}
+            for name, model in fits().items()}
+
+
 def test_tree_arrays_hold_their_recorded_bits():
     assert current_digests() == DIGESTS
+
+
+def test_predictions_hold_their_recorded_bits():
+    assert current_predictions() == PREDICTIONS
 
 
 def test_a_stored_node_takes_24_bytes():
@@ -112,5 +151,6 @@ def test_a_stored_node_takes_24_bytes():
 
 
 if __name__ == "__main__":
-    json.dump(current_digests(), sys.stdout, indent=4)
+    json.dump({"DIGESTS": current_digests(), "PREDICTIONS": current_predictions()},
+              sys.stdout, indent=4)
     print()
